@@ -16,6 +16,7 @@ import numpy as np
 
 from .grid import (GridError, GridFunction, QuadtreeGrid, ScaleRequest,
                    build_quadtree)
+from .stencils import one_sided_matrices
 
 
 @dataclass
@@ -148,19 +149,6 @@ def residual_criteria():
     return lambda op, grid, u: np.abs(op.residual(u))
 
 
-def obstacle_terms_criteria():
-    """Both-terms field min(|Lap_h u|, |u - g|).  At an exact discrete
-    solution complementarity makes this vanish identically, so thresholding
-    it directly never refines; use free_boundary_criteria to turn the
-    both-terms-small band into a refinement signal."""
-
-    def crit(op, grid, u):
-        lap = np.abs(op.L @ u + op.Lconst)
-        return np.minimum(lap, np.abs(u - op.gvals))
-
-    return crit
-
-
 def free_boundary_criteria(closeness: float):
     """(closeness - max(|Lap_h u|, |u - g|))+: positive exactly where BOTH
     terms of the obstacle operator are close to zero, i.e. in a band around
@@ -215,13 +203,10 @@ def slope_criteria(weight_fn=None):
     (e.g. proximity to an interior boundary)."""
 
     def crit(op, grid, u):
-        from .stencils import one_sided_matrices
-        T, have = one_sided_matrices(grid)
-        gx = np.zeros(len(u))
-        gy = np.zeros(len(u))
-        for d, g_ in (("E", gx), ("W", gx), ("N", gy), ("S", gy)):
-            c = np.abs(T[d] @ u)
-            np.maximum(g_, np.where(have[d], c, 0.0), out=g_)
+        # a row of T[d] is empty where the difference toward d does not exist
+        T, _ = one_sided_matrices(grid)
+        gx = np.maximum(np.abs(T["E"] @ u), np.abs(T["W"] @ u))
+        gy = np.maximum(np.abs(T["N"] @ u), np.abs(T["S"] @ u))
         v = np.hypot(gx, gy)
         if weight_fn is not None:
             xs, ys = grid.positions()

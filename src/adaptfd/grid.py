@@ -29,7 +29,6 @@ REGULAR = "regular"
 DANGLING_X = "dangling-x"
 DANGLING_Y = "dangling-y"
 BOUNDARY = "boundary"
-INACTIVE = "inactive"
 
 # direction indices used throughout: E, W, N, S
 DIRS = ("E", "W", "N", "S")
@@ -611,7 +610,7 @@ def _dangling_geometry(grid: QuadtreeGrid, node: GridNode):
             return ((i - half, j - w), (i + half, j - w),
                     (i - half, j + w), (i + half, j + w))
 
-    node.drv_pair = tuple(nid[c] for c in cpair) if all(c in nid for c in cpair) else None
+    node.drv_pair = tuple(nid[c] for c in cpair)
     pad = grid.pad_x if node.coarse_side in ("E", "W") else grid.pad_y
     cs = corners(m)
     if m <= pad and all(c in nid for c in cs):

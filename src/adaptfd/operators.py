@@ -5,12 +5,14 @@ the generalized Jacobian of the active branch, and a per-node Lipschitz bound
 whose reciprocal is the stable explicit time step.  Built-in kinds:
 
   poisson_dirichlet   F = (-Lap_h u) - f with boundary pins / Robin rows
-  bc_composite        F = chi*(-Lap_h u - f) + (1-chi)*(u - g), plus an
-                      optional first-order region (e.g. upwind Neumann bands)
+  bc_composite        F = chi*(-Lap_h u - f) + (1-chi)*(u - g), or
+                      c*(-Lap_h u - f) + d*(u - g), plus an optional
+                      first-order region (e.g. upwind Neumann bands)
   obstacle            F = min(-Lap_h u - f, u - g)
   stefan              F = -Lap_h u where u > 0, min(-Lap_h u, -|grad u|^2)
                       where u <= 0
 
+Each residual is one per-node weighted sum of branches (see OperatorSpec).
 All residuals are nondecreasing in u_i and in each difference u_i - u_j, so
 ordered data give ordered solutions and CFL-bounded explicit steps contract.
 """
@@ -23,12 +25,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import BOUNDARY, GridError, GridFunction, QuadtreeGrid
-from .stencils import laplacian_system, one_sided_matrices
+from .stencils import laplacian_system, one_sided, one_sided_matrices
 
 BUILTIN_KINDS = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
 
-# interior node roles
-_PDE, _DATA, _HOP = 0, 1, 2
+# kinds whose residual is min(PDE row, second branch): the second branch id
+# and the states u in which that branch is open
+_MIN_KINDS = {"obstacle": (1, lambda u: True), "stefan": (3, lambda u: u <= 0)}
 
 
 class OperatorError(GridError):
@@ -51,8 +54,6 @@ class ProblemDefinition:
     c: object = None
     d: object = None
     robin: tuple | None = None
-    obstacle: bool = False
-    stefan: bool = False
     first_order: object = None
 
     def sample(self, fn, grid, default=0.0):
@@ -76,34 +77,23 @@ class UpwindDirectional:
         lip = np.zeros(nn)
         const = np.zeros(nn)
         rows, cols, vals = [], [], []
-
-        def add(i, j, w):
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-
         for idx, n in enumerate(grid.nodes):
             if n.klass == BOUNDARY or not self.region(n.x, n.y):
                 continue
             nx, ny = self.direction(n.x, n.y)
             mask[idx] = True
             const[idx] = -self.rhs(n.x, n.y)
-            for comp, upw, axis in ((nx, "W", "x"), (-nx, "E", "x"),
-                                    (ny, "S", "y"), (-ny, "N", "y")):
+            for comp, upw in ((nx, "W"), (-nx, "E"), (ny, "S"), (-ny, "N")):
                 if comp <= 0.0:
                     continue
-                if upw in n.nbr:
-                    dist = n.dist(upw)
-                    add(idx, idx, comp / dist)
-                    add(idx, n.nbr[upw], -comp / dist)
-                elif n.coarse_side == upw and n.drv_pair is not None:
-                    dist = n.band * (grid.hx if axis == "x" else grid.hy)
-                    add(idx, idx, comp / dist)
-                    add(idx, n.drv_pair[0], -0.5 * comp / dist)
-                    add(idx, n.drv_pair[1], -0.5 * comp / dist)
-                else:
+                found = one_sided(grid, n, upw)
+                if found is None:
                     raise OperatorError("no upwind neighbor for first-order "
                                         "row at (%d, %d)" % (n.i, n.j))
+                ids, dist = found
+                rows += [idx] * (len(ids) + 1)
+                cols += [idx, *ids]
+                vals += [comp / dist] + [-comp / dist / len(ids)] * len(ids)
                 lip[idx] += comp / dist
         M = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
         return mask, M, const, lip
@@ -111,7 +101,15 @@ class UpwindDirectional:
 
 @dataclass
 class OperatorSpec:
-    """A problem bound to one grid: residuals, Jacobians and CFL bounds."""
+    """A problem bound to one grid: residuals, Jacobians and CFL bounds.
+
+    Every residual is F_i = sum_b W[b, i] * branch_b[u]_i over the branches
+    0 = PDE row -Lap_h u - f, 1 = data row u - g, 2 = first-order row and
+    3 = -|grad u|^2.  The affine kinds fix W at assembly.  The min kinds
+    start from weight 1 on the PDE row and move it onto their second branch
+    wherever that branch is open and smaller; ties stay with the PDE.
+    Pinned nodes carry no weight.
+    """
     kind: str
     problem: ProblemDefinition
     grid: QuadtreeGrid
@@ -119,8 +117,6 @@ class OperatorSpec:
     def __post_init__(self):
         grid = self.grid
         problem = self.problem
-        nn = grid.n_nodes()
-        self.name = self.kind
         self.fvals = problem.sample(problem.f, grid)
         self.gvals = problem.sample(problem.g, grid)
 
@@ -136,48 +132,47 @@ class OperatorSpec:
             for idx, n in enumerate(grid.nodes):
                 if n.klass == BOUNDARY:
                     self.pins[idx] = self.gvals[idx]
+        self.wbar = self.L.diagonal()
+        if self.kind == "obstacle" and problem.g is None:
+            raise OperatorError("obstacle needs an obstacle datum g")
 
-        self.role = np.full(nn, _PDE, dtype=np.int8)
-        self.weights = None
+        self.second, self.is_open = _MIN_KINDS.get(self.kind, (None, None))
+        self.weights = np.zeros((4, grid.n_nodes()))
+        self.weights[0] = 1.0
+        self.first = None
+        if self.second is None:
+            self._fix_weights()
+        self.weights[:, ~self.active] = 0.0
+        self.T = None
+        if self.kind == "stefan":
+            self.T, _ = one_sided_matrices(grid)
+            # largest axis difference weight per node, for the CFL bound
+            inv = {d: -t.diagonal() for d, t in self.T.items()}
+            self.wx_max = np.maximum(inv["E"], inv["W"])
+            self.wy_max = np.maximum(inv["N"], inv["S"])
+
+    def _fix_weights(self):
+        """Weights of the affine kinds: c and d where given; otherwise the
+        PDE row inside chi and the data row outside, with first-order rows
+        overriding both on their region."""
+        grid, problem, w = self.grid, self.problem, self.weights
         if self.kind == "bc_composite":
             if problem.c is not None or problem.d is not None:
-                # general weighted form c(x)*(PDE) + d(x)*(u - g)
-                cvals = problem.sample(problem.c, grid, default=1.0)
-                dvals = problem.sample(problem.d, grid, default=0.0)
-                if np.any(cvals < 0) or np.any(dvals < 0):
+                w[0] = problem.sample(problem.c, grid, default=1.0)
+                w[1] = problem.sample(problem.d, grid, default=0.0)
+                if np.any(w[:2] < 0):
                     raise OperatorError("weights c, d must be nonnegative")
-                self.weights = (cvals, dvals)
-            elif problem.chi is None:
+                return
+            if problem.chi is None:
                 raise OperatorError("bc_composite needs a domain indicator "
                                     "or weights")
-            if problem.chi is not None:
-                chi = np.array([1 if problem.chi(n.x, n.y) else 0
-                                for n in grid.nodes], dtype=np.int8)
-                self.role[(chi == 0)] = _DATA
+            w[0] = [1.0 if problem.chi(n.x, n.y) else 0.0 for n in grid.nodes]
+            w[1] = 1.0 - w[0]
         if problem.first_order is not None:
             mask, M, const, lip = problem.first_order.build(grid)
-            self.role[mask] = _HOP
-            self.hop = (M, const, lip)
-        else:
-            self.hop = None
-        self.role[~self.active] = _DATA   # pins never evaluate PDE rows
-
-        if self.kind in ("obstacle",) and problem.g is None:
-            raise OperatorError("obstacle needs an obstacle datum g")
-        if self.kind == "stefan":
-            self.T, self.Thave = one_sided_matrices(grid)
-            # largest axis difference weight per node, for the CFL bound
-            self.wx_max = np.zeros(nn)
-            self.wy_max = np.zeros(nn)
-            for idx, n in enumerate(grid.nodes):
-                for s, arr in (("E", self.wx_max), ("W", self.wx_max),
-                               ("N", self.wy_max), ("S", self.wy_max)):
-                    if s in n.nbr:
-                        arr[idx] = max(arr[idx], 1.0 / n.dist(s))
-                    elif n.coarse_side == s:
-                        h = grid.hx if s in ("E", "W") else grid.hy
-                        arr[idx] = max(arr[idx], 1.0 / (n.band * h))
-        self.wbar = self.L.diagonal()
+            w[:, mask] = 0.0
+            w[2, mask] = 1.0
+            self.first = (M, const, lip)
 
     # -- helpers ----------------------------------------------------------
 
@@ -192,112 +187,85 @@ class OperatorSpec:
         return self.L[rows] @ u + self.Lconst[rows] - self.fvals[rows]
 
     def _gradient_sq(self, u, rows=None):
-        def tmat(d):
-            return self.T[d] if rows is None else self.T[d][rows]
+        # a row of T[d] is empty where no difference toward d exists; its
+        # zero slope never beats the clamp at 0, so it is never selected
+        def slope(d):
+            return (self.T[d] if rows is None else self.T[d][rows]) @ u
 
-        def hmask(d):
-            return self.Thave[d] if rows is None else self.Thave[d][rows]
-
-        cE = tmat("E") @ u
-        cW = tmat("W") @ u
-        cN = tmat("N") @ u
-        cS = tmat("S") @ u
-        for c, h in ((cE, "E"), (cW, "W"), (cN, "N"), (cS, "S")):
-            c[~hmask(h)] = -np.inf
+        cE, cW, cN, cS = slope("E"), slope("W"), slope("N"), slope("S")
         rx = np.maximum(np.maximum(cE, cW), 0.0)
         ry = np.maximum(np.maximum(cN, cS), 0.0)
-        selE = hmask("E") & (cE >= cW) & (rx > 0)
-        selW = hmask("W") & (cW > cE) & (rx > 0)
-        selN = hmask("N") & (cN >= cS) & (ry > 0)
-        selS = hmask("S") & (cS > cN) & (ry > 0)
+        selE = (cE >= cW) & (rx > 0)
+        selW = (cW > cE) & (rx > 0)
+        selN = (cN >= cS) & (ry > 0)
+        selS = (cS > cN) & (ry > 0)
         return rx, ry, (selE, selW, selN, selS)
+
+    def _weighted(self, u, rows=None):
+        """Weights of the four branches and values of the branches the
+        operator has, at rows (all nodes when None) in state u."""
+        sub = (lambda a: a) if rows is None else (lambda a: a[rows])
+        vals = {0: self.pde_residual(u, rows), 1: sub(u) - sub(self.gvals)}
+        if self.first is not None:
+            vals[2] = sub(self.first[0]) @ u + sub(self.first[1])
+        if self.T is not None:
+            rx, ry, _ = self._gradient_sq(u, rows)
+            vals[3] = -(rx * rx + ry * ry)
+        w = list(self.weights if rows is None else self.weights[:, rows])
+        if self.second is not None:
+            b = self.second
+            take = (w[0] > 0) & self.is_open(sub(u)) & (vals[b] < vals[0])
+            w[0] = w[0] - take
+            w[b] = w[b] + take
+        return w, vals
 
     # -- operator surface ---------------------------------------------------
 
     def residual(self, u: np.ndarray, rows=None) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        sub = (lambda a: a) if rows is None else (lambda a: a[rows])
-        pde = self.pde_residual(u, rows)
-        if self.weights is not None:
-            c, d = self.weights
-            out = sub(c) * pde + sub(d) * (sub(u) - sub(self.gvals))
-            out[~sub(self.active)] = 0.0
-            return out
-        out = np.where(sub(self.role) == _DATA, sub(u) - sub(self.gvals), pde)
-        if self.hop is not None:
-            M, const, _ = self.hop
-            hop = (M @ u + const) if rows is None else (M[rows] @ u + const[rows])
-            out = np.where(sub(self.role) == _HOP, hop, out)
-        if self.kind == "obstacle":
-            out = np.minimum(pde, sub(u) - sub(self.gvals))
-        elif self.kind == "stefan":
-            rx, ry, _ = self._gradient_sq(u, rows)
-            gsq = rx * rx + ry * ry
-            out = np.where(sub(u) > 0, pde, np.minimum(pde, -gsq))
-        out[~sub(self.active)] = 0.0
-        return out
+        w, vals = self._weighted(np.asarray(u, dtype=float), rows)
+        return sum(w[b] * v for b, v in vals.items())
 
     def branches(self, u: np.ndarray) -> np.ndarray:
-        """Active branch per node: 0 = PDE row, 1 = identity-like row,
+        """Branch of largest weight per node: 0 = PDE row, 1 = data row,
         2 = first-order row, 3 = gradient-square row.  Ties go to the PDE."""
-        u = np.asarray(u, dtype=float)
-        br = np.where(self.role == _DATA, 1, 0).astype(np.int8)
-        if self.hop is not None:
-            br[self.role == _HOP] = 2
-        if self.kind == "obstacle":
-            pde = self.pde_residual(u)
-            br = np.where(pde <= u - self.gvals, 0, 1).astype(np.int8)
-        elif self.kind == "stefan":
-            pde = self.pde_residual(u)
-            rx, ry, _ = self._gradient_sq(u)
-            gsq = rx * rx + ry * ry
-            br = np.where((u <= 0) & (pde > -gsq), 3, 0).astype(np.int8)
-        return br
+        w, _ = self._weighted(np.asarray(u, dtype=float))
+        return np.argmax(w, axis=0).astype(np.int8)
 
     def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
         """Exact generalized Jacobian (all nodes; inactive rows are zero)."""
         u = np.asarray(u, dtype=float)
-        nn = self.grid.n_nodes()
-        mask = sp.diags(self.active.astype(float))
-        if self.weights is not None:
-            c, d = self.weights
-            J = sp.diags(c) @ self.L + sp.diags(d) @ sp.eye(nn, format="csr")
-            return (mask @ J).tocsr()
-        br = self.branches(u)
-        d0 = sp.diags((br == 0).astype(float))
-        d1 = sp.diags((br == 1).astype(float))
-        J = d0 @ self.L + d1 @ sp.eye(nn, format="csr")
-        if self.hop is not None:
-            J = J + sp.diags((br == 2).astype(float)) @ self.hop[0]
-        if self.kind == "stefan":
+        w, _ = self._weighted(u)
+        J = sp.diags(w[0]) @ self.L \
+            + sp.diags(w[1]) @ sp.eye(self.grid.n_nodes(), format="csr")
+        if self.first is not None:
+            J = J + sp.diags(w[2]) @ self.first[0]
+        if self.T is not None:
             rx, ry, (selE, selW, selN, selS) = self._gradient_sq(u)
             Sx = sp.diags(selE.astype(float)) @ self.T["E"] \
                 + sp.diags(selW.astype(float)) @ self.T["W"]
             Sy = sp.diags(selN.astype(float)) @ self.T["N"] \
                 + sp.diags(selS.astype(float)) @ self.T["S"]
             Jg = sp.diags(-2.0 * rx) @ Sx + sp.diags(-2.0 * ry) @ Sy
-            J = J + sp.diags((br == 3).astype(float)) @ Jg
-        return (mask @ J).tocsr()
+            J = J + sp.diags(w[3]) @ Jg
+        return J.tocsr()
 
     def lipschitz(self, u: np.ndarray, rows=None) -> np.ndarray:
-        """Per-node bound on dF_i/du_i over the active branches."""
+        """Per-node bound on dF_i/du_i over every branch the node can take:
+        sum_b W[b] * L_b, where a min kind bounds its PDE row by the larger
+        of L_0 and the bound of its second branch wherever that is open."""
         u = np.asarray(u, dtype=float)
         sub = (lambda a: a) if rows is None else (lambda a: a[rows])
-        lip = sub(self.wbar).copy()
-        if self.weights is not None:
-            c, d = self.weights
-            lip = sub(c) * lip + sub(d)
-        elif self.kind in ("poisson_dirichlet", "bc_composite"):
-            lip = np.where(sub(self.role) == _DATA, 1.0, lip)
-            if self.hop is not None:
-                lip = np.where(sub(self.role) == _HOP, sub(self.hop[2]), lip)
-        elif self.kind == "stefan":
+        bound = {0: sub(self.wbar), 1: 1.0}
+        if self.first is not None:
+            bound[2] = sub(self.first[2])
+        if self.T is not None:
             rx, ry, _ = self._gradient_sq(u, rows)
-            gl = 2.0 * (rx * sub(self.wx_max) + ry * sub(self.wy_max))
-            lip = np.where(sub(u) <= 0, np.maximum(lip, gl), lip)
-        # obstacle: same restriction as the pure Laplacian
-        lip[~sub(self.active)] = 0.0
-        return lip
+            bound[3] = 2.0 * (rx * sub(self.wx_max) + ry * sub(self.wy_max))
+        if self.second is not None:
+            bound[0] = np.where(self.is_open(sub(u)),
+                                np.maximum(bound[0], bound[self.second]),
+                                bound[0])
+        return sum(sub(self.weights[b]) * lb for b, lb in bound.items())
 
 
 def instantiate_builtin(kind: str, problem: ProblemDefinition,
@@ -331,11 +299,3 @@ def cfl_bounds(op: OperatorSpec, grid: QuadtreeGrid,
         dt = np.where(lip > 0, 1.0 / lip, np.inf)
     return GridFunction(grid, dt)
 
-
-def dump_triplets(matrix) -> str:
-    """`row col value` text dump of a sparse matrix for offline inspection."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    lines = ["%d %d %r" % (coo.row[k], coo.col[k], float(coo.data[k]))
-             for k in order]
-    return "\n".join(lines) + "\n"

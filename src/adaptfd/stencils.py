@@ -60,28 +60,35 @@ def _node(grid: QuadtreeGrid, node) -> GridNode:
     return grid.nodes[node] if isinstance(node, (int, np.integer)) else node
 
 
+def one_sided(grid: QuadtreeGrid, node: GridNode, side: str):
+    """Where a one-sided difference toward `side` looks: (ids, dist), with the
+    value on that side the mean of u over ids at distance dist.  A neighbor
+    gives one id; the coarse side of a dangling node gives the two far
+    corners of the coarse cell at distance band * h (first order, monotone).
+    None when the node has no value on that side."""
+    if side in node.nbr:
+        return (node.nbr[side],), node.dist(side)
+    if node.coarse_side == side:
+        return node.drv_pair, node.band * (grid.hx if side in ("E", "W")
+                                           else grid.hy)
+    return None
+
+
 def upwind_first_derivative(grid: QuadtreeGrid, node, direction: str,
                             u) -> float:
     """One-sided derivative along `direction`, differencing against the
-    opposite-side neighbor: D_{+x} u = (u_i - u_W)/dW approximates du/dx.
-
-    At a dangling node whose missing side is needed, the opposing value is the
-    average of the two far corners of the coarse cell (first order, monotone).
-    """
+    opposite-side neighbor: D_{+x} u = (u_i - u_W)/dW approximates du/dx,
+    with the far-corner average standing in for a missing coarse side."""
     n = _node(grid, node)
     values = u.values if hasattr(u, "values") else u
     side = OPPOSITE[direction]
-    ui = values[grid.node_id[(n.i, n.j)]]
-    if n.coarse_side == side:
-        if n.drv_pair is None:
-            raise StencilUnavailableError("missing far corners at dangling node")
-        dist = n.band * (grid.hx if side in ("E", "W") else grid.hy)
-        opp = 0.5 * (values[n.drv_pair[0]] + values[n.drv_pair[1]])
-        return (ui - opp) / dist
-    if side not in n.nbr:
+    found = one_sided(grid, n, side)
+    if found is None:
         raise StencilUnavailableError(
             "no %s neighbor at node (%d, %d)" % (side, n.i, n.j))
-    return (ui - values[n.nbr[side]]) / n.dist(side)
+    ids, dist = found
+    opp = sum(values[j] for j in ids) / len(ids)
+    return (values[grid.node_id[(n.i, n.j)]] - opp) / dist
 
 
 def laplacian_row(grid: QuadtreeGrid, node) -> StencilRow:
@@ -127,14 +134,13 @@ def upwind_gradient_sq(grid: QuadtreeGrid, node, u) -> float:
     values = u.values if hasattr(u, "values") else u
     ui = values[grid.node_id[(n.i, n.j)]]
     total = 0.0
-    for axis, sides in (("x", ("E", "W")), ("y", ("N", "S"))):
+    for sides in (("E", "W"), ("N", "S")):
         best = 0.0
         for s in sides:
-            if s in n.nbr:
-                best = max(best, (values[n.nbr[s]] - ui) / n.dist(s))
-            elif n.coarse_side == s and n.drv_pair is not None:
-                dist = n.band * (grid.hx if axis == "x" else grid.hy)
-                opp = 0.5 * (values[n.drv_pair[0]] + values[n.drv_pair[1]])
+            found = one_sided(grid, n, s)
+            if found is not None:
+                ids, dist = found
+                opp = sum(values[j] for j in ids) / len(ids)
                 best = max(best, (opp - ui) / dist)
         total += best * best
     return total
@@ -249,33 +255,15 @@ def one_sided_matrices(grid: QuadtreeGrid):
         rows, cols, vals = [], [], []
         mask = np.zeros(nn, dtype=bool)
         for idx, n in enumerate(grid.nodes):
-            if d in n.nbr:
-                dist = n.dist(d)
-                rows += [idx, idx]
-                cols += [n.nbr[d], idx]
-                vals += [1.0 / dist, -1.0 / dist]
-                mask[idx] = True
-            elif n.coarse_side == d and n.drv_pair is not None:
-                dist = n.band * (grid.hx if d in ("E", "W") else grid.hy)
-                rows += [idx, idx, idx]
-                cols += [n.drv_pair[0], n.drv_pair[1], idx]
-                vals += [0.5 / dist, 0.5 / dist, -1.0 / dist]
-                mask[idx] = True
+            found = one_sided(grid, n, d)
+            if found is None:
+                continue
+            ids, dist = found
+            rows += [idx] * (len(ids) + 1)
+            cols += [*ids, idx]
+            vals += [1.0 / dist / len(ids)] * len(ids) + [-1.0 / dist]
+            mask[idx] = True
         T[d] = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
         have[d] = mask
     return T, have
 
-
-def dump_rows(grid: QuadtreeGrid, rows) -> str:
-    """Text dump of stencil rows: `row i j wbar constant n  j1 i1 w1 ...`,
-    ordered like the grid dump."""
-    out = []
-    for r in rows:
-        n = grid.nodes[r.center]
-        parts = ["row %d %d %r %r %d" % (n.i, n.j, r.wbar, r.constant,
-                                         len(r.neighbors))]
-        for (j, w) in r.neighbors:
-            m = grid.nodes[j]
-            parts.append("%d %d %r" % (m.i, m.j, w))
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"

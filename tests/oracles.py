@@ -327,3 +327,58 @@ def seeds_for_requests(reqs, depth, box):
         seeds.append((min(i // s * s, side - s), min(j // s * s, side - s),
                       r.scale))
     return seeds
+
+
+def one_sided_oracle(cells, depth, i, j, side):
+    """The one-sided difference toward `side` at vertex (i, j), found from
+    the cell set alone: (lattice points, virtual distance), with the value
+    on that side the mean over the points.  Where (i, j) bisects an edge of
+    a coarser leaf on that side, the points are that leaf's two far corners
+    and the distance is its side; otherwise the point is the nearest vertex
+    along the grid line.  None at a wall."""
+    di, dj = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}[side]
+    leaves = {_leaf_lookup(cells, depth, 2 * i + di + s * dj,
+                           2 * j + dj + s * di) for s in (1, -1)}
+    if len(leaves) == 1 and None not in leaves:
+        (a, b, k), = leaves
+        s = 1 << k
+        if (i, j) not in ((a, b), (a + s, b), (a, b + s), (a + s, b + s)):
+            if di:
+                x = a + s if di > 0 else a
+                return [(x, b), (x, b + s)], s
+            y = b + s if dj > 0 else b
+            return [(a, y), (a + s, y)], s
+    verts = vertices_of(cells)
+    side_len = 1 << depth
+    t = 1
+    while 0 <= i + t * di <= side_len and 0 <= j + t * dj <= side_len:
+        if (i + t * di, j + t * dj) in verts:
+            return [(i + t * di, j + t * dj)], t
+        t += 1
+    return None
+
+
+def dump_rows(grid, rows) -> str:
+    """Text dump of stencil rows: `row i j wbar constant n  j1 i1 w1 ...`,
+    ordered like the grid dump."""
+    out = []
+    for r in rows:
+        n = grid.nodes[r.center]
+        parts = ["row %d %d %r %r %d" % (n.i, n.j, r.wbar, r.constant,
+                                         len(r.neighbors))]
+        for (j, w) in r.neighbors:
+            m = grid.nodes[j]
+            parts.append("%d %d %r" % (m.i, m.j, w))
+        out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
+def dump_triplets(matrix) -> str:
+    """`row col value` text dump of a sparse matrix for offline inspection."""
+    import numpy as np
+    import scipy.sparse as sp
+    coo = sp.coo_matrix(matrix)
+    order = np.lexsort((coo.col, coo.row))
+    lines = ["%d %d %r" % (coo.row[k], coo.col[k], float(coo.data[k]))
+             for k in order]
+    return "\n".join(lines) + "\n"

@@ -5,8 +5,7 @@ import pytest
 
 from adaptfd.adaptivity import (RefinementPolicy, cells_as_requests,
                                 compute_refinement, distance_criteria,
-                                evaluate_criteria, obstacle_terms_criteria,
-                                regrid, residual_criteria,
+                                evaluate_criteria, regrid, residual_criteria,
                                 stefan_terms_criteria)
 from adaptfd.grid import DomainBox, GridFunction, ScaleRequest, build_quadtree
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
@@ -15,10 +14,6 @@ from adaptfd.stencils import laplacian_row
 from oracles import random_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
-
-DIRICHLET0 = (lambda x, y, nx, ny: 0.0, lambda x, y, nx, ny: 1.0,
-              lambda x, y, nx, ny: 0.0)
-
 
 def uniform_grid(depth):
     side = 1 << depth
@@ -36,24 +31,6 @@ def test_residual_criteria_zero_at_solution():
     policy = RefinementPolicy(residual_criteria(), thresholds=(1.0,))
     vals = evaluate_criteria(policy, op, g, u)
     assert np.max(vals.values) < 1e-10
-
-
-def test_obstacle_terms_match_direct_formula():
-    g = uniform_grid(3)
-    gobs = lambda x, y: 0.4 - (x - 0.5) ** 2 - (y - 0.5) ** 2
-    prob = ProblemDefinition(g=gobs, robin=DIRICHLET0)
-    op = instantiate_builtin("obstacle", prob, g)
-    rng = np.random.default_rng(3)
-    u = GridFunction(g, op.apply_pins(rng.normal(size=g.n_nodes())))
-    policy = RefinementPolicy(obstacle_terms_criteria(), thresholds=(1.0,))
-    vals = evaluate_criteria(policy, op, g, u)
-    for idx, n in enumerate(g.nodes):
-        if not op.active[idx]:
-            assert vals.values[idx] == 0.0
-            continue
-        lap = abs(laplacian_row(g, n).evaluate(u.values))
-        want = min(lap, abs(u.values[idx] - gobs(n.x, n.y)))
-        assert vals.values[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_stefan_terms_match_direct_formula():

@@ -5,11 +5,11 @@ from adaptfd.adaptivity import RefinementPolicy
 from adaptfd.grid import (BOUNDARY, DomainBox, DomainError, GridError,
                           GridFunction, ScaleRequest, build_quadtree,
                           init_from_scattered)
-from adaptfd.operators import (ProblemDefinition, dump_triplets,
-                               instantiate_builtin)
+from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (LinearSolveError, StoppingPolicy,
                              build_schedule, newton_solve)
-from adaptfd.stencils import dump_rows, laplacian_row
+from adaptfd.stencils import laplacian_row
+from oracles import dump_rows, dump_triplets
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 

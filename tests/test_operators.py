@@ -10,6 +10,7 @@ from adaptfd.operators import (OperatorError, ProblemDefinition,
                                UpwindDirectional, assemble_jacobian,
                                assemble_residual, cfl_bounds,
                                instantiate_builtin)
+from adaptfd.solvers import build_schedule, euler_step
 from adaptfd.stencils import laplacian_row
 from oracles import random_requests
 
@@ -232,6 +233,29 @@ def test_cfl_obstacle_same_as_laplacian():
     dto = cfl_bounds(opo, g, u).values
     act = opp.active
     assert np.allclose(dtp[act], dto[act])
+
+
+def test_obstacle_step_keeps_order_on_coarse_cells():
+    # h = 4, so wbar = 0.25 < 1: the CFL bound must also cover the unit
+    # slope of the contact branch u - g, or 1.00 and 0.95 step out of order
+    box = DomainBox(-4.0, 4.0, -4.0, 4.0)
+    g = build_quadtree([ScaleRequest(x, y, 2) for x in (-2.0, 2.0)
+                        for y in (-2.0, 2.0)], 3, box)
+    prob = ProblemDefinition(g=lambda x, y: 0.9,
+                             robin=(lambda *a: 0.0, lambda *a: 1.0,
+                                    lambda *a: 0.0))
+    op = instantiate_builtin("obstacle", prob, g)
+    (i,) = np.flatnonzero(op.active)
+    assert op.wbar[i] == pytest.approx(0.25)
+    hi = GridFunction(g, op.apply_pins(np.zeros(g.n_nodes())))
+    hi.values[i] = 1.0
+    lo = hi.copy()
+    lo.values[i] = 0.95
+    assert cfl_bounds(op, g, hi).values[i] <= 1.0
+    sched = build_schedule(g, op, hi)
+    hi2 = euler_step(op, g, hi, sched)
+    lo2 = euler_step(op, g, lo, sched)
+    assert hi2.values[i] >= lo2.values[i]
 
 
 def test_degenerate_ellipticity_probe_all_builtins():

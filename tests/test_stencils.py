@@ -10,7 +10,7 @@ from adaptfd.stencils import (IllPosedBoundaryError, InactiveMark,
                               StencilUnavailableError, laplacian_row,
                               laplacian_system, one_sided_matrices, robin_row,
                               upwind_first_derivative, upwind_gradient_sq)
-from oracles import random_requests
+from oracles import one_sided_oracle, random_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
@@ -260,15 +260,37 @@ def test_boundary_without_data_raises():
 
 
 def test_one_sided_matrices_match_pointwise_ops():
+    # T[d] @ u is the slope toward d, the negated derivative whose
+    # one-sided difference uses side d
+    toward = {"E": "-x", "W": "+x", "N": "-y", "S": "+y"}
     rng = np.random.default_rng(61)
-    g = build_quadtree(random_requests(rng, 4, 5, UNIT), 4, UNIT, pads=(1, 1))
-    T, have = one_sided_matrices(g)
-    u = rng.normal(size=g.n_nodes())
-    tw = T["W"] @ u
-    for idx, n in enumerate(g.nodes):
-        if have["W"][idx]:
-            got = -upwind_first_derivative(g, n, "+x", u)
-            assert tw[idx] == pytest.approx(got, rel=1e-12, abs=1e-13)
+    boxes = (UNIT, DomainBox(-3.0, 5.0, 0.0, 2.0),
+             DomainBox(0.0, 0.3, 0.0, 1.2))
+    dangling = dict.fromkeys(toward, 0)
+    for trial in range(12):
+        box = boxes[trial % 3]
+        depth = 4 if trial == 0 else int(rng.integers(3, 6))
+        g = build_quadtree(random_requests(rng, depth, 5, box), depth, box,
+                           pads=None if trial else (1, 1))
+        T, have = one_sided_matrices(g)
+        u = rng.normal(size=g.n_nodes())
+        for d in toward:
+            h = g.hx if d in ("E", "W") else g.hy
+            td = T[d] @ u
+            for idx, n in enumerate(g.nodes):
+                found = one_sided_oracle(g.cells, depth, n.i, n.j, d)
+                assert have[d][idx] == (found is not None)
+                if found is None:
+                    assert td[idx] == 0.0
+                    continue
+                pts, dist = found
+                dangling[d] += len(pts) == 2
+                opp = sum(u[g.node_id[p]] for p in pts) / len(pts)
+                want = (opp - u[idx]) / (dist * h)
+                assert td[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                got = -upwind_first_derivative(g, n, toward[d], u)
+                assert td[idx] == pytest.approx(got, rel=1e-12, abs=1e-13)
+    assert min(dangling.values()) > 0
 
 
 def test_laplacian_system_matches_rows():
