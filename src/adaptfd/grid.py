@@ -111,7 +111,6 @@ class GridNode:
     band: int | None = None             # virtual size of the coarse cell
     drv_pair: tuple | None = None       # two corner ids for the upwind derivative
     wide: tuple | None = None           # (m, (id_c1, id_c2, id_c3, id_c4)) or None
-    min_spacing: int = 0                # virtual distance to nearest neighbor
 
     def dist(self, d: str) -> float | None:
         return {"E": self.de, "W": self.dw, "N": self.dn, "S": self.ds}[d]
@@ -501,7 +500,9 @@ def classify_nodes(grid: QuadtreeGrid) -> QuadtreeGrid:
     opposing pairs, and the dangling-node stencil geometry."""
     side = grid.side
     nid = grid.node_id
-    for node in grid.nodes:
+    # virtual distance from each node to its nearest neighbor
+    grid.min_spacing = np.zeros(grid.n_nodes(), dtype=int)
+    for idx, node in enumerate(grid.nodes):
         i, j = node.i, node.j
         quads = {}
         for qname, (dx, dy) in (("NE", (1, 1)), ("NW", (-1, 1)),
@@ -556,8 +557,8 @@ def classify_nodes(grid: QuadtreeGrid) -> QuadtreeGrid:
         node.dn = dist_v["N"] * grid.hy if dist_v["N"] is not None else None
         node.ds = dist_v["S"] * grid.hy if dist_v["S"] is not None else None
 
-        spacings = [v for v in dist_v.values() if v is not None]
-        node.min_spacing = min(spacings) if spacings else 0
+        grid.min_spacing[idx] = min(
+            (v for v in dist_v.values() if v is not None), default=0)
 
         # nearest equidistant opposing pairs (the far node on the finer side
         # always exists: the fine cells' parent supplies the corner)

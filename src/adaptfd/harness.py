@@ -482,6 +482,8 @@ def region_areas(radii, box: DomainBox):
 
 
 def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceReport:
+    """Node, Newton-time and area shares per region; region_counts maps the
+    generation of each solved grid to its node shares per region."""
     nr = len(radii) + 1
     counts = np.zeros(nr)
     for n in grid.nodes:
@@ -496,7 +498,7 @@ def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceRe
             continue
         wall = entry.get("wall", 0.0)
         total_time += wall
-        frac = region_counts.get(entry["nodes"])
+        frac = region_counts.get(entry.get("generation"))
         if frac is not None:
             time_by_region += wall * frac
         bucket = "<5000" if entry["nodes"] < 5000 else ">=5000"
@@ -558,11 +560,12 @@ def solver_log_csv(log) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _extract(preset: PresetBundle, grid, u, op):
+def _extract(preset: PresetBundle, grid, u):
     mode, val = preset.contour
     if mode == "contact":
+        g = preset.problem.sample(preset.problem.g, grid)
         return extract_contour(grid, u.values,
-                               predicate=lambda v: v - op.gvals - val)
+                               predicate=lambda v: v - g - val)
     return extract_contour(grid, u.values, level=val)
 
 
@@ -585,8 +588,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     try:
         if solver == "euler_evolve":
             op = factory(g0)
-            u0 = GridFunction(g0, np.array([preset.u0(n.x, n.y)
-                                            for n in g0.nodes]))
+            u0 = GridFunction(g0, preset.problem.sample(preset.u0, g0))
             snapshots = preset.snapshots or (preset.T,)
             snaps = evolve(op, g0, u0, T=preset.T, policy=preset.policy,
                            snapshot_times=snapshots, seed=cfg.seed,
@@ -595,8 +597,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             results["snapshots"] = snaps
             for (gr, u, t) in snaps:
                 tag = ("%g" % t).replace(".", "p")
-                opn = factory(gr)
-                polys = _extract(preset, gr, u, opn)
+                polys = _extract(preset, gr, u)
                 atomic_write(os.path.join(out, "solution_t%s.csv" % tag),
                              solution_csv(gr, u))
                 atomic_write(os.path.join(out, "contours_t%s.csv" % tag),
@@ -608,23 +609,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             radii = preset.regions
 
             def watch(grid):
-                if not radii:
-                    return
                 counts = np.zeros(len(radii) + 1)
                 for n in grid.nodes:
                     counts[_region_index(radii, n.x, n.y)] += 1
-                region_counts[grid.n_nodes()] = counts / counts.sum()
+                region_counts[grid.generation] = counts / counts.sum()
 
             u0 = GridFunction(g0, np.zeros(g0.n_nodes()))
             if preset.kind == "obstacle":
-                op0 = factory(g0)
-                u0 = GridFunction(g0, np.maximum(op0.gvals, 0.0))
+                g = preset.problem.sample(preset.problem.g, g0)
+                u0 = GridFunction(g0, np.maximum(g, 0.0))
             gr, u = multiscale_solve(
                 factory, g0, u0, preset.policy, preset.stopping,
                 max_iter=cfg.get("newton.max_iter", 100, int), log=log,
-                grid_watch=watch)
-            op = factory(gr)
-            polys = _extract(preset, gr, u, op)
+                grid_watch=watch if radii else None)
+            polys = _extract(preset, gr, u)
             atomic_write(os.path.join(out, "solution.csv"),
                          solution_csv(gr, u))
             atomic_write(os.path.join(out, "contours.csv"),

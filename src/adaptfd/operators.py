@@ -181,18 +181,10 @@ class OperatorSpec:
         u[~self.active] = self.pins[~self.active]
         return u
 
-    def pde_residual(self, u: np.ndarray, rows=None) -> np.ndarray:
-        if rows is None:
-            return self.L @ u + self.Lconst - self.fvals
-        return self.L[rows] @ u + self.Lconst[rows] - self.fvals[rows]
-
-    def _gradient_sq(self, u, rows=None):
+    def _gradient_sq(self, u):
         # a row of T[d] is empty where no difference toward d exists; its
         # zero slope never beats the clamp at 0, so it is never selected
-        def slope(d):
-            return (self.T[d] if rows is None else self.T[d][rows]) @ u
-
-        cE, cW, cN, cS = slope("E"), slope("W"), slope("N"), slope("S")
+        cE, cW, cN, cS = (self.T[d] @ u for d in "EWNS")
         rx = np.maximum(np.maximum(cE, cW), 0.0)
         ry = np.maximum(np.maximum(cN, cS), 0.0)
         selE = (cE >= cW) & (rx > 0)
@@ -201,46 +193,63 @@ class OperatorSpec:
         selS = (cS > cN) & (ry > 0)
         return rx, ry, (selE, selW, selN, selS)
 
-    def _weighted(self, u, rows=None):
-        """Weights of the four branches and values of the branches the
-        operator has, at rows (all nodes when None) in state u."""
-        sub = (lambda a: a) if rows is None else (lambda a: a[rows])
-        vals = {0: self.pde_residual(u, rows), 1: sub(u) - sub(self.gvals)}
+    def _weighted(self, u):
+        """Weights of the four branches, values of the branches the operator
+        has and the one-sided gradient (None without T), at every node."""
+        grad = None if self.T is None else self._gradient_sq(u)
+        vals = {0: self.L @ u + self.Lconst - self.fvals, 1: u - self.gvals}
         if self.first is not None:
-            vals[2] = sub(self.first[0]) @ u + sub(self.first[1])
-        if self.T is not None:
-            rx, ry, _ = self._gradient_sq(u, rows)
-            vals[3] = -(rx * rx + ry * ry)
-        w = list(self.weights if rows is None else self.weights[:, rows])
+            vals[2] = self.first[0] @ u + self.first[1]
+        if grad is not None:
+            vals[3] = -(grad[0] * grad[0] + grad[1] * grad[1])
+        w = list(self.weights)
         if self.second is not None:
             b = self.second
-            take = (w[0] > 0) & self.is_open(sub(u)) & (vals[b] < vals[0])
+            take = (w[0] > 0) & self.is_open(u) & (vals[b] < vals[0])
             w[0] = w[0] - take
             w[b] = w[b] + take
-        return w, vals
+        return w, vals, grad
+
+    def _bound(self, u, grad):
+        bound = {0: self.wbar, 1: 1.0}
+        if self.first is not None:
+            bound[2] = self.first[2]
+        if grad is not None:
+            bound[3] = 2.0 * (grad[0] * self.wx_max + grad[1] * self.wy_max)
+        if self.second is not None:
+            bound[0] = np.where(self.is_open(u),
+                                np.maximum(bound[0], bound[self.second]),
+                                bound[0])
+        return sum(self.weights[b] * lb for b, lb in bound.items())
+
+    def _step_terms(self, u):
+        """(Lipschitz bound, residual) at every node, from one gradient."""
+        w, vals, grad = self._weighted(u)
+        return self._bound(u, grad), sum(w[b] * v for b, v in vals.items())
 
     # -- operator surface ---------------------------------------------------
 
     def residual(self, u: np.ndarray, rows=None) -> np.ndarray:
-        w, vals = self._weighted(np.asarray(u, dtype=float), rows)
-        return sum(w[b] * v for b, v in vals.items())
+        """F per node; at rows, computed on the whole grid, then indexed."""
+        r = self._step_terms(np.asarray(u, dtype=float))[1]
+        return r if rows is None else r[rows]
 
     def branches(self, u: np.ndarray) -> np.ndarray:
         """Branch of largest weight per node: 0 = PDE row, 1 = data row,
         2 = first-order row, 3 = gradient-square row.  Ties go to the PDE."""
-        w, _ = self._weighted(np.asarray(u, dtype=float))
+        w, _, _ = self._weighted(np.asarray(u, dtype=float))
         return np.argmax(w, axis=0).astype(np.int8)
 
     def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
         """Exact generalized Jacobian (all nodes; inactive rows are zero)."""
         u = np.asarray(u, dtype=float)
-        w, _ = self._weighted(u)
+        w, _, grad = self._weighted(u)
         J = sp.diags(w[0]) @ self.L \
             + sp.diags(w[1]) @ sp.eye(self.grid.n_nodes(), format="csr")
         if self.first is not None:
             J = J + sp.diags(w[2]) @ self.first[0]
         if self.T is not None:
-            rx, ry, (selE, selW, selN, selS) = self._gradient_sq(u)
+            rx, ry, (selE, selW, selN, selS) = grad
             Sx = sp.diags(selE.astype(float)) @ self.T["E"] \
                 + sp.diags(selW.astype(float)) @ self.T["W"]
             Sy = sp.diags(selN.astype(float)) @ self.T["N"] \
@@ -252,20 +261,11 @@ class OperatorSpec:
     def lipschitz(self, u: np.ndarray, rows=None) -> np.ndarray:
         """Per-node bound on dF_i/du_i over every branch the node can take:
         sum_b W[b] * L_b, where a min kind bounds its PDE row by the larger
-        of L_0 and the bound of its second branch wherever that is open."""
+        of L_0 and the bound of its second branch wherever that is open.
+        At rows, it is computed on the whole grid, then indexed."""
         u = np.asarray(u, dtype=float)
-        sub = (lambda a: a) if rows is None else (lambda a: a[rows])
-        bound = {0: sub(self.wbar), 1: 1.0}
-        if self.first is not None:
-            bound[2] = sub(self.first[2])
-        if self.T is not None:
-            rx, ry, _ = self._gradient_sq(u, rows)
-            bound[3] = 2.0 * (rx * sub(self.wx_max) + ry * sub(self.wy_max))
-        if self.second is not None:
-            bound[0] = np.where(self.is_open(sub(u)),
-                                np.maximum(bound[0], bound[self.second]),
-                                bound[0])
-        return sum(sub(self.weights[b]) * lb for b, lb in bound.items())
+        lip = self._bound(u, None if self.T is None else self._gradient_sq(u))
+        return lip if rows is None else lip[rows]
 
 
 def instantiate_builtin(kind: str, problem: ProblemDefinition,

@@ -92,10 +92,10 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
         return TimeGroups([], [], [], np.empty(0, dtype=int), 0.0)
     dt = 1.0 / lip[active]
     idx = np.flatnonzero(active)
-    spacing = np.array([grid.nodes[i].min_spacing for i in idx])
+    spacing = grid.min_spacing[idx]
 
     groups, dts = [], []
-    for s in sorted(set(spacing), reverse=True):
+    for s in np.unique(spacing)[::-1]:
         sel = spacing == s
         groups.append(idx[sel])
         dts.append(float(dt[sel].min()))
@@ -115,17 +115,18 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
 def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
                schedule: TimeGroups, work=None) -> GridFunction:
     """One coarse step: u_i <- u_i - tau_g F_i[u] simultaneously within each
-    scheduled group, sequentially across groups."""
+    scheduled group, sequentially across groups.  Each group visit takes its
+    CFL check and its update from one whole-grid evaluation of F."""
     u.check(grid)
     v = u.values.copy()
     for gid in schedule.schedule:
         rows = schedule.groups[gid]
         tau = schedule.taus[gid]
-        lip = op.lipschitz(v, rows)
-        if np.any(tau * lip > 1.0 + 1e-9):
+        lip, res = op._step_terms(v)
+        if np.any(tau * lip[rows] > 1.0 + 1e-9):
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
-                                   % (tau, 1.0 / lip.max()))
-        v[rows] -= tau * op.residual(v, rows)
+                                   % (tau, 1.0 / lip[rows].max()))
+        v[rows] -= tau * res[rows]
         if work is not None:
             work.append(len(rows))
     return GridFunction(grid, v)
@@ -231,8 +232,8 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
         iters += 1
         if log is not None:
             log.append({"event": "newton", "nodes": grid.n_nodes(),
-                        "iteration": iters, "residual": rnorm,
-                        "wall": time.perf_counter() - t0})
+                        "generation": grid.generation, "iteration": iters,
+                        "residual": rnorm, "wall": time.perf_counter() - t0})
 
 
 def _trial_requests(grid: QuadtreeGrid, target_scale: int):

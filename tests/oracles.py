@@ -382,3 +382,51 @@ def dump_triplets(matrix) -> str:
     lines = ["%d %d %r" % (coo.row[k], coo.col[k], float(coo.data[k]))
              for k in order]
     return "\n".join(lines) + "\n"
+
+
+def euler_step_reference(op, values, schedule):
+    """One coarse Euler step as a per-group formula on explicit CSR row
+    slices: each visit checks tau * lipschitz(v, rows) <= 1 and updates
+    v[rows] -= tau * residual(v, rows), with both computed from L[rows],
+    T[d][rows] and the first-order rows at rows only.  The solver's
+    whole-grid products must reproduce it bit for bit."""
+    import numpy as np
+    from adaptfd.solvers import InstabilityError
+    v = np.array(values, dtype=float)
+    for gid in schedule.schedule:
+        rows = schedule.groups[gid]
+        tau = schedule.taus[gid]
+        lip, res = _row_terms(op, v, rows)
+        if np.any(tau * lip > 1.0 + 1e-9):
+            raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
+                                   % (tau, 1.0 / lip.max()))
+        v[rows] -= tau * res
+    return v
+
+
+def _row_terms(op, u, rows):
+    """(Lipschitz bound, residual) of op at rows, from row slices."""
+    import numpy as np
+    vals = {0: op.L[rows] @ u + op.Lconst[rows] - op.fvals[rows],
+            1: u[rows] - op.gvals[rows]}
+    bound = {0: op.wbar[rows], 1: 1.0}
+    if op.first is not None:
+        M, const, lip = op.first
+        vals[2] = M[rows] @ u + const[rows]
+        bound[2] = lip[rows]
+    if op.T is not None:
+        cE, cW, cN, cS = (op.T[d][rows] @ u for d in "EWNS")
+        rx = np.maximum(np.maximum(cE, cW), 0.0)
+        ry = np.maximum(np.maximum(cN, cS), 0.0)
+        vals[3] = -(rx * rx + ry * ry)
+        bound[3] = 2.0 * (rx * op.wx_max[rows] + ry * op.wy_max[rows])
+    w = list(op.weights[:, rows])
+    if op.second is not None:
+        b = op.second
+        is_open = op.is_open(u[rows])
+        take = (w[0] > 0) & is_open & (vals[b] < vals[0])
+        w[0] = w[0] - take
+        w[b] = w[b] + take
+        bound[0] = np.where(is_open, np.maximum(bound[0], bound[b]), bound[0])
+    lip = sum(op.weights[k][rows] * lb for k, lb in bound.items())
+    return lip, sum(w[k] * val for k, val in vals.items())

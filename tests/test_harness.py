@@ -86,6 +86,92 @@ def test_region_accounting_helpers():
     assert areas[0] == pytest.approx(math.pi / 200.0 ** 2)
 
 
+def same_polylines(a, b):
+    return len(a) == len(b) and all(np.array_equal(p, q)
+                                    for p, q in zip(a, b))
+
+
+def test_region_time_keyed_by_generation():
+    # two solved grids with equal node counts but different region shares:
+    # each Newton iteration is credited to the shares of its own grid
+    from adaptfd.grid import GridFunction, ScaleRequest, build_quadtree
+    from adaptfd.harness import _region_index, resource_report, solver_log_csv
+    from adaptfd.operators import ProblemDefinition, instantiate_builtin
+    from adaptfd.solvers import StoppingPolicy, newton_solve
+
+    box = DomainBox(0.0, 8.0, -4.0, 4.0)
+    radii = (2.0, 5.0)
+    grids = [build_quadtree([ScaleRequest(x, 0.5, 0)], 4, box, generation=gen)
+             for x, gen in ((1.5, 3), (6.5, 4))]
+    assert grids[0].n_nodes() == grids[1].n_nodes()
+    shares = {}
+    for grid in grids:
+        counts = np.zeros(len(radii) + 1)
+        for n in grid.nodes:
+            counts[_region_index(radii, n.x, n.y)] += 1
+        shares[grid.generation] = counts / counts.sum()
+    assert not np.allclose(shares[3], shares[4])
+    log = [{"event": "newton", "nodes": grids[0].n_nodes(), "generation": 3,
+            "wall": 1.0},
+           {"event": "newton", "nodes": grids[1].n_nodes(), "generation": 4,
+            "wall": 3.0}]
+    rep = resource_report(grids[1], radii, log, shares)
+    want = 0.25 * shares[3] + 0.75 * shares[4]
+    assert [row[2] for row in rep.regions] == pytest.approx(want)
+
+    # Newton logs the generation of the grid it solved on; the solver log
+    # keeps its columns
+    prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
+    op = instantiate_builtin("poisson_dirichlet", prob, grids[1])
+    log = []
+    newton_solve(op, grids[1], GridFunction(grids[1], np.zeros(
+        grids[1].n_nodes())), StoppingPolicy([1e-10]), log=log)
+    assert log and all(e["generation"] == 4 for e in log)
+    assert solver_log_csv(log).splitlines()[0] == \
+        "event,nodes,iteration,residual,wall,t,tau"
+
+
+def test_euler_run_assembles_one_operator(tmp_path, monkeypatch):
+    # the snapshots' level contours need no operator: only the solver's
+    from adaptfd.contour import extract_contour
+    from adaptfd.operators import OperatorSpec
+    made = []
+    init = OperatorSpec.__post_init__
+
+    def counted(self):
+        made.append(self.kind)
+        init(self)
+
+    monkeypatch.setattr(OperatorSpec, "__post_init__", counted)
+    cfg = parse_config("preset = stefan\ngrid.depth = 4\n"
+                       "refine.strategy = uniform_fine\ntime.T = 0.002\n"
+                       "time.snapshots = 0.001,0.002\n")
+    res = run_experiment(cfg, out_dir=str(tmp_path))
+    assert made == ["stefan"]
+    for (grid, u, t) in res["snapshots"]:
+        assert same_polylines(res["contours"][t],
+                              extract_contour(grid, u.values, level=0.0))
+
+
+def test_obstacle_contact_contour_from_sampled_obstacle(tmp_path):
+    # the contact contour is taken from g sampled at the nodes, which is
+    # the obstacle an operator on the final grid holds
+    from adaptfd.contour import extract_contour
+    from adaptfd.harness import make_preset
+    from adaptfd.operators import instantiate_builtin
+    cfg = parse_config("preset = obstacle\ngrid.depth = 5\n"
+                       "grid.initial_scale = 3\n")
+    res = run_experiment(cfg, out_dir=str(tmp_path))
+    grid, u = res["grid"], res["u"]
+    preset = make_preset(cfg)
+    op = instantiate_builtin(preset.kind, preset.problem, grid)
+    assert np.array_equal(preset.problem.sample(preset.problem.g, grid),
+                          op.gvals)
+    want = extract_contour(grid, u.values,
+                           predicate=lambda v: v - op.gvals - 1e-8)
+    assert want and same_polylines(res["contours"], want)
+
+
 def test_svg_counts_match_grid_dump(tmp_path):
     cfg = parse_config("preset = custom\nproblem.f = 1\nproblem.g = 0\n"
                        "problem.dirichlet = 0\ngrid.depth = 4\n"

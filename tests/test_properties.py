@@ -1,29 +1,34 @@
 """Property tests of the operator invariants over the grids the API accepts:
-box sides from 1e-2 to 1e3, aspect ratios up to 8, depths 2 to 6 and the
-default padding, for every built-in kind.  Unit-square grids alone keep the
-Laplacian weight wbar far above 1, which hides CFL bounds that forget a
-branch of unit slope."""
+box sides from 1e-2 to 1e3, aspect ratios up to 8, depths 2 to 6 and pads
+from 1 to two above the default, for every built-in kind.  Unit-square grids
+alone keep the Laplacian weight wbar far above 1, which hides CFL bounds
+that forget a branch of unit slope.  A pad below the default leaves a
+dangling node across that axis no room for its I-stencil; assembly must
+then refuse the grid."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptfd.grid import DomainBox, GridFunction, ScaleRequest, build_quadtree
+from adaptfd.grid import (DANGLING_X, DANGLING_Y, DomainBox, GridFunction,
+                          ScaleRequest, build_quadtree, default_pads)
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
                                instantiate_builtin)
 from adaptfd.solvers import TimeGroups, build_schedule, euler_step
+from adaptfd.stencils import StencilUnavailableError
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
                     database=None)
 
 
 @st.composite
 def operators(draw):
-    """(op, grid, rng): a built-in operator on a random box and quadtree,
-    with a generator for random states."""
+    """(kind, problem, grid, rng): a built-in problem on a random box and
+    quadtree with random pads, and a generator for random states."""
     kind = draw(st.sampled_from(BUILTIN_KINDS))
     side = 10.0 ** draw(st.floats(-2.0, 3.0))
     long = side * draw(st.floats(1.0, 8.0))
@@ -44,7 +49,9 @@ def operators(draw):
                           y0 + ly * draw(st.integers(0, n)) / n,
                           draw(st.integers(0, depth)))
              for _ in range(draw(st.integers(0, 3)))]
-    grid = build_quadtree(reqs, depth, box)
+    pad_x, pad_y = default_pads(box)
+    pads = (draw(st.integers(1, pad_x + 2)), draw(st.integers(1, pad_y + 2)))
+    grid = build_quadtree(reqs, depth, box, pads=pads)
 
     def xn(x):
         return (x - x0) / lx
@@ -59,14 +66,53 @@ def operators(draw):
             g=lambda x, y: 0.2 * math.sin(5.0 * xn(x))),
         "stefan": ProblemDefinition(),
     }[kind]
-    op = instantiate_builtin(kind, problem, grid)
-    return op, grid, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return kind, problem, grid, np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1)))
+
+
+def assembled(case):
+    """(op, grid, rng) of a case, or None where assembly must fail.
+
+    The I-stencil of a node dangling across x needs a coarse-axis width of
+    ceil(hy / 2hx) cells, which is the default pad_x (likewise across y), so
+    a grid whose pad is below the default on the axis of one of its dangling
+    nodes has no monotone stencil there: assembly must raise
+    StencilUnavailableError exactly for those grids."""
+    kind, problem, grid, rng = case
+    pad_x, pad_y = default_pads(grid.box)
+    short = {DANGLING_X: grid.pad_x < pad_x, DANGLING_Y: grid.pad_y < pad_y}
+    if any(short.get(n.klass, False) for n in grid.nodes):
+        with pytest.raises(StencilUnavailableError):
+            instantiate_builtin(kind, problem, grid)
+        return None
+    return instantiate_builtin(kind, problem, grid), grid, rng
+
+
+def shared_schedule(op, grid, u, v):
+    """One schedule under which an Euler step of either state is stable."""
+    act = np.flatnonzero(op.active)
+    if op.kind == "stefan":
+        # the squared-gradient bound depends on the state: step both states
+        # with one group under the larger of their bounds
+        lip = np.maximum(op.lipschitz(u.values), op.lipschitz(v.values))
+        tau = 0.999 / lip[act].max()
+        return TimeGroups([act], [tau], [1], np.array([0]), tau)
+    # every group update with tau_g * L_i <= 1 is monotone and
+    # non-expansive, so one visit per group shows it; the full schedule
+    # repeats the finest group up to 2^20 times where the coarsest group
+    # holds rows with a small bound (L = 1 on data rows) and the finest
+    # cells are tiny
+    sched = build_schedule(grid, op, u)
+    return replace(sched, schedule=np.arange(len(sched.groups)))
 
 
 @PROPERTY
 @given(operators())
 def test_residual_degenerate_elliptic(case):
     # raising u_i does not lower F_i and does not raise any other F_k
+    case = assembled(case)
+    if case is None:
+        return
     op, grid, rng = case
     act = np.flatnonzero(op.active)
     if act.size == 0:
@@ -89,28 +135,36 @@ def test_residual_degenerate_elliptic(case):
 @PROPERTY
 @given(operators())
 def test_euler_step_does_not_expand(case):
-    op, grid, rng = case
-    act = np.flatnonzero(op.active)
-    if act.size == 0:
+    case = assembled(case)
+    if case is None or not case[0].active.any():
         return
+    op, grid, rng = case
     u = GridFunction(grid, op.apply_pins(rng.normal(size=grid.n_nodes())))
     v = GridFunction(grid, op.apply_pins(rng.normal(size=grid.n_nodes())))
-    if op.kind == "stefan":
-        # the squared-gradient bound depends on the state: step both states
-        # with one group under the larger of their bounds
-        lip = np.maximum(op.lipschitz(u.values), op.lipschitz(v.values))
-        tau = 0.999 / lip[act].max()
-        sched = TimeGroups([act], [tau], [1], np.array([0]), tau)
-    else:
-        # every group update with tau_g * L_i <= 1 is non-expansive, so one
-        # visit per group shows it; the full schedule repeats the finest
-        # group up to 2^20 times where the coarsest group holds rows with a
-        # small bound (L = 1 on data rows) and the finest cells are tiny
-        sched = build_schedule(grid, op, u)
-        sched = replace(sched, schedule=np.arange(len(sched.groups)))
+    sched = shared_schedule(op, grid, u, v)
     d0 = np.max(np.abs(u.values - v.values))
     u2 = euler_step(op, grid, u, sched)
     v2 = euler_step(op, grid, v, sched)
     d1 = np.max(np.abs(u2.values - v2.values))
     assert d1 <= d0 + 1e-12 * (1.0 + np.max(np.abs(u.values))
                                + np.max(np.abs(v.values)))
+
+
+@PROPERTY
+@given(operators())
+def test_euler_step_keeps_order(case):
+    # comparison principle: u >= v gives euler_step(u) >= euler_step(v)
+    case = assembled(case)
+    if case is None or not case[0].active.any():
+        return
+    op, grid, rng = case
+    n = grid.n_nodes()
+    v = GridFunction(grid, op.apply_pins(rng.normal(size=n)))
+    lift = np.abs(rng.normal(size=n)) * (rng.random(n) < 0.5)
+    u = GridFunction(grid, op.apply_pins(v.values + lift))
+    assert np.all(u.values >= v.values)
+    sched = shared_schedule(op, grid, u, v)
+    u2 = euler_step(op, grid, u, sched)
+    v2 = euler_step(op, grid, v, sched)
+    tol = 1e-12 * (1.0 + np.max(np.abs(u.values)) + np.max(np.abs(v.values)))
+    assert np.all(u2.values >= v2.values - tol)

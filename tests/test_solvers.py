@@ -157,6 +157,88 @@ def test_euler_instability_detected():
         euler_step(op, g, u, bad)
 
 
+def graded_grid(box=UNIT, pads=(1, 1)):
+    # scale-2 cells refined to scales 1 and 0 toward one corner, so the
+    # schedule has at least three spacing groups
+    reqs = [ScaleRequest(box.x_min + (i + 2.0) * box.lx / 32,
+                         box.y_min + (j + 2.0) * box.ly / 32, 2)
+            for i in range(0, 32, 4) for j in range(0, 32, 4)]
+    reqs += [ScaleRequest(box.x_min + 0.03 * box.lx,
+                          box.y_min + 0.03 * box.ly, 0),
+             ScaleRequest(box.x_min + 0.2 * box.lx,
+                          box.y_min + 0.2 * box.ly, 1)]
+    return build_quadtree(reqs, 5, box, pads=pads)
+
+
+def euler_case(kind, grid):
+    """(op, initial state) of one built-in kind on grid, in box units."""
+    box = grid.box
+
+    def xy(x, y):
+        return (x - box.x_min) / box.lx, (y - box.y_min) / box.ly
+
+    def bump(x, y):
+        a, b = xy(x, y)
+        return math.sin(math.pi * a) * math.sin(2.0 * math.pi * b)
+
+    if kind == "bc_composite":
+        # PDE inside a disc, a data row outside, and an inward upwind band
+        # just inside the rim
+        from adaptfd.operators import UpwindDirectional
+
+        def rad(x, y):
+            a, b = xy(x, y)
+            return math.hypot(a - 0.5, b - 0.5)
+
+        band = UpwindDirectional(
+            region=lambda x, y: 0.25 <= rad(x, y) < 0.35,
+            direction=lambda x, y: ((0.5 - xy(x, y)[0]) / rad(x, y),
+                                    (0.5 - xy(x, y)[1]) / rad(x, y)),
+            rhs=lambda x, y: 1.0)
+        prob = ProblemDefinition(chi=lambda x, y: rad(x, y) < 0.35,
+                                 f=lambda x, y: 1.0, g=lambda x, y: 0.1,
+                                 first_order=band)
+    else:
+        prob = {"poisson_dirichlet": ProblemDefinition(f=lambda x, y: 2.0,
+                                                       g=lambda x, y: 0.0),
+                "obstacle": ProblemDefinition(
+                    g=lambda x, y: 0.5 * bump(x, y) - 0.2),
+                "stefan": ProblemDefinition(g=lambda x, y: -0.5)}[kind]
+    op = instantiate_builtin(kind, prob, grid)
+    # Stefan: ice below a warm bump, so both of its branches are taken
+    shift = 0.4 if kind == "stefan" else 0.0
+    return op, op.apply_pins(field(grid, bump) - shift)
+
+
+@pytest.mark.parametrize("kind", ["poisson_dirichlet", "bc_composite",
+                                  "obstacle", "stefan"])
+@pytest.mark.parametrize("box", [UNIT, DomainBox(-1.0, 3.0, 0.0, 1.0)])
+def test_euler_step_matches_row_slice_reference(kind, box):
+    from oracles import euler_step_reference
+    pads = (1, 1) if box is UNIT else None
+    g = graded_grid(box, pads)
+    op, u0 = euler_case(kind, g)
+    if kind == "bc_composite":
+        assert op.first is not None and op.weights[2].any()
+    rng = np.random.default_rng(5)
+    u = GridFunction(g, u0)
+    for _ in range(3):
+        sched = build_schedule(g, op, u, rng)
+        assert len(sched.groups) >= 3
+        # the state-dependent Stefan bound can grow inside a step
+        sched = sched.scaled(0.5)
+        want = euler_step_reference(op, u.values, sched)
+        u2 = euler_step(op, g, u, sched)
+        assert np.array_equal(u2.values, want)
+        assert not np.array_equal(u2.values, u.values)
+        u = u2
+    bad = build_schedule(g, op, u, rng).scaled(3.0)
+    with pytest.raises(InstabilityError):
+        euler_step(op, g, u, bad)
+    with pytest.raises(InstabilityError):
+        euler_step_reference(op, u.values, bad)
+
+
 def test_evolve_zero_stefan_stays_zero():
     g = uniform_grid(3)
     op = instantiate_builtin("stefan", ProblemDefinition(), g)
