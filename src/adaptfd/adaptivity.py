@@ -2,20 +2,20 @@
 
 A refinement policy evaluates a nonnegative criteria field at every active
 node and compares it against a nondecreasing threshold ladder: crossing a
-higher rung demands a finer scale.  Crossing nodes turn into scale requests
-(dilated by an optional padding ring of cells), the fixed initial quadtree is
-always appended, and the grid is rebuilt with values transferred by bilinear
+higher rung demands a finer scale.  Crossing nodes turn into required
+squares (a, b, k) (every incident square of the demanded scale, dilated by
+an optional padding ring of squares), the fixed initial quadtree is always
+appended, and the grid is rebuilt with values transferred by bilinear
 interpolation; surviving nodes keep their values exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridError, GridFunction, QuadtreeGrid, ScaleRequest,
-                   build_quadtree)
+from .grid import GridError, GridFunction, QuadtreeGrid, build_quadtree
 from .stencils import one_sided_matrices
 
 
@@ -26,6 +26,8 @@ class RefinementPolicy:
     thresholds t_1 <= ... <= t_K map to scales: a node whose value exceeds
     t_k (largest such k) is refined to scales[k]; by default scales descend
     to the finest, so a larger criteria value demands a finer grid.
+    extra_padding rings of squares are added around each demanded square,
+    and initial_cells, squares (a, b, k), are demanded always.
     """
     criteria: object
     thresholds: tuple
@@ -44,6 +46,12 @@ class RefinementPolicy:
         self.scales = tuple(self.scales)
         if len(self.scales) != len(self.thresholds):
             raise GridError("one scale per threshold required")
+        if any(k < 0 for k in self.scales):
+            raise GridError("refinement scales must be >= 0")
+        if self.extra_padding < 0:
+            raise GridError("refinement padding must be >= 0")
+        self.initial_cells = np.asarray(self.initial_cells,
+                                        dtype=np.int64).reshape(-1, 3)
 
 
 def evaluate_criteria(policy: RefinementPolicy, op, grid: QuadtreeGrid,
@@ -59,86 +67,75 @@ def evaluate_criteria(policy: RefinementPolicy, op, grid: QuadtreeGrid,
 
 def compute_refinement(policy: RefinementPolicy, values: GridFunction,
                        grid: QuadtreeGrid, coarsest_allowed: int | None = None
-                       ) -> list:
-    """Scale requests from threshold exceedances.
+                       ) -> np.ndarray:
+    """Required squares (a, b, k), an (m, 3) int array, from threshold
+    exceedances.
 
     coarsest_allowed clamps demanded scales from below (no request finer than
     that scale), which is how the coarse-to-fine ladder of the multiscale
     solver admits one scale at a time.  The fixed initial quadtree is always
-    part of the request list.
+    part of the result.
     """
     values.check(grid)
-    side = grid.side
-    reqs = []
-    for idx, v in enumerate(values.values):
-        k = -1
-        for t_i, t in enumerate(policy.thresholds):
-            if v > t:
-                k = t_i
-        if k < 0:
-            continue
-        scale = policy.scales[k]
-        if coarsest_allowed is not None:
-            scale = max(scale, coarsest_allowed)
-        scale = min(scale, grid.depth)
-        node = grid.nodes[idx]
-        reqs.extend(_ring_requests(grid, node.i, node.j, scale,
-                                   policy.extra_padding))
-    for (a, b, k) in policy.initial_cells:
-        reqs.append(_square_request(grid, a, b, k))
-    return reqs
+    v = values.values
+    # the largest rung t_k < v: thresholds are nondecreasing
+    rung = np.searchsorted(policy.thresholds, v, side="left") - 1
+    hot = np.flatnonzero((rung >= 0) & ~np.isnan(v))
+    scale = np.asarray(policy.scales, dtype=np.int64)[rung[hot]]
+    if coarsest_allowed is not None:
+        scale = np.maximum(scale, coarsest_allowed)
+    scale = np.minimum(scale, grid.depth)
+    rings = _ring_squares(grid, grid.i[hot], grid.j[hot], scale,
+                          policy.extra_padding)
+    return np.concatenate([rings, policy.initial_cells])
 
 
-def _square_request(grid: QuadtreeGrid, a: int, b: int, k: int) -> ScaleRequest:
-    # probe at 0.4 of the square side: snaps strictly inside the square (or
-    # onto its anchor at scale 0), so the request pins exactly this square
-    # even under float rounding of the physical coordinates
-    s = 1 << k
-    x, y = grid.position(a + 0.4 * s, b + 0.4 * s)
-    return ScaleRequest(x, y, k)
-
-
-def _ring_requests(grid: QuadtreeGrid, i: int, j: int, scale: int,
-                   pad: int) -> list:
+def _ring_squares(grid: QuadtreeGrid, i, j, scale, pad: int) -> np.ndarray:
+    """Per node, every scale-s square incident to it plus pad rings of
+    squares around them, clipped to the domain; a-major order."""
     side = grid.side
     s = 1 << scale
-    a_lo = (i - 1) // s * s if i > 0 else 0
-    a_hi = i // s * s if i < side else side - s
-    b_lo = (j - 1) // s * s if j > 0 else 0
-    b_hi = j // s * s if j < side else side - s
-    out = []
-    for a in range(max(a_lo - pad * s, 0), min(a_hi + pad * s, side - s) + 1, s):
-        for b in range(max(b_lo - pad * s, 0), min(b_hi + pad * s, side - s) + 1, s):
-            out.append(_square_request(grid, a, b, scale))
-    return out
+
+    def span(n):
+        lo = np.where(n > 0, (n - 1) // s * s, 0)
+        hi = np.where(n < side, n // s * s, side - s)
+        lo = np.maximum(lo - pad * s, 0)
+        return lo, (np.minimum(hi + pad * s, side - s) - lo) // s + 1
+
+    a0, na = span(i)
+    b0, nb = span(j)
+    count = na * nb
+    owner = np.repeat(np.arange(len(count)), count)
+    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    s, nb = s[owner], nb[owner]
+    return np.stack([a0[owner] + t // nb * s, b0[owner] + t % nb * s,
+                     scale[owner]], axis=1)
 
 
 def regrid(grid: QuadtreeGrid, u: GridFunction, requests):
-    """Rebuild from requests and transfer u.
+    """Rebuild from requests (ScaleRequests or squares, see build_quadtree)
+    and transfer u.
 
     Returns the same (grid, u) objects when the requests reproduce the
     current cells.  New nodes take the piecewise-bilinear interpolant of u on
-    the old leaves; surviving nodes are copied exactly.
+    the old leaves, in one pass; surviving nodes are copied exactly.
     """
     u.check(grid)
     g2 = build_quadtree(requests, grid.depth, grid.box, grid.pads,
                         generation=grid.generation + 1)
     if g2.same_cells(grid):
         return grid, u
+    old = grid.find(g2.i, g2.j)
+    kept = old >= 0
     vals = np.empty(g2.n_nodes())
-    old_id = grid.node_id
-    for idx, n in enumerate(g2.nodes):
-        at = old_id.get((n.i, n.j))
-        if at is not None:
-            vals[idx] = u.values[at]
-        else:
-            vals[idx] = grid.interpolate(u.values, n.x, n.y)
+    vals[kept] = u.values[old[kept]]
+    vals[~kept] = grid.interpolate(u.values, g2.x[~kept], g2.y[~kept])
     return g2, GridFunction(g2, vals)
 
 
-def cells_as_requests(grid: QuadtreeGrid) -> list:
-    """Requests that rebuild exactly this grid's cells."""
-    return [_square_request(grid, a, b, k) for (a, b), k in grid.cells.items()]
+def cells_as_requests(grid: QuadtreeGrid) -> np.ndarray:
+    """Squares that rebuild exactly this grid's cells: its leaves."""
+    return grid.leaves
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,10 @@ def _dispatch(args) -> int:
         for row in csv.DictReader(fh):
             values[(int(row["i"]), int(row["j"]))] = float(row["u"])
     from .grid import QuadtreeGrid, default_pads
-    grid = QuadtreeGrid(box, depth, default_pads(box),
-                        {(i, j): k for (i, j, k) in cells})
+    grid = QuadtreeGrid(box, depth, default_pads(box), cells)
     import numpy as np
-    u = np.array([values.get((n.i, n.j), 0.0) for n in grid.nodes])
+    u = np.array([values.get(ij, 0.0)
+                  for ij in zip(grid.i.tolist(), grid.j.tolist())])
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "grid.svg"), svgplot.grid_svg(grid))

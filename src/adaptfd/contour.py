@@ -31,25 +31,32 @@ def extract_contour(grid: QuadtreeGrid, u, level: float = None,
     if not (values.min() <= level <= values.max()):
         return []
 
-    nid = grid.node_id
+    # each leaf's perimeter ring, counterclockwise: corner, edge midpoint,
+    # corner, ...; a midpoint slot holds -1 where no node bisects that edge
+    a, b, k = grid.cells_sorted().T
+    s = 1 << k
+    h = s >> 1
+    ring_i = np.stack([a, a + h, a + s, a + s, a + s, a + h, a, a], axis=1)
+    ring_j = np.stack([b, b, b, b + h, b + s, b + s, b + s, b + h], axis=1)
+    ring = grid.find(ring_i, ring_j)
+    ring[h == 0, 1::2] = -1
+    # only leaves with ring values on both sides of the level are crossed
+    lt = values[ring] < level
+    present = ring >= 0
+    crossed = np.flatnonzero((lt & present).any(axis=1)
+                             & (~lt & present).any(axis=1))
+
     segments = []
-    for (a, b, k) in grid.cells_sorted():
-        s = 1 << k
-        h = s >> 1
-        corners = ((a, b), (a + s, b), (a + s, b + s), (a, b + s))
-        mids = ((a + h, b), (a + s, b + h), (a + h, b + s), (a, b + h))
-        ring = []
-        for ci in range(4):
-            ring.append(corners[ci])
-            if h and mids[ci] in nid:
-                ring.append(mids[ci])
+    for c in crossed.tolist():
+        at = ring[c] >= 0
+        pts = list(zip(ring_i[c, at].tolist(), ring_j[c, at].tolist()))
+        ids = ring[c, at].tolist()
         crossings = []
-        m = len(ring)
+        m = len(pts)
         for e in range(m):
-            p = ring[e]
-            q = ring[(e + 1) % m]
-            vp = values[nid[p]]
-            vq = values[nid[q]]
+            p, q = pts[e], pts[(e + 1) % m]
+            vp = values[ids[e]]
+            vq = values[ids[(e + 1) % m]]
             if (vp < level) == (vq < level):
                 continue
             # canonical endpoint order so both sides of a shared edge

@@ -12,14 +12,20 @@ bottom-up pass over scales:
   * fill-to-the-edge (no dangling node closer than pad coarse cells to a
     wall; the fine region is extended to the wall instead).
 
-Grid nodes are the union of cell corners, ordered by (j, i).  A finished grid
-is immutable and safe to share across threads for read-only queries.
+The grid is a linear quadtree: its leaves are an (m, 3) integer array of
+squares (a, b, k) sorted by the Morton key of their SW corner, so the leaf
+containing any lattice cell is one binary search away.  Grid nodes are the
+union of cell corners, ordered by (j, i), and every per-node quantity is an
+array indexed by node id.  A finished grid is immutable (its arrays are
+read-only) and safe to share across threads for read-only queries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
@@ -29,6 +35,10 @@ REGULAR = "regular"
 DANGLING_X = "dangling-x"
 DANGLING_Y = "dangling-y"
 BOUNDARY = "boundary"
+
+# node class codes index this tuple
+CLASSES = (REGULAR, DANGLING_X, DANGLING_Y, BOUNDARY)
+CODE = {name: c for c, name in enumerate(CLASSES)}
 
 # direction indices used throughout: E, W, N, S
 DIRS = ("E", "W", "N", "S")
@@ -88,8 +98,9 @@ class ScaleRequest:
     scale: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridNode:
+    """Read-only record of one node, built from the grid's arrays."""
     i: int
     j: int
     x: float
@@ -123,26 +134,66 @@ def default_pads(box: DomainBox) -> tuple[int, int]:
     return pad_x, pad_y
 
 
+def _spread_bits(v):
+    # the low 32 bits of v moved to the even bit positions of a uint64
+    v = np.asarray(v).astype(np.uint64) & np.uint64(0xFFFFFFFF)
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+    return v
+
+
+def morton(a, b):
+    """Morton (Z-order) key of lattice points: the bits of a and b
+    interleaved, a in the even positions."""
+    return _spread_bits(a) | (_spread_bits(b) << np.uint64(1))
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 class QuadtreeGrid:
     """Immutable balanced quadtree with classified nodes.
 
-    cells maps SW-corner (i, j) -> scale k.  Nodes are the union of cell
-    corners, sorted by (j, i); node ids are positions in that order.
+    leaves is an (m, 3) int array of squares (a, b, k), Morton-sorted.  Nodes
+    are the union of cell corners, sorted by (j, i); node ids are positions
+    in that order, and the node arrays are indexed by them:
+
+      i, j, x, y      lattice indices and physical coordinates
+      klass           class code, an index into CLASSES
+      nbr, dist       (n, 4) id of and physical distance to the nearest node
+                      toward E, W, N, S (-1 and NaN where absent)
+      pair, pair_dist (n, 4) ids (x+, x-, y+, y-) and (n, 2) distances of
+                      the nearest equidistant opposing pairs
+      coarse_side     direction index of the coarse cell of a dangling node
+                      (-1 elsewhere); band is that cell's virtual side
+      drv_pair        (n, 2) the coarse cell's far corners on that side
+      wide, wide_ids  width m of the monotone I-stencil (0 where none fits)
+                      and its four corner ids
+      min_spacing     virtual distance to the nearest neighbor
+
+    nodes, node_id and cells are read-only views of the same data, built on
+    first access for callers that want per-node records.
     """
 
     def __init__(self, box: DomainBox, depth: int, pads: tuple[int, int],
-                 cells: dict, generation: int = 0, build_ops: int = 0):
+                 leaves, generation: int = 0, build_ops: int = 0):
         self.box = box
         self.depth = depth
         self.side = 1 << depth
         self.pad_x, self.pad_y = pads
-        self.cells = cells
         self.generation = generation
         self.build_ops = build_ops
         self.hx = box.lx / self.side
         self.hy = box.ly / self.side
-        self.nodes: list[GridNode] = []
-        self.node_id: dict = {}
+        leaves = np.asarray(leaves, dtype=np.int64).reshape(-1, 3)
+        keys = morton(leaves[:, 0], leaves[:, 1])
+        order = np.argsort(keys, kind="stable")
+        self.leaves = _frozen(leaves[order])
+        self._leaf_keys = _frozen(keys[order])
         self._collect_nodes()
         classify_nodes(self)
 
@@ -153,77 +204,76 @@ class QuadtreeGrid:
         return self.pad_x, self.pad_y
 
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.i)
 
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.leaves)
 
     def scales(self) -> list[int]:
-        return sorted(set(self.cells.values()))
+        return np.unique(self.leaves[:, 2]).tolist()
 
-    def position(self, i: int, j: int) -> tuple[float, float]:
+    def position(self, i, j):
         return self.box.x_min + i * self.hx, self.box.y_min + j * self.hy
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.array([n.x for n in self.nodes])
-        y = np.array([n.y for n in self.nodes])
-        return x, y
+        return self.x, self.y
+
+    def find(self, i, j):
+        """Node ids of lattice points (i, j); -1 where there is no node."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        side = self.side
+        inside = (i >= 0) & (i <= side) & (j >= 0) & (j <= side)
+        key = np.where(inside, j * (side + 1) + i, -1)
+        pos = np.searchsorted(self._node_keys, key)
+        pos = np.minimum(pos, len(self._node_keys) - 1)
+        return np.where(inside & (self._node_keys[pos] == key), pos, -1)
 
     def is_node(self, i: int, j: int) -> bool:
-        return (i, j) in self.node_id
+        return bool(self.find(i, j) >= 0)
 
-    def cells_sorted(self) -> list[tuple[int, int, int]]:
-        return sorted(((i, j, k) for (i, j), k in self.cells.items()),
-                      key=lambda c: (c[1], c[0]))
+    def cells_sorted(self) -> np.ndarray:
+        """Leaves as an (m, 3) array ordered by (b, a), the dump order."""
+        lv = self.leaves
+        return lv[np.lexsort((lv[:, 0], lv[:, 1]))]
 
     def same_cells(self, other: "QuadtreeGrid") -> bool:
-        return self.cells == other.cells and self.depth == other.depth \
-            and self.box == other.box
+        return self.depth == other.depth and self.box == other.box \
+            and np.array_equal(self.leaves, other.leaves)
 
     # -- leaf search --------------------------------------------------------
 
-    def leaf_at_doubled(self, ci: int, cj: int) -> tuple[int, int, int]:
-        """Leaf containing the point (ci/2, cj/2), given in doubled virtual
-        coordinates so that quadrant probes (2i +/- 1) stay integral."""
-        a = b = 0
-        k = self.depth
-        while True:
-            if self.cells.get((a, b)) == k:
-                return a, b, k
-            if k == 0:
-                raise GridError("leaf search fell through the tree")
-            k -= 1
-            half = 1 << k
-            if ci >= 2 * (a + half):
-                a += half
-            if cj >= 2 * (b + half):
-                b += half
-
-    def leaf_containing(self, x: float, y: float) -> tuple[int, int, int]:
-        """Leaf containing a physical point (half-open from below, clamped)."""
-        fi = (x - self.box.x_min) / self.hx
-        fj = (y - self.box.y_min) / self.hy
-        ci = min(max(int(math.floor(fi)) * 2 + 1, 1), 2 * self.side - 1)
-        cj = min(max(int(math.floor(fj)) * 2 + 1, 1), 2 * self.side - 1)
-        return self.leaf_at_doubled(ci, cj)
+    def leaf_of_cell(self, ci, cj):
+        """Index into leaves of the leaf containing each unit lattice cell
+        [ci, ci+1] x [cj, cj+1]: the last leaf whose Morton key is not
+        above the cell's, since every leaf covers one contiguous key range."""
+        return np.searchsorted(self._leaf_keys, morton(ci, cj),
+                               side="right") - 1
 
     # -- value transfer -----------------------------------------------------
 
-    def interpolate(self, values: np.ndarray, x: float, y: float) -> float:
-        """Bilinear interpolation from the corners of the leaf containing (x, y)."""
-        a, b, k = self.leaf_containing(x, y)
+    def interpolate(self, values: np.ndarray, x, y):
+        """Bilinear interpolation from the corners of the leaf containing
+        each point (x, y) (half-open from below, clamped to the box)."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        top = self.side - 1
+        ci = np.clip(np.floor((x - self.box.x_min) / self.hx), 0, top)
+        cj = np.clip(np.floor((y - self.box.y_min) / self.hy), 0, top)
+        a, b, k = self.leaves[self.leaf_of_cell(ci.astype(np.int64),
+                                                cj.astype(np.int64))].T
         s = 1 << k
         x0, y0 = self.position(a, b)
         x1, y1 = self.position(a + s, b + s)
-        tx = min(max((x - x0) / (x1 - x0), 0.0), 1.0)
-        ty = min(max((y - y0) / (y1 - y0), 0.0), 1.0)
-        nid = self.node_id
-        v00 = values[nid[(a, b)]]
-        v10 = values[nid[(a + s, b)]]
-        v01 = values[nid[(a, b + s)]]
-        v11 = values[nid[(a + s, b + s)]]
-        return ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-                + (1 - tx) * ty * v01 + tx * ty * v11)
+        tx = np.minimum(np.maximum((x - x0) / (x1 - x0), 0.0), 1.0)
+        ty = np.minimum(np.maximum((y - y0) / (y1 - y0), 0.0), 1.0)
+        v00 = values[self.find(a, b)]
+        v10 = values[self.find(a + s, b)]
+        v01 = values[self.find(a, b + s)]
+        v11 = values[self.find(a + s, b + s)]
+        out = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
+               + (1 - tx) * ty * v01 + tx * ty * v11)
+        return float(out) if out.ndim == 0 else out
 
     # -- dump ---------------------------------------------------------------
 
@@ -231,26 +281,69 @@ class QuadtreeGrid:
         """Plain-text dump: `node i j x y class dE dW dN dS` then `cell i j k`,
         both ordered by (j, i)."""
         out = []
-
-        def fmt(v):
-            return "-" if v is None else repr(v)
-
-        for n in self.nodes:
+        dist = [[None if math.isnan(v) else repr(v) for v in row]
+                for row in self.dist.tolist()]
+        for i, j, x, y, c, d in zip(self.i.tolist(), self.j.tolist(),
+                                    self.x.tolist(), self.y.tolist(),
+                                    self.klass.tolist(), dist):
             out.append("node %d %d %r %r %s %s %s %s %s" % (
-                n.i, n.j, n.x, n.y, n.klass,
-                fmt(n.de), fmt(n.dw), fmt(n.dn), fmt(n.ds)))
-        for (i, j, k) in self.cells_sorted():
+                i, j, x, y, CLASSES[c], *(v or "-" for v in d)))
+        for (i, j, k) in self.cells_sorted().tolist():
             out.append("cell %d %d %d" % (i, j, k))
         return "\n".join(out) + "\n"
 
     def _collect_nodes(self):
-        seen = set()
-        for (a, b), k in self.cells.items():
-            s = 1 << k
-            seen.update(((a, b), (a + s, b), (a, b + s), (a + s, b + s)))
-        order = sorted(seen, key=lambda t: (t[1], t[0]))
-        self.node_id = {ij: idx for idx, ij in enumerate(order)}
-        self.nodes = [GridNode(i, j, *self.position(i, j)) for (i, j) in order]
+        a, b, k = self.leaves.T
+        s = 1 << k
+        stride = self.side + 1
+        corners = np.concatenate([b * stride + a, b * stride + a + s,
+                                  (b + s) * stride + a,
+                                  (b + s) * stride + a + s])
+        self._node_keys = _frozen(np.unique(corners))
+        self.i = _frozen(self._node_keys % stride)
+        self.j = _frozen(self._node_keys // stride)
+        x, y = self.position(self.i, self.j)
+        self.x = _frozen(x)
+        self.y = _frozen(y)
+
+    # -- per-node views -----------------------------------------------------
+
+    @cached_property
+    def node_id(self):
+        """Read-only mapping (i, j) -> node id."""
+        return MappingProxyType({ij: idx for idx, ij in enumerate(
+            zip(self.i.tolist(), self.j.tolist()))})
+
+    @cached_property
+    def cells(self):
+        """Read-only mapping of leaf SW corners (a, b) -> scale k."""
+        return MappingProxyType({(a, b): k
+                                 for (a, b, k) in self.leaves.tolist()})
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """Every node as a read-only GridNode record, by node id."""
+        out = []
+        for (i, j, x, y, c, nbr, dist, pair, pdist, cs, band, drv, m,
+             wide) in zip(self.i.tolist(), self.j.tolist(), self.x.tolist(),
+                          self.y.tolist(), self.klass.tolist(),
+                          self.nbr.tolist(), self.dist.tolist(),
+                          self.pair.tolist(), self.pair_dist.tolist(),
+                          self.coarse_side.tolist(), self.band.tolist(),
+                          self.drv_pair.tolist(), self.wide.tolist(),
+                          self.wide_ids.tolist()):
+            d = [None if math.isnan(v) else v for v in dist]
+            dangling = cs >= 0
+            out.append(GridNode(
+                i, j, x, y, CLASSES[c], *d,
+                nbr={DIRS[q]: n for q, n in enumerate(nbr) if n >= 0},
+                pair_x=None if pair[0] < 0 else (pair[0], pair[1], pdist[0]),
+                pair_y=None if pair[2] < 0 else (pair[2], pair[3], pdist[1]),
+                coarse_side=DIRS[cs] if dangling else None,
+                band=band if dangling else None,
+                drv_pair=tuple(drv) if dangling else None,
+                wide=(m, tuple(wide)) if m > 0 else None))
+        return tuple(out)
 
 
 @dataclass
@@ -280,127 +373,154 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # construction
 
-def _snap_index(frac: float, side: int) -> int:
+def _snap(frac, side: int):
     # nearest lattice point; exact ties snap toward the origin
-    i = math.ceil(frac - 0.5)
-    return min(max(i, 0), side)
+    return np.clip(np.ceil(np.asarray(frac) - 0.5), 0, side).astype(np.int64)
 
 
-def _seed_for_request(req: ScaleRequest, box: DomainBox, depth: int):
+def _as_seeds(requests, box: DomainBox, depth: int) -> np.ndarray:
+    """Required squares as an (m, 3) int array of (a, b, k), one per request.
+
+    An integer array of squares is checked and passed through.  A sequence
+    of ScaleRequests is snapped: each pins the half-open scale-k square that
+    contains its nearest lattice point."""
     side = 1 << depth
-    if not box.contains(req.x, req.y):
-        raise DomainError("request at (%g, %g) lies outside the domain box"
-                          % (req.x, req.y))
-    if not 0 <= req.scale <= depth:
-        raise ScaleError("requested scale %d outside [0, %d]" % (req.scale, depth))
-    i = _snap_index((req.x - box.x_min) / (box.lx / side), side)
-    j = _snap_index((req.y - box.y_min) / (box.ly / side), side)
-    s = 1 << req.scale
-    a = min((i // s) * s, side - s)
-    b = min((j // s) * s, side - s)
-    return a, b, req.scale
+    if isinstance(requests, np.ndarray) and requests.dtype.kind in "iu":
+        seeds = requests.astype(np.int64, copy=False).reshape(-1, 3)
+        a, b, k = seeds.T
+        if np.any((k < 0) | (k > depth)):
+            raise ScaleError("requested scale outside [0, %d]" % depth)
+        s = 1 << k
+        if np.any((a % s != 0) | (b % s != 0) | (a < 0) | (b < 0)
+                  | (a > side - s) | (b > side - s)):
+            raise GridError("requested square not aligned inside the lattice")
+        return seeds
+    reqs = list(requests)
+    x = np.array([r.x for r in reqs], dtype=float)
+    y = np.array([r.y for r in reqs], dtype=float)
+    k = np.array([r.scale for r in reqs], dtype=np.int64)
+    tx, ty = 1e-12 * box.lx, 1e-12 * box.ly
+    outside = ~((box.x_min - tx <= x) & (x <= box.x_max + tx)
+                & (box.y_min - ty <= y) & (y <= box.y_max + ty))
+    bad_scale = (k < 0) | (k > depth)
+    if np.any(outside | bad_scale):
+        first = int(np.argmax(outside | bad_scale))
+        if outside[first]:
+            raise DomainError("request at (%g, %g) lies outside the domain box"
+                              % (reqs[first].x, reqs[first].y))
+        raise ScaleError("requested scale %d outside [0, %d]"
+                         % (reqs[first].scale, depth))
+    i = _snap((x - box.x_min) / (box.lx / side), side)
+    j = _snap((y - box.y_min) / (box.ly / side), side)
+    s = 1 << k
+    return np.stack([np.minimum(i // s * s, side - s),
+                     np.minimum(j // s * s, side - s), k], axis=1)
+
+
+# squares at one scale are packed into one int64 key, a in the high half
+_SHIFT = np.int64(32)
+_LOW = np.int64((1 << 32) - 1)
+
+
+def _pack(a, b):
+    return (a << _SHIFT) | b
+
+
+def _children(a, b, size):
+    return np.concatenate([_pack(a, b), _pack(a + size, b),
+                           _pack(a, b + size), _pack(a + size, b + size)])
 
 
 def _build_from_seeds(seeds, box: DomainBox, depth: int,
                       pads: tuple[int, int], generation: int = 0) -> QuadtreeGrid:
-    """Bottom-up construction: per scale, close the required-square list under
+    """Bottom-up construction: per scale, close the required-square set under
     siblings and fill-to-the-edge, then push parents plus padding neighbors up
     one scale.  Each rule only looks sideways or upward, so one sweep with an
-    intra-level fixpoint loop reaches the closure."""
+    intra-level fixpoint loop reaches the closure.  build_ops counts the
+    squares each rule visits."""
     side = 1 << depth
     pad_x, pad_y = pads
     if pad_x < 1 or pad_y < 1:
         raise GridError("pads must be >= 1")
-    levels: list[set] = [set() for _ in range(depth + 1)]
-    ops = 0
-    for (a, b, k) in seeds:
-        levels[k].add((a, b))
-        ops += 1
-    levels[depth].add((0, 0))
+    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 3)
+    ops = len(seeds)
+    levels = [np.unique(_pack(seeds[seeds[:, 2] == k, 0],
+                              seeds[seeds[:, 2] == k, 1]))
+              for k in range(depth + 1)]
+    levels[depth] = np.union1d(levels[depth], [0])
 
     for k in range(depth):
         req = levels[k]
-        if not req:
+        if not req.size:
             continue
         size = 1 << k
         psize = size << 1
-        changed = True
-        while changed:
-            changed = False
-            parents = set()
-            for (a, b) in req:
-                parents.add((min(a // psize * psize, side - psize),
-                             min(b // psize * psize, side - psize)))
-                ops += 1
-            # sibling closure: a split parent keeps all four children
-            for (pa, pb) in parents:
-                for (ca, cb) in ((pa, pb), (pa + size, pb),
-                                 (pa, pb + size), (pa + size, pb + size)):
-                    ops += 1
-                    if (ca, cb) not in req:
-                        req.add((ca, cb))
-                        changed = True
-            # fill to the edge: a split parent too close to a wall drags its
-            # neighbor toward the wall into the split set, so no dangling node
-            # sits within pad coarse cells of that wall
-            for (pa, pb) in list(parents):
-                for (na, nb) in _edge_fill_neighbors(pa, pb, psize, side,
-                                                     pad_x, pad_y):
-                    ops += 1
-                    for (ca, cb) in ((na, nb), (na + size, nb),
-                                     (na, nb + size), (na + size, nb + size)):
-                        if (ca, cb) not in req:
-                            req.add((ca, cb))
-                            changed = True
+        while True:
+            a, b = req >> _SHIFT, req & _LOW
+            parents = np.unique(_pack(a // psize * psize, b // psize * psize))
+            pa, pb = parents >> _SHIFT, parents & _LOW
+            # sibling closure: a split parent keeps all four children; fill
+            # to the edge: a split parent too close to a wall drags its
+            # neighbor toward the wall into the split set, so no dangling
+            # node sits within pad coarse cells of that wall
+            na, nb = _edge_fill_neighbors(pa, pb, psize, side, pad_x, pad_y)
+            ops += len(req) + 4 * len(parents) + len(na)
+            grown = np.union1d(req, np.concatenate(
+                [_children(pa, pb, size), _children(na, nb, size)]))
+            if len(grown) == len(req):
+                break
+            req = grown
+        levels[k] = req
         # push required squares one scale up: parents of everything here,
         # plus pad equal-size neighbors of each split parent
-        up = levels[k + 1]
-        parents = set()
-        for (a, b) in req:
-            parents.add((a // psize * psize, b // psize * psize))
-            ops += 1
-        for (pa, pb) in parents:
-            up.add((pa, pb))
-            for s in range(1, pad_x + 1):
-                for na in (pa - s * psize, pa + s * psize):
-                    ops += 1
-                    if 0 <= na <= side - psize:
-                        up.add((na, pb))
-            for s in range(1, pad_y + 1):
-                for nb in (pb - s * psize, pb + s * psize):
-                    ops += 1
-                    if 0 <= nb <= side - psize:
-                        up.add((pa, nb))
+        a, b = req >> _SHIFT, req & _LOW
+        parents = np.unique(_pack(a // psize * psize, b // psize * psize))
+        ops += len(req) + len(parents) * 2 * (pad_x + pad_y)
+        pa, pb = parents >> _SHIFT, parents & _LOW
+        up = [levels[k + 1], parents]
+        for s in range(1, pad_x + 1):
+            for na in (pa - s * psize, pa + s * psize):
+                ok = (na >= 0) & (na <= side - psize)
+                up.append(_pack(na[ok], pb[ok]))
+        for s in range(1, pad_y + 1):
+            for nb in (pb - s * psize, pb + s * psize):
+                ok = (nb >= 0) & (nb <= side - psize)
+                up.append(_pack(pa[ok], nb[ok]))
+        levels[k + 1] = np.unique(np.concatenate(up))
 
-    cells = {}
+    # a square is a leaf unless a square one scale down lies inside it
+    leaves = []
     for k in range(depth + 1):
-        size = 1 << k
-        for (a, b) in levels[k]:
-            ops += 1
-            if k == 0 or not _has_child(levels[k - 1], a, b, size >> 1):
-                cells[(a, b)] = k
-    return QuadtreeGrid(box, depth, pads, cells, generation, ops)
+        ops += len(levels[k])
+        keys = levels[k]
+        if k > 0:
+            size = 1 << k
+            a, b = levels[k - 1] >> _SHIFT, levels[k - 1] & _LOW
+            keys = np.setdiff1d(keys, _pack(a // size * size, b // size * size))
+        leaves.append(np.stack([keys >> _SHIFT, keys & _LOW,
+                                np.full(len(keys), k, dtype=np.int64)], axis=1))
+    return QuadtreeGrid(box, depth, pads, np.concatenate(leaves), generation,
+                        ops)
 
 
 def _edge_fill_neighbors(pa, pb, psize, side, pad_x, pad_y):
-    """Neighbors of a split square that must themselves split because a
+    """Neighbors of split squares that must themselves split because a
     dangling node on the shared edge could not fit its pad-wide stencil
-    window inside [0, side]."""
-    out = []
+    window inside [0, side]; one entry per (square, edge)."""
+    out_a, out_b = [], []
     span_x = pad_x * psize
     span_y = pad_y * psize
-    for edge, nbr in ((pa, (pa - psize, pb)), (pa + psize, (pa + psize, pb))):
-        if 0 < edge < side and (edge - span_x < 0 or edge + span_x > side):
-            out.append(nbr)
-    for edge, nbr in ((pb, (pa, pb - psize)), (pb + psize, (pa, pb + psize))):
-        if 0 < edge < side and (edge - span_y < 0 or edge + span_y > side):
-            out.append(nbr)
-    return out
-
-
-def _has_child(finer: set, a, b, half):
-    return ((a, b) in finer or (a + half, b) in finer
-            or (a, b + half) in finer or (a + half, b + half) in finer)
+    for edge, na in ((pa, pa - psize), (pa + psize, pa + psize)):
+        ok = (0 < edge) & (edge < side) & ((edge - span_x < 0)
+                                           | (edge + span_x > side))
+        out_a.append(na[ok])
+        out_b.append(pb[ok])
+    for edge, nb in ((pb, pb - psize), (pb + psize, pb + psize)):
+        ok = (0 < edge) & (edge < side) & ((edge - span_y < 0)
+                                           | (edge + span_y > side))
+        out_a.append(pa[ok])
+        out_b.append(nb[ok])
+    return np.concatenate(out_a), np.concatenate(out_b)
 
 
 def build_quadtree(requests, depth: int, box: DomainBox,
@@ -408,14 +528,16 @@ def build_quadtree(requests, depth: int, box: DomainBox,
                    generation: int = 0) -> QuadtreeGrid:
     """Build the minimal legal quadtree whose cells contain every request.
 
-    Each request pins the half-open scale-k square containing its snapped
-    lattice point; coordinates already aligned at scale k thereby become grid
-    nodes.  With M requests the construction touches O(depth * M) squares.
+    requests are ScaleRequests or an (m, 3) int array of squares (a, b, k).
+    A ScaleRequest pins the half-open scale-k square containing its snapped
+    lattice point; coordinates already aligned at scale k thereby become
+    grid nodes.  With M requests the construction touches O(depth * M)
+    squares.
     """
     if pads is None:
         pads = default_pads(box)
-    seeds = [_seed_for_request(r, box, depth) for r in requests]
-    return _build_from_seeds(seeds, box, depth, pads, generation)
+    return _build_from_seeds(_as_seeds(requests, box, depth), box, depth,
+                             pads, generation)
 
 
 def init_from_scattered(points, depth: int,
@@ -445,8 +567,8 @@ def init_from_scattered(points, depth: int,
         if not box.contains(x, y):
             raise DomainError("scattered point (%g, %g) outside the domain box"
                               % (x, y))
-        i = _snap_index((x - box.x_min) / (box.lx / side), side)
-        j = _snap_index((y - box.y_min) / (box.ly / side), side)
+        i = int(_snap((x - box.x_min) / (box.lx / side), side))
+        j = int(_snap((y - box.y_min) / (box.ly / side), side))
         if (i, j) in snapped and abs(snapped[(i, j)] - v) > 1e-12 * max(1.0, abs(v)):
             raise InputError("duplicate points at lattice (%d, %d) with "
                              "conflicting values" % (i, j))
@@ -470,154 +592,156 @@ def init_from_scattered(points, depth: int,
 
 
 def _interpolate_scattered(grid: QuadtreeGrid, snapped: dict) -> np.ndarray:
-    pts = np.array([grid.position(i, j) for (i, j) in snapped])
+    ij = np.array(list(snapped), dtype=np.int64)
+    pts = np.stack(grid.position(ij[:, 0], ij[:, 1]), axis=1)
     vals = np.array(list(snapped.values()), dtype=float)
     out = np.empty(grid.n_nodes())
-    xs, ys = grid.positions()
     if len(snapped) == 1:
         out[:] = vals[0]
     else:
         nearest = NearestNDInterpolator(pts, vals)
-        out[:] = nearest(xs, ys)
+        out[:] = nearest(grid.x, grid.y)
         if len(snapped) >= 3:
             try:
                 lin = LinearNDInterpolator(pts, vals)
-                inside = lin(xs, ys)
+                inside = lin(grid.x, grid.y)
                 mask = ~np.isnan(inside)
                 out[mask] = inside[mask]
             except QhullError:
                 pass  # collinear data: nearest-point fill stands
-    for (i, j), v in snapped.items():
-        out[grid.node_id[(i, j)]] = v
+    out[grid.find(ij[:, 0], ij[:, 1])] = vals
     return out
 
 
 # ---------------------------------------------------------------------------
 # node classification
 
+# the unit cells NE, NW, SW, SE of a node, as offsets from (i, j)
+_QUADRANTS = ((0, 0), (-1, 0), (-1, -1), (0, -1))
+# per direction E, W, N, S: the two quadrants on that side
+_SIDE_QUADS = ((0, 3), (1, 2), (0, 1), (3, 2))
+# per direction: the quadrant whose leaf is the coarse cell of a node that
+# dangles toward it
+_COARSE_QUAD = (0, 1, 0, 3)
+_STEP = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
+
+
 def classify_nodes(grid: QuadtreeGrid) -> QuadtreeGrid:
-    """Assign every node a class and populate neighbor distances, equidistant
-    opposing pairs, and the dangling-node stencil geometry."""
+    """Assign every node a class and fill the neighbor ids and distances,
+    equidistant opposing pairs and the dangling-node stencil geometry,
+    from the four quadrant leaves of all nodes found at once."""
     side = grid.side
-    nid = grid.node_id
-    # virtual distance from each node to its nearest neighbor
-    grid.min_spacing = np.zeros(grid.n_nodes(), dtype=int)
-    for idx, node in enumerate(grid.nodes):
-        i, j = node.i, node.j
-        quads = {}
-        for qname, (dx, dy) in (("NE", (1, 1)), ("NW", (-1, 1)),
-                                ("SW", (-1, -1)), ("SE", (1, -1))):
-            ci, cj = 2 * i + dx, 2 * j + dy
-            if 0 < ci < 2 * side and 0 < cj < 2 * side:
-                quads[qname] = grid.leaf_at_doubled(ci, cj)
-        on_wall = i == 0 or i == side or j == 0 or j == side
+    i, j = grid.i, grid.j
+    n = len(i)
+    quads = np.full((n, 4), -1, dtype=np.int64)
+    for q, (di, dj) in enumerate(_QUADRANTS):
+        ci, cj = i + di, j + dj
+        ok = (ci >= 0) & (ci < side) & (cj >= 0) & (cj < side)
+        quads[ok, q] = grid.leaf_of_cell(ci[ok], cj[ok])
+    on_wall = (i == 0) | (i == side) | (j == 0) | (j == side)
+    ne, nw, sw, se = quads.T
+    # a node whose two quadrants toward d lie in one leaf dangles toward d;
+    # the order of the tests is the order of precedence
+    coarse = np.select([~on_wall & (nw == sw), ~on_wall & (ne == se),
+                        ~on_wall & (ne == nw), ~on_wall & (se == sw)],
+                       [1, 0, 2, 3], -1)
 
-        coarse_side = None
-        if not on_wall:
-            if quads["NW"] == quads["SW"]:
-                coarse_side = "W"
-            elif quads["NE"] == quads["SE"]:
-                coarse_side = "E"
-            elif quads["NE"] == quads["NW"]:
-                coarse_side = "N"
-            elif quads["SE"] == quads["SW"]:
-                coarse_side = "S"
+    a, b, k = grid.leaves[quads].transpose(2, 0, 1)
+    s = 1 << k
+    extent = np.stack([a + s - i[:, None], i[:, None] - a,
+                       b + s - j[:, None], j[:, None] - b])
+    far = 2 * side + 1
+    dist_v = np.empty((n, 4), dtype=np.int64)
+    for d, (q1, q2) in enumerate(_SIDE_QUADS):
+        e = np.where(quads[:, [q1, q2]] >= 0, extent[d][:, [q1, q2]], far)
+        dist_v[:, d] = e.min(axis=1)
+    dist_v[dist_v == far] = 0
+    dangling = coarse >= 0
+    dist_v[dangling, coarse[dangling]] = 0
+    present = dist_v > 0
 
-        dist_v = {}
-        for d, qnames in (("E", ("NE", "SE")), ("W", ("NW", "SW")),
-                          ("N", ("NE", "NW")), ("S", ("SE", "SW"))):
-            if coarse_side == d:
-                dist_v[d] = None
-                continue
-            exts = []
-            for q in qnames:
-                if q not in quads:
-                    continue
-                a, b, k = quads[q]
-                s = 1 << k
-                ext = {"E": a + s - i, "W": i - a,
-                       "N": b + s - j, "S": j - b}[d]
-                exts.append(ext)
-            dist_v[d] = min(exts) if exts else None
+    nbr = np.full((n, 4), -1, dtype=np.int64)
+    for d in range(4):
+        at = present[:, d]
+        nbr[at, d] = _node_ids(grid, i[at] + _STEP[d, 0] * dist_v[at, d],
+                               j[at] + _STEP[d, 1] * dist_v[at, d])
+    h = np.array([grid.hx, grid.hx, grid.hy, grid.hy])
+    grid.nbr = _frozen(nbr)
+    grid.dist = _frozen(np.where(present, dist_v * h, np.nan))
+    spacing = np.where(present, dist_v, far).min(axis=1)
+    spacing[spacing == far] = 0
+    grid.min_spacing = _frozen(spacing)
 
-        node.klass = BOUNDARY if on_wall else (
-            DANGLING_X if coarse_side in ("E", "W") else
-            DANGLING_Y if coarse_side in ("N", "S") else REGULAR)
-        node.coarse_side = coarse_side
+    # nearest equidistant opposing pairs (the far node on the finer side
+    # always exists: the fine cells' parent supplies the corner)
+    pair = np.full((n, 4), -1, dtype=np.int64)
+    pair_dist = np.full((n, 2), np.nan)
+    for ax in range(2):
+        at = present[:, 2 * ax] & present[:, 2 * ax + 1]
+        d = np.maximum(dist_v[at, 2 * ax], dist_v[at, 2 * ax + 1])
+        di, dj = _STEP[2 * ax]
+        pair[at, 2 * ax] = _node_ids(grid, i[at] + di * d, j[at] + dj * d)
+        pair[at, 2 * ax + 1] = _node_ids(grid, i[at] - di * d, j[at] - dj * d)
+        pair_dist[at, ax] = d * h[2 * ax]
+    grid.pair = _frozen(pair)
+    grid.pair_dist = _frozen(pair_dist)
 
-        node.nbr = {}
-        for d, dv in dist_v.items():
-            if dv is None:
-                continue
-            ni, nj = {"E": (i + dv, j), "W": (i - dv, j),
-                      "N": (i, j + dv), "S": (i, j - dv)}[d]
-            node.nbr[d] = nid[(ni, nj)]
-        node.de = dist_v["E"] * grid.hx if dist_v["E"] is not None else None
-        node.dw = dist_v["W"] * grid.hx if dist_v["W"] is not None else None
-        node.dn = dist_v["N"] * grid.hy if dist_v["N"] is not None else None
-        node.ds = dist_v["S"] * grid.hy if dist_v["S"] is not None else None
-
-        grid.min_spacing[idx] = min(
-            (v for v in dist_v.values() if v is not None), default=0)
-
-        # nearest equidistant opposing pairs (the far node on the finer side
-        # always exists: the fine cells' parent supplies the corner)
-        node.pair_x = node.pair_y = None
-        if dist_v["E"] is not None and dist_v["W"] is not None:
-            d = max(dist_v["E"], dist_v["W"])
-            node.pair_x = (nid[(i + d, j)], nid[(i - d, j)], d * grid.hx)
-        if dist_v["N"] is not None and dist_v["S"] is not None:
-            d = max(dist_v["N"], dist_v["S"])
-            node.pair_y = (nid[(i, j + d)], nid[(i, j - d)], d * grid.hy)
-
-        node.band = node.drv_pair = node.wide = None
-        if coarse_side is not None:
-            _dangling_geometry(grid, node)
+    grid.klass = _frozen(np.select(
+        [on_wall, coarse >= 2, coarse >= 0],
+        [CODE[BOUNDARY], CODE[DANGLING_Y], CODE[DANGLING_X]],
+        CODE[REGULAR]).astype(np.int8))
+    grid.coarse_side = _frozen(coarse.astype(np.int8))
+    _dangling_geometry(grid, quads, k)
     return grid
 
 
-def _dangling_geometry(grid: QuadtreeGrid, node: GridNode):
+def _node_ids(grid: QuadtreeGrid, i, j):
+    ids = grid.find(i, j)
+    if np.any(ids < 0):
+        raise GridError("cells do not form a legal quadtree: a neighbor "
+                        "corner is missing")
+    return ids
+
+
+def _dangling_geometry(grid: QuadtreeGrid, quads, scale):
     """Corner ids for the dangling-node I-stencil: the value opposite the
     coarse cell is interpolated from equidistant far corners; the stencil is
     widened until the axis-pair weight stays nonnegative."""
-    nid = grid.node_id
-    i, j = node.i, node.j
-    a, b, k = {"W": grid.leaf_at_doubled(2 * i - 1, 2 * j),
-               "E": grid.leaf_at_doubled(2 * i + 1, 2 * j),
-               "N": grid.leaf_at_doubled(2 * i, 2 * j + 1),
-               "S": grid.leaf_at_doubled(2 * i, 2 * j - 1)}[node.coarse_side]
-    band = 1 << k
-    node.band = band
-    half = band >> 1
+    n = grid.n_nodes()
+    band = np.zeros(n, dtype=np.int64)
+    drv = np.full((n, 2), -1, dtype=np.int64)
+    wide = np.zeros(n, dtype=np.int64)
+    wide_ids = np.full((n, 4), -1, dtype=np.int64)
+    for d in range(4):
+        at = np.flatnonzero(grid.coarse_side == d)
+        bd = 1 << scale[at, _COARSE_QUAD[d]]
+        half = bd >> 1
+        band[at] = bd
+        sgn = 1 if d in (0, 2) else -1
+        if d < 2:
+            fine, coarse, pad = half * grid.hy, bd * grid.hx, grid.pad_x
+        else:
+            fine, coarse, pad = half * grid.hx, bd * grid.hy, grid.pad_y
+        m = np.maximum(1, np.ceil(fine / coarse - 1e-12)).astype(np.int64)
+        # the far corners and the four wide-stencil corners, as offsets
+        # (along the coarse axis, across it); (ex, ey) is the unit step along
+        ex, ey = (1, 0) if d < 2 else (0, 1)
+        i, j = grid.i[at], grid.j[at]
 
-    if node.coarse_side in ("E", "W"):
-        sgn = 1 if node.coarse_side == "E" else -1
-        cpair = ((i + sgn * band, j - half), (i + sgn * band, j + half))
-        fine, coarse = half * grid.hy, band * grid.hx
-        m = max(1, math.ceil(fine / coarse - 1e-12))
+        def ids(offsets):
+            return np.stack([grid.find(i + u * ex + v * ey, j + u * ey + v * ex)
+                             for (u, v) in offsets], axis=1)
 
-        def corners(mm):
-            w = mm * band
-            return ((i - w, j - half), (i - w, j + half),
-                    (i + w, j - half), (i + w, j + half))
-    else:
-        sgn = 1 if node.coarse_side == "N" else -1
-        cpair = ((i - half, j + sgn * band), (i + half, j + sgn * band))
-        fine, coarse = half * grid.hx, band * grid.hy
-        m = max(1, math.ceil(fine / coarse - 1e-12))
-
-        def corners(mm):
-            w = mm * band
-            return ((i - half, j - w), (i + half, j - w),
-                    (i - half, j + w), (i + half, j + w))
-
-    node.drv_pair = tuple(nid[c] for c in cpair)
-    pad = grid.pad_x if node.coarse_side in ("E", "W") else grid.pad_y
-    cs = corners(m)
-    if m <= pad and all(c in nid for c in cs):
-        node.wide = (m, tuple(nid[c] for c in cs))
-    else:
-        node.wide = None
+        drv[at] = ids([(sgn * bd, -half), (sgn * bd, half)])
+        w = m * bd
+        cids = ids([(-w, -half), (-w, half), (w, -half), (w, half)])
+        fits = (m <= pad) & np.all(cids >= 0, axis=1)
+        wide[at[fits]] = m[fits]
+        wide_ids[at[fits]] = cids[fits]
+    grid.band = _frozen(band)
+    grid.drv_pair = _frozen(drv)
+    grid.wide = _frozen(wide)
+    grid.wide_ids = _frozen(wide_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -408,10 +408,14 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     if scales is not None and len(scales) != len(thresholds):
         raise ConfigError("config fields 'refine.thresholds' and "
                           "'refine.scales' must have equal lengths")
-    policy = RefinementPolicy(residual_criteria(), thresholds=thresholds,
-                              scales=scales,
-                              extra_padding=cfg.get("refine.padding", 0, int),
-                              initial_cells=cells)
+    try:
+        policy = RefinementPolicy(
+            residual_criteria(), thresholds=thresholds, scales=scales,
+            extra_padding=cfg.get("refine.padding", 0, int),
+            initial_cells=cells)
+    except GridError as exc:
+        raise ConfigError("config fields 'refine.thresholds', "
+                          "'refine.scales' and 'refine.padding': %s" % exc)
     return PresetBundle(
         kind=kind, problem=problem, box=box, depth=depth,
         initial_scale=initial_scale,
@@ -430,8 +434,7 @@ def _depth_shift(side, depth):
 
 
 def _grid_cells(box, depth, scale):
-    g = _build_initial(box, depth, scale)
-    return tuple((a, b, k) for (a, b), k in g.cells.items())
+    return _build_initial(box, depth, scale).leaves
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +453,12 @@ class ResourceReport:
                 raise GridError("resource shares sum to %.8f" % total)
 
 
-def _region_index(radii, x, y):
-    r = math.hypot(x, y)
-    for k, bound in enumerate(radii):
-        if r < bound:
-            return k
-    return len(radii)
+def region_shares(radii, grid: QuadtreeGrid) -> np.ndarray:
+    """Share of the grid's nodes in each region: the disc r < radii[0], the
+    rings between consecutive radii and the rest."""
+    region = np.searchsorted(radii, np.hypot(grid.x, grid.y), side="right")
+    counts = np.bincount(region, minlength=len(radii) + 1)
+    return counts / counts.sum()
 
 
 def region_names(radii):
@@ -485,10 +488,7 @@ def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceRe
     """Node, Newton-time and area shares per region; region_counts maps the
     generation of each solved grid to its node shares per region."""
     nr = len(radii) + 1
-    counts = np.zeros(nr)
-    for n in grid.nodes:
-        counts[_region_index(radii, n.x, n.y)] += 1
-    node_share = counts / counts.sum()
+    node_share = region_shares(radii, grid)
 
     time_by_region = np.zeros(nr)
     total_time = 0.0
@@ -529,9 +529,9 @@ def atomic_write(path: str, text: str):
 
 def solution_csv(grid: QuadtreeGrid, u: GridFunction) -> str:
     lines = ["i,j,x,y,u"]
-    for idx, n in enumerate(grid.nodes):
-        lines.append("%d,%d,%r,%r,%r" % (n.i, n.j, n.x, n.y,
-                                         float(u.values[idx])))
+    for row in zip(grid.i.tolist(), grid.j.tolist(), grid.x.tolist(),
+                   grid.y.tolist(), u.values.tolist()):
+        lines.append("%d,%d,%r,%r,%r" % row)
     return "\n".join(lines) + "\n"
 
 
@@ -609,10 +609,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             radii = preset.regions
 
             def watch(grid):
-                counts = np.zeros(len(radii) + 1)
-                for n in grid.nodes:
-                    counts[_region_index(radii, n.x, n.y)] += 1
-                region_counts[grid.generation] = counts / counts.sum()
+                region_counts[grid.generation] = region_shares(radii, grid)
 
             u0 = GridFunction(g0, np.zeros(g0.n_nodes()))
             if preset.kind == "obstacle":
@@ -656,7 +653,7 @@ def manufactured_poisson(grid: QuadtreeGrid, exact, lap_exact):
     op = instantiate_builtin("poisson_dirichlet", problem, grid)
     u = newton_solve(op, grid, GridFunction(grid, np.zeros(grid.n_nodes())),
                      StoppingPolicy([1e-11]))
-    ex = np.array([exact(n.x, n.y) for n in grid.nodes])
+    ex = problem.sample(exact, grid)
     return float(np.max(np.abs(u.values - ex)))
 
 

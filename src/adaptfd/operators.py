@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import BOUNDARY, GridError, GridFunction, QuadtreeGrid
+from .grid import BOUNDARY, CODE, GridError, GridFunction, QuadtreeGrid
 from .stencils import laplacian_system, one_sided, one_sided_matrices
 
 BUILTIN_KINDS = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
@@ -59,7 +59,9 @@ class ProblemDefinition:
     def sample(self, fn, grid, default=0.0):
         if fn is None:
             return np.full(grid.n_nodes(), default)
-        return np.array([fn(n.x, n.y) for n in grid.nodes], dtype=float)
+        return np.array([fn(x, y) for x, y in zip(grid.x.tolist(),
+                                                   grid.y.tolist())],
+                        dtype=float)
 
 
 class UpwindDirectional:
@@ -77,19 +79,22 @@ class UpwindDirectional:
         lip = np.zeros(nn)
         const = np.zeros(nn)
         rows, cols, vals = [], [], []
-        for idx, n in enumerate(grid.nodes):
-            if n.klass == BOUNDARY or not self.region(n.x, n.y):
+        inner = np.flatnonzero(grid.klass != CODE[BOUNDARY])
+        for idx, x, y in zip(inner.tolist(), grid.x[inner].tolist(),
+                             grid.y[inner].tolist()):
+            if not self.region(x, y):
                 continue
-            nx, ny = self.direction(n.x, n.y)
+            nx, ny = self.direction(x, y)
             mask[idx] = True
-            const[idx] = -self.rhs(n.x, n.y)
+            const[idx] = -self.rhs(x, y)
             for comp, upw in ((nx, "W"), (-nx, "E"), (ny, "S"), (-ny, "N")):
                 if comp <= 0.0:
                     continue
-                found = one_sided(grid, n, upw)
+                found = one_sided(grid, idx, upw)
                 if found is None:
                     raise OperatorError("no upwind neighbor for first-order "
-                                        "row at (%d, %d)" % (n.i, n.j))
+                                        "row at (%d, %d)"
+                                        % (grid.i[idx], grid.j[idx]))
                 ids, dist = found
                 rows += [idx] * (len(ids) + 1)
                 cols += [idx, *ids]
@@ -124,14 +129,10 @@ class OperatorSpec:
             laplacian_system(grid, robin=problem.robin)
         if problem.robin is None:
             # Dirichlet walls pinned at g
-            if problem.g is None and self.kind != "stefan":
-                for n in grid.nodes:
-                    if n.klass == BOUNDARY:
-                        raise OperatorError(
-                            "Dirichlet walls need a boundary datum g")
-            for idx, n in enumerate(grid.nodes):
-                if n.klass == BOUNDARY:
-                    self.pins[idx] = self.gvals[idx]
+            wall = grid.klass == CODE[BOUNDARY]
+            if problem.g is None and self.kind != "stefan" and wall.any():
+                raise OperatorError("Dirichlet walls need a boundary datum g")
+            self.pins[wall] = self.gvals[wall]
         self.wbar = self.L.diagonal()
         if self.kind == "obstacle" and problem.g is None:
             raise OperatorError("obstacle needs an obstacle datum g")
@@ -166,7 +167,8 @@ class OperatorSpec:
             if problem.chi is None:
                 raise OperatorError("bc_composite needs a domain indicator "
                                     "or weights")
-            w[0] = [1.0 if problem.chi(n.x, n.y) else 0.0 for n in grid.nodes]
+            w[0] = [1.0 if problem.chi(x, y) else 0.0
+                    for x, y in zip(grid.x.tolist(), grid.y.tolist())]
             w[1] = 1.0 - w[0]
         if problem.first_order is not None:
             mask, M, const, lip = problem.first_order.build(grid)

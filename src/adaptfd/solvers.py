@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .adaptivity import (cells_as_requests, compute_refinement,
-                         evaluate_criteria, regrid, _square_request)
+                         evaluate_criteria, regrid)
 from .grid import GridError, GridFunction, QuadtreeGrid
 from .operators import OperatorSpec, instantiate_builtin
 
@@ -66,17 +66,20 @@ class StoppingPolicy:
 class TimeGroups:
     """Nodes partitioned by nearest-neighbor distance class, with one
     characteristic step per group (powers of two apart) and the visitation
-    schedule for one coarse step."""
+    schedule for one coarse step.  start holds (state, Lipschitz bound,
+    residual) at the state the schedule was built from; a step from that
+    same state takes its first visit from them."""
     groups: list          # node-index arrays
     taus: list            # tau_g, descending from the coarsest group
     mults: list           # m_g = tau_coarse / tau_g
     schedule: np.ndarray  # group ids, each g appearing m_g times
     coarse_tau: float
+    start: tuple | None = None
 
     def scaled(self, factor: float) -> "TimeGroups":
         return TimeGroups(self.groups, [t * factor for t in self.taus],
                           self.mults, self.schedule,
-                          self.coarse_tau * factor)
+                          self.coarse_tau * factor, self.start)
 
 
 def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
@@ -86,10 +89,11 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
     u.check(grid)
     if rng is None:
         rng = np.random.default_rng(0)
-    lip = op.lipschitz(u.values)
+    lip, res = op._step_terms(u.values)
+    start = (u.values.copy(), lip, res)
     active = op.active & (lip > 0)
     if not active.any():
-        return TimeGroups([], [], [], np.empty(0, dtype=int), 0.0)
+        return TimeGroups([], [], [], np.empty(0, dtype=int), 0.0, start)
     dt = 1.0 / lip[active]
     idx = np.flatnonzero(active)
     spacing = grid.min_spacing[idx]
@@ -109,20 +113,25 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
         mults.append(1 << p)
     order = np.concatenate([np.full(m, gi) for gi, m in enumerate(mults)])
     schedule = rng.permutation(order)
-    return TimeGroups(groups, taus, mults, schedule, coarse_tau)
+    return TimeGroups(groups, taus, mults, schedule, coarse_tau, start)
 
 
 def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
                schedule: TimeGroups, work=None) -> GridFunction:
     """One coarse step: u_i <- u_i - tau_g F_i[u] simultaneously within each
     scheduled group, sequentially across groups.  Each group visit takes its
-    CFL check and its update from one whole-grid evaluation of F."""
+    CFL check and its update from one whole-grid evaluation of F; the first
+    visit reuses the schedule's evaluation when u is its starting state."""
     u.check(grid)
     v = u.values.copy()
+    start = schedule.start
+    terms = start[1:] if start is not None \
+        and start[0].tobytes() == v.tobytes() else None
     for gid in schedule.schedule:
         rows = schedule.groups[gid]
         tau = schedule.taus[gid]
-        lip, res = op._step_terms(v)
+        lip, res = terms if terms is not None else op._step_terms(v)
+        terms = None
         if np.any(tau * lip[rows] > 1.0 + 1e-9):
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
                                    % (tau, 1.0 / lip[rows].max()))
@@ -236,18 +245,17 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
                         "residual": rnorm, "wall": time.perf_counter() - t0})
 
 
-def _trial_requests(grid: QuadtreeGrid, target_scale: int):
+def _trial_requests(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
     """Every cell coarser than the target split one level: the probe grid on
-    which refinement criteria see the current solution at finer resolution."""
-    reqs = []
-    for (a, b), k in grid.cells.items():
-        if k > target_scale:
-            h = 1 << (k - 1)
-            for (ca, cb) in ((a, b), (a + h, b), (a, b + h), (a + h, b + h)):
-                reqs.append(_square_request(grid, ca, cb, k - 1))
-        else:
-            reqs.append(_square_request(grid, a, b, k))
-    return reqs
+    which refinement criteria see the current solution at finer resolution.
+    Squares (a, b, k), one per cell kept and four per cell split."""
+    leaves = grid.leaves
+    split = leaves[:, 2] > target_scale
+    a, b, k = leaves[split].T
+    h = 1 << (k - 1)
+    kids = [np.stack([a + da * h, b + db * h, k - 1], axis=1)
+            for (da, db) in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    return np.concatenate([leaves[~split]] + kids)
 
 
 def multiscale_solve(op_factory, grid: QuadtreeGrid, u0, policy, stopping,
@@ -282,7 +290,7 @@ def multiscale_solve(op_factory, grid: QuadtreeGrid, u0, policy, stopping,
                                       coarsest_allowed=target)
             # refinement accumulates down the ladder: solved regions must not
             # coarsen away just because their residual signal went quiet
-            reqs += cells_as_requests(grid)
+            reqs = np.concatenate([reqs, cells_as_requests(grid)])
             g2, u2 = regrid(grid, u, reqs)
             if g2 is grid:
                 break

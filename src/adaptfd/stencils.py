@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import BOUNDARY, REGULAR, GridError, GridNode, QuadtreeGrid
+from .grid import (BOUNDARY, CLASSES, CODE, DIRS, REGULAR, GridError,
+                   QuadtreeGrid)
 
 OPPOSITE = {"+x": "W", "-x": "E", "+y": "S", "-y": "N"}
 
@@ -56,21 +57,32 @@ class InactiveMark:
     value: float
 
 
-def _node(grid: QuadtreeGrid, node) -> GridNode:
-    return grid.nodes[node] if isinstance(node, (int, np.integer)) else node
+def _index(grid: QuadtreeGrid, node) -> int:
+    """Node id of a node given by id or as a GridNode record."""
+    if isinstance(node, (int, np.integer)):
+        return int(node)
+    return int(grid.find(node.i, node.j))
 
 
-def one_sided(grid: QuadtreeGrid, node: GridNode, side: str):
+def _inv_sq(d):
+    """1 / d**2 per entry, with Python's float power: its pow() and numpy's
+    squaring can round differently, and rows must not change bits."""
+    values, inverse = np.unique(d, return_inverse=True)
+    return np.array([1.0 / v**2 for v in values.tolist()])[inverse]
+
+
+def one_sided(grid: QuadtreeGrid, idx: int, side: str):
     """Where a one-sided difference toward `side` looks: (ids, dist), with the
     value on that side the mean of u over ids at distance dist.  A neighbor
     gives one id; the coarse side of a dangling node gives the two far
     corners of the coarse cell at distance band * h (first order, monotone).
     None when the node has no value on that side."""
-    if side in node.nbr:
-        return (node.nbr[side],), node.dist(side)
-    if node.coarse_side == side:
-        return node.drv_pair, node.band * (grid.hx if side in ("E", "W")
-                                           else grid.hy)
+    d = DIRS.index(side)
+    if grid.nbr[idx, d] >= 0:
+        return (int(grid.nbr[idx, d]),), float(grid.dist[idx, d])
+    if grid.coarse_side[idx] == d:
+        return (tuple(grid.drv_pair[idx].tolist()),
+                int(grid.band[idx]) * (grid.hx if d < 2 else grid.hy))
     return None
 
 
@@ -79,65 +91,69 @@ def upwind_first_derivative(grid: QuadtreeGrid, node, direction: str,
     """One-sided derivative along `direction`, differencing against the
     opposite-side neighbor: D_{+x} u = (u_i - u_W)/dW approximates du/dx,
     with the far-corner average standing in for a missing coarse side."""
-    n = _node(grid, node)
+    idx = _index(grid, node)
     values = u.values if hasattr(u, "values") else u
     side = OPPOSITE[direction]
-    found = one_sided(grid, n, side)
+    found = one_sided(grid, idx, side)
     if found is None:
         raise StencilUnavailableError(
-            "no %s neighbor at node (%d, %d)" % (side, n.i, n.j))
+            "no %s neighbor at node (%d, %d)" % (side, grid.i[idx],
+                                                  grid.j[idx]))
     ids, dist = found
     opp = sum(values[j] for j in ids) / len(ids)
-    return (values[grid.node_id[(n.i, n.j)]] - opp) / dist
+    return (values[idx] - opp) / dist
 
 
 def laplacian_row(grid: QuadtreeGrid, node) -> StencilRow:
     """Row encoding -Laplacian(u) at a regular or dangling node."""
-    n = _node(grid, node)
-    nid = grid.node_id[(n.i, n.j)]
-    if n.klass == BOUNDARY:
+    idx = _index(grid, node)
+    at = (grid.i[idx], grid.j[idx])
+    klass = CLASSES[grid.klass[idx]]
+    if klass == BOUNDARY:
         raise StencilUnavailableError(
-            "boundary node (%d, %d) needs Robin data" % (n.i, n.j))
-    if n.klass == REGULAR:
-        ide, idw, dx = n.pair_x
-        idn, ids, dy = n.pair_y
+            "boundary node (%d, %d) needs Robin data" % at)
+    if klass == REGULAR:
+        ide, idw, idn, ids = grid.pair[idx].tolist()
+        dx, dy = grid.pair_dist[idx].tolist()
         wx, wy = 1.0 / dx**2, 1.0 / dy**2
-        return StencilRow(nid, 2 * wx + 2 * wy,
+        return StencilRow(idx, 2 * wx + 2 * wy,
                           [(ide, wx), (idw, wx), (idn, wy), (ids, wy)])
     # dangling: I-stencil, possibly widened along the coarse axis
-    if n.wide is None:
+    m = int(grid.wide[idx])
+    if m == 0:
         raise StencilUnavailableError(
             "monotone I-stencil width unavailable at (%d, %d); "
-            "grid padding violated" % (n.i, n.j))
-    m, corners = n.wide
-    if n.coarse_side in ("E", "W"):
-        coarse = m * n.band * grid.hx
-        fine = 0.5 * n.band * grid.hy
-        axis_pair = (n.nbr["N"], n.nbr["S"])
+            "grid padding violated" % at)
+    band = int(grid.band[idx])
+    nbr = grid.nbr[idx].tolist()
+    if grid.coarse_side[idx] < 2:
+        coarse = m * band * grid.hx
+        fine = 0.5 * band * grid.hy
+        axis_pair = (nbr[2], nbr[3])
     else:
-        coarse = m * n.band * grid.hy
-        fine = 0.5 * n.band * grid.hx
-        axis_pair = (n.nbr["E"], n.nbr["W"])
+        coarse = m * band * grid.hy
+        fine = 0.5 * band * grid.hx
+        axis_pair = (nbr[0], nbr[1])
     wc = 0.5 / coarse**2
     wp = 1.0 / fine**2 - 1.0 / coarse**2
     if wp < 0:
-        raise StencilUnavailableError("negative axis weight at (%d, %d)"
-                                      % (n.i, n.j))
-    nbrs = [(c, wc) for c in corners] + [(p, wp) for p in axis_pair]
-    return StencilRow(nid, 2.0 / fine**2, nbrs)
+        raise StencilUnavailableError("negative axis weight at (%d, %d)" % at)
+    nbrs = [(c, wc) for c in grid.wide_ids[idx].tolist()] \
+        + [(p, wp) for p in axis_pair]
+    return StencilRow(idx, 2.0 / fine**2, nbrs)
 
 
 def upwind_gradient_sq(grid: QuadtreeGrid, node, u) -> float:
     """Monotone |grad u|^2: per axis the uphill one-sided slope, clamped at 0
     and squared, so that -(result) is nondecreasing in every u_i - u_j."""
-    n = _node(grid, node)
+    idx = _index(grid, node)
     values = u.values if hasattr(u, "values") else u
-    ui = values[grid.node_id[(n.i, n.j)]]
+    ui = values[idx]
     total = 0.0
     for sides in (("E", "W"), ("N", "S")):
         best = 0.0
         for s in sides:
-            found = one_sided(grid, n, s)
+            found = one_sided(grid, idx, s)
             if found is not None:
                 ids, dist = found
                 opp = sum(values[j] for j in ids) / len(ids)
@@ -155,50 +171,53 @@ def robin_row(grid: QuadtreeGrid, node, A, B, C):
     combined with the one-sided inward derivative, plus the centered
     tangential second difference, into a -Laplacian row.
     """
-    n = _node(grid, node)
-    if n.klass != BOUNDARY:
+    idx = _index(grid, node)
+    if grid.klass[idx] != CODE[BOUNDARY]:
         raise StencilUnavailableError("robin_row applies to boundary nodes")
-    nid = grid.node_id[(n.i, n.j)]
+    i, j = int(grid.i[idx]), int(grid.j[idx])
+    x, y = float(grid.x[idx]), float(grid.y[idx])
     side = grid.side
     walls = []
-    if n.i == 0:
-        walls.append(("E", -1.0, 0.0))
-    if n.i == side:
-        walls.append(("W", 1.0, 0.0))
-    if n.j == 0:
-        walls.append(("N", 0.0, -1.0))
-    if n.j == side:
-        walls.append(("S", 0.0, 1.0))
+    if i == 0:
+        walls.append((0, -1.0, 0.0))
+    if i == side:
+        walls.append((1, 1.0, 0.0))
+    if j == 0:
+        walls.append((2, 0.0, -1.0))
+    if j == side:
+        walls.append((3, 0.0, 1.0))
 
     coeffs = []
     for (inward, nx, ny) in walls:
-        a = A(n.x, n.y, nx, ny)
-        b = B(n.x, n.y, nx, ny)
-        c = C(n.x, n.y, nx, ny)
+        a = A(x, y, nx, ny)
+        b = B(x, y, nx, ny)
+        c = C(x, y, nx, ny)
         if a == 0.0:
             if b == 0.0:
                 raise IllPosedBoundaryError(
-                    "A = B = 0 at boundary node (%d, %d)" % (n.i, n.j))
+                    "A = B = 0 at boundary node (%d, %d)" % (i, j))
             return InactiveMark(c / b)
         coeffs.append((inward, a, b, c))
 
+    nbr = grid.nbr[idx].tolist()
+    dist = grid.dist[idx].tolist()
     wbar = 0.0
     const = 0.0
     nbrs = []
     for (inward, a, b, c) in coeffs:
-        d = n.dist(inward)
-        nbrs.append((n.nbr[inward], 1.0 / d**2))
+        d = dist[inward]
+        nbrs.append((nbr[inward], 1.0 / d**2))
         wbar += 1.0 / d**2 + b / (a * d)
         const += -c / (a * d)
     if len(coeffs) == 1:
         # tangential second difference along the wall
-        pair = n.pair_y if coeffs[0][0] in ("E", "W") else n.pair_x
-        if pair is not None:
-            idp, idm, d = pair
-            w = 1.0 / d**2
+        ax = 1 if coeffs[0][0] < 2 else 0
+        idp, idm = grid.pair[idx, 2 * ax:2 * ax + 2].tolist()
+        if idp >= 0:
+            w = 1.0 / float(grid.pair_dist[idx, ax])**2
             nbrs += [(idp, w), (idm, w)]
             wbar += 2 * w
-    return StencilRow(nid, wbar, nbrs, const)
+    return StencilRow(idx, wbar, nbrs, const)
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +230,39 @@ def laplacian_system(grid: QuadtreeGrid, robin=None):
     all nodes, a boolean mask of active unknowns, and pinned values (zero
     where active).  Boundary nodes use the Robin triple when given, else they
     are treated as Dirichlet pins at 0 to be overridden by the caller.
+    Regular rows come from the pair arrays at once; dangling and wall rows
+    are built one by one.
     """
     nn = grid.n_nodes()
-    rows, cols, vals = [], [], []
     const = np.zeros(nn)
     active = np.ones(nn, dtype=bool)
     pins = np.zeros(nn)
-    for idx, n in enumerate(grid.nodes):
-        if n.klass == BOUNDARY:
+    reg = np.flatnonzero(grid.klass == CODE[REGULAR])
+    wx = _inv_sq(grid.pair_dist[reg, 0])
+    wy = _inv_sq(grid.pair_dist[reg, 1])
+    rows = [np.repeat(reg, 5)]
+    cols = [np.column_stack([reg, grid.pair[reg]]).ravel()]
+    vals = [np.column_stack([2 * wx + 2 * wy, -wx, -wx, -wy, -wy]).ravel()]
+    wall = CODE[BOUNDARY]
+    for idx in np.flatnonzero(grid.klass != CODE[REGULAR]).tolist():
+        if grid.klass[idx] == wall:
             if robin is None:
                 active[idx] = False
                 continue
-            r = robin_row(grid, n, *robin)
+            r = robin_row(grid, idx, *robin)
             if isinstance(r, InactiveMark):
                 active[idx] = False
                 pins[idx] = r.value
                 continue
         else:
-            r = laplacian_row(grid, n)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(r.wbar)
-        for (j, w) in r.neighbors:
-            rows.append(idx)
-            cols.append(j)
-            vals.append(-w)
+            r = laplacian_row(grid, idx)
+        rows.append([idx] * (len(r.neighbors) + 1))
+        cols.append([idx] + [j for (j, _) in r.neighbors])
+        vals.append([r.wbar] + [-w for (_, w) in r.neighbors])
         const[idx] = r.constant
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
+    L = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(nn, nn))
     return L, const, active, pins
 
 
@@ -251,19 +276,18 @@ def one_sided_matrices(grid: QuadtreeGrid):
     nn = grid.n_nodes()
     T = {}
     have = {}
-    for d in ("E", "W", "N", "S"):
-        rows, cols, vals = [], [], []
+    for d, name in enumerate(DIRS):
+        near = np.flatnonzero(grid.nbr[:, d] >= 0)
+        inv = 1.0 / grid.dist[near, d]
+        dang = np.flatnonzero(grid.coarse_side == d)
+        inv_c = 1.0 / (grid.band[dang] * (grid.hx if d < 2 else grid.hy))
+        rows = np.concatenate([near, near, dang, dang, dang])
+        cols = np.concatenate([grid.nbr[near, d], near, grid.drv_pair[dang, 0],
+                               grid.drv_pair[dang, 1], dang])
+        vals = np.concatenate([inv, -inv, inv_c / 2, inv_c / 2, -inv_c])
+        T[name] = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
         mask = np.zeros(nn, dtype=bool)
-        for idx, n in enumerate(grid.nodes):
-            found = one_sided(grid, n, d)
-            if found is None:
-                continue
-            ids, dist = found
-            rows += [idx] * (len(ids) + 1)
-            cols += [*ids, idx]
-            vals += [1.0 / dist / len(ids)] * len(ids) + [-1.0 / dist]
-            mask[idx] = True
-        T[d] = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
-        have[d] = mask
+        mask[near] = True
+        mask[dang] = True
+        have[name] = mask
     return T, have
-

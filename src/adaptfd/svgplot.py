@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import CLASSES
+
 CLASS_COLOR = {"regular": "#1f77b4", "dangling-x": "#d62728",
                "dangling-y": "#ff7f0e", "boundary": "#2ca02c",
                "inactive": "#7f7f7f"}
@@ -27,20 +29,20 @@ def grid_svg(grid) -> str:
     out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
            'viewBox="0 0 %d %d">' % (WIDTH, int(height) + 1, WIDTH,
                                      int(height) + 1)]
-    for (i, j, k) in grid.cells_sorted():
-        s = 1 << k
-        x0, y0 = grid.position(i, j + s)
-        px, py = to_px(x0, y0)
+    a, b, k = grid.cells_sorted().T
+    s = 1 << k
+    px, py = to_px(*grid.position(a, b + s))
+    for row in zip(px.tolist(), py.tolist(), (s * grid.hx * scale).tolist(),
+                   (s * grid.hy * scale).tolist()):
         out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
                    'height="%.2f" fill="none" stroke="#999" '
-                   'stroke-width="0.5"/>'
-                   % (px, py, s * grid.hx * scale, s * grid.hy * scale))
+                   'stroke-width="0.5"/>' % row)
     radius = max(0.8, 0.22 * min(grid.hx, grid.hy) * scale)
-    for n in grid.nodes:
-        px, py = to_px(n.x, n.y)
+    px, py = to_px(grid.x, grid.y)
+    for c, x, y in zip(grid.klass.tolist(), px.tolist(), py.tolist()):
         out.append('<circle class="node %s" cx="%.2f" cy="%.2f" r="%.2f" '
-                   'fill="%s"/>' % (n.klass, px, py, radius,
-                                    CLASS_COLOR[n.klass]))
+                   'fill="%s"/>' % (CLASSES[c], x, y, radius,
+                                    CLASS_COLOR[CLASSES[c]]))
     out.append("</svg>")
     return "\n".join(out)
 
@@ -66,17 +68,17 @@ def solution_svg(grid, u, contours=None) -> str:
     out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
            'viewBox="0 0 %d %d">' % (WIDTH, int(height) + 1, WIDTH,
                                      int(height) + 1)]
-    nid = grid.node_id
-    for (i, j, k) in grid.cells_sorted():
-        s = 1 << k
-        corners = [nid[(i, j)], nid[(i + s, j)], nid[(i, j + s)],
-                   nid[(i + s, j + s)]]
-        mean = float(np.mean(values[corners]))
-        px, py = to_px(*grid.position(i, j + s))
+    a, b, k = grid.cells_sorted().T
+    s = 1 << k
+    corners = np.stack([grid.find(a, b), grid.find(a + s, b),
+                        grid.find(a, b + s), grid.find(a + s, b + s)], axis=1)
+    means = values[corners].mean(axis=1)
+    px, py = to_px(*grid.position(a, b + s))
+    for row in zip(px.tolist(), py.tolist(), (s * grid.hx * scale).tolist(),
+                   (s * grid.hy * scale).tolist(), means.tolist()):
         out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
                    'height="%.2f" fill="%s" stroke="none"/>'
-                   % (px, py, s * grid.hx * scale, s * grid.hy * scale,
-                      _color((mean - lo) / span)))
+                   % (row[:4] + (_color((row[4] - lo) / span),)))
     polys = contours or []
     if isinstance(polys, dict):
         polys = [p for group in polys.values() for p in group]

@@ -358,6 +358,39 @@ def one_sided_oracle(cells, depth, i, j, side):
     return None
 
 
+def leaf_edges(cells):
+    """Every unit lattice segment on the boundary of some leaf, as its lower
+    end point and orientation: ((x, y), "h") spans (x, y)-(x + 1, y) and
+    ((x, y), "v") spans (x, y)-(x, y + 1)."""
+    edges = set()
+    for (a, b), k in cells.items():
+        s = 1 << k
+        for t in range(s):
+            edges.update((((a + t, b), "h"), ((a + t, b + s), "h"),
+                          ((a, b + t), "v"), ((a + s, b + t), "v")))
+    return edges
+
+
+def neighbor_oracle(verts, edges, depth, i, j, side):
+    """Nearest node toward `side` from vertex (i, j) along leaf edges, found
+    by walking unit steps: (vertex, virtual distance), or None where the
+    first step leaves the domain or enters the interior of a leaf (the
+    coarse side of a dangling node)."""
+    di, dj = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}[side]
+    size = 1 << depth
+    t = 0
+    while True:
+        p = (i + t * di, j + t * dj)
+        q = (p[0] + di, p[1] + dj)
+        if not (0 <= q[0] <= size and 0 <= q[1] <= size):
+            return None
+        if (min(p, q), "h" if dj == 0 else "v") not in edges:
+            return None
+        t += 1
+        if q in verts:
+            return q, t
+
+
 def dump_rows(grid, rows) -> str:
     """Text dump of stencil rows: `row i j wbar constant n  j1 i1 w1 ...`,
     ordered like the grid dump."""

@@ -11,7 +11,7 @@ from adaptfd.grid import DomainBox, GridFunction, ScaleRequest, build_quadtree
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import StoppingPolicy, newton_solve
 from adaptfd.stencils import laplacian_row
-from oracles import random_requests
+from oracles import random_requests, seeds_for_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
@@ -83,14 +83,9 @@ def test_single_hot_node_refined_with_padding_ring():
     vals = GridFunction(g0, hot)
     reqs = compute_refinement(policy, vals, g0)
     # direct rule: value 5 > t_2=1.0 -> scale 1 at the corner, ring of 1 cell
-    by_rule = {(r.x, r.y, r.scale) for r in reqs if r.scale == 1}
-    expect = set()
-    for a in (0, 2):        # one incident square at the corner + pad ring
-        for b in (0, 2):
-            expect.add((g0.position(a + 0.8, b + 0.8) + (1,)))
-    got = {(round(x, 12), round(y, 12), s) for (x, y, s) in by_rule}
-    want = {(round(x, 12), round(y, 12), s) for (x, y, s) in expect}
-    assert got == want
+    by_rule = [tuple(r) for r in reqs.tolist() if r[2] == 1]
+    # one incident square at the corner + pad ring, each demanded once
+    assert sorted(by_rule) == [(a, b, 1) for a in (0, 2) for b in (0, 2)]
     g2, _ = regrid(g0, GridFunction(g0, hot), reqs)
     assert g2.cells.get((0, 0)) == 1 or g2.cells.get((0, 0)) == 0
 
@@ -114,7 +109,9 @@ def test_regrid_transfer_matches_per_cell_oracle():
         g0 = build_quadtree(random_requests(rng, depth, 4, UNIT), depth, UNIT,
                             pads=(1, 1))
         u = GridFunction(g0, rng.normal(size=g0.n_nodes()))
-        reqs = random_requests(rng, depth, 4, UNIT) + cells_as_requests(g0)
+        seeds = seeds_for_requests(random_requests(rng, depth, 4, UNIT),
+                                   depth, UNIT)
+        reqs = np.concatenate([np.array(seeds), cells_as_requests(g0)])
         g2, u2 = regrid(g0, u, reqs)
         for idx, n in enumerate(g2.nodes):
             old = g0.node_id.get((n.i, n.j))
@@ -173,3 +170,29 @@ def test_threshold_monotonicity():
         assert any(ca <= a and a + s <= ca + (1 << ck) and
                    cb <= b and b + s <= cb + (1 << ck)
                    for (ca, cb), ck in coarse.cells.items())
+
+
+def test_negative_padding_or_scale_rejected():
+    # a negative padding used to drop every request silently, and a negative
+    # scale failed with an untyped ValueError from a bit shift
+    from adaptfd.grid import GridError
+    g0 = build_quadtree([ScaleRequest(0.5, 0.5, 2)], 4, UNIT, pads=(1, 1))
+    vals = GridFunction(g0, np.ones(g0.n_nodes()))
+    policy = RefinementPolicy(lambda op, gr, u: u, thresholds=(0.5,),
+                              scales=(0,))
+    assert len(compute_refinement(policy, vals, g0)) == 32
+    with pytest.raises(GridError):
+        RefinementPolicy(lambda op, gr, u: u, thresholds=(0.5,), scales=(0,),
+                         extra_padding=-1)
+    with pytest.raises(GridError):
+        RefinementPolicy(lambda op, gr, u: u, thresholds=(0.5,), scales=(-1,))
+
+
+@pytest.mark.parametrize("line", ["refine.padding = -1", "refine.scales = -1"])
+def test_negative_refinement_config_is_a_config_error(tmp_path, line):
+    from adaptfd.cli import main
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("preset = custom\nproblem.f = 0\nproblem.g = 0\n"
+                   "grid.depth = 3\n%s\n" % line)
+    assert main(["solve", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2

@@ -95,7 +95,7 @@ def test_region_time_keyed_by_generation():
     # two solved grids with equal node counts but different region shares:
     # each Newton iteration is credited to the shares of its own grid
     from adaptfd.grid import GridFunction, ScaleRequest, build_quadtree
-    from adaptfd.harness import _region_index, resource_report, solver_log_csv
+    from adaptfd.harness import region_shares, resource_report, solver_log_csv
     from adaptfd.operators import ProblemDefinition, instantiate_builtin
     from adaptfd.solvers import StoppingPolicy, newton_solve
 
@@ -108,8 +108,10 @@ def test_region_time_keyed_by_generation():
     for grid in grids:
         counts = np.zeros(len(radii) + 1)
         for n in grid.nodes:
-            counts[_region_index(radii, n.x, n.y)] += 1
-        shares[grid.generation] = counts / counts.sum()
+            r = math.hypot(n.x, n.y)
+            counts[sum(r >= bound for bound in radii)] += 1
+        shares[grid.generation] = region_shares(radii, grid)
+        assert np.array_equal(shares[grid.generation], counts / counts.sum())
     assert not np.allclose(shares[3], shares[4])
     log = [{"event": "newton", "nodes": grids[0].n_nodes(), "generation": 3,
             "wall": 1.0},
@@ -170,6 +172,25 @@ def test_obstacle_contact_contour_from_sampled_obstacle(tmp_path):
     want = extract_contour(grid, u.values,
                            predicate=lambda v: v - op.gvals - 1e-8)
     assert want and same_polylines(res["contours"], want)
+
+
+@pytest.mark.parametrize("text", [
+    "preset = obstacle\ngrid.depth = 5\n",
+    "preset = stefan\ngrid.depth = 5\nrefine.strategy = uniform_fine\n"
+    "time.T = 0.002\ntime.snapshots = 0.001,0.002\n"],
+    ids=["obstacle", "stefan_uniform_fine"])
+def test_run_path_reads_only_node_arrays(tmp_path, monkeypatch, text):
+    # the per-node views are for callers outside the run: building them
+    # would cost each grid a record per node
+    from adaptfd.grid import QuadtreeGrid
+
+    def refuse(self):
+        raise AssertionError("a per-node view was built on the run path")
+
+    for view in ("nodes", "node_id", "cells"):
+        monkeypatch.setattr(QuadtreeGrid, view, property(refuse))
+    res = run_experiment(parse_config(text), out_dir=str(tmp_path))
+    assert res["grid"].n_nodes() == len(res["u"].values)
 
 
 def test_svg_counts_match_grid_dump(tmp_path):

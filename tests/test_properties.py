@@ -14,22 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptfd.grid import (DANGLING_X, DANGLING_Y, DomainBox, GridFunction,
-                          ScaleRequest, build_quadtree, default_pads)
+from adaptfd.grid import (CLASSES, DANGLING_X, DANGLING_Y, DIRS, DomainBox,
+                          GridFunction, ScaleRequest, build_quadtree,
+                          default_pads)
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
                                instantiate_builtin)
 from adaptfd.solvers import TimeGroups, build_schedule, euler_step
 from adaptfd.stencils import StencilUnavailableError
+from oracles import (brute_classify, check_legal, closure_oracle, leaf_edges,
+                     neighbor_oracle, seeds_for_requests, vertices_of)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
                     database=None)
 
 
 @st.composite
-def operators(draw):
-    """(kind, problem, grid, rng): a built-in problem on a random box and
-    quadtree with random pads, and a generator for random states."""
-    kind = draw(st.sampled_from(BUILTIN_KINDS))
+def grids(draw):
+    """(grid, requests): a random box and a quadtree on it with random pads,
+    built from the requests."""
     side = 10.0 ** draw(st.floats(-2.0, 3.0))
     long = side * draw(st.floats(1.0, 8.0))
     lx, ly = (side, long) if draw(st.booleans()) else (long, side)
@@ -51,7 +53,17 @@ def operators(draw):
              for _ in range(draw(st.integers(0, 3)))]
     pad_x, pad_y = default_pads(box)
     pads = (draw(st.integers(1, pad_x + 2)), draw(st.integers(1, pad_y + 2)))
-    grid = build_quadtree(reqs, depth, box, pads=pads)
+    return build_quadtree(reqs, depth, box, pads=pads), reqs
+
+
+@st.composite
+def operators(draw):
+    """(kind, problem, grid, rng): a built-in problem on a random grid, and a
+    generator for random states."""
+    kind = draw(st.sampled_from(BUILTIN_KINDS))
+    grid, _ = draw(grids())
+    box = grid.box
+    x0, lx, y0, ly = box.x_min, box.lx, box.y_min, box.ly
 
     def xn(x):
         return (x - x0) / lx
@@ -168,3 +180,32 @@ def test_euler_step_keeps_order(case):
     v2 = euler_step(op, grid, v, sched)
     tol = 1e-12 * (1.0 + np.max(np.abs(u.values)) + np.max(np.abs(v.values)))
     assert np.all(u2.values >= v2.values - tol)
+
+
+@PROPERTY
+@given(grids())
+def test_array_grid_matches_oracles(case):
+    # the Morton-sorted leaves, the node classes and every neighbor id and
+    # distance agree with the brute-force oracles
+    grid, reqs = case
+    seeds = seeds_for_requests(reqs, grid.depth, grid.box)
+    cells = closure_oracle(seeds, grid.depth, grid.pads)
+    assert dict(grid.cells) == cells
+    assert check_legal(cells, grid.depth, grid.pads, seeds)
+    classes = brute_classify(cells, grid.depth)
+    assert [classes[ij] for ij in zip(grid.i.tolist(), grid.j.tolist())] \
+        == [CLASSES[c] for c in grid.klass.tolist()]
+    verts = vertices_of(cells)
+    edges = leaf_edges(cells)
+    h = (grid.hx, grid.hx, grid.hy, grid.hy)
+    for idx, (i, j) in enumerate(zip(grid.i.tolist(), grid.j.tolist())):
+        for d, side in enumerate(DIRS):
+            found = neighbor_oracle(verts, edges, grid.depth, i, j, side)
+            if found is None:
+                assert grid.nbr[idx, d] == -1
+                assert np.isnan(grid.dist[idx, d])
+            else:
+                (ni, nj), t = found
+                assert (grid.i[grid.nbr[idx, d]], grid.j[grid.nbr[idx, d]]) \
+                    == (ni, nj)
+                assert grid.dist[idx, d] == t * h[d]
