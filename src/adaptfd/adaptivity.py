@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridError, GridFunction, QuadtreeGrid, build_quadtree
+from .operators import sample_nodes
 from .stencils import one_sided_matrices
 
 
@@ -197,7 +198,8 @@ def proximity_criteria(targets, reach: float):
 
 def slope_criteria(weight_fn=None):
     """Largest one-sided slope magnitude, optionally weighted by position
-    (e.g. proximity to an interior boundary)."""
+    (e.g. proximity to an interior boundary): weight_fn takes node arrays
+    (x, y), like problem data."""
 
     def crit(op, grid, u):
         # a row of T[d] is empty where the difference toward d does not exist
@@ -206,8 +208,7 @@ def slope_criteria(weight_fn=None):
         gy = np.maximum(np.abs(T["N"] @ u), np.abs(T["S"] @ u))
         v = np.hypot(gx, gy)
         if weight_fn is not None:
-            xs, ys = grid.positions()
-            v = v * np.array([weight_fn(x, y) for x, y in zip(xs, ys)])
+            v = v * sample_nodes(weight_fn, grid.x, grid.y, "weight")
         return v
 
     return crit

@@ -28,8 +28,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
-from scipy.spatial import QhullError
 
 REGULAR = "regular"
 DANGLING_X = "dangling-x"
@@ -592,6 +590,11 @@ def init_from_scattered(points, depth: int,
 
 
 def _interpolate_scattered(grid: QuadtreeGrid, snapped: dict) -> np.ndarray:
+    # imported here: a run that never starts from scattered data should not
+    # pay for loading scipy.interpolate and scipy.spatial
+    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+    from scipy.spatial import QhullError
+
     ij = np.array(list(snapped), dtype=np.int64)
     pts = np.stack(grid.position(ij[:, 0], ij[:, 1]), axis=1)
     vals = np.array(list(snapped.values()), dtype=float)

@@ -9,9 +9,10 @@ solver log) are written atomically into the output directory.
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,25 +114,75 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# safe expression evaluation for the custom preset
+# config expressions: an ast whitelist compiled to one numpy function
 
-_EXPR_NS = {name: getattr(np, name) for name in
-            ("sin", "cos", "tan", "exp", "log", "sqrt", "hypot", "arctan2",
-             "abs", "minimum", "maximum", "pi", "e", "sign", "where")}
-_EXPR_NS["min"] = min
-_EXPR_NS["max"] = max
+_NAMES = ("x", "y", "r", "theta", "pi", "e")
+_FUNCS = {name: getattr(np, name) for name in
+          ("sin", "cos", "tan", "exp", "log", "sqrt", "hypot", "arctan2",
+           "abs", "minimum", "maximum", "sign", "where")}
+_FUNCS.update(min=np.minimum, max=np.maximum)
+_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+        ast.Div: np.divide, ast.Pow: np.power, ast.UAdd: np.positive,
+        ast.USub: np.negative, ast.Not: np.logical_not,
+        ast.And: np.logical_and, ast.Or: np.logical_or,
+        ast.Lt: np.less, ast.LtE: np.less_equal, ast.Gt: np.greater,
+        ast.GtE: np.greater_equal, ast.Eq: np.equal, ast.NotEq: np.not_equal}
 
 
-def expression(expr: str):
-    code = compile(expr, "<config>", "eval")
+def expression(text: str, field: str):
+    """Compile a config expression to fn(x, y) of node arrays or scalars.
+    Each ast node must be in the grammar README lists; nothing reaches
+    eval, and anything else raises ConfigError naming the field."""
 
-    def fn(x, y):
-        ns = dict(_EXPR_NS)
-        ns.update(x=x, y=y, r=math.hypot(x, y),
-                  theta=math.atan2(y, x))
-        return float(eval(code, {"__builtins__": {}}, ns))
+    def reject(node):
+        what = ast.get_source_segment(text, node) or type(node).__name__
+        raise ConfigError("config field %r: %r is not allowed in an "
+                          "expression" % (field, what))
 
-    return fn
+    def op(node):
+        return _OPS.get(type(node)) or reject(node)
+
+    def build(node):
+        # a function of the bindings env; comparisons and logical operators
+        # give 1.0 or 0.0, as bools count in Python arithmetic
+        kind = type(node)
+        if kind is ast.Constant and type(node.value) in (int, float):
+            value = float(node.value)
+            return lambda env: value
+        if kind is ast.Name and node.id in _NAMES:
+            return lambda env: env[node.id]
+        if kind is ast.BinOp:
+            f, parts = op(node.op), [node.left, node.right]
+        elif kind is ast.UnaryOp:
+            f, parts = op(node.op), [node.operand]
+        elif kind is ast.BoolOp:
+            g, parts = op(node.op), node.values
+            f = lambda *v: functools.reduce(g, v)
+        elif kind is ast.Compare:
+            gs, parts = [op(o) for o in node.ops], [node.left,
+                                                    *node.comparators]
+            f = lambda *v: functools.reduce(np.logical_and, [
+                g(a, b) for g, a, b in zip(gs, v, v[1:])])
+        elif kind is ast.IfExp:
+            f, parts = np.where, [node.test, node.body, node.orelse]
+        elif kind is ast.Call and type(node.func) is ast.Name:
+            f, parts = _FUNCS.get(node.func.id), node.args
+            if f is None or node.keywords \
+                    or len(parts) != getattr(f, "nin", 3):  # where takes 3
+                reject(node)
+        else:
+            reject(node)
+        args = [build(p) for p in parts]
+        return lambda env: 1.0 * f(*[a(env) for a in args])
+
+    try:
+        body = build(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+        raise ConfigError("config field %r is not an expression: %s"
+                          % (field, exc)) from None
+    return lambda x, y: body({"x": x, "y": y, "r": np.hypot(x, y),
+                              "theta": np.arctan2(y, x), "pi": np.pi,
+                              "e": np.e})
 
 
 def dirichlet_walls(gfun):
@@ -149,22 +200,21 @@ def uniform_requests(box: DomainBox, depth: int, scale: int):
 
 
 def _top_maxima(fn, box: DomainBox, count: int, samples: int = 200):
-    """Interior local maxima of fn on a scan lattice, highest first."""
+    """Interior local maxima of fn on a scan lattice, highest first, each
+    more than 0.2 from every higher one kept."""
     xs = np.linspace(box.x_min, box.x_max, samples + 1)
     ys = np.linspace(box.y_min, box.y_max, samples + 1)
-    G = np.array([[fn(x, y) for x in xs] for y in ys])
-    found = []
-    for j in range(1, samples):
-        for i in range(1, samples):
-            patch = G[j - 1:j + 2, i - 1:i + 2]
-            v = G[j, i]
-            if v > 0 and v >= patch.max() and v > patch.min():
-                found.append((v, xs[i], ys[j]))
-    found.sort(reverse=True)
+    G = np.broadcast_to(fn(xs[None, :], ys[:, None]), (samples + 1,) * 2)
+    # the 3 x 3 neighbourhood of every interior lattice point
+    patch = np.stack([G[dj:dj + samples - 1, di:di + samples - 1]
+                      for dj in range(3) for di in range(3)])
+    v = G[1:samples, 1:samples]
+    j, i = np.nonzero((v > 0) & (v >= patch.max(0)) & (v > patch.min(0)))
+    x, y, v = xs[i + 1], ys[j + 1], v[j, i]
     out = []
-    for (v, x, y) in found:
-        if all(math.hypot(x - a, y - b) > 0.2 for (a, b) in out):
-            out.append((x, y))
+    for k in np.lexsort((y, x, v))[::-1].tolist():
+        if all(math.hypot(x[k] - a, y[k] - b) > 0.2 for (a, b) in out):
+            out.append((float(x[k]), float(y[k])))
         if len(out) == count:
             break
     return out
@@ -174,13 +224,9 @@ def _top_maxima(fn, box: DomainBox, count: int, samples: int = 200):
 # presets
 
 def _obstacle_fn(x, y):
-    r = math.hypot(x, y)
-    v = x * x
-    if x < 0:
-        v *= 2.0 * math.sin(math.pi * y) ** 2
-    if r > 0.25:
-        v *= math.exp(-r)
-    return v
+    v = x * x * np.where(x < 0, 2.0 * np.sin(np.pi * y) ** 2, 1.0)
+    r = np.hypot(x, y)
+    return v * np.where(r > 0.25, np.exp(-r), 1.0)
 
 
 OBSTACLE_WALL_LIFT = 0.20          # wall data sit this far above the obstacle
@@ -195,8 +241,7 @@ def stefan_initial(x, y):
     v = -STEFAN_BACKGROUND
     for ((cx, cy), r, a) in STEFAN_BUMPS:
         d2 = ((x - cx) ** 2 + (y - cy) ** 2) / (r * r)
-        if d2 < 1.0:
-            v += a * (1.0 - d2) ** 2
+        v = v + np.where(d2 < 1.0, a * (1.0 - d2) ** 2, 0.0)
     return v
 
 
@@ -258,12 +303,12 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
         box = DomainBox(-side / 2, side / 2, -side / 2, side / 2)
 
         def source(x, y):
-            r = math.hypot(x, y)
-            return r * max(1.0 - r, 0.0) * math.sin(5 * math.pi * r) \
-                * math.cos(3 * math.atan2(y, x))
+            r = np.hypot(x, y)
+            return r * np.maximum(1.0 - r, 0.0) * np.sin(5 * np.pi * r) \
+                * np.cos(3 * np.arctan2(y, x))
 
-        robin = (lambda x, y, nx, ny: (x * nx + y * ny) / math.hypot(x, y),
-                 lambda x, y, nx, ny: 1.0 / math.hypot(x, y),
+        robin = (lambda x, y, nx, ny: (x * nx + y * ny) / np.hypot(x, y),
+                 lambda x, y, nx, ny: 1.0 / np.hypot(x, y),
                  lambda x, y, nx, ny: 0.0)
         problem = ProblemDefinition(f=source, robin=robin)
         initial_scale = cfg.get("grid.initial_scale", depth - 1, int)
@@ -310,19 +355,21 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
         band = 0.08
 
         def dist(x, y):
-            return math.hypot(x - cx, y - cy)
+            return np.hypot(x - cx, y - cy)
 
         hop = UpwindDirectional(
-            region=lambda x, y: rho - band <= dist(x, y) < rho,
-            direction=lambda x, y: ((cx - x) / max(dist(x, y), 1e-12),
-                                    (cy - y) / max(dist(x, y), 1e-12)),
+            region=lambda x, y: ((rho - band <= dist(x, y))
+                                 & (dist(x, y) < rho)),
+            direction=lambda x, y: ((cx - x) / np.maximum(dist(x, y), 1e-12),
+                                    (cy - y) / np.maximum(dist(x, y), 1e-12)),
             rhs=lambda x, y: 1.0)
         problem = ProblemDefinition(
             chi=lambda x, y: dist(x, y) >= rho,
             f=lambda x, y: 0.0, g=lambda x, y: 0.0, first_order=hop)
         initial_scale = cfg.get("grid.initial_scale", 4, int)
         cells = _grid_cells(box, depth, initial_scale)
-        weight = lambda x, y: 1.0 if abs(dist(x, y) - rho) < 0.12 else 0.1
+        weight = lambda x, y: np.where(abs(dist(x, y) - rho) < 0.12,
+                                       1.0, 0.1)
         policy = RefinementPolicy(slope_criteria(weight),
                                   thresholds=(0.2, 0.8, 1.6, 3.2),
                                   scales=(3, 2, 1, 0), initial_cells=cells)
@@ -390,16 +437,14 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
                     cfg.get("domain.y_min", 0.0, float),
                     cfg.get("domain.y_max", 1.0, float))
     kind = cfg.get("problem.kind", "poisson_dirichlet")
-    f = expression(cfg.get("problem.f", "0"))
-    gexpr = expression(cfg.get("problem.g", "0"))
-    chi = None
+    f = expression(cfg.get("problem.f", "0"), "problem.f")
+    gexpr = expression(cfg.get("problem.g", "0"), "problem.g")
+    chi = robin = None
     if "problem.chi" in cfg.raw:
-        chi_raw = expression(cfg.raw["problem.chi"])
-        chi = lambda x, y: bool(chi_raw(x, y))
-    robin = None
+        chi = expression(cfg.raw["problem.chi"], "problem.chi")
     if "problem.dirichlet" in cfg.raw:
-        wall = expression(cfg.raw["problem.dirichlet"])
-        robin = dirichlet_walls(wall)
+        robin = dirichlet_walls(expression(cfg.raw["problem.dirichlet"],
+                                           "problem.dirichlet"))
     problem = ProblemDefinition(chi=chi, f=f, g=gexpr, robin=robin)
     initial_scale = cfg.get("grid.initial_scale", max(depth - 2, 0), int)
     cells = _grid_cells(box, depth, initial_scale)
@@ -424,7 +469,7 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
         T=cfg.get("time.T", 0.01, float),
         snapshots=cfg.floats("time.snapshots", ()),
         contour=("level", cfg.get("contour.level", 0.0, float)),
-        u0=lambda x, y: gexpr(x, y))
+        u0=gexpr)
 
 
 def _depth_shift(side, depth):
@@ -563,7 +608,7 @@ def solver_log_csv(log) -> str:
 def _extract(preset: PresetBundle, grid, u):
     mode, val = preset.contour
     if mode == "contact":
-        g = preset.problem.sample(preset.problem.g, grid)
+        g = preset.problem.sample(preset.problem.g, grid, name="g")
         return extract_contour(grid, u.values,
                                predicate=lambda v: v - g - val)
     return extract_contour(grid, u.values, level=val)
@@ -588,7 +633,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     try:
         if solver == "euler_evolve":
             op = factory(g0)
-            u0 = GridFunction(g0, preset.problem.sample(preset.u0, g0))
+            u0 = GridFunction(g0, preset.problem.sample(preset.u0, g0,
+                                                         name="u0"))
             snapshots = preset.snapshots or (preset.T,)
             snaps = evolve(op, g0, u0, T=preset.T, policy=preset.policy,
                            snapshot_times=snapshots, seed=cfg.seed,
@@ -613,7 +659,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
             u0 = GridFunction(g0, np.zeros(g0.n_nodes()))
             if preset.kind == "obstacle":
-                g = preset.problem.sample(preset.problem.g, g0)
+                g = preset.problem.sample(preset.problem.g, g0, name="g")
                 u0 = GridFunction(g0, np.maximum(g, 0.0))
             gr, u = multiscale_solve(
                 factory, g0, u0, preset.policy, preset.stopping,
@@ -653,7 +699,7 @@ def manufactured_poisson(grid: QuadtreeGrid, exact, lap_exact):
     op = instantiate_builtin("poisson_dirichlet", problem, grid)
     u = newton_solve(op, grid, GridFunction(grid, np.zeros(grid.n_nodes())),
                      StoppingPolicy([1e-11]))
-    ex = problem.sample(exact, grid)
+    ex = problem.sample(exact, grid, name="exact")
     return float(np.max(np.abs(u.values - ex)))
 
 
@@ -673,8 +719,8 @@ def convergence_report(family: str, depths, box=None) -> list:
         exact = lambda x, y: 0.75 * x - 0.5 * y + 0.25
         lap = lambda x, y: 0.0
     else:
-        exact = lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y)
-        lap = lambda x, y: -2 * math.pi ** 2 * exact(x, y)
+        exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+        lap = lambda x, y: -2 * np.pi ** 2 * exact(x, y)
 
     rows = []
     prev_err = None

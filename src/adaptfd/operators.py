@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import BOUNDARY, CODE, GridError, GridFunction, QuadtreeGrid
-from .stencils import laplacian_system, one_sided, one_sided_matrices
+from .stencils import laplacian_system, one_sided_matrices
 
 BUILTIN_KINDS = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
 
@@ -38,15 +38,31 @@ class OperatorError(GridError):
     """Bad operator construction (unknown kind, missing datum)."""
 
 
+def sample_nodes(fn, x, y, name: str) -> np.ndarray:
+    """fn(x, y), called once on node coordinate arrays, as a new float array
+    of len(x); a scalar result is broadcast."""
+    try:
+        v = np.array(fn(x, y), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OperatorError("problem datum %s must take node arrays x, y: "
+                            "%s" % (name, exc)) from None
+    if v.shape not in ((), (len(x),)):
+        raise OperatorError("problem datum %s gave shape %s for %d nodes"
+                            % (name, v.shape, len(x)))
+    return np.full(len(x), v) if v.ndim == 0 else v
+
+
 @dataclass
 class ProblemDefinition:
-    """Data defining one PDE problem; callables take physical (x, y).
+    """Data defining one PDE problem; callables take physical (x, y) as node
+    arrays and return an array of the same length or a scalar.
 
     chi marks the PDE region for bc_composite (sampled at node coordinates:
     the grid, not the stencil, resolves the boundary).  robin supplies wall
-    coefficient functions (x, y, nx, ny) -> value; when absent, walls are
-    Dirichlet-pinned at g.  first_order optionally replaces the data branch
-    on a node subset with a first-order degenerate-elliptic operator.
+    coefficient functions (x, y, nx, ny) -> value, called per wall node with
+    scalars; when absent, walls are Dirichlet-pinned at g.  first_order
+    optionally replaces the data branch on a node subset with a first-order
+    degenerate-elliptic operator.
     """
     chi: object = None
     f: object = None
@@ -56,17 +72,16 @@ class ProblemDefinition:
     robin: tuple | None = None
     first_order: object = None
 
-    def sample(self, fn, grid, default=0.0):
+    def sample(self, fn, grid, default=0.0, name="fn"):
         if fn is None:
             return np.full(grid.n_nodes(), default)
-        return np.array([fn(x, y) for x, y in zip(grid.x.tolist(),
-                                                   grid.y.tolist())],
-                        dtype=float)
+        return sample_nodes(fn, grid.x, grid.y, name)
 
 
 class UpwindDirectional:
     """First-order operator d_n u - rhs on a node region, discretized with
-    the upwind difference per axis so the rows stay degenerate elliptic."""
+    the upwind difference per axis so the rows stay degenerate elliptic.
+    region, direction and rhs take node arrays (x, y), like problem data."""
 
     def __init__(self, region, direction, rhs):
         self.region = region          # (x, y) -> bool
@@ -75,32 +90,41 @@ class UpwindDirectional:
 
     def build(self, grid: QuadtreeGrid):
         nn = grid.n_nodes()
-        mask = np.zeros(nn, dtype=bool)
-        lip = np.zeros(nn)
-        const = np.zeros(nn)
-        rows, cols, vals = [], [], []
+        mask, lip, const = np.zeros(nn, dtype=bool), np.zeros(nn), np.zeros(nn)
         inner = np.flatnonzero(grid.klass != CODE[BOUNDARY])
-        for idx, x, y in zip(inner.tolist(), grid.x[inner].tolist(),
-                             grid.y[inner].tolist()):
-            if not self.region(x, y):
-                continue
-            nx, ny = self.direction(x, y)
-            mask[idx] = True
-            const[idx] = -self.rhs(x, y)
-            for comp, upw in ((nx, "W"), (-nx, "E"), (ny, "S"), (-ny, "N")):
-                if comp <= 0.0:
-                    continue
-                found = one_sided(grid, idx, upw)
-                if found is None:
-                    raise OperatorError("no upwind neighbor for first-order "
-                                        "row at (%d, %d)"
-                                        % (grid.i[idx], grid.j[idx]))
-                ids, dist = found
-                rows += [idx] * (len(ids) + 1)
-                cols += [idx, *ids]
-                vals += [comp / dist] + [-comp / dist / len(ids)] * len(ids)
-                lip[idx] += comp / dist
-        M = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
+        at = inner[sample_nodes(self.region, grid.x[inner], grid.y[inner],
+                                "region") != 0]
+        x, y = grid.x[at], grid.y[at]
+        nx, ny = (sample_nodes(lambda x, y: self.direction(x, y)[k], x, y,
+                               "direction") for k in (0, 1))
+        mask[at] = True
+        const[at] = -sample_nodes(self.rhs, x, y, "rhs")
+        # the one_sided difference toward each upwind side W, E, S, N (DIRS
+        # indices 1, 0, 3, 2): the diagonal, then its ids.  COO to CSR keeps
+        # each row's entries in input order, so duplicates sum as in a
+        # per-node loop
+        rows, cols, vals = [], [], []
+        for comp, d in ((nx, 1), (-nx, 0), (ny, 3), (-ny, 2)):
+            idx, comp = at[comp > 0.0], comp[comp > 0.0]
+            near = grid.nbr[idx, d] >= 0
+            far = ~near & (grid.coarse_side[idx] == d)
+            if not np.all(near | far):
+                bad = idx[~(near | far)][0]
+                raise OperatorError("no upwind neighbor for first-order "
+                                    "row at (%d, %d)"
+                                    % (grid.i[bad], grid.j[bad]))
+            dist = np.where(near, grid.dist[idx, d], grid.band[idx]
+                            * (grid.hx if d < 2 else grid.hy))
+            off = -comp / dist / np.where(near, 1, 2)
+            ids = np.where(near[:, None], grid.nbr[idx, d, None],
+                           grid.drv_pair[idx])
+            rows += [idx, idx, idx[far]]
+            cols += [idx, ids[:, 0], ids[far, 1]]
+            vals += [comp / dist, off, off[far]]
+            lip[idx] += comp / dist
+        M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                  np.concatenate(cols))),
+                          shape=(nn, nn))
         return mask, M, const, lip
 
 
@@ -122,8 +146,8 @@ class OperatorSpec:
     def __post_init__(self):
         grid = self.grid
         problem = self.problem
-        self.fvals = problem.sample(problem.f, grid)
-        self.gvals = problem.sample(problem.g, grid)
+        self.fvals = problem.sample(problem.f, grid, name="f")
+        self.gvals = problem.sample(problem.g, grid, name="g")
 
         self.L, self.Lconst, self.active, self.pins = \
             laplacian_system(grid, robin=problem.robin)
@@ -159,16 +183,15 @@ class OperatorSpec:
         grid, problem, w = self.grid, self.problem, self.weights
         if self.kind == "bc_composite":
             if problem.c is not None or problem.d is not None:
-                w[0] = problem.sample(problem.c, grid, default=1.0)
-                w[1] = problem.sample(problem.d, grid, default=0.0)
+                w[0] = problem.sample(problem.c, grid, 1.0, name="c")
+                w[1] = problem.sample(problem.d, grid, 0.0, name="d")
                 if np.any(w[:2] < 0):
                     raise OperatorError("weights c, d must be nonnegative")
                 return
             if problem.chi is None:
                 raise OperatorError("bc_composite needs a domain indicator "
                                     "or weights")
-            w[0] = [1.0 if problem.chi(x, y) else 0.0
-                    for x, y in zip(grid.x.tolist(), grid.y.tolist())]
+            w[0] = problem.sample(problem.chi, grid, name="chi") != 0
             w[1] = 1.0 - w[0]
         if problem.first_order is not None:
             mask, M, const, lip = problem.first_order.build(grid)

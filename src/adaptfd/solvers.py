@@ -43,6 +43,14 @@ class LinearSolveError(GridError):
     """The sparse linear solve failed or missed its residual tolerance."""
 
 
+class ScheduleError(GridError):
+    """One coarse step would take more than MAX_GROUP_VISITS group visits."""
+
+
+# every group visit evaluates the operator on the whole grid
+MAX_GROUP_VISITS = 1 << 12
+
+
 @dataclass
 class StoppingPolicy:
     """Per-stage residual bounds (nonincreasing), max-norm by default."""
@@ -98,8 +106,8 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
     idx = np.flatnonzero(active)
     spacing = grid.min_spacing[idx]
 
-    groups, dts = [], []
-    for s in np.unique(spacing)[::-1]:
+    groups, dts, spacings = [], [], np.unique(spacing)[::-1]
+    for s in spacings:
         sel = spacing == s
         groups.append(idx[sel])
         dts.append(float(dt[sel].min()))
@@ -111,6 +119,12 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
             math.log2(coarse_tau / dtg) - 1e-12))
         taus.append(coarse_tau / (1 << p))
         mults.append(1 << p)
+    if sum(mults) > MAX_GROUP_VISITS:
+        raise ScheduleError(
+            "one coarse step needs %d group visits (limit %d): groups of "
+            "spacing %s have Lipschitz bounds up to %s"
+            % (sum(mults), MAX_GROUP_VISITS, spacings.tolist(),
+               ["%.3g" % (1.0 / t) for t in dts]))
     order = np.concatenate([np.full(m, gi) for gi, m in enumerate(mults)])
     schedule = rng.permutation(order)
     return TimeGroups(groups, taus, mults, schedule, coarse_tau, start)

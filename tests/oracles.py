@@ -1,8 +1,10 @@
 """Independent brute-force oracles and legality checkers for quadtree grids.
 
-Everything here works directly on a plain cells dict {(i, j): scale} so it can
-be used both on built grids and on enumerated candidate trees, without going
-through the production construction path.
+The grid checks work directly on a plain cells dict {(i, j): scale} so they
+can be used both on built grids and on enumerated candidate trees, without
+going through the production construction path.  The per-node and per-point
+forms of array code (problem data, the upwind first-order rows, config
+expressions) are kept at the end as references.
 """
 
 import itertools
@@ -463,3 +465,142 @@ def _row_terms(op, u, rows):
         bound[0] = np.where(is_open, np.maximum(bound[0], bound[b]), bound[0])
     lip = sum(op.weights[k][rows] * lb for k, lb in bound.items())
     return lip, sum(w[k] * val for k, val in vals.items())
+
+
+# ---------------------------------------------------------------------------
+# scalar problem data: the per-point forms the harness samples as arrays
+
+def obstacle_fn(x, y):
+    """The obstacle preset's g at one point, with math."""
+    import math
+    r = math.hypot(x, y)
+    v = x * x
+    if x < 0:
+        v *= 2.0 * math.sin(math.pi * y) ** 2
+    if r > 0.25:
+        v *= math.exp(-r)
+    return v
+
+
+def stefan_initial(x, y):
+    """The stefan preset's initial values at one point."""
+    from adaptfd.harness import STEFAN_BACKGROUND, STEFAN_BUMPS
+    v = -STEFAN_BACKGROUND
+    for ((cx, cy), r, a) in STEFAN_BUMPS:
+        d2 = ((x - cx) ** 2 + (y - cy) ** 2) / (r * r)
+        if d2 < 1.0:
+            v += a * (1.0 - d2) ** 2
+    return v
+
+
+def top_maxima(fn, box, count, samples=200):
+    """Interior local maxima of a scalar fn on a scan lattice, highest
+    first, by a per-point scan of every 3 x 3 patch."""
+    import math
+    import numpy as np
+    xs = np.linspace(box.x_min, box.x_max, samples + 1)
+    ys = np.linspace(box.y_min, box.y_max, samples + 1)
+    G = np.array([[fn(x, y) for x in xs] for y in ys])
+    found = []
+    for j in range(1, samples):
+        for i in range(1, samples):
+            patch = G[j - 1:j + 2, i - 1:i + 2]
+            v = G[j, i]
+            if v > 0 and v >= patch.max() and v > patch.min():
+                found.append((v, xs[i], ys[j]))
+    found.sort(reverse=True)
+    out = []
+    for (v, x, y) in found:
+        if all(math.hypot(x - a, y - b) > 0.2 for (a, b) in out):
+            out.append((x, y))
+        if len(out) == count:
+            break
+    return out
+
+
+def upwind_directional_build(hop, grid):
+    """UpwindDirectional.build as a per-node loop: region, direction and rhs
+    called at each interior node with scalars, rows from stencils.one_sided."""
+    import numpy as np
+    import scipy.sparse as sp
+    from adaptfd.grid import BOUNDARY, CODE
+    from adaptfd.stencils import one_sided
+    nn = grid.n_nodes()
+    mask = np.zeros(nn, dtype=bool)
+    lip = np.zeros(nn)
+    const = np.zeros(nn)
+    rows, cols, vals = [], [], []
+    inner = np.flatnonzero(grid.klass != CODE[BOUNDARY])
+    for idx, x, y in zip(inner.tolist(), grid.x[inner].tolist(),
+                         grid.y[inner].tolist()):
+        if not hop.region(x, y):
+            continue
+        nx, ny = (float(c) for c in hop.direction(x, y))
+        mask[idx] = True
+        const[idx] = -hop.rhs(x, y)
+        for comp, upw in ((nx, "W"), (-nx, "E"), (ny, "S"), (-ny, "N")):
+            if comp <= 0.0:
+                continue
+            ids, dist = one_sided(grid, idx, upw)
+            rows += [idx] * (len(ids) + 1)
+            cols += [idx, *ids]
+            vals += [comp / dist] + [-comp / dist / len(ids)] * len(ids)
+            lip[idx] += comp / dist
+    M = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
+    return mask, M, const, lip
+
+
+# ---------------------------------------------------------------------------
+# config expressions, one point at a time
+
+def math_expression(text):
+    """Per-point evaluator of the config expression grammar with math and
+    Python floats: fn(x, y) -> float.  Logical operators and comparisons
+    give 0.0 or 1.0, like their elementwise forms."""
+    import ast
+    import math
+    import operator as opm
+
+    funcs = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
+             "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+             "hypot": math.hypot, "arctan2": math.atan2, "abs": abs,
+             "minimum": min, "maximum": max, "min": min, "max": max,
+             "sign": lambda v: float((v > 0) - (v < 0)),
+             "where": lambda c, a, b: a if c else b}
+    ops = {ast.Add: opm.add, ast.Sub: opm.sub, ast.Mult: opm.mul,
+           ast.Div: opm.truediv, ast.Pow: opm.pow, ast.UAdd: opm.pos,
+           ast.USub: opm.neg, ast.Not: lambda v: float(not v),
+           ast.Lt: opm.lt, ast.LtE: opm.le, ast.Gt: opm.gt, ast.GtE: opm.ge,
+           ast.Eq: opm.eq, ast.NotEq: opm.ne}
+    tree = ast.parse(text, mode="eval").body
+
+    def ev(node, env):
+        if isinstance(node, ast.Constant):
+            return float(node.value)
+        if isinstance(node, ast.Name):
+            return env[node.id]
+        if isinstance(node, ast.BinOp):
+            return ops[type(node.op)](ev(node.left, env), ev(node.right, env))
+        if isinstance(node, ast.UnaryOp):
+            return ops[type(node.op)](ev(node.operand, env))
+        if isinstance(node, ast.BoolOp):
+            vals = [bool(ev(v, env)) for v in node.values]
+            return float(all(vals) if isinstance(node.op, ast.And)
+                         else any(vals))
+        if isinstance(node, ast.Compare):
+            terms = [ev(t, env) for t in [node.left, *node.comparators]]
+            return float(all(ops[type(o)](a, b) for o, a, b
+                             in zip(node.ops, terms, terms[1:])))
+        if isinstance(node, ast.IfExp):
+            return ev(node.body if ev(node.test, env) else node.orelse, env)
+        if isinstance(node, ast.Call):
+            return float(funcs[node.func.id](*[ev(a, env)
+                                               for a in node.args]))
+        raise ValueError("not in the grammar: %s" % ast.dump(node))
+
+    def fn(x, y):
+        env = {"x": x, "y": y, "r": math.hypot(x, y),
+               "theta": math.atan2(y, x), "pi": math.pi, "e": math.e}
+        return float(ev(tree, env))
+
+    return fn

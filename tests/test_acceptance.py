@@ -108,8 +108,8 @@ def test_criterion_3_monotonicity_fuzz():
         prob = ProblemDefinition(
             chi=(lambda x, y: x + 2 * y < 1.3) if kind == "bc_composite"
             else None,
-            f=lambda x, y: math.sin(3 * x) - y,
-            g=lambda x, y: 0.4 * math.cos(5 * x * y))
+            f=lambda x, y: np.sin(3 * x) - y,
+            g=lambda x, y: 0.4 * np.cos(5 * x * y))
         op = instantiate_builtin(kind, prob, grid)
         act = np.flatnonzero(op.active)
         if len(act) == 0:
@@ -161,8 +161,8 @@ def test_criterion_4_comparison_principle():
         a1, a2 = sorted(rng.normal(size=2))
         b1, b2 = sorted(rng.normal(size=2))
         w = rng.normal(size=3)
-        f1 = lambda x, y: a1 + w[0] * math.sin(3 * x + y)
-        f2 = lambda x, y: a2 + w[0] * math.sin(3 * x + y)
+        f1 = lambda x, y: a1 + w[0] * np.sin(3 * x + y)
+        f2 = lambda x, y: a2 + w[0] * np.sin(3 * x + y)
         g1 = lambda x, y: b1 + w[1] * x + w[2] * y
         g2 = lambda x, y: b2 + w[1] * x + w[2] * y
         u1 = solve(instantiate_builtin(
@@ -401,7 +401,7 @@ def test_criterion_10_newton_economics(obstacle_runs):
 
     # linear problems converge in exactly one Newton iteration
     g = uniform_grid(4)
-    prob = ProblemDefinition(f=lambda x, y: math.cos(2 * x + y),
+    prob = ProblemDefinition(f=lambda x, y: np.cos(2 * x + y),
                              g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     lin_log = []

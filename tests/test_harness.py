@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 import adaptfd
-from adaptfd.harness import (ConfigError, convergence_report, parse_config,
-                             run_experiment, region_areas, region_names)
-from adaptfd.grid import DomainBox
+import oracles
+from adaptfd.harness import (ConfigError, _obstacle_fn, _top_maxima,
+                             convergence_report, expression, make_preset,
+                             parse_config, region_areas, region_names,
+                             run_experiment, stefan_initial,
+                             uniform_requests)
+from adaptfd.grid import DomainBox, build_quadtree
+from adaptfd.operators import ProblemDefinition
 
 
 def test_parse_config_rejects_unknown_key():
@@ -253,7 +258,7 @@ def test_obstacle_boundary_grid_vs_uniform_fine_reference(tmp_path):
     assert np.mean(near) > 0.9
 
 
-def _run_cli(args, cwd):
+def _child_env():
     # Run the child on the same adaptfd the suite imported: its src directory
     # goes first on PYTHONPATH as an absolute path, so neither a relative
     # PYTHONPATH (resolved against cwd) nor another installed copy can win.
@@ -261,8 +266,137 @@ def _run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "adaptfd.cli"] + args,
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=_child_env(), capture_output=True,
+                          text=True)
+
+
+def test_import_leaves_scattered_data_modules_unloaded(tmp_path):
+    # only init_from_scattered needs scipy.interpolate and scipy.spatial; a
+    # run should not pay for importing them (or scipy.special/optimize)
+    heavy = ["scipy.interpolate", "scipy.spatial", "scipy.special",
+             "scipy.optimize"]
+    code = ("import sys, adaptfd, adaptfd.harness, adaptfd.cli\n"
+            "adaptfd.harness.parse_config('preset = obstacle\\n')\n"
+            "print([m for m in %r if m in sys.modules])" % (heavy,))
+    r = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                       env=_child_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+SUBCLASSES = ('[c for c in ().__class__.__base__.__subclasses__() '
+              'if c.__name__ == "Popen"].__len__()')
+
+
+@pytest.mark.parametrize(
+    "expr", ["1+", "z", SUBCLASSES, "().__class__", "(lambda: 1)()",
+             "[x][0]"],
+    ids=["syntax", "unknown_name", "subclasses", "attribute", "lambda",
+         "subscript"])
+def test_cli_rejects_expression_outside_grammar(tmp_path, expr):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("preset = custom\nproblem.f = %s\nproblem.g = 0\n"
+                   "grid.depth = 3\n" % expr)
+    r = _run_cli(["solve", str(cfg), "--out", str(tmp_path / "o")],
+                 cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:"), r.stderr
+    assert "problem.f" in r.stderr
+    assert not (tmp_path / "o").exists()     # rejected before any run
+
+
+@pytest.mark.parametrize("expr", [
+    "sin(x).real", "x[0]", "f(x)", "sin(x, y)", "where(x, y)",
+    "sqrt(x=1)", "sin(*x)", "x @ y", "x in y", "True", "'a'", "1j",
+    "{x}", "(x := 1)", "__import__('os')", "1" + "0" * 400,
+    "-" * 5000 + "x"])
+def test_expression_grammar_rejects(expr):
+    with pytest.raises(ConfigError, match="problem.g"):
+        expression(expr, "problem.g")
+
+
+EXPRESSIONS = [
+    "x + y + 2.5 * x * y / (1 + r)",
+    "x ** 2 - (-y) ** 3 + +x",
+    "sin(x) + cos(y) + 2 + tan(0.5 * x)",
+    "exp(x - y) + log(1 + r) + sqrt(r)",
+    "hypot(x, y) + arctan2(y, x) + theta",
+    "abs(x - y) + sign(x - y) + sign(0 * x)",
+    "minimum(x, y) + maximum(x, y) + min(x, 2 * y) + max(y, pi) + e",
+    "where(x < y, x, y) + where(0, 1, x)",
+    "x if x > y else y - 1",
+    "(x < y <= 2 * x) + (x == x) + (x != y) + (y >= x > 0.5)",
+    "(x > 1 and y > 1) + (x > 1 or not y > 1) + (x < 1 and y < 1 and 2)",
+]
+
+
+@pytest.mark.parametrize("text", EXPRESSIONS)
+def test_expression_matches_pointwise_math(text):
+    # every allowed node and function appears above; comparisons and
+    # logical operators give 1.0/0.0, so sums of them count
+    rng = np.random.default_rng(2024)
+    x, y = rng.uniform(0.05, 2.0, size=(2, 1000))
+    got = expression(text, "problem.f")(x, y)
+    ref = oracles.math_expression(text)
+    want = np.array([ref(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert got.shape == (1000,)
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= 4, (text, ulps.max())
+
+
+def test_expression_takes_scalars_and_constants():
+    assert expression("2 * pi", "problem.f")(0.3, 0.4) == 2 * math.pi
+    assert expression("r", "problem.f")(3.0, 4.0) == 5.0
+    assert float(expression("1", "problem.f")(np.zeros(3), np.zeros(3))) \
+        == 1.0
+
+
+def test_custom_chi_expression_selects_pde_region(tmp_path):
+    cfg = parse_config(
+        "preset = custom\nproblem.kind = bc_composite\nproblem.f = 1\n"
+        "problem.g = 0.25 * x\nproblem.dirichlet = 0.25 * x\n"
+        "problem.chi = (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.1 "
+        "and not x > 0.7\ngrid.depth = 4\ngrid.initial_scale = 0\n")
+    res = run_experiment(cfg, out_dir=str(tmp_path))
+    grid, u = res["grid"], res["u"].values
+    x, y = grid.x, grid.y
+    outside = ((x - 0.5) ** 2 + (y - 0.5) ** 2 >= 0.1) | (x > 0.7)
+    assert np.allclose(u[outside], 0.25 * x[outside], rtol=0, atol=1e-9)
+    assert np.all(u[~outside] > 0.25 * x[~outside])
+
+
+def test_top_maxima_matches_pointwise_scan():
+    box = DomainBox(-4.0, 4.0, -4.0, 4.0)
+    got = _top_maxima(_obstacle_fn, box, 5)
+    assert len(got) == 5
+    assert got == oracles.top_maxima(oracles.obstacle_fn, box, 5)
+    # plateaus and ties: the same ordering and separation rule
+    steps = lambda x, y: np.round(np.cos(3 * x) * np.cos(2 * y), 1)
+    assert _top_maxima(steps, box, 8) == oracles.top_maxima(steps, box, 8)
+
+
+def test_sampled_preset_data_match_pointwise_oracles():
+    # np.exp and np.hypot may differ from math's by an ulp, and the obstacle
+    # multiplies exp(-r) in, whose argument error |r| * eps scales with
+    # r <= 4 sqrt(2): a bound of 16 ulp covers that
+    worst = {}
+    for preset, fn, ref in (("obstacle", _obstacle_fn, oracles.obstacle_fn),
+                            ("stefan", stefan_initial,
+                             oracles.stefan_initial)):
+        box = make_preset(parse_config("preset = %s\n" % preset)).box
+        grid = build_quadtree(uniform_requests(box, 8, 0), 8, box)
+        got = ProblemDefinition().sample(fn, grid)
+        want = np.array([ref(x, y) for x, y in zip(grid.x.tolist(),
+                                                   grid.y.tolist())])
+        worst[preset] = float(np.max(np.abs(got - want)
+                                     / np.spacing(np.abs(want))))
+    print("largest ulp difference from the pointwise oracles:", worst)
+    assert max(worst.values()) <= 16
 
 
 def test_cli_solve_and_exit_codes(tmp_path):

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -101,7 +100,7 @@ def test_bc_composite_rows_match_independent_assembly():
 
 def test_poisson_residual_zero_at_discrete_solution():
     g = uniform_grid(3)
-    prob = ProblemDefinition(f=lambda x, y: math.sin(math.pi * x),
+    prob = ProblemDefinition(f=lambda x, y: np.sin(np.pi * x),
                              g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     u = linear_solve(op, g)
@@ -114,8 +113,8 @@ def test_manufactured_residual_is_truncation_error():
     errs = []
     for depth in (3, 4):
         g = uniform_grid(depth)
-        gexact = lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y)
-        lap_g = lambda x, y: -2 * math.pi ** 2 * gexact(x, y)
+        gexact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+        lap_g = lambda x, y: -2 * np.pi ** 2 * gexact(x, y)
         prob = ProblemDefinition(chi=lambda x, y: True,
                                  f=lambda x, y: -lap_g(x, y),
                                  g=gexact)
@@ -128,7 +127,7 @@ def test_manufactured_residual_is_truncation_error():
 
 def test_obstacle_residual_at_obstacle_nonpositive():
     g = uniform_grid(3)
-    gobs = lambda x, y: math.sin(2 * x + y)
+    gobs = lambda x, y: np.sin(2 * x + y)
     prob = ProblemDefinition(g=gobs)
     op = instantiate_builtin("obstacle", prob, g)
     u = gfun(g, gobs)
@@ -180,8 +179,8 @@ def test_jacobian_matches_finite_differences():
         kind = kinds[trial % 4]
         prob = ProblemDefinition(
             chi=(lambda x, y: x + y < 1.1) if kind == "bc_composite" else None,
-            f=lambda x, y: math.cos(3 * x) * y,
-            g=lambda x, y: 0.3 * math.sin(4 * x * y))
+            f=lambda x, y: np.cos(3 * x) * y,
+            g=lambda x, y: 0.3 * np.sin(4 * x * y))
         op = instantiate_builtin(kind, prob, grid)
         u = op.apply_pins(rng.normal(size=grid.n_nodes()))
         J = op.jacobian(u)
@@ -268,7 +267,7 @@ def test_degenerate_ellipticity_probe_all_builtins():
                 "stefan")[trial % 4]
         prob = ProblemDefinition(
             chi=(lambda x, y: x < 0.6) if kind == "bc_composite" else None,
-            f=lambda x, y: x - y, g=lambda x, y: 0.2 * math.sin(5 * x))
+            f=lambda x, y: x - y, g=lambda x, y: 0.2 * np.sin(5 * x))
         op = instantiate_builtin(kind, prob, grid)
         if not op.active.any():
             continue
@@ -294,8 +293,8 @@ def test_comparison_principle_bc_composite():
         grid = build_quadtree(random_requests(rng, depth, 3, UNIT), depth,
                               UNIT, pads=(1, 1))
         a, b = sorted(rng.normal(size=2))
-        f1 = lambda x, y: a + math.sin(3 * x) - 1.0
-        f2 = lambda x, y: b + math.sin(3 * x)
+        f1 = lambda x, y: a + np.sin(3 * x) - 1.0
+        f2 = lambda x, y: b + np.sin(3 * x)
         g1 = lambda x, y: 0.1 * x - 0.2
         g2 = lambda x, y: 0.1 * x
         chi = lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.1
@@ -308,11 +307,11 @@ def test_comparison_principle_bc_composite():
 
 def test_first_order_region_rows():
     g = uniform_grid(3)
-    region = lambda x, y: 0.3 < x < 0.7 and 0.3 < y < 0.7
+    region = lambda x, y: (0.3 < x) & (x < 0.7) & (0.3 < y) & (y < 0.7)
     hop = UpwindDirectional(region,
                             direction=lambda x, y: (1.0, 0.0),
                             rhs=lambda x, y: 1.0)
-    prob = ProblemDefinition(chi=lambda x, y: not region(x, y),
+    prob = ProblemDefinition(chi=lambda x, y: ~region(x, y),
                              f=lambda x, y: 0.0, g=lambda x, y: 0.0,
                              first_order=hop)
     op = instantiate_builtin("bc_composite", prob, g)
@@ -374,3 +373,55 @@ def test_assemble_jacobian_row_count_is_active_count():
     u = GridFunction(g, op.apply_pins(np.zeros(g.n_nodes())))
     J = assemble_jacobian(op, g, u)
     assert J.shape == (int(op.active.sum()), g.n_nodes())
+
+
+def test_upwind_directional_matches_per_node_loop():
+    # punctured_neumann's inward band on random graded grids: mask, M,
+    # const and lip bitwise equal to a per-node build, including rows whose
+    # upwind side is the coarse side of a dangling node
+    from adaptfd.harness import make_preset, parse_config
+    from oracles import upwind_directional_build
+    hop = make_preset(parse_config("preset = punctured_neumann\n")) \
+        .problem.first_order
+    rng = np.random.default_rng(46)
+    far_rows = 0
+    for depth in (4, 5, 6):
+        for _ in range(4):
+            grid = build_quadtree(random_requests(rng, depth, 6, UNIT),
+                                  depth, UNIT)
+            got = hop.build(grid)
+            want = upwind_directional_build(hop, grid)
+            for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+                assert a.tobytes() == b.tobytes()
+            M, W = got[1], want[1]
+            assert M.has_canonical_format and W.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                assert getattr(M, name).tobytes() \
+                    == getattr(W, name).tobytes()
+            # rows that difference against a dangling node's far corners
+            for r in np.flatnonzero(got[0] & (grid.coarse_side >= 0)):
+                far_rows += M[r, grid.drv_pair[r, 0]] != 0
+    assert far_rows > 0
+
+
+def test_sampling_rejects_pointwise_callables_and_bad_shapes():
+    import math
+    g = uniform_grid(2)
+    with pytest.raises(OperatorError, match="datum f must take node arrays"):
+        instantiate_builtin("poisson_dirichlet", ProblemDefinition(
+            f=lambda x, y: math.sin(x), g=lambda x, y: 0.0), g)
+    with pytest.raises(OperatorError, match="datum chi must take node"):
+        instantiate_builtin("bc_composite", ProblemDefinition(
+            chi=lambda x, y: 0.2 < x < 0.7, g=lambda x, y: 0.0), g)
+    with pytest.raises(OperatorError, match="datum g gave shape"):
+        instantiate_builtin("poisson_dirichlet", ProblemDefinition(
+            g=lambda x, y: np.zeros((len(x), 2))), g)
+    with pytest.raises(OperatorError, match="datum region must take"):
+        UpwindDirectional(region=lambda x, y: x < 0.5 and y < 0.5,
+                          direction=lambda x, y: (1.0, 0.0),
+                          rhs=lambda x, y: 0.0).build(g)
+    # scalars are broadcast, and the result never aliases the grid's arrays
+    prob = ProblemDefinition(f=lambda x, y: 2.0, g=lambda x, y: x)
+    op = instantiate_builtin("poisson_dirichlet", prob, g)
+    assert np.array_equal(op.fvals, np.full(g.n_nodes(), 2.0))
+    assert op.gvals.flags.writeable and not np.shares_memory(op.gvals, g.x)

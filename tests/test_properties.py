@@ -6,7 +6,6 @@ that forget a branch of unit slope.  A pad below the default leaves a
 dangling node across that axis no room for its I-stencil; assembly must
 then refuse the grid."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -75,7 +74,7 @@ def operators(draw):
             chi=lambda x, y: xn(x) < 0.6, f=lambda x, y: 1.0,
             g=lambda x, y: 0.1 * xn(x)),
         "obstacle": ProblemDefinition(
-            g=lambda x, y: 0.2 * math.sin(5.0 * xn(x))),
+            g=lambda x, y: 0.2 * np.sin(5.0 * xn(x))),
         "stefan": ProblemDefinition(),
     }[kind]
     return kind, problem, grid, np.random.default_rng(

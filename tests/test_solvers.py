@@ -179,7 +179,7 @@ def euler_case(kind, grid):
 
     def bump(x, y):
         a, b = xy(x, y)
-        return math.sin(math.pi * a) * math.sin(2.0 * math.pi * b)
+        return np.sin(np.pi * a) * np.sin(2.0 * np.pi * b)
 
     if kind == "bc_composite":
         # PDE inside a disc, a data row outside, and an inward upwind band
@@ -188,10 +188,10 @@ def euler_case(kind, grid):
 
         def rad(x, y):
             a, b = xy(x, y)
-            return math.hypot(a - 0.5, b - 0.5)
+            return np.hypot(a - 0.5, b - 0.5)
 
         band = UpwindDirectional(
-            region=lambda x, y: 0.25 <= rad(x, y) < 0.35,
+            region=lambda x, y: (0.25 <= rad(x, y)) & (rad(x, y) < 0.35),
             direction=lambda x, y: ((0.5 - xy(x, y)[0]) / rad(x, y),
                                     (0.5 - xy(x, y)[1]) / rad(x, y)),
             rhs=lambda x, y: 1.0)
@@ -253,7 +253,7 @@ def test_evolve_heat_decays_toward_zero():
     g = uniform_grid(4)
     op = heat_op(g)
     u0 = GridFunction(g, field(
-        g, lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y)))
+        g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)))
     snaps = evolve(op, g, u0, T=0.05, snapshot_times=(0.05,))
     (_, u, t) = snaps[0]
     exact = math.exp(-2 * math.pi ** 2 * 0.05)
@@ -269,7 +269,7 @@ def test_asynchronous_matches_synchronous_heat():
         g = two_scale_grid(depth)
         op = heat_op(g)
         u0 = GridFunction(g, op.apply_pins(field(
-            g, lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y))))
+            g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))))
         T = 0.02
         snaps = evolve(op, g, u0, T=T, snapshot_times=(T,), seed=3)
         u_async = snaps[0][1].values
@@ -302,7 +302,7 @@ def test_evolve_determinism_same_seed():
 
 def test_newton_linear_one_iteration():
     g = uniform_grid(4)
-    prob = ProblemDefinition(f=lambda x, y: math.sin(3 * x + y),
+    prob = ProblemDefinition(f=lambda x, y: np.sin(3 * x + y),
                              g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     log = []
@@ -411,3 +411,23 @@ def test_multiscale_obstacle_refines_and_contains_initial():
     r = np.abs(instantiate_builtin("obstacle", obstacle_problem(),
                                    grid).residual(u.values))
     assert r.max() <= 1e-9
+
+
+def test_schedule_bound_raises_before_allocating():
+    # a coarse group of data rows (L = 1) next to finest cells of a thin box
+    # (wbar up to 5.5e5) would take over a million group visits per step
+    import time
+    from adaptfd.solvers import MAX_GROUP_VISITS, ScheduleError
+    box = DomainBox(0.0, 0.129, 0.0, 0.365)
+    corner = np.array([(a, b, 0) for a in (0, 1) for b in (0, 1)])
+    grid = build_quadtree(corner, 6, box)
+    prob = ProblemDefinition(chi=lambda x, y: (x < 0.02) & (y < 0.05),
+                             f=lambda x, y: 1.0, g=lambda x, y: 0.0)
+    op = instantiate_builtin("bc_composite", prob, grid)
+    u = GridFunction(grid, np.zeros(grid.n_nodes()))
+    t0 = time.perf_counter()
+    with pytest.raises(ScheduleError, match=r"spacing \[16, 8, 4, 2, 1\]"):
+        build_schedule(grid, op, u)
+    with pytest.raises(ScheduleError, match="limit %d" % MAX_GROUP_VISITS):
+        evolve(op, grid, u, T=1.0)
+    assert time.perf_counter() - t0 < 1.0

@@ -225,8 +225,8 @@ def test_robin_far_field_matches_hand_assembled_row():
             for i in range(side) for j in range(side)]
     g = build_quadtree(reqs, 2, box, pads=(1, 1))
 
-    A = lambda x, y, nx, ny: (x * nx + y * ny) / math.hypot(x, y)
-    B = lambda x, y, nx, ny: 1.0 / math.hypot(x, y)
+    A = lambda x, y, nx, ny: (x * nx + y * ny) / np.hypot(x, y)
+    B = lambda x, y, nx, ny: 1.0 / np.hypot(x, y)
     C = lambda x, y, nx, ny: 0.0
 
     n = g.nodes[g.node_id[(0, 2)]]          # west wall, not a corner
