@@ -278,14 +278,13 @@ class QuadtreeGrid:
     def dump(self) -> str:
         """Plain-text dump: `node i j x y class dE dW dN dS` then `cell i j k`,
         both ordered by (j, i)."""
-        out = []
-        dist = [[None if math.isnan(v) else repr(v) for v in row]
-                for row in self.dist.tolist()]
-        for i, j, x, y, c, d in zip(self.i.tolist(), self.j.tolist(),
-                                    self.x.tolist(), self.y.tolist(),
-                                    self.klass.tolist(), dist):
-            out.append("node %d %d %r %r %s %s %s %s %s" % (
-                i, j, x, y, CLASSES[c], *(v or "-" for v in d)))
+        dist = np.array(list(map(repr, self.dist.ravel().tolist())),
+                        dtype=object).reshape(self.dist.shape)
+        dist[np.isnan(self.dist)] = "-"
+        out = ["node " + " ".join(row) for row in zip(
+            map(str, self.i.tolist()), map(str, self.j.tolist()),
+            map(repr, self.x.tolist()), map(repr, self.y.tolist()),
+            [CLASSES[c] for c in self.klass.tolist()], *dist.T)]
         for (i, j, k) in self.cells_sorted().tolist():
             out.append("cell %d %d %d" % (i, j, k))
         return "\n".join(out) + "\n"

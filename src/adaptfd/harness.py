@@ -22,7 +22,7 @@ from .adaptivity import (RefinementPolicy, free_boundary_criteria,
                          slope_criteria, stefan_terms_criteria)
 from .contour import extract_contour
 from .grid import (DomainBox, GridError, GridFunction, QuadtreeGrid,
-                   ScaleRequest, build_quadtree)
+                   build_quadtree)
 from .operators import (ProblemDefinition, UpwindDirectional,
                         instantiate_builtin)
 from .solvers import (StoppingPolicy, evolve, multiscale_solve, newton_solve)
@@ -191,12 +191,11 @@ def dirichlet_walls(gfun):
             lambda x, y, nx, ny: gfun(x, y))
 
 
-def uniform_requests(box: DomainBox, depth: int, scale: int):
-    side = 1 << depth
-    s = 1 << scale
-    return [ScaleRequest(box.x_min + (i + 0.5 * s) * box.lx / side,
-                         box.y_min + (j + 0.5 * s) * box.ly / side, scale)
-            for i in range(0, side, s) for j in range(0, side, s)]
+def uniform_requests(box: DomainBox, depth: int, scale: int) -> np.ndarray:
+    """Every scale-k lattice square (a, b, k), as an (m, 3) int array."""
+    a, b = np.meshgrid(*[np.arange(0, 1 << depth, 1 << scale)] * 2,
+                       indexing="ij")
+    return np.stack([a.ravel(), b.ravel(), np.full(a.size, scale)], axis=1)
 
 
 def _top_maxima(fn, box: DomainBox, count: int, samples: int = 200):
@@ -441,6 +440,11 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     gexpr = expression(cfg.get("problem.g", "0"), "problem.g")
     chi = robin = None
     if "problem.chi" in cfg.raw:
+        kind = cfg.get("problem.kind", "bc_composite")
+        if kind != "bc_composite":
+            raise ConfigError("config fields 'problem.chi' and 'problem.kind' "
+                              "conflict: chi selects bc_composite, not %r"
+                              % kind)
         chi = expression(cfg.raw["problem.chi"], "problem.chi")
     if "problem.dirichlet" in cfg.raw:
         robin = dirichlet_walls(expression(cfg.raw["problem.dirichlet"],
@@ -726,11 +730,9 @@ def convergence_report(family: str, depths, box=None) -> list:
     prev_err = None
     for depth in depths:
         if family == "dangling":
-            reqs = uniform_requests(box, depth, 1)
-            side = 1 << depth
-            reqs += [ScaleRequest(box.x_min + (i + 0.5) * box.lx / side,
-                                  box.y_min + (j + 0.5) * box.ly / side, 0)
-                     for i in range(side // 2) for j in range(side)]
+            fine = uniform_requests(box, depth, 0)
+            reqs = np.concatenate([uniform_requests(box, depth, 1),
+                                   fine[fine[:, 0] < 1 << depth - 1]])
             grid = build_quadtree(reqs, depth, box, pads=(1, 1))
         else:
             grid = _build_initial(box, depth, 0)

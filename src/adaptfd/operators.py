@@ -20,6 +20,7 @@ ordered data give ordered solutions and CFL-bounded explicit steps contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -168,6 +169,9 @@ class OperatorSpec:
         if self.second is None:
             self._fix_weights()
         self.weights[:, ~self.active] = 0.0
+        # branches evaluated: the PDE row, a min kind's second, any weighted
+        self.live = [b for b in range(4) if b in (0, self.second)
+                     or self.weights[b].any()]
         self.T = None
         if self.kind == "stefan":
             self.T, _ = one_sided_matrices(grid)
@@ -206,51 +210,61 @@ class OperatorSpec:
         u[~self.active] = self.pins[~self.active]
         return u
 
+    @cached_property
+    def time_groups(self):
+        """(spacings, node arrays) of the active nodes, coarsest first."""
+        idx = np.flatnonzero(self.active)
+        spacing = self.grid.min_spacing[idx]
+        classes = np.unique(spacing)[::-1].tolist()
+        return classes, [idx[spacing == s] for s in classes]
+
     def _gradient_sq(self, u):
         # a row of T[d] is empty where no difference toward d exists; its
         # zero slope never beats the clamp at 0, so it is never selected
-        cE, cW, cN, cS = (self.T[d] @ u for d in "EWNS")
+        cE, cW, cN, cS = slopes = tuple(self.T[d] @ u for d in "EWNS")
         rx = np.maximum(np.maximum(cE, cW), 0.0)
         ry = np.maximum(np.maximum(cN, cS), 0.0)
-        selE = (cE >= cW) & (rx > 0)
-        selW = (cW > cE) & (rx > 0)
-        selN = (cN >= cS) & (ry > 0)
-        selS = (cS > cN) & (ry > 0)
-        return rx, ry, (selE, selW, selN, selS)
+        return rx, ry, slopes
 
     def _weighted(self, u):
-        """Weights of the four branches, values of the branches the operator
-        has and the one-sided gradient (None without T), at every node."""
+        """Weights of the four branches, values of the live ones, one-sided
+        gradient and where the second branch is open (None if absent)."""
         grad = None if self.T is None else self._gradient_sq(u)
-        vals = {0: self.L @ u + self.Lconst - self.fvals, 1: u - self.gvals}
-        if self.first is not None:
+        opened = None if self.second is None else self.is_open(u)
+        vals = {0: self.L @ u + self.Lconst - self.fvals}
+        if 1 in self.live:
+            vals[1] = u - self.gvals
+        if 2 in self.live:
             vals[2] = self.first[0] @ u + self.first[1]
-        if grad is not None:
+        if 3 in self.live:
             vals[3] = -(grad[0] * grad[0] + grad[1] * grad[1])
         w = list(self.weights)
         if self.second is not None:
             b = self.second
-            take = (w[0] > 0) & self.is_open(u) & (vals[b] < vals[0])
+            take = (w[0] > 0) & opened & (vals[b] < vals[0])
             w[0] = w[0] - take
             w[b] = w[b] + take
-        return w, vals, grad
+        return w, vals, grad, opened
 
-    def _bound(self, u, grad):
+    def _bound(self, grad, opened):
         bound = {0: self.wbar, 1: 1.0}
         if self.first is not None:
             bound[2] = self.first[2]
         if grad is not None:
             bound[3] = 2.0 * (grad[0] * self.wx_max + grad[1] * self.wy_max)
         if self.second is not None:
-            bound[0] = np.where(self.is_open(u),
+            bound[0] = np.where(opened,
                                 np.maximum(bound[0], bound[self.second]),
                                 bound[0])
-        return sum(self.weights[b] * lb for b, lb in bound.items())
+        # a min kind weights only its PDE row at assembly
+        return sum(self.weights[b] * bound[b] for b in self.live
+                   if b != self.second)
 
     def _step_terms(self, u):
         """(Lipschitz bound, residual) at every node, from one gradient."""
-        w, vals, grad = self._weighted(u)
-        return self._bound(u, grad), sum(w[b] * v for b, v in vals.items())
+        w, vals, grad, opened = self._weighted(u)
+        return (self._bound(grad, opened),
+                sum(w[b] * v for b, v in vals.items()))
 
     # -- operator surface ---------------------------------------------------
 
@@ -262,19 +276,23 @@ class OperatorSpec:
     def branches(self, u: np.ndarray) -> np.ndarray:
         """Branch of largest weight per node: 0 = PDE row, 1 = data row,
         2 = first-order row, 3 = gradient-square row.  Ties go to the PDE."""
-        w, _, _ = self._weighted(np.asarray(u, dtype=float))
+        w = self._weighted(np.asarray(u, dtype=float))[0]
         return np.argmax(w, axis=0).astype(np.int8)
 
     def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
         """Exact generalized Jacobian (all nodes; inactive rows are zero)."""
         u = np.asarray(u, dtype=float)
-        w, _, grad = self._weighted(u)
+        w, _, grad, _ = self._weighted(u)
         J = sp.diags(w[0]) @ self.L \
             + sp.diags(w[1]) @ sp.eye(self.grid.n_nodes(), format="csr")
         if self.first is not None:
             J = J + sp.diags(w[2]) @ self.first[0]
         if self.T is not None:
-            rx, ry, (selE, selW, selN, selS) = grad
+            rx, ry, (cE, cW, cN, cS) = grad
+            selE = (cE >= cW) & (rx > 0)
+            selW = (cW > cE) & (rx > 0)
+            selN = (cN >= cS) & (ry > 0)
+            selS = (cS > cN) & (ry > 0)
             Sx = sp.diags(selE.astype(float)) @ self.T["E"] \
                 + sp.diags(selW.astype(float)) @ self.T["W"]
             Sy = sp.diags(selN.astype(float)) @ self.T["N"] \
@@ -288,8 +306,7 @@ class OperatorSpec:
         sum_b W[b] * L_b, where a min kind bounds its PDE row by the larger
         of L_0 and the bound of its second branch wherever that is open.
         At rows, it is computed on the whole grid, then indexed."""
-        u = np.asarray(u, dtype=float)
-        lip = self._bound(u, None if self.T is None else self._gradient_sq(u))
+        lip = self._step_terms(np.asarray(u, dtype=float))[0]
         return lip if rows is None else lip[rows]
 
 

@@ -92,25 +92,22 @@ class TimeGroups:
 
 def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
                    rng=None) -> TimeGroups:
-    """Group active nodes by nearest-neighbor distance and assign each group
-    the largest stable step of the form tau_coarse / 2^p."""
+    """Group the active nodes with a Lipschitz bound by the operator's spacing
+    classes and give each group the largest stable step tau_coarse / 2^p."""
     u.check(grid)
     if rng is None:
         rng = np.random.default_rng(0)
     lip, res = op._step_terms(u.values)
     start = (u.values.copy(), lip, res)
-    active = op.active & (lip > 0)
-    if not active.any():
+    groups, dts, spacings = [], [], []
+    for s, nodes in zip(*op.time_groups):
+        nodes = nodes[lip[nodes] > 0]
+        if nodes.size:
+            groups.append(nodes)
+            dts.append(1.0 / float(lip[nodes].max()))   # min of 1 / lip
+            spacings.append(s)
+    if not groups:
         return TimeGroups([], [], [], np.empty(0, dtype=int), 0.0, start)
-    dt = 1.0 / lip[active]
-    idx = np.flatnonzero(active)
-    spacing = grid.min_spacing[idx]
-
-    groups, dts, spacings = [], [], np.unique(spacing)[::-1]
-    for s in spacings:
-        sel = spacing == s
-        groups.append(idx[sel])
-        dts.append(float(dt[sel].min()))
 
     coarse_tau = dts[0]
     taus, mults = [], []
@@ -123,7 +120,7 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
         raise ScheduleError(
             "one coarse step needs %d group visits (limit %d): groups of "
             "spacing %s have Lipschitz bounds up to %s"
-            % (sum(mults), MAX_GROUP_VISITS, spacings.tolist(),
+            % (sum(mults), MAX_GROUP_VISITS, spacings,
                ["%.3g" % (1.0 / t) for t in dts]))
     order = np.concatenate([np.full(m, gi) for gi, m in enumerate(mults)])
     schedule = rng.permutation(order)

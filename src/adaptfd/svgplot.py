@@ -47,16 +47,16 @@ def grid_svg(grid) -> str:
     return "\n".join(out)
 
 
-def _color(t):
-    # blue (low) to red (high) through white
-    t = min(max(t, 0.0), 1.0)
-    if t < 0.5:
-        f = t / 0.5
-        r, g, b = int(40 + 215 * f), int(80 + 175 * f), 255
-    else:
-        f = (t - 0.5) / 0.5
-        r, g, b = 255, int(255 - 175 * f), int(255 - 215 * f)
-    return "#%02x%02x%02x" % (r, g, b)
+def _colors(t):
+    # blue (low) to red (high) through white, per value of t
+    t = np.clip(t, 0.0, 1.0)
+    low = t < 0.5
+    f = np.where(low, t / 0.5, (t - 0.5) / 0.5)
+    r = np.where(low, 40 + 215 * f, 255)
+    g = np.where(low, 80 + 175 * f, 255 - 175 * f)
+    b = np.where(low, 255, 255 - 215 * f)
+    return ["#%02x%02x%02x" % c for c in zip(*(
+        v.astype(int).tolist() for v in (r, g, b)))]
 
 
 def solution_svg(grid, u, contours=None) -> str:
@@ -75,10 +75,10 @@ def solution_svg(grid, u, contours=None) -> str:
     means = values[corners].mean(axis=1)
     px, py = to_px(*grid.position(a, b + s))
     for row in zip(px.tolist(), py.tolist(), (s * grid.hx * scale).tolist(),
-                   (s * grid.hy * scale).tolist(), means.tolist()):
+                   (s * grid.hy * scale).tolist(),
+                   _colors((means - lo) / span)):
         out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
-                   'height="%.2f" fill="%s" stroke="none"/>'
-                   % (row[:4] + (_color((row[4] - lo) / span),)))
+                   'height="%.2f" fill="%s" stroke="none"/>' % row)
     polys = contours or []
     if isinstance(polys, dict):
         polys = [p for group in polys.values() for p in group]

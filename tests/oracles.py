@@ -431,7 +431,7 @@ def euler_step_reference(op, values, schedule):
     for gid in schedule.schedule:
         rows = schedule.groups[gid]
         tau = schedule.taus[gid]
-        lip, res = _row_terms(op, v, rows)
+        _, lip, res, _ = row_terms(op, v, rows)
         if np.any(tau * lip > 1.0 + 1e-9):
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
                                    % (tau, 1.0 / lip.max()))
@@ -439,22 +439,27 @@ def euler_step_reference(op, values, schedule):
     return v
 
 
-def _row_terms(op, u, rows):
-    """(Lipschitz bound, residual) of op at rows, from row slices."""
+def row_terms(op, u, rows):
+    """(weights, Lipschitz bound, residual, gradient) of op at rows, from
+    row slices, evaluating every branch the operator has whether or not it
+    carries weight.  The gradient is (rx, ry, (cE, cW, cN, cS)), or None
+    without T."""
     import numpy as np
     vals = {0: op.L[rows] @ u + op.Lconst[rows] - op.fvals[rows],
             1: u[rows] - op.gvals[rows]}
     bound = {0: op.wbar[rows], 1: 1.0}
+    grad = None
     if op.first is not None:
         M, const, lip = op.first
         vals[2] = M[rows] @ u + const[rows]
         bound[2] = lip[rows]
     if op.T is not None:
-        cE, cW, cN, cS = (op.T[d][rows] @ u for d in "EWNS")
+        cE, cW, cN, cS = slopes = tuple(op.T[d][rows] @ u for d in "EWNS")
         rx = np.maximum(np.maximum(cE, cW), 0.0)
         ry = np.maximum(np.maximum(cN, cS), 0.0)
         vals[3] = -(rx * rx + ry * ry)
         bound[3] = 2.0 * (rx * op.wx_max[rows] + ry * op.wy_max[rows])
+        grad = (rx, ry, slopes)
     w = list(op.weights[:, rows])
     if op.second is not None:
         b = op.second
@@ -464,7 +469,61 @@ def _row_terms(op, u, rows):
         w[b] = w[b] + take
         bound[0] = np.where(is_open, np.maximum(bound[0], bound[b]), bound[0])
     lip = sum(op.weights[k][rows] * lb for k, lb in bound.items())
-    return lip, sum(w[k] * val for k, val in vals.items())
+    return w, lip, sum(w[k] * val for k, val in vals.items()), grad
+
+
+def jacobian_reference(op, u):
+    """The generalized Jacobian from row_terms over every node: each branch
+    row weighted by its weight, the gradient-square rows from the
+    one-sided difference each node selects."""
+    import numpy as np
+    import scipy.sparse as sp
+    w, _, _, grad = row_terms(op, u, np.arange(op.grid.n_nodes()))
+    J = sp.diags(w[0]) @ op.L \
+        + sp.diags(w[1]) @ sp.eye(op.grid.n_nodes(), format="csr")
+    if op.first is not None:
+        J = J + sp.diags(w[2]) @ op.first[0]
+    if op.T is not None:
+        rx, ry, (cE, cW, cN, cS) = grad
+        sel = {"E": (cE >= cW) & (rx > 0), "W": (cW > cE) & (rx > 0),
+               "N": (cN >= cS) & (ry > 0), "S": (cS > cN) & (ry > 0)}
+        S = {d: sp.diags(sel[d].astype(float)) @ op.T[d] for d in sel}
+        Jg = sp.diags(-2.0 * rx) @ (S["E"] + S["W"]) \
+            + sp.diags(-2.0 * ry) @ (S["N"] + S["S"])
+        J = J + sp.diags(w[3]) @ Jg
+    return J.tocsr()
+
+
+def schedule_reference(grid, op, u, rng):
+    """build_schedule with its groups found per call: np.unique over the
+    spacing classes of the active nodes with a positive Lipschitz bound,
+    coarsest first, each group's step the least 1/L_i in it."""
+    import math
+    import numpy as np
+    from adaptfd.solvers import TimeGroups
+    _, lip, res, _ = row_terms(op, u.values, np.arange(grid.n_nodes()))
+    start = (u.values.copy(), lip, res)
+    active = op.active & (lip > 0)
+    if not active.any():
+        return TimeGroups([], [], [], np.empty(0, dtype=int), 0.0, start)
+    dt = 1.0 / lip[active]
+    idx = np.flatnonzero(active)
+    spacing = grid.min_spacing[idx]
+    groups, dts = [], []
+    for s in np.unique(spacing)[::-1]:
+        sel = spacing == s
+        groups.append(idx[sel])
+        dts.append(float(dt[sel].min()))
+    coarse_tau = dts[0]
+    taus, mults = [], []
+    for dtg in dts:
+        p = 0 if dtg >= coarse_tau else max(0, math.ceil(
+            math.log2(coarse_tau / dtg) - 1e-12))
+        taus.append(coarse_tau / (1 << p))
+        mults.append(1 << p)
+    order = np.concatenate([np.full(m, gi) for gi, m in enumerate(mults)])
+    return TimeGroups(groups, taus, mults, rng.permutation(order),
+                      coarse_tau, start)
 
 
 # ---------------------------------------------------------------------------

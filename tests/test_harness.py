@@ -370,6 +370,35 @@ def test_custom_chi_expression_selects_pde_region(tmp_path):
     assert np.all(u[~outside] > 0.25 * x[~outside])
 
 
+def test_custom_chi_alone_selects_bc_composite(tmp_path):
+    # with no problem.kind, problem.chi selects bc_composite: nodes outside
+    # x < 0.5 take the datum g = 0, which the Poisson solve does not
+    base = ("preset = custom\nproblem.f = 1\nproblem.g = 0\n"
+            "problem.dirichlet = 0\ngrid.depth = 3\n")
+    plain = run_experiment(parse_config(base), out_dir=str(tmp_path / "p"))
+    res = run_experiment(parse_config(base + "problem.chi = x < 0.5\n"),
+                         out_dir=str(tmp_path / "c"))
+    assert res["preset"].kind == "bc_composite"
+    grid, u = res["grid"], res["u"].values
+    assert not np.array_equal(u, plain["u"].values)
+    assert np.allclose(u[grid.x >= 0.5], 0.0, rtol=0, atol=1e-9)
+    assert np.any(plain["u"].values[plain["grid"].x >= 0.5] > 0.0)
+    assert np.any(u[grid.x < 0.5] > 0.0)
+
+
+def test_cli_rejects_chi_with_another_kind(tmp_path):
+    cfg = tmp_path / "conflict.cfg"
+    cfg.write_text("preset = custom\nproblem.kind = poisson_dirichlet\n"
+                   "problem.chi = x < 0.5\nproblem.f = 1\nproblem.g = 0\n"
+                   "grid.depth = 3\n")
+    r = _run_cli(["solve", str(cfg), "--out", str(tmp_path / "o")],
+                 cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:"), r.stderr
+    assert "problem.chi" in r.stderr and "problem.kind" in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_top_maxima_matches_pointwise_scan():
     box = DomainBox(-4.0, 4.0, -4.0, 4.0)
     got = _top_maxima(_obstacle_fn, box, 5)

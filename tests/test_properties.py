@@ -17,11 +17,14 @@ from adaptfd.grid import (CLASSES, DANGLING_X, DANGLING_Y, DIRS, DomainBox,
                           GridFunction, ScaleRequest, build_quadtree,
                           default_pads)
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
-                               instantiate_builtin)
-from adaptfd.solvers import TimeGroups, build_schedule, euler_step
+                               UpwindDirectional, instantiate_builtin)
+from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError, TimeGroups,
+                             build_schedule, euler_step)
 from adaptfd.stencils import StencilUnavailableError
-from oracles import (brute_classify, check_legal, closure_oracle, leaf_edges,
-                     neighbor_oracle, seeds_for_requests, vertices_of)
+from oracles import (brute_classify, check_legal, closure_oracle,
+                     jacobian_reference, leaf_edges, neighbor_oracle,
+                     row_terms, schedule_reference, seeds_for_requests,
+                     vertices_of)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
                     database=None)
@@ -55,19 +58,31 @@ def grids(draw):
     return build_quadtree(reqs, depth, box, pads=pads), reqs
 
 
-@st.composite
-def operators(draw):
-    """(kind, problem, grid, rng): a built-in problem on a random grid, and a
-    generator for random states."""
-    kind = draw(st.sampled_from(BUILTIN_KINDS))
-    grid, _ = draw(grids())
-    box = grid.box
+def _problem(variant, box):
+    """The problem of a variant: a built-in kind, or bc_composite with
+    weights c, d ("bc_composite_cd"; "bc_composite_dead_d" has d = 0, so
+    its data row carries no weight, and c = 0 on the right, where rows
+    carry none and have no Lipschitz bound) or with a first-order band
+    ("bc_composite_first_order")."""
     x0, lx, y0, ly = box.x_min, box.lx, box.y_min, box.ly
 
     def xn(x):
         return (x - x0) / lx
 
-    problem = {
+    if variant == "bc_composite_cd":
+        return ProblemDefinition(
+            c=lambda x, y: 1.0 + xn(x), d=lambda x, y: 0.5 * (xn(x) > 0.4),
+            f=lambda x, y: 1.0, g=lambda x, y: 0.1 * xn(x))
+    if variant == "bc_composite_dead_d":
+        return ProblemDefinition(
+            c=lambda x, y: (1.0 + xn(x)) * (xn(x) < 0.8), d=lambda x, y: 0.0,
+            f=lambda x, y: 1.0, g=lambda x, y: 0.1 * xn(x))
+    if variant == "bc_composite_first_order":
+        band = UpwindDirectional(region=lambda x, y: xn(x) > 0.7,
+                                 direction=lambda x, y: (1.0, 0.5),
+                                 rhs=lambda x, y: 1.0)
+        return replace(_problem("bc_composite", box), first_order=band)
+    return {
         "poisson_dirichlet": ProblemDefinition(
             f=lambda x, y: xn(x) - (y - y0) / ly, g=lambda x, y: 0.0),
         "bc_composite": ProblemDefinition(
@@ -76,8 +91,21 @@ def operators(draw):
         "obstacle": ProblemDefinition(
             g=lambda x, y: 0.2 * np.sin(5.0 * xn(x))),
         "stefan": ProblemDefinition(),
-    }[kind]
-    return kind, problem, grid, np.random.default_rng(
+    }[variant]
+
+
+STEP_VARIANTS = BUILTIN_KINDS + ("bc_composite_cd", "bc_composite_dead_d",
+                                 "bc_composite_first_order")
+
+
+@st.composite
+def operators(draw, variants=BUILTIN_KINDS):
+    """(kind, problem, grid, rng): a problem of one of the variants on a
+    random grid, and a generator for random states."""
+    variant = draw(st.sampled_from(variants))
+    grid, _ = draw(grids())
+    kind = "bc_composite" if variant.startswith("bc_composite") else variant
+    return kind, _problem(variant, grid.box), grid, np.random.default_rng(
         draw(st.integers(0, 2**32 - 1)))
 
 
@@ -208,3 +236,68 @@ def test_array_grid_matches_oracles(case):
                 assert (grid.i[grid.nbr[idx, d]], grid.j[grid.nbr[idx, d]]) \
                     == (ni, nj)
                 assert grid.dist[idx, d] == t * h[d]
+
+
+def _step_case(case):
+    """(op, grid, state) of a step-kernel case, or None where assembly
+    fails: a random state with ties planted on a fifth of the nodes, where
+    u equals the datum g (0 without one)."""
+    case = assembled(case)
+    if case is None:
+        return None
+    op, grid, rng = case
+    n = grid.n_nodes()
+    u = np.where(rng.random(n) < 0.2, op.gvals, rng.normal(size=n))
+    return op, grid, op.apply_pins(u), rng
+
+
+@PROPERTY
+@given(operators(STEP_VARIANTS))
+def test_schedule_matches_per_step_grouping(case):
+    # the operator's cached time groups give the schedule the per-call
+    # np.unique grouping gives, from one shared seed, and draw the same
+    # random numbers; the partition is built once per operator
+    case = _step_case(case)
+    if case is None:
+        return
+    op, grid, u, rng = case
+    u = GridFunction(grid, u)
+    seed = int(rng.integers(2**32))
+    want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+    want = schedule_reference(grid, op, u, want_rng)
+    if sum(want.mults) > MAX_GROUP_VISITS:
+        with pytest.raises(ScheduleError):
+            build_schedule(grid, op, u, got_rng)
+        return
+    got = build_schedule(grid, op, u, got_rng)
+    assert len(got.groups) == len(want.groups)
+    for a, b in zip(got.groups, want.groups):
+        assert np.array_equal(a, b)
+    assert got.mults == want.mults
+    assert got.taus == want.taus
+    assert got.coarse_tau == want.coarse_tau
+    assert np.array_equal(got.schedule, want.schedule)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    parts = op.time_groups
+    build_schedule(grid, op, u)
+    assert op.time_groups is parts
+
+
+@PROPERTY
+@given(operators(STEP_VARIANTS))
+def test_step_kernel_matches_all_branch_evaluation(case):
+    # evaluating only the branches with weight somewhere changes no value:
+    # the step terms, residual, bound, branch choice and Jacobian equal the
+    # reference that evaluates every branch the operator has
+    case = _step_case(case)
+    if case is None:
+        return
+    op, grid, u, _ = case
+    w, lip, res, _ = row_terms(op, u, np.arange(grid.n_nodes()))
+    got_lip, got_res = op._step_terms(u)
+    assert np.all(got_lip == lip)
+    assert np.all(got_res == res)
+    assert np.all(op.residual(u) == res)
+    assert np.all(op.lipschitz(u) == lip)
+    assert np.array_equal(op.branches(u), np.argmax(w, axis=0))
+    assert (op.jacobian(u) != jacobian_reference(op, u)).nnz == 0
