@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridError, GridFunction, QuadtreeGrid, build_quadtree
-from .operators import sample_nodes
-from .stencils import one_sided_matrices
+from .stencils import one_sided_matrices, sample_nodes
 
 
 @dataclass

@@ -6,11 +6,16 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import os
 import sys
 
-from .grid import GridError, parse_dump
+import numpy as np
+
+from . import svgplot
+from .grid import GridError, QuadtreeGrid, default_pads, parse_dump
 from .harness import (ConfigError, convergence_csv, convergence_report,
-                      load_config, run_experiment, atomic_write)
+                      load_config, read_text, run_experiment, atomic_write)
 
 
 def _add_common(p):
@@ -77,7 +82,6 @@ def _dispatch(args) -> int:
         rows = convergence_report(family, depths)
         text = convergence_csv(rows)
         out = args.out or cfg.out_dir
-        import os
         os.makedirs(out, exist_ok=True)
         atomic_write(os.path.join(out, "convergence.csv"), text)
         if not args.quiet:
@@ -85,18 +89,16 @@ def _dispatch(args) -> int:
         return 0
 
     # render
-    import csv
-    import os
-    from . import svgplot
-    with open(args.grid_dump, "r", encoding="utf-8") as fh:
-        nodes, cells, box, depth = parse_dump(fh.read())
+    nodes, cells, box, depth = parse_dump(read_text(args.grid_dump))
     values = {}
-    with open(args.solution_csv, "r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+    rows = csv.DictReader(read_text(args.solution_csv).splitlines())
+    for row in rows:
+        try:
             values[(int(row["i"]), int(row["j"]))] = float(row["u"])
-    from .grid import QuadtreeGrid, default_pads
+        except (KeyError, TypeError, ValueError):
+            raise GridError("solution line %d is not an i,j,u record"
+                            % rows.line_num) from None
     grid = QuadtreeGrid(box, depth, default_pads(box), cells)
-    import numpy as np
     u = np.array([values.get(ij, 0.0)
                   for ij in zip(grid.i.tolist(), grid.j.tolist())])
     out = args.out or "."

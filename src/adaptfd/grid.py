@@ -757,16 +757,18 @@ def parse_dump(text: str):
     """
     nodes = []
     cells = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "node":
-            nodes.append({"i": int(parts[1]), "j": int(parts[2]),
-                          "x": float(parts[3]), "y": float(parts[4]),
-                          "klass": parts[5]})
-        elif parts[0] == "cell":
-            cells.append((int(parts[1]), int(parts[2]), int(parts[3])))
+        try:
+            if parts and parts[0] == "node":
+                nodes.append({"i": int(parts[1]), "j": int(parts[2]),
+                              "x": float(parts[3]), "y": float(parts[4]),
+                              "klass": parts[5]})
+            elif parts and parts[0] == "cell":
+                cells.append((int(parts[1]), int(parts[2]), int(parts[3])))
+        except (IndexError, ValueError):
+            raise GridError("dump line %d is not a node or cell record: %r"
+                            % (lineno, line)) from None
     if not nodes or not cells:
         raise GridError("dump contains no node/cell records")
     side = max(i + (1 << k) for (i, j, k) in cells)

@@ -109,8 +109,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """The config in a file; ConfigError naming the path when the file
+    cannot be read."""
+    return parse_config(read_text(path))
+
+
+def read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read %r: %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +723,9 @@ def convergence_report(family: str, depths, box=None) -> list:
     cells, so hanging nodes persist at every resolution), or 'linear'
     (exact on the stencils; errors at round-off).
     """
+    if family not in ("uniform", "dangling", "linear"):
+        raise ConfigError("config field 'refine.strategy' must be uniform, "
+                          "dangling or linear, not %r" % (family,))
     depths = list(depths)
     if len(depths) < 2:
         raise ConfigError("config field 'scales' needs at least 2 entries")

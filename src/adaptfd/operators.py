@@ -25,8 +25,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import BOUNDARY, CODE, GridError, GridFunction, QuadtreeGrid
-from .stencils import laplacian_system, one_sided_matrices
+from .grid import BOUNDARY, CODE, GridFunction, QuadtreeGrid
+from .stencils import (OperatorError, laplacian_system, one_sided_geometry,
+                       one_sided_matrices, sample_nodes)
 
 BUILTIN_KINDS = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
 
@@ -35,35 +36,18 @@ BUILTIN_KINDS = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
 _MIN_KINDS = {"obstacle": (1, lambda u: True), "stefan": (3, lambda u: u <= 0)}
 
 
-class OperatorError(GridError):
-    """Bad operator construction (unknown kind, missing datum)."""
-
-
-def sample_nodes(fn, x, y, name: str) -> np.ndarray:
-    """fn(x, y), called once on node coordinate arrays, as a new float array
-    of len(x); a scalar result is broadcast."""
-    try:
-        v = np.array(fn(x, y), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise OperatorError("problem datum %s must take node arrays x, y: "
-                            "%s" % (name, exc)) from None
-    if v.shape not in ((), (len(x),)):
-        raise OperatorError("problem datum %s gave shape %s for %d nodes"
-                            % (name, v.shape, len(x)))
-    return np.full(len(x), v) if v.ndim == 0 else v
-
-
 @dataclass
 class ProblemDefinition:
     """Data defining one PDE problem; callables take physical (x, y) as node
     arrays and return an array of the same length or a scalar.
 
     chi marks the PDE region for bc_composite (sampled at node coordinates:
-    the grid, not the stencil, resolves the boundary).  robin supplies wall
-    coefficient functions (x, y, nx, ny) -> value, called per wall node with
-    scalars; when absent, walls are Dirichlet-pinned at g.  first_order
-    optionally replaces the data branch on a node subset with a first-order
-    degenerate-elliptic operator.
+    the grid, not the stencil, resolves the boundary).  robin supplies the
+    wall data (A, B, C) of A u' + B u = C, callables (x, y, nx, ny) called
+    once per wall with the arrays x, y of its nodes and its outward normal
+    nx, ny as floats (see stencils.robin_row); when absent, walls are
+    Dirichlet-pinned at g.  first_order optionally replaces the data branch
+    on a node subset with a first-order degenerate-elliptic operator.
     """
     chi: object = None
     f: object = None
@@ -100,25 +84,20 @@ class UpwindDirectional:
                                "direction") for k in (0, 1))
         mask[at] = True
         const[at] = -sample_nodes(self.rhs, x, y, "rhs")
-        # the one_sided difference toward each upwind side W, E, S, N (DIRS
+        # the one-sided difference toward each upwind side W, E, S, N (DIRS
         # indices 1, 0, 3, 2): the diagonal, then its ids.  COO to CSR keeps
         # each row's entries in input order, so duplicates sum as in a
         # per-node loop
         rows, cols, vals = [], [], []
         for comp, d in ((nx, 1), (-nx, 0), (ny, 3), (-ny, 2)):
             idx, comp = at[comp > 0.0], comp[comp > 0.0]
-            near = grid.nbr[idx, d] >= 0
-            far = ~near & (grid.coarse_side[idx] == d)
-            if not np.all(near | far):
-                bad = idx[~(near | far)][0]
+            ids, dist, far = one_sided_geometry(grid, d, idx)
+            if np.any(ids[:, 0] < 0):
+                bad = idx[ids[:, 0] < 0][0]
                 raise OperatorError("no upwind neighbor for first-order "
                                     "row at (%d, %d)"
                                     % (grid.i[bad], grid.j[bad]))
-            dist = np.where(near, grid.dist[idx, d], grid.band[idx]
-                            * (grid.hx if d < 2 else grid.hy))
-            off = -comp / dist / np.where(near, 1, 2)
-            ids = np.where(near[:, None], grid.nbr[idx, d, None],
-                           grid.drv_pair[idx])
+            off = -comp / dist / np.where(far, 2, 1)
             rows += [idx, idx, idx[far]]
             cols += [idx, ids[:, 0], ids[far, 1]]
             vals += [comp / dist, off, off[far]]

@@ -168,14 +168,10 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
     u = GridFunction(grid, op.apply_pins(u0.values))
     if policy is not None:
         for _ in range(infill_cap):
-            vals = evaluate_criteria(policy, op, grid, u)
-            reqs = compute_refinement(policy, vals, grid)
-            g2, u2 = regrid(grid, u, reqs)
-            if g2 is grid:
+            prev = grid
+            op, grid, u = _adapt(policy, op, grid, u)
+            if grid is prev:
                 break
-            grid, u = g2, u2
-            op = instantiate_builtin(op.kind, op.problem, grid)
-            u = GridFunction(grid, op.apply_pins(u.values))
 
     times = sorted(snapshot_times)
     out = []
@@ -204,14 +200,19 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
             log.append({"event": "euler", "t": t, "nodes": grid.n_nodes(),
                         "tau": tau})
         if policy is not None and steps % regrid_every == 0 and t < T - 1e-14:
-            vals = evaluate_criteria(policy, op, grid, u)
-            reqs = compute_refinement(policy, vals, grid)
-            g2, u2b = regrid(grid, u, reqs)
-            if g2 is not grid:
-                grid, u = g2, u2b
-                op = instantiate_builtin(op.kind, op.problem, grid)
-                u = GridFunction(grid, op.apply_pins(u.values))
+            op, grid, u = _adapt(policy, op, grid, u)
     return out
+
+
+def _adapt(policy, op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction):
+    """One adapt step: criteria, refinement and regrid, then on a new grid
+    a new operator and the pinned values.  Returns (op, grid, u)."""
+    vals = evaluate_criteria(policy, op, grid, u)
+    g2, u2 = regrid(grid, u, compute_refinement(policy, vals, grid))
+    if g2 is grid:
+        return op, grid, u
+    op = instantiate_builtin(op.kind, op.problem, g2)
+    return op, g2, GridFunction(g2, op.apply_pins(u2.values))
 
 
 def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,

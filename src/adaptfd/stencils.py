@@ -12,7 +12,8 @@ order).  Dangling nodes use the I-shaped stencil: the four corners of the two
 equal-size cells that straddle the hanging edge plus the two fine axis
 neighbors, widened along the coarse axis until the axis-pair weight stays
 nonnegative.  Boundary nodes eliminate the outward derivative through a Robin
-condition A u' + B u = C.
+condition A u' + B u = C.  Each rule is built once, from the node arrays, for
+any set of nodes; the per-node functions are one-row views of the same code.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (BOUNDARY, CLASSES, CODE, DIRS, REGULAR, GridError,
-                   QuadtreeGrid)
+from .grid import BOUNDARY, CODE, DIRS, REGULAR, GridError, QuadtreeGrid
 
 OPPOSITE = {"+x": "W", "-x": "E", "+y": "S", "-y": "N"}
+
+# outward normal (nx, ny) of the wall whose inward direction is DIRS[d]:
+# the walls i = 0, i = side, j = 0, j = side
+_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 
 
 class StencilUnavailableError(GridError):
@@ -34,6 +38,25 @@ class StencilUnavailableError(GridError):
 
 class IllPosedBoundaryError(GridError):
     """Robin data with A = B = 0 pins nothing and fixes nothing."""
+
+
+class OperatorError(GridError):
+    """Bad operator construction (unknown kind, missing datum)."""
+
+
+def sample_nodes(fn, x, y, name: str, *normal) -> np.ndarray:
+    """fn(x, y, *normal), called once on node coordinate arrays (wall data
+    also get the wall's outward normal nx, ny as floats), as a new float
+    array of len(x); a scalar result is broadcast."""
+    try:
+        v = np.array(fn(x, y, *normal), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OperatorError("problem datum %s must take node arrays x, y: "
+                            "%s" % (name, exc)) from None
+    if v.shape not in ((), (len(x),)):
+        raise OperatorError("problem datum %s gave shape %s for %d nodes"
+                            % (name, v.shape, len(x)))
+    return np.full(len(x), v) if v.ndim == 0 else v
 
 
 @dataclass
@@ -71,19 +94,29 @@ def _inv_sq(d):
     return np.array([1.0 / v**2 for v in values.tolist()])[inverse]
 
 
-def one_sided(grid: QuadtreeGrid, idx: int, side: str):
-    """Where a one-sided difference toward `side` looks: (ids, dist), with the
-    value on that side the mean of u over ids at distance dist.  A neighbor
-    gives one id; the coarse side of a dangling node gives the two far
-    corners of the coarse cell at distance band * h (first order, monotone).
-    None when the node has no value on that side."""
-    d = DIRS.index(side)
-    if grid.nbr[idx, d] >= 0:
-        return (int(grid.nbr[idx, d]),), float(grid.dist[idx, d])
-    if grid.coarse_side[idx] == d:
-        return (tuple(grid.drv_pair[idx].tolist()),
-                int(grid.band[idx]) * (grid.hx if d < 2 else grid.hy))
-    return None
+def one_sided_geometry(grid: QuadtreeGrid, d: int, idx=slice(None)):
+    """Where a one-sided difference toward DIRS[d] looks from nodes idx (all
+    by default): (ids (k, 2), dist, far), with the value on that side the
+    mean of u over ids at distance dist.  A neighbor fills both columns with
+    its id; on the coarse side of a dangling node (far) they are the two far
+    corners of the coarse cell at distance band * h (first order,
+    monotone).  ids are -1 and dist NaN where a node has no value there."""
+    far = grid.coarse_side[idx] == d
+    ids = np.stack([np.where(far, grid.drv_pair[idx, k], grid.nbr[idx, d])
+                    for k in (0, 1)], axis=-1)
+    dist = np.where(far, grid.band[idx] * (grid.hx if d < 2 else grid.hy),
+                    grid.dist[idx, d])
+    return ids, dist, far
+
+
+def _slope(grid: QuadtreeGrid, idx: int, d: int, values):
+    """(u_side - u_i) / dist toward DIRS[d] at node idx; None where the node
+    has no value on that side."""
+    ids, dist, far = one_sided_geometry(grid, d, idx)
+    if ids[0] < 0:
+        return None
+    opp = (values[ids[0]] + values[ids[1]]) / 2 if far else values[ids[0]]
+    return (opp - values[idx]) / dist
 
 
 def upwind_first_derivative(grid: QuadtreeGrid, node, direction: str,
@@ -92,55 +125,14 @@ def upwind_first_derivative(grid: QuadtreeGrid, node, direction: str,
     opposite-side neighbor: D_{+x} u = (u_i - u_W)/dW approximates du/dx,
     with the far-corner average standing in for a missing coarse side."""
     idx = _index(grid, node)
-    values = u.values if hasattr(u, "values") else u
     side = OPPOSITE[direction]
-    found = one_sided(grid, idx, side)
-    if found is None:
+    slope = _slope(grid, idx, DIRS.index(side),
+                   u.values if hasattr(u, "values") else u)
+    if slope is None:
         raise StencilUnavailableError(
             "no %s neighbor at node (%d, %d)" % (side, grid.i[idx],
                                                   grid.j[idx]))
-    ids, dist = found
-    opp = sum(values[j] for j in ids) / len(ids)
-    return (values[idx] - opp) / dist
-
-
-def laplacian_row(grid: QuadtreeGrid, node) -> StencilRow:
-    """Row encoding -Laplacian(u) at a regular or dangling node."""
-    idx = _index(grid, node)
-    at = (grid.i[idx], grid.j[idx])
-    klass = CLASSES[grid.klass[idx]]
-    if klass == BOUNDARY:
-        raise StencilUnavailableError(
-            "boundary node (%d, %d) needs Robin data" % at)
-    if klass == REGULAR:
-        ide, idw, idn, ids = grid.pair[idx].tolist()
-        dx, dy = grid.pair_dist[idx].tolist()
-        wx, wy = 1.0 / dx**2, 1.0 / dy**2
-        return StencilRow(idx, 2 * wx + 2 * wy,
-                          [(ide, wx), (idw, wx), (idn, wy), (ids, wy)])
-    # dangling: I-stencil, possibly widened along the coarse axis
-    m = int(grid.wide[idx])
-    if m == 0:
-        raise StencilUnavailableError(
-            "monotone I-stencil width unavailable at (%d, %d); "
-            "grid padding violated" % at)
-    band = int(grid.band[idx])
-    nbr = grid.nbr[idx].tolist()
-    if grid.coarse_side[idx] < 2:
-        coarse = m * band * grid.hx
-        fine = 0.5 * band * grid.hy
-        axis_pair = (nbr[2], nbr[3])
-    else:
-        coarse = m * band * grid.hy
-        fine = 0.5 * band * grid.hx
-        axis_pair = (nbr[0], nbr[1])
-    wc = 0.5 / coarse**2
-    wp = 1.0 / fine**2 - 1.0 / coarse**2
-    if wp < 0:
-        raise StencilUnavailableError("negative axis weight at (%d, %d)" % at)
-    nbrs = [(c, wc) for c in grid.wide_ids[idx].tolist()] \
-        + [(p, wp) for p in axis_pair]
-    return StencilRow(idx, 2.0 / fine**2, nbrs)
+    return -slope
 
 
 def upwind_gradient_sq(grid: QuadtreeGrid, node, u) -> float:
@@ -148,76 +140,154 @@ def upwind_gradient_sq(grid: QuadtreeGrid, node, u) -> float:
     and squared, so that -(result) is nondecreasing in every u_i - u_j."""
     idx = _index(grid, node)
     values = u.values if hasattr(u, "values") else u
-    ui = values[idx]
     total = 0.0
-    for sides in (("E", "W"), ("N", "S")):
-        best = 0.0
-        for s in sides:
-            found = one_sided(grid, idx, s)
-            if found is not None:
-                ids, dist = found
-                opp = sum(values[j] for j in ids) / len(ids)
-                best = max(best, (opp - ui) / dist)
+    for sides in ((0, 1), (2, 3)):
+        slopes = [_slope(grid, idx, d, values) for d in sides]
+        best = max([0.0] + [s for s in slopes if s is not None])
         total += best * best
     return total
+
+
+# ---------------------------------------------------------------------------
+# rows from the node arrays: COO entries (rows, cols, vals), each row its
+# center first and then its neighbors in stencil order, and the faults, as
+# (node ids without a monotone row, error class, message)
+
+def _interior_rows(grid: QuadtreeGrid, ids):
+    """Entries and faults of the rows at regular and dangling node ids."""
+    klass = grid.klass[ids]
+    reg = ids[klass == CODE[REGULAR]]
+    wx = _inv_sq(grid.pair_dist[reg, 0])
+    wy = _inv_sq(grid.pair_dist[reg, 1])
+    # the dangling weights depend only on the coarse axis, band and width m:
+    # wbar = 2/fine^2, 0.5/coarse^2 on the four corners of the widened
+    # stencil and 1/fine^2 - 1/coarse^2 on the fine axis pair
+    dang = ids[klass != CODE[REGULAR]]
+    faults = [(dang[grid.wide[dang] == 0], StencilUnavailableError,
+               "monotone I-stencil width unavailable at (%d, %d); "
+               "grid padding violated")]
+    dang = dang[grid.wide[dang] > 0]
+    band = grid.band[dang]
+    along_x = grid.coarse_side[dang] < 2
+    inv_c = _inv_sq(grid.wide[dang] * band
+                    * np.where(along_x, grid.hx, grid.hy))
+    inv_f = _inv_sq(0.5 * band * np.where(along_x, grid.hy, grid.hx))
+    wp = inv_f - inv_c
+    faults.append((dang[wp < 0], StencilUnavailableError,
+                   "negative axis weight at (%d, %d)"))
+    axis_pair = np.where(along_x[:, None], grid.nbr[dang, 2:],
+                         grid.nbr[dang, :2])
+    rows = np.concatenate([np.repeat(reg, 5), np.repeat(dang, 7)])
+    cols = np.concatenate([
+        np.column_stack([reg, grid.pair[reg]]).ravel(),
+        np.column_stack([dang, grid.wide_ids[dang], axis_pair]).ravel()])
+    vals = np.concatenate([
+        np.column_stack([2 * wx + 2 * wy, -wx, -wx, -wy, -wy]).ravel(),
+        np.column_stack([2 * inv_f] + [-0.5 * inv_c] * 4 + [-wp] * 2)
+        .ravel()])
+    return (rows, cols, vals), faults
+
+
+def _robin_rows(grid: QuadtreeGrid, ids, A, B, C):
+    """Entries, then per id the constant, active mask and pins, and the
+    faults of the rows at wall node ids, as robin_row describes them."""
+    k = len(ids)
+    wbar, const, pins = np.zeros(k), np.zeros(k), np.zeros(k)
+    pinned, ill = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+    i, j = grid.i[ids], grid.j[ids]
+    corner = np.isin(i, (0, grid.side)) & np.isin(j, (0, grid.side))
+    blocks = []
+    for d, normal in enumerate(_NORMALS):
+        p = np.flatnonzero((i, i, j, j)[d] == (0, grid.side)[d % 2])
+        x, y = grid.x[ids[p]], grid.y[ids[p]]
+        a, b, c = (sample_nodes(fn, x, y, name, *normal)
+                   for fn, name in zip((A, B, C), "ABC"))
+        pin = (a == 0.0) & ~pinned[p]
+        ill[p[pin & (b == 0.0)]] = True
+        ok = pin & (b != 0.0)
+        pins[p[ok]] = c[ok] / b[ok]
+        pinned[p[pin]] = True
+        row = a != 0.0
+        p, a, b, c = p[row], a[row], b[row], c[row]
+        dist = grid.dist[ids[p], d]
+        inv = _inv_sq(dist)
+        wbar[p] += inv + b / (a * dist)
+        const[p] += -c / (a * dist)
+        blocks.append((p, grid.nbr[ids[p], d], -inv))
+        # off the corners, the centered second difference along the wall
+        p, ax = p[~corner[p]], 1 if d < 2 else 0
+        w = _inv_sq(grid.pair_dist[ids[p], ax])
+        wbar[p] += 2 * w
+        blocks += [(p, grid.pair[ids[p], 2 * ax], -w),
+                   (p, grid.pair[ids[p], 2 * ax + 1], -w)]
+    # a corner can be pinned by its second wall after its first gave terms
+    const[pinned] = 0.0
+    blocks.insert(0, (np.arange(k), ids, wbar))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    live = ~pinned[rows]
+    faults = [(ids[ill], IllPosedBoundaryError,
+               "A = B = 0 at boundary node (%d, %d)")]
+    return (ids[rows[live]], cols[live], vals[live]), const, ~pinned, pins, \
+        faults
+
+
+def _rows(grid: QuadtreeGrid, ids, robin=None):
+    """(entries, const, active, pins) of the -Laplacian rows at node ids
+    (ascending), the last three per id.  Without Robin data, walls are
+    pinned at 0.  Raises the error of the first node without a monotone row,
+    the one a row-by-row assembly meets first."""
+    wall = grid.klass[ids] == CODE[BOUNDARY]
+    entries, faults = _interior_rows(grid, ids[~wall])
+    const, active, pins = np.zeros(len(ids)), ~wall, np.zeros(len(ids))
+    if robin is not None:
+        more, const[wall], active[wall], pins[wall], bad = _robin_rows(
+            grid, ids[wall], *robin)
+        entries = [np.concatenate(part) for part in zip(entries, more)]
+        faults += bad
+    first = [(int(at[0]), error, text) for at, error, text in faults
+             if len(at)]
+    if first:
+        k, error, text = min(first, key=lambda f: f[0])
+        raise error(text % (grid.i[k], grid.j[k]))
+    return entries, const, active, pins
+
+
+def _stencil_row(idx: int, entries, const) -> StencilRow:
+    _, cols, vals = entries
+    return StencilRow(idx, float(vals[0]),
+                      list(zip(cols[1:].tolist(), (-vals[1:]).tolist())),
+                      float(const[0]))
+
+
+def laplacian_row(grid: QuadtreeGrid, node) -> StencilRow:
+    """Row encoding -Laplacian(u) at a regular or dangling node."""
+    idx = _index(grid, node)
+    if grid.klass[idx] == CODE[BOUNDARY]:
+        raise StencilUnavailableError(
+            "boundary node (%d, %d) needs Robin data" % (grid.i[idx],
+                                                        grid.j[idx]))
+    return _stencil_row(idx, *_rows(grid, np.array([idx]))[:2])
 
 
 def robin_row(grid: QuadtreeGrid, node, A, B, C):
     """Boundary row for A u' + B u = C (u' = outward normal derivative).
 
-    A, B, C are callables (x, y, nx, ny) -> float, evaluated per wall with
-    that wall's outward normal.  A = 0 pins the node (returns InactiveMark
-    with value C/B); otherwise the outward derivative is eliminated and
-    combined with the one-sided inward derivative, plus the centered
-    tangential second difference, into a -Laplacian row.
+    A, B, C are callables (x, y, nx, ny) -> value.  An assembly calls them
+    once per wall, in the order i = 0, i = side, j = 0, j = side, on the
+    arrays x, y of the wall's nodes (here the node, or none where it is not
+    on that wall) and the wall's outward normal nx, ny as floats; scalar
+    results are broadcast.  The first wall with A = 0 pins the node
+    (returns InactiveMark with value C/B).  Otherwise each wall's outward
+    derivative is eliminated against the one-sided inward derivative and,
+    off the corners, the centered tangential second difference is added,
+    into a -Laplacian row.
     """
     idx = _index(grid, node)
     if grid.klass[idx] != CODE[BOUNDARY]:
         raise StencilUnavailableError("robin_row applies to boundary nodes")
-    i, j = int(grid.i[idx]), int(grid.j[idx])
-    x, y = float(grid.x[idx]), float(grid.y[idx])
-    side = grid.side
-    walls = []
-    if i == 0:
-        walls.append((0, -1.0, 0.0))
-    if i == side:
-        walls.append((1, 1.0, 0.0))
-    if j == 0:
-        walls.append((2, 0.0, -1.0))
-    if j == side:
-        walls.append((3, 0.0, 1.0))
-
-    coeffs = []
-    for (inward, nx, ny) in walls:
-        a = A(x, y, nx, ny)
-        b = B(x, y, nx, ny)
-        c = C(x, y, nx, ny)
-        if a == 0.0:
-            if b == 0.0:
-                raise IllPosedBoundaryError(
-                    "A = B = 0 at boundary node (%d, %d)" % (i, j))
-            return InactiveMark(c / b)
-        coeffs.append((inward, a, b, c))
-
-    nbr = grid.nbr[idx].tolist()
-    dist = grid.dist[idx].tolist()
-    wbar = 0.0
-    const = 0.0
-    nbrs = []
-    for (inward, a, b, c) in coeffs:
-        d = dist[inward]
-        nbrs.append((nbr[inward], 1.0 / d**2))
-        wbar += 1.0 / d**2 + b / (a * d)
-        const += -c / (a * d)
-    if len(coeffs) == 1:
-        # tangential second difference along the wall
-        ax = 1 if coeffs[0][0] < 2 else 0
-        idp, idm = grid.pair[idx, 2 * ax:2 * ax + 2].tolist()
-        if idp >= 0:
-            w = 1.0 / float(grid.pair_dist[idx, ax])**2
-            nbrs += [(idp, w), (idm, w)]
-            wbar += 2 * w
-    return StencilRow(idx, wbar, nbrs, const)
+    entries, const, active, pins = _rows(grid, np.array([idx]), (A, B, C))
+    return _stencil_row(idx, entries, const) if active[0] \
+        else InactiveMark(float(pins[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,39 +300,11 @@ def laplacian_system(grid: QuadtreeGrid, robin=None):
     all nodes, a boolean mask of active unknowns, and pinned values (zero
     where active).  Boundary nodes use the Robin triple when given, else they
     are treated as Dirichlet pins at 0 to be overridden by the caller.
-    Regular rows come from the pair arrays at once; dangling and wall rows
-    are built one by one.
     """
     nn = grid.n_nodes()
-    const = np.zeros(nn)
-    active = np.ones(nn, dtype=bool)
-    pins = np.zeros(nn)
-    reg = np.flatnonzero(grid.klass == CODE[REGULAR])
-    wx = _inv_sq(grid.pair_dist[reg, 0])
-    wy = _inv_sq(grid.pair_dist[reg, 1])
-    rows = [np.repeat(reg, 5)]
-    cols = [np.column_stack([reg, grid.pair[reg]]).ravel()]
-    vals = [np.column_stack([2 * wx + 2 * wy, -wx, -wx, -wy, -wy]).ravel()]
-    wall = CODE[BOUNDARY]
-    for idx in np.flatnonzero(grid.klass != CODE[REGULAR]).tolist():
-        if grid.klass[idx] == wall:
-            if robin is None:
-                active[idx] = False
-                continue
-            r = robin_row(grid, idx, *robin)
-            if isinstance(r, InactiveMark):
-                active[idx] = False
-                pins[idx] = r.value
-                continue
-        else:
-            r = laplacian_row(grid, idx)
-        rows.append([idx] * (len(r.neighbors) + 1))
-        cols.append([idx] + [j for (j, _) in r.neighbors])
-        vals.append([r.wbar] + [-w for (_, w) in r.neighbors])
-        const[idx] = r.constant
-    L = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nn, nn))
+    (rows, cols, vals), const, active, pins = _rows(grid, np.arange(nn),
+                                                    robin)
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
     return L, const, active, pins
 
 
@@ -277,17 +319,15 @@ def one_sided_matrices(grid: QuadtreeGrid):
     T = {}
     have = {}
     for d, name in enumerate(DIRS):
-        near = np.flatnonzero(grid.nbr[:, d] >= 0)
-        inv = 1.0 / grid.dist[near, d]
-        dang = np.flatnonzero(grid.coarse_side == d)
-        inv_c = 1.0 / (grid.band[dang] * (grid.hx if d < 2 else grid.hy))
+        ids, dist, far = one_sided_geometry(grid, d)
+        have[name] = ids[:, 0] >= 0
+        near = np.flatnonzero(have[name] & ~far)
+        dang = np.flatnonzero(far)
+        inv = 1.0 / dist[near]
+        inv_c = 1.0 / dist[dang]
         rows = np.concatenate([near, near, dang, dang, dang])
-        cols = np.concatenate([grid.nbr[near, d], near, grid.drv_pair[dang, 0],
-                               grid.drv_pair[dang, 1], dang])
+        cols = np.concatenate([ids[near, 0], near, ids[dang, 0],
+                               ids[dang, 1], dang])
         vals = np.concatenate([inv, -inv, inv_c / 2, inv_c / 2, -inv_c])
         T[name] = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
-        mask = np.zeros(nn, dtype=bool)
-        mask[near] = True
-        mask[dang] = True
-        have[name] = mask
     return T, have

@@ -3,8 +3,9 @@
 The grid checks work directly on a plain cells dict {(i, j): scale} so they
 can be used both on built grids and on enumerated candidate trees, without
 going through the production construction path.  The per-node and per-point
-forms of array code (problem data, the upwind first-order rows, config
-expressions) are kept at the end as references.
+forms of array code (problem data, the upwind first-order rows, the
+Laplacian and Robin rows, config expressions) are kept at the end as
+references.
 """
 
 import itertools
@@ -579,11 +580,11 @@ def top_maxima(fn, box, count, samples=200):
 
 def upwind_directional_build(hop, grid):
     """UpwindDirectional.build as a per-node loop: region, direction and rhs
-    called at each interior node with scalars, rows from stencils.one_sided."""
+    called at each interior node with scalars, rows from one_sided_oracle on
+    the grid's cell set."""
     import numpy as np
     import scipy.sparse as sp
     from adaptfd.grid import BOUNDARY, CODE
-    from adaptfd.stencils import one_sided
     nn = grid.n_nodes()
     mask = np.zeros(nn, dtype=bool)
     lip = np.zeros(nn)
@@ -600,13 +601,120 @@ def upwind_directional_build(hop, grid):
         for comp, upw in ((nx, "W"), (-nx, "E"), (ny, "S"), (-ny, "N")):
             if comp <= 0.0:
                 continue
-            ids, dist = one_sided(grid, idx, upw)
+            pts, t = one_sided_oracle(grid.cells, grid.depth,
+                                      int(grid.i[idx]), int(grid.j[idx]), upw)
+            ids = [grid.node_id[p] for p in pts]
+            dist = t * (grid.hx if upw in "EW" else grid.hy)
             rows += [idx] * (len(ids) + 1)
             cols += [idx, *ids]
             vals += [comp / dist] + [-comp / dist / len(ids)] * len(ids)
             lip[idx] += comp / dist
     M = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
     return mask, M, const, lip
+
+
+def laplacian_system_reference(grid, robin=None):
+    """stencils.laplacian_system as a per-node loop: each row built on its
+    own with Python floats, wall data called per wall of each wall node with
+    scalars.  Returns (L, const, active, pins) like the array assembly."""
+    import numpy as np
+    import scipy.sparse as sp
+    from adaptfd.grid import BOUNDARY, CLASSES, REGULAR
+    from adaptfd.stencils import (IllPosedBoundaryError,
+                                  StencilUnavailableError)
+    nn = grid.n_nodes()
+    const = np.zeros(nn)
+    active = np.ones(nn, dtype=bool)
+    pins = np.zeros(nn)
+    rows, cols, vals = [], [], []
+
+    def interior_row(idx):
+        at = (grid.i[idx], grid.j[idx])
+        if CLASSES[grid.klass[idx]] == REGULAR:
+            ide, idw, idn, ids = grid.pair[idx].tolist()
+            dx, dy = grid.pair_dist[idx].tolist()
+            wx, wy = 1.0 / dx**2, 1.0 / dy**2
+            return 2 * wx + 2 * wy, [(ide, wx), (idw, wx), (idn, wy),
+                                     (ids, wy)], 0.0
+        m = int(grid.wide[idx])
+        if m == 0:
+            raise StencilUnavailableError(
+                "monotone I-stencil width unavailable at (%d, %d); "
+                "grid padding violated" % at)
+        band = int(grid.band[idx])
+        nbr = grid.nbr[idx].tolist()
+        if grid.coarse_side[idx] < 2:
+            coarse = m * band * grid.hx
+            fine = 0.5 * band * grid.hy
+            axis_pair = (nbr[2], nbr[3])
+        else:
+            coarse = m * band * grid.hy
+            fine = 0.5 * band * grid.hx
+            axis_pair = (nbr[0], nbr[1])
+        wc = 0.5 / coarse**2
+        wp = 1.0 / fine**2 - 1.0 / coarse**2
+        if wp < 0:
+            raise StencilUnavailableError("negative axis weight at (%d, %d)"
+                                          % at)
+        nbrs = [(c, wc) for c in grid.wide_ids[idx].tolist()] \
+            + [(p, wp) for p in axis_pair]
+        return 2.0 / fine**2, nbrs, 0.0
+
+    def wall_row(idx, A, B, C):
+        """(wbar, neighbors, constant), or the pinned value as a float."""
+        i, j = int(grid.i[idx]), int(grid.j[idx])
+        x, y = float(grid.x[idx]), float(grid.y[idx])
+        walls = [w for w, on in ((0, i == 0), (1, i == grid.side),
+                                 (2, j == 0), (3, j == grid.side)) if on]
+        normals = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+        coeffs = []
+        for inward in walls:
+            a, b, c = (fn(x, y, *normals[inward]) for fn in (A, B, C))
+            if a == 0.0:
+                if b == 0.0:
+                    raise IllPosedBoundaryError(
+                        "A = B = 0 at boundary node (%d, %d)" % (i, j))
+                return c / b
+            coeffs.append((inward, a, b, c))
+        nbr = grid.nbr[idx].tolist()
+        dist = grid.dist[idx].tolist()
+        wbar = 0.0
+        constant = 0.0
+        nbrs = []
+        for (inward, a, b, c) in coeffs:
+            d = dist[inward]
+            nbrs.append((nbr[inward], 1.0 / d**2))
+            wbar += 1.0 / d**2 + b / (a * d)
+            constant += -c / (a * d)
+        if len(coeffs) == 1:
+            ax = 1 if coeffs[0][0] < 2 else 0
+            idp, idm = grid.pair[idx, 2 * ax:2 * ax + 2].tolist()
+            if idp >= 0:
+                w = 1.0 / float(grid.pair_dist[idx, ax])**2
+                nbrs += [(idp, w), (idm, w)]
+                wbar += 2 * w
+        return wbar, nbrs, constant
+
+    for idx in range(nn):
+        if CLASSES[grid.klass[idx]] == BOUNDARY:
+            if robin is None:
+                active[idx] = False
+                continue
+            row = wall_row(idx, *robin)
+            if not isinstance(row, tuple):
+                active[idx] = False
+                pins[idx] = row
+                continue
+        else:
+            row = interior_row(idx)
+        wbar, nbrs, const[idx] = row
+        rows += [idx] * (len(nbrs) + 1)
+        cols += [idx] + [j for (j, _) in nbrs]
+        vals += [wbar] + [-w for (_, w) in nbrs]
+    L = sp.csr_matrix((np.array(vals, dtype=float),
+                       (np.array(rows, dtype=np.int64),
+                        np.array(cols, dtype=np.int64))), shape=(nn, nn))
+    return L, const, active, pins
 
 
 # ---------------------------------------------------------------------------

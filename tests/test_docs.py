@@ -1,0 +1,20 @@
+"""The README's Python examples run as written."""
+
+import os
+import re
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_python_blocks_run():
+    # the blocks build on each other, so they run in order in one namespace
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(),
+                            re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README, "exec"), namespace)
+    u, grid = namespace["u"], namespace["grid"]
+    assert u.values.shape == (grid.n_nodes(),)

@@ -198,6 +198,27 @@ def test_run_path_reads_only_node_arrays(tmp_path, monkeypatch, text):
     assert res["grid"].n_nodes() == len(res["u"].values)
 
 
+@pytest.mark.parametrize("text", [
+    "preset = obstacle\ngrid.depth = 5\n",
+    "preset = punctured_neumann\ngrid.depth = 5\ngrid.initial_scale = 2\n"],
+    ids=["obstacle", "punctured_neumann"])
+def test_run_assembles_rows_without_per_node_records(tmp_path, monkeypatch,
+                                                     text):
+    # dangling and wall rows come from the node arrays: an assembly that
+    # built a StencilRow per node would fail here.  Both runs have dangling
+    # nodes; obstacle also has Robin walls
+    from adaptfd import stencils
+    from adaptfd.grid import CODE, DANGLING_X, DANGLING_Y
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a StencilRow was built on the run path")
+
+    monkeypatch.setattr(stencils, "StencilRow", refuse)
+    res = run_experiment(parse_config(text), out_dir=str(tmp_path))
+    dangling = [CODE[DANGLING_X], CODE[DANGLING_Y]]
+    assert np.isin(res["grid"].klass, dangling).any()
+
+
 def test_svg_counts_match_grid_dump(tmp_path):
     cfg = parse_config("preset = custom\nproblem.f = 1\nproblem.g = 0\n"
                        "problem.dirichlet = 0\ngrid.depth = 4\n"
@@ -477,3 +498,69 @@ def test_cli_convergence_and_render(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "r" / "grid.svg").exists()
     assert (tmp_path / "r" / "solution.svg").exists()
+
+
+ONE_CELL_DUMP = "".join("node %d %d %d.0 %d.0 boundary\n" % (i, j, i, j)
+                        for j in (0, 1) for i in (0, 1)) + "cell 0 0 0\n"
+
+
+def test_cli_unreadable_input_is_a_config_error(tmp_path):
+    # a missing config, dump or solution file exits 2 naming the path
+    r = _run_cli(["solve", "missing.cfg"], cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:"), r.stderr
+    assert "missing.cfg" in r.stderr
+    (tmp_path / "grid.txt").write_text(ONE_CELL_DUMP)
+    r = _run_cli(["render", "grid.txt", "nosuch.csv"], cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:") and "nosuch.csv" in r.stderr
+
+
+def test_cli_convergence_rejects_unknown_family(tmp_path):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("preset = custom\nrefine.strategy = bogus\n"
+                   "refine.scales = 3,4\n")
+    r = _run_cli(["convergence", str(cfg), "--out", str(tmp_path / "c")],
+                 cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:"), r.stderr
+    for word in ("refine.strategy", "uniform", "dangling", "linear"):
+        assert word in r.stderr
+    assert not (tmp_path / "c").exists()
+
+
+def test_cli_render_rejects_malformed_records(tmp_path):
+    # a dump or solution line that is not a record exits 3 naming the line
+    (tmp_path / "bad.txt").write_text("cell 0 0 1\nnode 0 0 x\n")
+    (tmp_path / "u.csv").write_text("i,j,x,y,u\n0,0,0.0,0.0,1.0\n")
+    r = _run_cli(["render", "bad.txt", "u.csv"], cwd=str(tmp_path))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("solver failure:"), r.stderr
+    assert "line 2" in r.stderr and "node 0 0 x" in r.stderr
+    (tmp_path / "good.txt").write_text(ONE_CELL_DUMP)
+    (tmp_path / "u.csv").write_text("i,j,x,y,u\n0,0,0.0,0.0,oops\n")
+    r = _run_cli(["render", "good.txt", "u.csv"], cwd=str(tmp_path))
+    assert r.returncode == 3, r.stderr
+    assert "solution line 2" in r.stderr
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
+
+
+@pytest.mark.parametrize("name", ["farfield", "obstacle", "stefan"])
+def test_shipped_configs_load(name):
+    from adaptfd.harness import load_config
+    cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
+    bundle = make_preset(cfg)
+    assert bundle.depth > 0 and bundle.kind
+
+
+def test_shipped_convergence_config_rates(tmp_path):
+    from adaptfd.cli import main
+    assert main(["convergence", os.path.join(CONFIGS, "poisson_mms.cfg"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "h,error,rate" and len(lines) == 5   # depths 3..6
+    rates = [float(line.split(",")[2]) for line in lines[2:]]
+    assert all(abs(rate - 2.0) < 0.2 for rate in rates), rates

@@ -20,11 +20,11 @@ from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
                                UpwindDirectional, instantiate_builtin)
 from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError, TimeGroups,
                              build_schedule, euler_step)
-from adaptfd.stencils import StencilUnavailableError
+from adaptfd.stencils import StencilUnavailableError, laplacian_system
 from oracles import (brute_classify, check_legal, closure_oracle,
-                     jacobian_reference, leaf_edges, neighbor_oracle,
-                     row_terms, schedule_reference, seeds_for_requests,
-                     vertices_of)
+                     jacobian_reference, laplacian_system_reference,
+                     leaf_edges, neighbor_oracle, row_terms,
+                     schedule_reference, seeds_for_requests, vertices_of)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
                     database=None)
@@ -301,3 +301,65 @@ def test_step_kernel_matches_all_branch_evaluation(case):
     assert np.all(op.lipschitz(u) == lip)
     assert np.array_equal(op.branches(u), np.argmax(w, axis=0))
     assert (op.jacobian(u) != jacobian_reference(op, u)).nnz == 0
+
+
+def _wall_data(variant, box):
+    """Robin triples (A, B, C) that take scalars and arrays alike: Dirichlet,
+    Neumann, a far-field condition about a point outside the box built from
+    + - * / and sqrt, mixed walls with A = 0 on the east wall only, and
+    A = B = 0 on the north wall or on the upper half of the west wall."""
+    cx, cy = box.x_min - 0.3 * box.lx, box.y_min - 0.7 * box.ly
+    ymid = box.y_min + 0.5 * box.ly
+
+    def r(x, y):
+        return np.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy))
+
+    return {
+        "none": None,
+        "dirichlet": (lambda x, y, nx, ny: 0.0, lambda x, y, nx, ny: 1.0,
+                      lambda x, y, nx, ny: x - 2.0 * y),
+        "neumann": (lambda x, y, nx, ny: 1.0, lambda x, y, nx, ny: 0.0,
+                    lambda x, y, nx, ny: 0.0),
+        "far_field": (
+            lambda x, y, nx, ny: ((x - cx) * nx + (y - cy) * ny) / r(x, y),
+            lambda x, y, nx, ny: 1.0 / r(x, y),
+            lambda x, y, nx, ny: (0.5 * x - y / 3.0) / r(x, y)),
+        "mixed": (lambda x, y, nx, ny: 0.0 if nx > 0 else 1.0,
+                  lambda x, y, nx, ny: 2.0 + y / box.ly,
+                  lambda x, y, nx, ny: x * y),
+        "ill_posed_wall": (lambda x, y, nx, ny: 0.0 if ny > 0 else 1.0,
+                           lambda x, y, nx, ny: 0.0 if ny > 0 else 0.5,
+                           lambda x, y, nx, ny: 1.0),
+        "ill_posed_part": (
+            lambda x, y, nx, ny: 1.0 - (nx < 0) * (y > ymid),
+            lambda x, y, nx, ny: 1.0 - (nx < 0) * (y > ymid),
+            lambda x, y, nx, ny: 0.25 + 0.0 * x),
+    }[variant]
+
+
+WALL_DATA = ("none", "dirichlet", "neumann", "far_field", "mixed",
+             "ill_posed_wall", "ill_posed_part")
+
+
+@settings(PROPERTY, max_examples=400)
+@given(grids(), st.sampled_from(WALL_DATA))
+def test_laplacian_system_matches_per_node_loop(case, variant):
+    # the array rows equal a row-by-row assembly with Python floats bit for
+    # bit, and refuse exactly the grids and wall data it refuses, with the
+    # error of the first node it cannot build
+    grid, _ = case
+    robin = _wall_data(variant, grid.box)
+    try:
+        want = laplacian_system_reference(grid, robin)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            laplacian_system(grid, robin)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    L, const, active, pins = laplacian_system(grid, robin)
+    W = want[0]
+    for name in ("indptr", "indices", "data"):
+        assert getattr(L, name).tobytes() == getattr(W, name).tobytes()
+    for got, exp in zip((const, active, pins), want[1:]):
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
