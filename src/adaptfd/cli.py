@@ -99,8 +99,12 @@ def _dispatch(args) -> int:
             raise GridError("solution line %d is not an i,j,u record"
                             % rows.line_num) from None
     grid = QuadtreeGrid(box, depth, default_pads(box), cells)
-    u = np.array([values.get(ij, 0.0)
-                  for ij in zip(grid.i.tolist(), grid.j.tolist())])
+    u = []
+    for ij in zip(grid.i.tolist(), grid.j.tolist()):
+        if ij not in values:
+            raise GridError("solution has no row for grid node (%d, %d)" % ij)
+        u.append(values[ij])
+    u = np.array(u)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "grid.svg"), svgplot.grid_svg(grid))

@@ -51,7 +51,8 @@ class DomainError(GridError):
 
 
 class ScaleError(GridError):
-    """A requested scale is outside [0, depth]."""
+    """A requested scale is outside [0, depth], or a grid depth outside
+    [0, MAX_DEPTH]."""
 
 
 class InputError(GridError):
@@ -132,6 +133,18 @@ def default_pads(box: DomainBox) -> tuple[int, int]:
     return pad_x, pad_y
 
 
+# node keys j * (side + 1) + i with i, j <= side = 2^depth fit in an int64
+# up to depth 31, as do the packed squares (a << 32) | b of _pack
+MAX_DEPTH = 31
+
+
+def _lattice_side(depth) -> int:
+    """2^depth, the lattice side; ScaleError outside [0, MAX_DEPTH]."""
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ScaleError("grid depth %r outside [0, %d]" % (depth, MAX_DEPTH))
+    return 1 << depth
+
+
 def _spread_bits(v):
     # the low 32 bits of v moved to the even bit positions of a uint64
     v = np.asarray(v).astype(np.uint64) & np.uint64(0xFFFFFFFF)
@@ -181,7 +194,7 @@ class QuadtreeGrid:
                  leaves, generation: int = 0, build_ops: int = 0):
         self.box = box
         self.depth = depth
-        self.side = 1 << depth
+        self.side = _lattice_side(depth)
         self.pad_x, self.pad_y = pads
         self.generation = generation
         self.build_ops = build_ops
@@ -381,7 +394,7 @@ def _as_seeds(requests, box: DomainBox, depth: int) -> np.ndarray:
     An integer array of squares is checked and passed through.  A sequence
     of ScaleRequests is snapped: each pins the half-open scale-k square that
     contains its nearest lattice point."""
-    side = 1 << depth
+    side = _lattice_side(depth)
     if isinstance(requests, np.ndarray) and requests.dtype.kind in "iu":
         seeds = requests.astype(np.int64, copy=False).reshape(-1, 3)
         a, b, k = seeds.T
@@ -557,7 +570,7 @@ def init_from_scattered(points, depth: int,
         box = DomainBox(min(xs), max(xs), min(ys), max(ys))
     if pads is None:
         pads = default_pads(box)
-    side = 1 << depth
+    side = _lattice_side(depth)
 
     snapped = {}
     for (x, y, v) in pts:

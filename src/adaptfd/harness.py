@@ -21,16 +21,12 @@ from .adaptivity import (RefinementPolicy, free_boundary_criteria,
                          proximity_criteria, residual_criteria,
                          slope_criteria, stefan_terms_criteria)
 from .contour import extract_contour
-from .grid import (DomainBox, GridError, GridFunction, QuadtreeGrid,
-                   build_quadtree)
+from .grid import (MAX_DEPTH, DomainBox, GridError, GridFunction,
+                   QuadtreeGrid, build_quadtree)
 from .operators import (ProblemDefinition, UpwindDirectional,
                         instantiate_builtin)
 from .solvers import (StoppingPolicy, evolve, multiscale_solve, newton_solve)
 from . import svgplot
-
-PRESETS = ("artificial_bc", "irregular_dirichlet", "punctured_neumann",
-           "obstacle", "stefan", "custom")
-
 
 class ConfigError(Exception):
     """Bad experiment configuration; the message names the offending field."""
@@ -99,9 +95,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raw[key] = value
     cfg = ExperimentConfig(raw=raw)
     cfg.preset = raw.get("preset", "custom")
-    if cfg.preset not in PRESETS:
+    if cfg.preset not in _PRESETS:
         raise ConfigError("config field 'preset' must be one of %s"
-                          % (PRESETS,))
+                          % (tuple(_PRESETS),))
     cfg.seed = cfg.get("seed", 0, int)
     cfg.solver = raw.get("solver")
     cfg.out_dir = raw.get("output.dir", "out")
@@ -267,232 +263,224 @@ class PresetBundle:
     snapshots: tuple = ()
     contour: tuple | None = None     # ("level", v) or ("contact", eps)
     regions: tuple = ()              # radii splitting the resource report
-    u0: object = None                # initial values fn for evolution
+    u0: object = None                # initial values fn; None: zero
+    regrid_every: int = 1            # coarse Euler steps between regrids
 
 
-def _build_initial(box, depth, scale, pads=None):
-    return build_quadtree(uniform_requests(box, depth, scale), depth, box,
-                          pads=pads)
+def _ladder(criteria, thresholds, scales=(3, 2, 1, 0)):
+    """A grid strategy: fn(initial cells) -> the policy that refines along
+    this threshold ladder.  criteria() runs only for the chosen strategy."""
+    return lambda cells: RefinementPolicy(criteria(), thresholds, scales,
+                                          initial_cells=cells)
 
 
-def obstacle_strategies(box, depth, initial_cells):
-    """The three grid strategies compared on the obstacle problem."""
-    targets = _top_maxima(_obstacle_fn, box, 5)
-    reach = max(box.lx, box.ly)
-    pre = RefinementPolicy(
-        proximity_criteria(targets, reach=reach),
-        thresholds=(reach - 3.6, reach - 2.2, reach - 1.3, reach - 0.7),
-        scales=(3, 2, 1, 0), initial_cells=initial_cells)
-    tau = 0.25
-    bnd = RefinementPolicy(
-        free_boundary_criteria(closeness=tau),
-        thresholds=(1e-9, 0.5 * tau, 0.75 * tau, 0.9 * tau),
-        scales=(3, 2, 1, 0), initial_cells=initial_cells)
-    opr = RefinementPolicy(
-        residual_criteria(),
-        thresholds=(0.02, 0.08, 0.3, 1.2),
-        scales=(3, 2, 1, 0), initial_cells=initial_cells)
-    return {"predetermined": pre, "boundary": bnd, "operator": opr}
+def _artificial_bc(cfg, depth):
+    side = cfg.get("domain.side", 200.0, float)
+
+    def source(x, y):
+        r = np.hypot(x, y)
+        return r * np.maximum(1.0 - r, 0.0) * np.sin(5 * np.pi * r) \
+            * np.cos(3 * np.arctan2(y, x))
+
+    robin = (lambda x, y, nx, ny: (x * nx + y * ny) / np.hypot(x, y),
+             lambda x, y, nx, ny: 1.0 / np.hypot(x, y),
+             lambda x, y, nx, ny: 0.0)
+    # near-field rings: radius below 2^m demands a cell of physical size
+    # side/2^13 * 2^(2m); the ladder matches across doubled domains.  The
+    # shift keeps the physical cell size side/2^depth * 2^scale equal to the
+    # reference layout's (side 200, depth 13)
+    shift = round(math.log2((side / (1 << depth)) / (200.0 / (1 << 13))))
+    radii = [1.0 * (1 << m) for m in range(7)]
+    scales = [max(0, min(depth - 1, 2 * m - shift)) for m in range(7)]
+    return dict(
+        kind="poisson_dirichlet", problem=ProblemDefinition(f=source,
+                                                            robin=robin),
+        box=DomainBox(-side / 2, side / 2, -side / 2, side / 2),
+        contour=("level", 0.0), regions=(1.0, 10.0, side / 2),
+        strategies={None: _ladder(
+            lambda: proximity_criteria([(0.0, 0.0)], reach=side),
+            tuple(side - r for r in reversed(radii)),
+            tuple(reversed(scales)))})
 
 
-def stefan_strategies(initial_cells):
-    term = RefinementPolicy(stefan_terms_criteria(), thresholds=(2.0, 8.0),
-                            scales=(1, 0), initial_cells=initial_cells)
-    oper = RefinementPolicy(residual_criteria(), thresholds=(2.0, 8.0),
-                            scales=(1, 0), initial_cells=initial_cells)
-    return {"term": term, "operator": oper}
+def _irregular_dirichlet(cfg, depth):
+    chi = lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.35 ** 2
+    return dict(
+        kind="bc_composite", box=DomainBox(0.0, 1.0, 0.0, 1.0),
+        problem=ProblemDefinition(chi=chi, f=lambda x, y: 4.0,
+                                  g=lambda x, y: 0.0),
+        contour=("level", 0.05),
+        strategies={None: _ladder(residual_criteria, (0.5, 2.0, 8.0, 32.0))})
 
 
-def make_preset(cfg: ExperimentConfig) -> PresetBundle:
-    name = cfg.preset
-    if name == "artificial_bc":
-        side = cfg.get("domain.side", 200.0, float)
-        depth = cfg.get("grid.depth", 13, int)
-        box = DomainBox(-side / 2, side / 2, -side / 2, side / 2)
+def _punctured_neumann(cfg, depth):
+    cx, cy, rho = 0.5, 0.5, 0.25
+    band = 0.08
 
-        def source(x, y):
-            r = np.hypot(x, y)
-            return r * np.maximum(1.0 - r, 0.0) * np.sin(5 * np.pi * r) \
-                * np.cos(3 * np.arctan2(y, x))
+    def dist(x, y):
+        return np.hypot(x - cx, y - cy)
 
-        robin = (lambda x, y, nx, ny: (x * nx + y * ny) / np.hypot(x, y),
-                 lambda x, y, nx, ny: 1.0 / np.hypot(x, y),
-                 lambda x, y, nx, ny: 0.0)
-        problem = ProblemDefinition(f=source, robin=robin)
-        initial_scale = cfg.get("grid.initial_scale", depth - 1, int)
-        g0_cells = _grid_cells(box, depth, initial_scale)
-        # near-field rings: radius below 2^m demands a cell of physical size
-        # side/2^13 * 2^(2m); the ladder matches across doubled domains
-        radii = [1.0 * (1 << m) for m in range(7)]
-        scales = [2 * m - _depth_shift(side, depth) for m in range(7)]
-        scales = [max(0, min(depth - 1, s)) for s in scales]
-        policy = RefinementPolicy(
-            proximity_criteria([(0.0, 0.0)], reach=side),
-            thresholds=tuple(side - r for r in reversed(radii)),
-            scales=tuple(reversed(scales)),
-            initial_cells=g0_cells)
-        return PresetBundle(
-            kind="poisson_dirichlet", problem=problem, box=box, depth=depth,
-            initial_scale=initial_scale, solver="newton_multiscale",
-            policy=policy, stopping=StoppingPolicy(
-                cfg.floats("stopping.thresholds", (1e-8,))),
-            contour=("level", 0.0), regions=(1.0, 10.0, side / 2))
-
-    if name == "irregular_dirichlet":
-        depth = cfg.get("grid.depth", 8, int)
-        box = DomainBox(0.0, 1.0, 0.0, 1.0)
-        chi = lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.35 ** 2
-        problem = ProblemDefinition(chi=chi, f=lambda x, y: 4.0,
-                                    g=lambda x, y: 0.0)
-        initial_scale = cfg.get("grid.initial_scale", 4, int)
-        cells = _grid_cells(box, depth, initial_scale)
-        policy = RefinementPolicy(residual_criteria(),
-                                  thresholds=(0.5, 2.0, 8.0, 32.0),
-                                  scales=(3, 2, 1, 0), initial_cells=cells)
-        return PresetBundle(
-            kind="bc_composite", problem=problem, box=box, depth=depth,
-            initial_scale=initial_scale, solver="newton_multiscale",
-            policy=policy, stopping=StoppingPolicy(
-                cfg.floats("stopping.thresholds", (1e-6, 1e-8, 1e-9, 1e-10))),
-            contour=("level", 0.05))
-
-    if name == "punctured_neumann":
-        depth = cfg.get("grid.depth", 8, int)
-        box = DomainBox(0.0, 1.0, 0.0, 1.0)
-        cx, cy, rho = 0.5, 0.5, 0.25
-        band = 0.08
-
-        def dist(x, y):
-            return np.hypot(x - cx, y - cy)
-
-        hop = UpwindDirectional(
-            region=lambda x, y: ((rho - band <= dist(x, y))
-                                 & (dist(x, y) < rho)),
-            direction=lambda x, y: ((cx - x) / np.maximum(dist(x, y), 1e-12),
-                                    (cy - y) / np.maximum(dist(x, y), 1e-12)),
-            rhs=lambda x, y: 1.0)
-        problem = ProblemDefinition(
+    hop = UpwindDirectional(
+        region=lambda x, y: ((rho - band <= dist(x, y))
+                             & (dist(x, y) < rho)),
+        direction=lambda x, y: ((cx - x) / np.maximum(dist(x, y), 1e-12),
+                                (cy - y) / np.maximum(dist(x, y), 1e-12)),
+        rhs=lambda x, y: 1.0)
+    weight = lambda x, y: np.where(abs(dist(x, y) - rho) < 0.12, 1.0, 0.1)
+    return dict(
+        kind="bc_composite", box=DomainBox(0.0, 1.0, 0.0, 1.0),
+        problem=ProblemDefinition(
             chi=lambda x, y: dist(x, y) >= rho,
-            f=lambda x, y: 0.0, g=lambda x, y: 0.0, first_order=hop)
-        initial_scale = cfg.get("grid.initial_scale", 4, int)
-        cells = _grid_cells(box, depth, initial_scale)
-        weight = lambda x, y: np.where(abs(dist(x, y) - rho) < 0.12,
-                                       1.0, 0.1)
-        policy = RefinementPolicy(slope_criteria(weight),
-                                  thresholds=(0.2, 0.8, 1.6, 3.2),
-                                  scales=(3, 2, 1, 0), initial_cells=cells)
-        return PresetBundle(
-            kind="bc_composite", problem=problem, box=box, depth=depth,
-            initial_scale=initial_scale, solver="newton_multiscale",
-            policy=policy, stopping=StoppingPolicy(
-                cfg.floats("stopping.thresholds", (1e-7, 1e-8, 1e-9, 1e-10))),
-            contour=("level", -0.01))
+            f=lambda x, y: 0.0, g=lambda x, y: 0.0, first_order=hop),
+        contour=("level", -0.01),
+        strategies={None: _ladder(lambda: slope_criteria(weight),
+                                  (0.2, 0.8, 1.6, 3.2))})
 
-    if name == "obstacle":
-        depth = cfg.get("grid.depth", 8, int)
-        box = DomainBox(-4.0, 4.0, -4.0, 4.0)
-        lift = OBSTACLE_WALL_LIFT
-        problem = ProblemDefinition(
+
+def _obstacle(cfg, depth):
+    box = DomainBox(-4.0, 4.0, -4.0, 4.0)
+    reach = max(box.lx, box.ly)
+    tau = 0.25
+    return dict(
+        kind="obstacle", box=box, problem=ProblemDefinition(
             g=_obstacle_fn,
-            robin=dirichlet_walls(lambda x, y: _obstacle_fn(x, y) + lift))
-        initial_scale = cfg.get("grid.initial_scale", 5, int)
-        cells = _grid_cells(box, depth, initial_scale)
-        strategies = obstacle_strategies(box, depth, cells)
-        strategy = cfg.get("refine.strategy", "boundary")
-        if strategy not in strategies:
-            raise ConfigError("config field 'refine.strategy' must be one of "
-                              "%s" % sorted(strategies))
-        return PresetBundle(
-            kind="obstacle", problem=problem, box=box, depth=depth,
-            initial_scale=initial_scale, solver="newton_multiscale",
-            policy=strategies[strategy], stopping=StoppingPolicy(
-                cfg.floats("stopping.thresholds",
-                           (1e-6, 1e-7, 1e-8, 1e-9, 1e-9))),
-            contour=("contact", 1e-8))
+            robin=dirichlet_walls(lambda x, y: _obstacle_fn(x, y)
+                                  + OBSTACLE_WALL_LIFT)),
+        contour=("contact", 1e-8),
+        u0=lambda x, y: np.maximum(_obstacle_fn(x, y), 0.0),
+        # the three grid strategies compared on the obstacle problem
+        strategies={
+            "predetermined": _ladder(
+                lambda: proximity_criteria(_top_maxima(_obstacle_fn, box, 5),
+                                           reach=reach),
+                (reach - 3.6, reach - 2.2, reach - 1.3, reach - 0.7)),
+            "boundary": _ladder(
+                lambda: free_boundary_criteria(closeness=tau),
+                (1e-9, 0.5 * tau, 0.75 * tau, 0.9 * tau)),
+            "operator": _ladder(residual_criteria, (0.02, 0.08, 0.3, 1.2))})
 
-    if name == "stefan":
-        depth = cfg.get("grid.depth", 7, int)
-        box = DomainBox(-1.0, 1.0, -1.0, 1.0)
-        problem = ProblemDefinition(g=lambda x, y: -STEFAN_BACKGROUND)
-        coarse_scale = cfg.get("grid.initial_scale", 2, int)
-        cells = _grid_cells(box, depth, coarse_scale)
-        strategy = cfg.get("refine.strategy", "operator")
-        policy = None
-        initial_scale = coarse_scale
-        if strategy == "uniform_fine":
-            initial_scale = 0
-        elif strategy == "uniform_coarse":
-            pass
-        else:
-            strategies = stefan_strategies(cells)
-            if strategy not in strategies:
-                raise ConfigError(
-                    "config field 'refine.strategy' must be one of %s"
-                    % sorted(list(strategies) +
-                             ["uniform_fine", "uniform_coarse"]))
-            policy = strategies[strategy]
-        return PresetBundle(
-            kind="stefan", problem=problem, box=box, depth=depth,
-            initial_scale=initial_scale, solver="euler_evolve", policy=policy,
-            T=cfg.get("time.T", 0.025, float),
-            snapshots=cfg.floats("time.snapshots", (0.005, 0.025)),
-            contour=("level", 0.0), u0=stefan_initial)
 
-    # custom: everything from config expressions
-    depth = cfg.get("grid.depth", 6, int)
+def _stefan(cfg, depth):
+    return dict(
+        kind="stefan", box=DomainBox(-1.0, 1.0, -1.0, 1.0),
+        problem=ProblemDefinition(g=lambda x, y: -STEFAN_BACKGROUND),
+        solver="euler_evolve", contour=("level", 0.0), u0=stefan_initial,
+        strategies={
+            "term": _ladder(stefan_terms_criteria, (2.0, 8.0), (1, 0)),
+            "operator": _ladder(residual_criteria, (2.0, 8.0), (1, 0)),
+            "uniform_coarse": None, "uniform_fine": None})
+
+
+def _custom(cfg, depth):
+    """Everything from config expressions."""
     box = DomainBox(cfg.get("domain.x_min", 0.0, float),
                     cfg.get("domain.x_max", 1.0, float),
                     cfg.get("domain.y_min", 0.0, float),
                     cfg.get("domain.y_max", 1.0, float))
-    kind = cfg.get("problem.kind", "poisson_dirichlet")
     f = expression(cfg.get("problem.f", "0"), "problem.f")
     gexpr = expression(cfg.get("problem.g", "0"), "problem.g")
     chi = robin = None
     if "problem.chi" in cfg.raw:
-        kind = cfg.get("problem.kind", "bc_composite")
-        if kind != "bc_composite":
-            raise ConfigError("config fields 'problem.chi' and 'problem.kind' "
-                              "conflict: chi selects bc_composite, not %r"
-                              % kind)
         chi = expression(cfg.raw["problem.chi"], "problem.chi")
+    kind = cfg.get("problem.kind",
+                   "poisson_dirichlet" if chi is None else "bc_composite")
+    if chi is not None and kind != "bc_composite":
+        raise ConfigError("config fields 'problem.chi' and 'problem.kind' "
+                          "conflict: chi selects bc_composite, not %r" % kind)
     if "problem.dirichlet" in cfg.raw:
         robin = dirichlet_walls(expression(cfg.raw["problem.dirichlet"],
                                            "problem.dirichlet"))
-    problem = ProblemDefinition(chi=chi, f=f, g=gexpr, robin=robin)
-    initial_scale = cfg.get("grid.initial_scale", max(depth - 2, 0), int)
-    cells = _grid_cells(box, depth, initial_scale)
     thresholds = cfg.floats("refine.thresholds", (1e9,))
     scales = cfg.ints("refine.scales", None)
     if scales is not None and len(scales) != len(thresholds):
         raise ConfigError("config fields 'refine.thresholds' and "
                           "'refine.scales' must have equal lengths")
-    try:
-        policy = RefinementPolicy(
-            residual_criteria(), thresholds=thresholds, scales=scales,
-            extra_padding=cfg.get("refine.padding", 0, int),
-            initial_cells=cells)
-    except GridError as exc:
-        raise ConfigError("config fields 'refine.thresholds', "
-                          "'refine.scales' and 'refine.padding': %s" % exc)
-    return PresetBundle(
-        kind=kind, problem=problem, box=box, depth=depth,
-        initial_scale=initial_scale,
-        solver=cfg.solver or "newton_multiscale", policy=policy,
-        stopping=StoppingPolicy(cfg.floats("stopping.thresholds", (1e-9,))),
-        T=cfg.get("time.T", 0.01, float),
-        snapshots=cfg.floats("time.snapshots", ()),
+    padding = cfg.get("refine.padding", 0, int)
+
+    def policy(cells):
+        try:
+            return RefinementPolicy(residual_criteria(), thresholds, scales,
+                                    padding, cells)
+        except GridError as exc:
+            raise ConfigError("config fields 'refine.thresholds', "
+                              "'refine.scales' and 'refine.padding': %s"
+                              % exc)
+
+    return dict(
+        kind=kind, box=box,
+        problem=ProblemDefinition(chi=chi, f=f, g=gexpr, robin=robin),
         contour=("level", cfg.get("contour.level", 0.0, float)),
-        u0=gexpr)
+        # an evolution starts from g, a static solve from zero
+        u0=gexpr if cfg.solver == "euler_evolve" else None,
+        strategies={None: policy})
 
 
-def _depth_shift(side, depth):
-    # ring scales assume physical cell size side/2^depth * 2^scale equal to
-    # the reference layout (side 200, depth 13); shift keeps sizes aligned
-    return round(math.log2((side / (1 << depth)) / (200.0 / (1 << 13))))
+# Per preset: fn(cfg, depth) -> what sets it apart, the PresetBundle fields
+# kind, problem, box, contour and any of solver, regions, u0, and
+# "strategies": refine.strategy (None if not read) -> fn(initial cells) ->
+# policy, or None; then the defaults of grid.depth, grid.initial_scale (fn
+# of the depth), stopping.thresholds, (time.T, time.snapshots) and
+# refine.strategy, None where the preset does not read the key.
+_PRESETS = {
+    "artificial_bc": (_artificial_bc, 13, lambda d: d - 1, (1e-8,), None,
+                      None),
+    "irregular_dirichlet": (_irregular_dirichlet, 8, lambda d: 4,
+                            (1e-6, 1e-8, 1e-9, 1e-10), None, None),
+    "punctured_neumann": (_punctured_neumann, 8, lambda d: 4,
+                          (1e-7, 1e-8, 1e-9, 1e-10), None, None),
+    "obstacle": (_obstacle, 8, lambda d: 5, (1e-6, 1e-7, 1e-8, 1e-9, 1e-9),
+                 None, "boundary"),
+    "stefan": (_stefan, 7, lambda d: 2, None, (0.025, (0.005, 0.025)),
+               "operator"),
+    "custom": (_custom, 6, lambda d: max(d - 2, 0), (1e-9,), (0.01, ()),
+               None),
+}
 
 
-def _grid_cells(box, depth, scale):
-    return _build_initial(box, depth, scale).leaves
+def _check(key, value, ok: bool, rule: str):
+    if not ok:
+        raise ConfigError("config field %r must be %s, not %r"
+                          % (key, rule, value))
+
+
+def make_preset(cfg: ExperimentConfig) -> PresetBundle:
+    """The run cfg describes: its preset's defaults, overridden by each key
+    cfg sets.  Every run parameter is read and range-checked here, once."""
+    spec, depth, scale_of, stopping, times, strategy = _PRESETS[cfg.preset]
+    depth = cfg.get("grid.depth", depth, int)
+    _check("grid.depth", depth, 0 <= depth <= MAX_DEPTH,
+           "in [0, %d]" % MAX_DEPTH)
+    scale = cfg.get("grid.initial_scale", scale_of(depth), int)
+    _check("grid.initial_scale", scale, 0 <= scale <= depth,
+           "in [0, grid.depth]")
+    fields = spec(cfg, depth)
+    strategies = fields.pop("strategies")
+    if strategy is not None:
+        strategy = cfg.get("refine.strategy", strategy)
+        if strategy not in strategies:
+            raise ConfigError("config field 'refine.strategy' must be one of "
+                              "%s" % sorted(strategies))
+    if strategies[strategy] is not None:
+        fields["policy"] = strategies[strategy](
+            uniform_requests(fields["box"], depth, scale))
+    if strategy == "uniform_fine":     # stefan's all-fine reference grid
+        scale = 0
+    if stopping is not None:
+        stopping = cfg.floats("stopping.thresholds", stopping)
+        _check("stopping.thresholds", stopping,
+               all(map(math.isfinite, stopping)), "finite")
+        fields["stopping"] = StoppingPolicy(stopping)
+    if times is not None:
+        T = cfg.get("time.T", times[0], float)
+        _check("time.T", T, 0 < T < math.inf, "finite and > 0")
+        snapshots = cfg.floats("time.snapshots", times[1]) or (T,)
+        _check("time.snapshots", snapshots,
+               all(0 <= t <= T for t in snapshots), "in [0, time.T]")
+        every = cfg.get("time.regrid_every", 1, int)
+        _check("time.regrid_every", every, every >= 1, ">= 1")
+        fields.update(T=T, snapshots=snapshots, regrid_every=every)
+    fields["solver"] = cfg.solver or fields.get("solver", "newton_multiscale")
+    return PresetBundle(depth=depth, initial_scale=scale, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +489,6 @@ def _grid_cells(box, depth, scale):
 @dataclass
 class ResourceReport:
     regions: list                  # (name, node_share, time_share, area_share)
-    newton_by_size: dict           # node-count bucket -> linear solves
-    total_solves: int = 0
 
     def check(self):
         for col in (1, 2, 3):
@@ -550,7 +536,6 @@ def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceRe
 
     time_by_region = np.zeros(nr)
     total_time = 0.0
-    buckets = {}
     for entry in log:
         if entry.get("event") != "newton":
             continue
@@ -559,8 +544,6 @@ def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceRe
         frac = region_counts.get(entry.get("generation"))
         if frac is not None:
             time_by_region += wall * frac
-        bucket = "<5000" if entry["nodes"] < 5000 else ">=5000"
-        buckets[bucket] = buckets.get(bucket, 0) + 1
     if total_time > 0:
         time_share = time_by_region / total_time
         missing = 1.0 - time_share.sum()
@@ -570,7 +553,7 @@ def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceRe
 
     rows = list(zip(region_names(radii), node_share, time_share,
                     region_areas(radii, grid.box)))
-    rep = ResourceReport(rows, buckets, sum(buckets.values()))
+    rep = ResourceReport(rows)
     rep.check()
     return rep
 
@@ -585,37 +568,32 @@ def atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _csv(header: str, fmt: str, rows) -> str:
+    return "\n".join([header] + [fmt % row for row in rows]) + "\n"
+
+
 def solution_csv(grid: QuadtreeGrid, u: GridFunction) -> str:
-    lines = ["i,j,x,y,u"]
-    for row in zip(grid.i.tolist(), grid.j.tolist(), grid.x.tolist(),
-                   grid.y.tolist(), u.values.tolist()):
-        lines.append("%d,%d,%r,%r,%r" % row)
-    return "\n".join(lines) + "\n"
+    return _csv("i,j,x,y,u", "%d,%d,%r,%r,%r", zip(
+        grid.i.tolist(), grid.j.tolist(), grid.x.tolist(), grid.y.tolist(),
+        u.values.tolist()))
 
 
 def contour_csv(polylines) -> str:
-    lines = ["curve_id,seq,x,y"]
-    for cid, poly in enumerate(polylines):
-        for seq, (x, y) in enumerate(poly):
-            lines.append("%d,%d,%r,%r" % (cid, seq, float(x), float(y)))
-    return "\n".join(lines) + "\n"
+    return _csv("curve_id,seq,x,y", "%d,%d,%r,%r", [
+        (cid, seq, float(x), float(y)) for cid, poly in enumerate(polylines)
+        for seq, (x, y) in enumerate(poly)])
 
 
 def report_csv(rep: ResourceReport) -> str:
-    lines = ["region,node_share,time_share,area_share"]
-    for (name, ns, ts, ar) in rep.regions:
-        lines.append("%s,%r,%r,%r" % (name, float(ns), float(ts), float(ar)))
-    return "\n".join(lines) + "\n"
+    return _csv("region,node_share,time_share,area_share", "%s,%r,%r,%r", [
+        (name, float(ns), float(ts), float(ar))
+        for (name, ns, ts, ar) in rep.regions])
 
 
 def solver_log_csv(log) -> str:
-    lines = ["event,nodes,iteration,residual,wall,t,tau"]
-    for e in log:
-        lines.append("%s,%s,%s,%s,%s,%s,%s" % (
-            e.get("event", ""), e.get("nodes", ""), e.get("iteration", ""),
-            e.get("residual", ""), e.get("wall", ""), e.get("t", ""),
-            e.get("tau", "")))
-    return "\n".join(lines) + "\n"
+    cols = ("event", "nodes", "iteration", "residual", "wall", "t", "tau")
+    return _csv(",".join(cols), ",".join(["%s"] * len(cols)),
+                [tuple(e.get(c, "") for c in cols) for e in log])
 
 
 def _extract(preset: PresetBundle, grid, u):
@@ -641,56 +619,45 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     factory = lambda gr: instantiate_builtin(preset.kind, preset.problem, gr)
     log = []
     results = {"log": log, "preset": preset}
-    solver = cfg.solver or preset.solver
 
     try:
-        if solver == "euler_evolve":
-            op = factory(g0)
-            u0 = GridFunction(g0, preset.problem.sample(preset.u0, g0,
-                                                         name="u0"))
-            snapshots = preset.snapshots or (preset.T,)
-            snaps = evolve(op, g0, u0, T=preset.T, policy=preset.policy,
-                           snapshot_times=snapshots, seed=cfg.seed,
-                           regrid_every=cfg.get("time.regrid_every", 1, int),
-                           log=log)
+        u0 = GridFunction(g0, preset.problem.sample(preset.u0, g0, name="u0"))
+        if preset.solver == "euler_evolve":
+            snaps = evolve(factory(g0), g0, u0, T=preset.T,
+                           policy=preset.policy,
+                           snapshot_times=preset.snapshots, seed=cfg.seed,
+                           regrid_every=preset.regrid_every, log=log)
             results["snapshots"] = snaps
-            for (gr, u, t) in snaps:
-                tag = ("%g" % t).replace(".", "p")
-                polys = _extract(preset, gr, u)
-                atomic_write(os.path.join(out, "solution_t%s.csv" % tag),
-                             solution_csv(gr, u))
-                atomic_write(os.path.join(out, "contours_t%s.csv" % tag),
-                             contour_csv(polys))
-                results.setdefault("contours", {})[t] = polys
-            gr, u, _ = snaps[-1]
-        elif solver == "newton_multiscale":
+        elif preset.solver == "newton_multiscale":
             region_counts = {}
             radii = preset.regions
 
             def watch(grid):
                 region_counts[grid.generation] = region_shares(radii, grid)
 
-            u0 = GridFunction(g0, np.zeros(g0.n_nodes()))
-            if preset.kind == "obstacle":
-                g = preset.problem.sample(preset.problem.g, g0, name="g")
-                u0 = GridFunction(g0, np.maximum(g, 0.0))
             gr, u = multiscale_solve(
                 factory, g0, u0, preset.policy, preset.stopping,
                 max_iter=cfg.get("newton.max_iter", 100, int), log=log,
                 grid_watch=watch if radii else None)
-            polys = _extract(preset, gr, u)
-            atomic_write(os.path.join(out, "solution.csv"),
-                         solution_csv(gr, u))
-            atomic_write(os.path.join(out, "contours.csv"),
-                         contour_csv(polys))
-            results["contours"] = polys
             if radii:
                 rep = resource_report(gr, radii, log, region_counts)
                 atomic_write(os.path.join(out, "report.csv"), report_csv(rep))
                 results["report"] = rep
+            snaps = [(gr, u, None)]
         else:
             raise ConfigError("config field 'solver' must be "
                               "newton_multiscale or euler_evolve")
+        # one solution/contour pair per snapshot, named by its time; a
+        # static solve has the one pair, untimed
+        contours = {}
+        for (gr, u, t) in snaps:
+            tag = "" if t is None else "_t" + ("%g" % t).replace(".", "p")
+            contours[t] = _extract(preset, gr, u)
+            atomic_write(os.path.join(out, "solution%s.csv" % tag),
+                         solution_csv(gr, u))
+            atomic_write(os.path.join(out, "contours%s.csv" % tag),
+                         contour_csv(contours[t]))
+        results["contours"] = contours.pop(None, contours)
     finally:
         atomic_write(os.path.join(out, "solver_log.csv"), solver_log_csv(log))
 
@@ -747,7 +714,7 @@ def convergence_report(family: str, depths, box=None) -> list:
                                    fine[fine[:, 0] < 1 << depth - 1]])
             grid = build_quadtree(reqs, depth, box, pads=(1, 1))
         else:
-            grid = _build_initial(box, depth, 0)
+            grid = build_quadtree(uniform_requests(box, depth, 0), depth, box)
         err = manufactured_poisson(grid, exact, lap)
         h = box.lx / (1 << depth)
         rate = math.log2(prev_err / err) if prev_err else float("nan")
@@ -757,7 +724,5 @@ def convergence_report(family: str, depths, box=None) -> list:
 
 
 def convergence_csv(rows) -> str:
-    lines = ["h,error,rate"]
-    for (h, e, r) in rows:
-        lines.append("%r,%r,%s" % (h, e, "" if math.isnan(r) else repr(r)))
-    return "\n".join(lines) + "\n"
+    return _csv("h,error,rate", "%r,%r,%s", [
+        (h, e, "" if math.isnan(r) else repr(r)) for (h, e, r) in rows])

@@ -80,8 +80,14 @@ class UpwindDirectional:
         at = inner[sample_nodes(self.region, grid.x[inner], grid.y[inner],
                                 "region") != 0]
         x, y = grid.x[at], grid.y[at]
-        nx, ny = (sample_nodes(lambda x, y: self.direction(x, y)[k], x, y,
-                               "direction") for k in (0, 1))
+        try:
+            nx, ny = self.direction(x, y)
+        except (TypeError, ValueError) as exc:
+            raise OperatorError("problem datum direction must take node "
+                                "arrays x, y and give (nx, ny): %s"
+                                % exc) from None
+        nx, ny = (sample_nodes(lambda *_: c, x, y, "direction")
+                  for c in (nx, ny))
         mask[at] = True
         const[at] = -sample_nodes(self.rhs, x, y, "rhs")
         # the one-sided difference toward each upwind side W, E, S, N (DIRS

@@ -53,14 +53,15 @@ MAX_GROUP_VISITS = 1 << 12
 
 @dataclass
 class StoppingPolicy:
-    """Per-stage residual bounds (nonincreasing), max-norm by default."""
+    """Per-stage bounds (nonincreasing) on the max-norm of the residual."""
     thresholds: tuple
-    norm: str = "max"
 
     def __post_init__(self):
         self.thresholds = tuple(self.thresholds)
         if not self.thresholds:
             raise GridError("stopping policy needs at least one threshold")
+        if not all(map(math.isfinite, self.thresholds)):
+            raise GridError("stopping thresholds must be finite")
         if any(a < b for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise GridError("stopping thresholds must be nonincreasing")
 
@@ -164,6 +165,12 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
     """
     if T <= 0:
         raise GridError("final time must be positive")
+    if not math.isfinite(T):
+        raise GridError("final time must be finite")
+    if regrid_every < 1:
+        raise GridError("regrid_every must be >= 1")
+    if not all(0 <= t <= T for t in snapshot_times):
+        raise GridError("snapshot times must lie in [0, T]")
     rng = np.random.default_rng(seed)
     u = GridFunction(grid, op.apply_pins(u0.values))
     if policy is not None:
@@ -201,7 +208,8 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
                         "tau": tau})
         if policy is not None and steps % regrid_every == 0 and t < T - 1e-14:
             op, grid, u = _adapt(policy, op, grid, u)
-    return out
+    # a T within the 1e-14 tolerance of 0 takes no step
+    return out + [(grid, u, s) for s in times[nsnap:]]
 
 
 def _adapt(policy, op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from adaptfd.grid import (BOUNDARY, DANGLING_X, DANGLING_Y, REGULAR, DomainBox,
-                          DomainError, GridFunction, InputError, ScaleError,
-                          ScaleRequest, build_quadtree, init_from_scattered)
+from adaptfd.grid import (BOUNDARY, DANGLING_X, DANGLING_Y, MAX_DEPTH,
+                          REGULAR, DomainBox, DomainError, GridFunction,
+                          InputError, QuadtreeGrid, ScaleError, ScaleRequest,
+                          build_quadtree, init_from_scattered)
 from oracles import (brute_classify, cells_from_subdivided, check_legal,
                      check_padding, closure_oracle, enumerate_trees,
                      random_requests, seeds_for_requests)
@@ -145,6 +146,25 @@ def test_request_validation_errors():
         build_quadtree([ScaleRequest(2.0, 0.5, 0)], 3, UNIT)
     with pytest.raises(ScaleError):
         build_quadtree([ScaleRequest(0.5, 0.5, 4)], 3, UNIT)
+
+
+def test_depth_bound_from_int64_keys():
+    # node keys j * (side + 1) + i and packed squares (a << 32) | b fit in
+    # an int64 up to depth 31: there a fine corner cell builds and every
+    # node, the far corner (side, side) included, finds its own id
+    assert MAX_DEPTH == 31
+    g = build_quadtree(np.array([[0, 0, 0]]), MAX_DEPTH, UNIT)
+    assert g.cells[(0, 0)] == 0 and g.is_node(g.side, g.side)
+    assert np.array_equal(g.find(g.i, g.j), np.arange(g.n_nodes()))
+    for depth in (-1, MAX_DEPTH + 1):
+        with pytest.raises(ScaleError, match="grid depth"):
+            build_quadtree(np.array([[0, 0, 0]]), depth, UNIT)
+        with pytest.raises(ScaleError, match="grid depth"):
+            build_quadtree([ScaleRequest(0.5, 0.5, 0)], depth, UNIT)
+        with pytest.raises(ScaleError, match="grid depth"):
+            init_from_scattered([(0.5, 0.5, 1.0)], depth, UNIT)
+        with pytest.raises(ScaleError, match="grid depth"):
+            QuadtreeGrid(UNIT, depth, (1, 1), [[0, 0, 0]])
 
 
 def test_classify_uniform_grid():

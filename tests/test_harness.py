@@ -291,9 +291,10 @@ def _child_env():
 
 
 def _run_cli(args, cwd):
+    # the timeout turns a run that never ends into a failure
     return subprocess.run([sys.executable, "-m", "adaptfd.cli"] + args,
                           cwd=cwd, env=_child_env(), capture_output=True,
-                          text=True)
+                          text=True, timeout=300)
 
 
 def test_import_leaves_scattered_data_modules_unloaded(tmp_path):
@@ -542,6 +543,118 @@ def test_cli_render_rejects_malformed_records(tmp_path):
     r = _run_cli(["render", "good.txt", "u.csv"], cwd=str(tmp_path))
     assert r.returncode == 3, r.stderr
     assert "solution line 2" in r.stderr
+
+
+def test_cli_render_rejects_missing_solution_rows(tmp_path):
+    # a grid node without a solution row is not taken as u = 0: a dump
+    # paired with a truncated or foreign solution exits 3 naming the node
+    (tmp_path / "grid.txt").write_text(ONE_CELL_DUMP)
+    (tmp_path / "u.csv").write_text("i,j,x,y,u\n")
+    r = _run_cli(["render", "grid.txt", "u.csv", "--out", "r"],
+                 cwd=str(tmp_path))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("solver failure:"), r.stderr
+    assert "(0, 0)" in r.stderr
+    assert not (tmp_path / "r").exists()
+    (tmp_path / "u.csv").write_text("i,j,x,y,u\n0,0,0.0,0.0,1.0\n"
+                                    "1,0,1.0,0.0,1.0\n0,1,0.0,1.0,1.0\n")
+    r = _run_cli(["render", "grid.txt", "u.csv", "--out", "r"],
+                 cwd=str(tmp_path))
+    assert r.returncode == 3 and "(1, 1)" in r.stderr, r.stderr
+
+
+CUSTOM = ("preset = custom\nproblem.f = 1\nproblem.dirichlet = 0\n"
+          "grid.depth = 3\n")
+STEFAN = ("preset = stefan\ngrid.depth = 4\n"
+          "refine.strategy = uniform_coarse\n")
+
+
+@pytest.mark.parametrize("verb, text, field", [
+    ("solve", CUSTOM + "grid.depth = -1\n", "grid.depth"),
+    ("solve", CUSTOM + "grid.initial_scale = -1\n", "grid.initial_scale"),
+    ("solve", CUSTOM + "grid.depth = 70\n", "grid.depth"),
+    ("solve", CUSTOM + "grid.initial_scale = 4\n", "grid.initial_scale"),
+    ("solve", CUSTOM + "stopping.thresholds = 1e-6,nan\n",
+     "stopping.thresholds"),
+    ("evolve", STEFAN + "time.regrid_every = 0\n", "time.regrid_every"),
+    ("evolve", STEFAN + "time.T = nan\n", "time.T"),
+    ("evolve", STEFAN + "time.T = inf\n", "time.T"),
+    ("evolve", STEFAN + "time.T = 0\n", "time.T"),
+    ("evolve", STEFAN + "time.T = 0.001\ntime.snapshots = 1.0\n",
+     "time.snapshots"),
+    ("evolve", STEFAN + "time.snapshots = -1\n", "time.snapshots"),
+    ("evolve", STEFAN + "time.snapshots = 0.001,nan\n", "time.snapshots")],
+    ids=["depth_negative", "initial_scale_negative", "depth_70",
+         "initial_scale_above_depth", "thresholds_nan", "regrid_every_0",
+         "T_nan", "T_inf", "T_0", "snapshot_after_T", "snapshot_negative",
+         "snapshot_nan"])
+def test_cli_rejects_out_of_range_run_parameters(tmp_path, verb, text,
+                                                 field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    r = _run_cli([verb, str(cfg), "--out", str(tmp_path / "o")],
+                 cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:"), r.stderr
+    assert "'%s'" % field in r.stderr
+    assert not (tmp_path / "o").exists()     # rejected before any run
+
+
+PRESET_STRATEGIES = [
+    "preset = artificial_bc\n", "preset = irregular_dirichlet\n",
+    "preset = punctured_neumann\n",
+    *["preset = obstacle\nrefine.strategy = %s\n" % s
+      for s in ("predetermined", "boundary", "operator")],
+    *["preset = stefan\nrefine.strategy = %s\n" % s
+      for s in ("uniform_fine", "uniform_coarse", "term", "operator")],
+    "preset = custom\n",
+    "preset = custom\ngrid.initial_scale = 1\ngrid.pad_x = 3\n"]
+
+
+@pytest.mark.parametrize("text", PRESET_STRATEGIES, ids=[
+    "artificial_bc", "irregular_dirichlet", "punctured_neumann",
+    "obstacle_predetermined", "obstacle_boundary", "obstacle_operator",
+    "stefan_uniform_fine", "stefan_uniform_coarse", "stefan_term",
+    "stefan_operator", "custom", "custom_padded"])
+def test_preset_builds_no_grid_and_seeds_policy_with_initial_cells(
+        tmp_path, monkeypatch, text):
+    # make_preset takes the initial cells from uniform_requests, builds no
+    # quadtree, and builds only the chosen strategy; those cells are, as a
+    # set, the leaves of the initial grid the run builds
+    from adaptfd import harness
+
+    class Stop(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_preset built a quadtree")
+
+    scans = []
+    maxima = harness._top_maxima
+    monkeypatch.setattr(harness, "_top_maxima",
+                        lambda *a: scans.append(a) or maxima(*a))
+    monkeypatch.setattr(harness, "build_quadtree", refuse)
+    cfg = parse_config(text + "grid.depth = 5\n")
+    preset = make_preset(cfg)
+    assert len(scans) == ("predetermined" in text)
+
+    built = []
+
+    def first_build(*args, **kwargs):
+        built.append(build_quadtree(*args, **kwargs))
+        raise Stop
+
+    monkeypatch.setattr(harness, "build_quadtree", first_build)
+    with pytest.raises(Stop):
+        run_experiment(cfg, out_dir=str(tmp_path))
+    leaves = set(map(tuple, built[0].leaves.tolist()))
+    if preset.policy is None:
+        assert "uniform_" in text
+        assert {k for (_, _, k) in leaves} == {preset.initial_scale}
+    else:
+        cells = preset.policy.initial_cells
+        assert len(cells) == len(leaves)
+        assert set(map(tuple, cells.tolist())) == leaves
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(

@@ -404,6 +404,25 @@ def test_upwind_directional_matches_per_node_loop():
     assert far_rows > 0
 
 
+def test_upwind_directional_calls_direction_once_per_build():
+    calls = []
+
+    def direction(x, y):
+        calls.append(len(x))
+        return np.ones_like(x), -0.5 * np.ones_like(y)
+
+    g = uniform_grid(3)
+    hop = UpwindDirectional(region=lambda x, y: x > 0.3, direction=direction,
+                            rhs=lambda x, y: 1.0)
+    mask = hop.build(g)[0]
+    assert calls == [int(mask.sum())]
+    for bad in (lambda x, y: (float(x), 0.0), lambda x, y: (x, y, x),
+                lambda x, y: (x[:1], y)):
+        with pytest.raises(OperatorError, match="direction"):
+            UpwindDirectional(region=lambda x, y: x > 0.3, direction=bad,
+                              rhs=lambda x, y: 1.0).build(g)
+
+
 def test_sampling_rejects_pointwise_callables_and_bad_shapes():
     import math
     g = uniform_grid(2)

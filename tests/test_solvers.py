@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from adaptfd.adaptivity import RefinementPolicy, residual_criteria
-from adaptfd.grid import DomainBox, GridFunction, ScaleRequest, build_quadtree
+from adaptfd.grid import (DomainBox, GridError, GridFunction, ScaleRequest,
+                          build_quadtree)
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (InstabilityError, NonconvergenceError,
                              StoppingPolicy, TimeGroups, build_schedule,
@@ -285,6 +286,43 @@ def test_asynchronous_matches_synchronous_heat():
         diffs.append(np.max(np.abs(u_async - u)))
     assert diffs[1] <= 0.6 * diffs[0]
     assert diffs[0] < 0.02
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(T=math.nan), "finite"), (dict(T=math.inf), "finite"),
+    (dict(regrid_every=0), "regrid_every"),
+    (dict(snapshot_times=(-0.001,)), "snapshot"),
+    (dict(snapshot_times=(0.001, 0.02)), "snapshot"),
+    (dict(snapshot_times=(math.nan,)), "snapshot")],
+    ids=["T_nan", "T_inf", "regrid_every_0", "snapshot_negative",
+         "snapshot_after_T", "snapshot_nan"])
+def test_evolve_rejects_out_of_range_times(kwargs, match):
+    # one all-pinned cell: a run with these arguments would end at once
+    g = build_quadtree([], 0, UNIT)
+    op = heat_op(g)
+    u0 = GridFunction(g, np.zeros(g.n_nodes()))
+    args = dict(T=0.01, snapshot_times=(0.01,))
+    args.update(kwargs)
+    with pytest.raises(GridError, match=match):
+        evolve(op, g, u0, **args)
+
+
+def test_evolve_to_a_time_below_the_step_tolerance_keeps_snapshots():
+    g = uniform_grid(2)
+    op = heat_op(g)
+    u0 = GridFunction(g, op.apply_pins(np.ones(g.n_nodes())))
+    snaps = evolve(op, g, u0, T=1e-15, snapshot_times=(0.0, 1e-15))
+    assert [t for (_, _, t) in snaps] == [0.0, 1e-15]
+    assert all(np.array_equal(u.values, u0.values) for (_, u, _) in snaps)
+
+
+def test_stopping_policy_takes_finite_thresholds_only():
+    for bad in ((math.nan,), (1e-6, math.nan), (math.inf, 1e-6)):
+        with pytest.raises(GridError, match="finite"):
+            StoppingPolicy(bad)
+    # residuals are measured in the max norm; there is no norm to choose
+    with pytest.raises(TypeError):
+        StoppingPolicy((1e-6,), "l2")
 
 
 def test_evolve_determinism_same_seed():
