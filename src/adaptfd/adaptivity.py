@@ -165,7 +165,7 @@ def stefan_terms_criteria():
 
     def crit(op, grid, u):
         lap = np.abs(op.L @ u + op.Lconst)
-        rx, ry, _ = op._gradient_sq(u)
+        rx, ry, _ = op._evaluate(u)[1]
         return np.minimum(lap, rx * rx + ry * ry)
 
     return crit

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -103,6 +104,9 @@ def _dispatch(args) -> int:
     for ij in zip(grid.i.tolist(), grid.j.tolist()):
         if ij not in values:
             raise GridError("solution has no row for grid node (%d, %d)" % ij)
+        if not math.isfinite(values[ij]):
+            raise GridError("solution value %r at grid node (%d, %d) is not "
+                            "finite" % ((values[ij],) + ij))
         u.append(values[ij])
     u = np.array(u)
     out = args.out or "."

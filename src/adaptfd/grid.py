@@ -138,6 +138,18 @@ def default_pads(box: DomainBox) -> tuple[int, int]:
 MAX_DEPTH = 31
 
 
+def text_by_key(keys, values, fmt) -> list:
+    """[fmt(v) for v in values.tolist()], calling fmt once per distinct key:
+    values[n] must depend on the nonnegative int keys[n] alone."""
+    at = np.full(int(keys.max(initial=-1)) + 1, -1)
+    at[keys] = np.arange(len(keys))
+    seen = np.flatnonzero(at >= 0)
+    table = np.empty(len(at), dtype=object)
+    table[seen] = np.array(list(map(fmt, values[at[seen]].tolist())),
+                           dtype=object)
+    return table[keys].tolist()
+
+
 def _lattice_side(depth) -> int:
     """2^depth, the lattice side; ScaleError outside [0, MAX_DEPTH]."""
     if not 0 <= depth <= MAX_DEPTH:
@@ -187,7 +199,8 @@ class QuadtreeGrid:
       min_spacing     virtual distance to the nearest neighbor
 
     nodes, node_id and cells are read-only views of the same data, built on
-    first access for callers that want per-node records.
+    first access for callers that want per-node records; node_text is the
+    nodes' i, j, x, y as text, built on first access for the writers.
     """
 
     def __init__(self, box: DomainBox, depth: int, pads: tuple[int, int],
@@ -288,18 +301,32 @@ class QuadtreeGrid:
 
     # -- dump ---------------------------------------------------------------
 
+    @cached_property
+    def node_text(self):
+        """Per-node text of i, j (str) and x, y (repr), as four tuples; each
+        distinct lattice value is formatted once, and every writer of this
+        grid shares them."""
+        i, j = self.i, self.j
+        return tuple(tuple(text_by_key(k, v, fmt)) for k, v, fmt in (
+            (i, i, str), (j, j, str), (i, self.x, repr), (j, self.y, repr)))
+
     def dump(self) -> str:
         """Plain-text dump: `node i j x y class dE dW dN dS` then `cell i j k`,
         both ordered by (j, i)."""
-        dist = np.array(list(map(repr, self.dist.ravel().tolist())),
-                        dtype=object).reshape(self.dist.shape)
-        dist[np.isnan(self.dist)] = "-"
+        # the distance columns E, W, N, S end to end; each distinct distance
+        # (by its bits) formatted once, NaN as "-"
+        cols = self.dist.T.ravel()
+        _, key = np.unique(cols.view(np.int64), return_inverse=True)
+        text = text_by_key(key, cols, lambda d: repr(d) if d == d else "-")
+        n = self.n_nodes()
+        names = np.array(CLASSES, dtype=object)[self.klass].tolist()
         out = ["node " + " ".join(row) for row in zip(
-            map(str, self.i.tolist()), map(str, self.j.tolist()),
-            map(repr, self.x.tolist()), map(repr, self.y.tolist()),
-            [CLASSES[c] for c in self.klass.tolist()], *dist.T)]
-        for (i, j, k) in self.cells_sorted().tolist():
-            out.append("cell %d %d %d" % (i, j, k))
+            *self.node_text, names, *(text[d * n:(d + 1) * n]
+                                      for d in range(4)))]
+        a, b, k = self.cells_sorted().T
+        out += map("cell %s %s %s".__mod__, zip(
+            text_by_key(a, a, str), text_by_key(b, b, str),
+            text_by_key(k, k, str)))
         return "\n".join(out) + "\n"
 
     def _collect_nodes(self):

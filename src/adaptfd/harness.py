@@ -573,9 +573,8 @@ def _csv(header: str, fmt: str, rows) -> str:
 
 
 def solution_csv(grid: QuadtreeGrid, u: GridFunction) -> str:
-    return _csv("i,j,x,y,u", "%d,%d,%r,%r,%r", zip(
-        grid.i.tolist(), grid.j.tolist(), grid.x.tolist(), grid.y.tolist(),
-        u.values.tolist()))
+    return _csv("i,j,x,y,u", "%s,%s,%s,%s,%r", zip(
+        *grid.node_text, u.values.tolist()))
 
 
 def contour_csv(polylines) -> str:

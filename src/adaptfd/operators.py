@@ -157,6 +157,8 @@ class OperatorSpec:
         # branches evaluated: the PDE row, a min kind's second, any weighted
         self.live = [b for b in range(4) if b in (0, self.second)
                      or self.weights[b].any()]
+        # where a min kind may move the PDE weight onto its second branch
+        self._pde_rows = self.weights[0] > 0
         self.T = None
         if self.kind == "stefan":
             self.T, _ = one_sided_matrices(grid)
@@ -164,6 +166,21 @@ class OperatorSpec:
             inv = {d: -t.diagonal() for d, t in self.T.items()}
             self.wx_max = np.maximum(inv["E"], inv["W"])
             self.wy_max = np.maximum(inv["N"], inv["S"])
+        # every linear row the residual reads, stacked so that one product
+        # evaluates them all: L, then any first-order rows, then T[E, W, N,
+        # S]; L, first[0] and T[d] become views of it, so no row is stored
+        # twice
+        blocks = [self.L]
+        if self.first is not None:
+            blocks.append(self.first[0])
+        if self.T is not None:
+            blocks += [self.T[d] for d in "EWNS"]
+        self.stack = sp.vstack(blocks, format="csr")
+        self.L, *rest = _row_blocks(self.stack, len(blocks))
+        if self.first is not None:
+            self.first = (rest.pop(0),) + self.first[1:]
+        if self.T is not None:
+            self.T = dict(zip("EWNS", rest))
 
     def _fix_weights(self):
         """Weights of the affine kinds: c and d where given; otherwise the
@@ -203,30 +220,52 @@ class OperatorSpec:
         classes = np.unique(spacing)[::-1].tolist()
         return classes, [idx[spacing == s] for s in classes]
 
-    def _gradient_sq(self, u):
-        # a row of T[d] is empty where no difference toward d exists; its
-        # zero slope never beats the clamp at 0, so it is never selected
-        cE, cW, cN, cS = slopes = tuple(self.T[d] @ u for d in "EWNS")
-        rx = np.maximum(np.maximum(cE, cW), 0.0)
-        ry = np.maximum(np.maximum(cN, cS), 0.0)
-        return rx, ry, slopes
+    def _evaluate(self, u):
+        """Values of the live branches, the one-sided gradient (rx, ry,
+        slopes) or None, where the second branch is open and where a min
+        kind takes it (None if absent), all from one product with the
+        stack, finished in place in the order of arithmetic of
+        (L u + Lconst) - f."""
+        n = len(u)
+        part = self.stack @ u
+        part = [part[k:k + n] for k in range(0, len(part), n)]
+        vals = {0: part[0]}
+        vals[0] += self.Lconst
+        vals[0] -= self.fvals
+        if 1 in self.live:
+            vals[1] = u - self.gvals
+        if 2 in self.live:
+            vals[2] = part[1]
+            vals[2] += self.first[1]
+        grad = None
+        if self.T is not None:
+            # a row of T[d] is empty where no difference toward d exists;
+            # its zero slope never beats the clamp at 0, so it is never
+            # selected
+            cE, cW, cN, cS = slopes = tuple(part[-4:])
+            rx = np.maximum(cE, cW)
+            np.maximum(rx, 0.0, out=rx)
+            ry = np.maximum(cN, cS)
+            np.maximum(ry, 0.0, out=ry)
+            grad = (rx, ry, slopes)
+            vals[3] = rx * rx
+            vals[3] += ry * ry
+            np.negative(vals[3], out=vals[3])
+        opened = take = None
+        if self.second is not None:
+            opened = self.is_open(u)
+            take = vals[self.second] < vals[0]
+            take &= opened
+            take &= self._pde_rows
+        return vals, grad, opened, take
 
     def _weighted(self, u):
         """Weights of the four branches, values of the live ones, one-sided
         gradient and where the second branch is open (None if absent)."""
-        grad = None if self.T is None else self._gradient_sq(u)
-        opened = None if self.second is None else self.is_open(u)
-        vals = {0: self.L @ u + self.Lconst - self.fvals}
-        if 1 in self.live:
-            vals[1] = u - self.gvals
-        if 2 in self.live:
-            vals[2] = self.first[0] @ u + self.first[1]
-        if 3 in self.live:
-            vals[3] = -(grad[0] * grad[0] + grad[1] * grad[1])
+        vals, grad, opened, take = self._evaluate(u)
         w = list(self.weights)
-        if self.second is not None:
+        if take is not None:
             b = self.second
-            take = (w[0] > 0) & opened & (vals[b] < vals[0])
             w[0] = w[0] - take
             w[b] = w[b] + take
         return w, vals, grad, opened
@@ -236,20 +275,30 @@ class OperatorSpec:
         if self.first is not None:
             bound[2] = self.first[2]
         if grad is not None:
-            bound[3] = 2.0 * (grad[0] * self.wx_max + grad[1] * self.wy_max)
+            bound[3] = grad[0] * self.wx_max
+            bound[3] += grad[1] * self.wy_max
+            bound[3] *= 2.0
         if self.second is not None:
-            bound[0] = np.where(opened,
-                                np.maximum(bound[0], bound[self.second]),
-                                bound[0])
+            top = np.maximum(bound[0], bound[self.second])
+            np.copyto(top, bound[0], where=np.logical_not(opened))
+            bound[0] = top
         # a min kind weights only its PDE row at assembly
-        return sum(self.weights[b] * bound[b] for b in self.live
-                   if b != self.second)
+        return _weighted_sum((self.weights[b], bound[b]) for b in self.live
+                             if b != self.second)
 
     def _step_terms(self, u):
         """(Lipschitz bound, residual) at every node, from one gradient."""
-        w, vals, grad, opened = self._weighted(u)
-        return (self._bound(grad, opened),
-                sum(w[b] * v for b, v in vals.items()))
+        vals, grad, opened, take = self._evaluate(u)
+        if take is None:
+            res = _weighted_sum((self.weights[b], v) for b, v in vals.items())
+        else:
+            # a min kind weights one branch per node: its PDE row, or its
+            # second branch where that is taken; the rest carry weight 0
+            res = vals[0]
+            np.copyto(res, vals[self.second], where=take)
+            res *= self.weights[0]
+            res += 0.0      # as in _weighted_sum
+        return self._bound(grad, opened), res
 
     # -- operator surface ---------------------------------------------------
 
@@ -293,6 +342,33 @@ class OperatorSpec:
         At rows, it is computed on the whole grid, then indexed."""
         lip = self._step_terms(np.asarray(u, dtype=float))[0]
         return lip if rows is None else lip[rows]
+
+
+def _row_blocks(M, k):
+    """The k equal row blocks of the CSR matrix M, as CSR matrices whose
+    data and indices are views of M's.  They are set on an empty matrix:
+    the constructor copies a view of less than half of its base."""
+    n = M.shape[0] // k
+    out = []
+    for b in range(k):
+        ptr = M.indptr[b * n:(b + 1) * n + 1]
+        lo, hi = ptr[0], ptr[-1]
+        block = sp.csr_matrix((n, M.shape[1]), dtype=M.dtype)
+        block.data, block.indices, block.indptr = \
+            M.data[lo:hi], M.indices[lo:hi], ptr - lo
+        out.append(block)
+    return out
+
+
+def _weighted_sum(terms):
+    """sum(w * v for w, v in terms) in one new array.  Like sum(), which
+    starts from 0, it turns a first term of -0.0 into 0.0."""
+    (w, v), *rest = terms
+    out = w * v
+    out += 0.0
+    for w, v in rest:
+        out += w * v
+    return out
 
 
 def instantiate_builtin(kind: str, problem: ProblemDefinition,

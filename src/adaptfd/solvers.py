@@ -102,10 +102,13 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
     start = (u.values.copy(), lip, res)
     groups, dts, spacings = [], [], []
     for s, nodes in zip(*op.time_groups):
-        nodes = nodes[lip[nodes] > 0]
-        if nodes.size:
-            groups.append(nodes)
-            dts.append(1.0 / float(lip[nodes].max()))   # min of 1 / lip
+        bound = lip[nodes]
+        live = bound > 0
+        if live.any():
+            groups.append(nodes[live])
+            # fmax skips the NaN that `live` drops, so this is the largest
+            # live bound; its reciprocal is the least 1 / lip
+            dts.append(1.0 / float(np.fmax.reduce(bound)))
             spacings.append(s)
     if not groups:
         return TimeGroups([], [], [], np.empty(0, dtype=int), 0.0, start)
@@ -137,14 +140,18 @@ def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
     u.check(grid)
     v = u.values.copy()
     start = schedule.start
-    terms = start[1:] if start is not None \
-        and start[0].tobytes() == v.tobytes() else None
+    # bitwise: a state that differs from the start only in the sign of a
+    # zero or in a NaN payload gets terms of its own
+    terms = start[1:] if start is not None and np.array_equal(
+        start[0].view(np.int64), v.view(np.int64)) else None
     for gid in schedule.schedule:
         rows = schedule.groups[gid]
         tau = schedule.taus[gid]
         lip, res = terms if terms is not None else op._step_terms(v)
         terms = None
-        if np.any(tau * lip[rows] > 1.0 + 1e-9):
+        # tau > 0, so tau * max(lip) is the largest tau * lip; fmax skips
+        # NaN as the elementwise comparison did
+        if tau * np.fmax.reduce(lip[rows]) > 1.0 + 1e-9:
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
                                    % (tau, 1.0 / lip[rows].max()))
         v[rows] -= tau * res[rows]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CLASSES
+from .grid import CLASSES, text_by_key
 
 CLASS_COLOR = {"regular": "#1f77b4", "dangling-x": "#d62728",
                "dangling-y": "#ff7f0e", "boundary": "#2ca02c",
@@ -23,40 +23,60 @@ def _mapper(box):
     return to_px, height, scale
 
 
-def grid_svg(grid) -> str:
-    """One rectangle per leaf cell and one class-tagged marker per node."""
-    to_px, height, scale = _mapper(grid.box)
-    out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-           'viewBox="0 0 %d %d">' % (WIDTH, int(height) + 1, WIDTH,
-                                     int(height) + 1)]
+def _fixed(v):
+    return "%.2f" % v
+
+
+def _cell_text(grid, to_px, scale):
+    """Text of x, y, width and height of every leaf rect, in dump order:
+    x depends on a alone, y on b + s and the sides on k, so each distinct
+    value is formatted once."""
     a, b, k = grid.cells_sorted().T
     s = 1 << k
     px, py = to_px(*grid.position(a, b + s))
-    for row in zip(px.tolist(), py.tolist(), (s * grid.hx * scale).tolist(),
-                   (s * grid.hy * scale).tolist()):
-        out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
-                   'height="%.2f" fill="none" stroke="#999" '
-                   'stroke-width="0.5"/>' % row)
+    return [text_by_key(key, val, _fixed) for key, val in (
+        (a, px), (b + s, py), (k, s * grid.hx * scale),
+        (k, s * grid.hy * scale))]
+
+
+def _head(height):
+    return ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+            'viewBox="0 0 %d %d">' % (WIDTH, int(height) + 1, WIDTH,
+                                      int(height) + 1))
+
+
+def grid_svg(grid) -> str:
+    """One rectangle per leaf cell and one class-tagged marker per node."""
+    to_px, height, scale = _mapper(grid.box)
+    out = [_head(height)]
+    out += map('<rect class="cell" x="%s" y="%s" width="%s" height="%s" '
+               'fill="none" stroke="#999" stroke-width="0.5"/>'.__mod__,
+               zip(*_cell_text(grid, to_px, scale)))
     radius = max(0.8, 0.22 * min(grid.hx, grid.hy) * scale)
     px, py = to_px(grid.x, grid.y)
-    for c, x, y in zip(grid.klass.tolist(), px.tolist(), py.tolist()):
-        out.append('<circle class="node %s" cx="%.2f" cy="%.2f" r="%.2f" '
-                   'fill="%s"/>' % (CLASSES[c], x, y, radius,
-                                    CLASS_COLOR[CLASSES[c]]))
+    names = np.array(CLASSES, dtype=object)[grid.klass].tolist()
+    fills = np.array([CLASS_COLOR[c] for c in CLASSES],
+                     dtype=object)[grid.klass].tolist()
+    out += map(('<circle class="node %%s" cx="%%s" cy="%%s" r="%.2f" '
+                'fill="%%s"/>' % radius).__mod__, zip(
+                    names, text_by_key(grid.i, px, _fixed),
+                    text_by_key(grid.j, py, _fixed), fills))
     out.append("</svg>")
     return "\n".join(out)
 
 
 def _colors(t):
-    # blue (low) to red (high) through white, per value of t
+    # blue (low) to red (high) through white, per value of t; each distinct
+    # (r, g, b) is formatted once
     t = np.clip(t, 0.0, 1.0)
     low = t < 0.5
     f = np.where(low, t / 0.5, (t - 0.5) / 0.5)
-    r = np.where(low, 40 + 215 * f, 255)
-    g = np.where(low, 80 + 175 * f, 255 - 175 * f)
-    b = np.where(low, 255, 255 - 215 * f)
-    return ["#%02x%02x%02x" % c for c in zip(*(
-        v.astype(int).tolist() for v in (r, g, b)))]
+    r = np.where(low, 40 + 215 * f, 255).astype(int)
+    g = np.where(low, 80 + 175 * f, 255 - 175 * f).astype(int)
+    b = np.where(low, 255, 255 - 215 * f).astype(int)
+    _, key = np.unique((r * 256 + g) * 256 + b, return_inverse=True)
+    return text_by_key(key, np.stack([r, g, b], axis=1),
+                       lambda c: "#%02x%02x%02x" % tuple(c))
 
 
 def solution_svg(grid, u, contours=None) -> str:
@@ -65,20 +85,16 @@ def solution_svg(grid, u, contours=None) -> str:
     to_px, height, scale = _mapper(grid.box)
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
-    out = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-           'viewBox="0 0 %d %d">' % (WIDTH, int(height) + 1, WIDTH,
-                                     int(height) + 1)]
+    out = [_head(height)]
     a, b, k = grid.cells_sorted().T
     s = 1 << k
     corners = np.stack([grid.find(a, b), grid.find(a + s, b),
                         grid.find(a, b + s), grid.find(a + s, b + s)], axis=1)
     means = values[corners].mean(axis=1)
-    px, py = to_px(*grid.position(a, b + s))
-    for row in zip(px.tolist(), py.tolist(), (s * grid.hx * scale).tolist(),
-                   (s * grid.hy * scale).tolist(),
-                   _colors((means - lo) / span)):
-        out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
-                   'height="%.2f" fill="%s" stroke="none"/>' % row)
+    out += map('<rect class="cell" x="%s" y="%s" width="%s" height="%s" '
+               'fill="%s" stroke="none"/>'.__mod__,
+               zip(*_cell_text(grid, to_px, scale),
+                   _colors((means - lo) / span)))
     polys = contours or []
     if isinstance(polys, dict):
         polys = [p for group in polys.values() for p in group]

@@ -771,3 +771,117 @@ def math_expression(text):
         return float(ev(tree, env))
 
     return fn
+
+
+# ---------------------------------------------------------------------------
+# row-wise artifact writers: every value formatted per node or per cell
+
+def grid_dump(grid) -> str:
+    """QuadtreeGrid.dump, one repr per coordinate and distance."""
+    import numpy as np
+    from adaptfd.grid import CLASSES
+    dist = np.array(list(map(repr, grid.dist.ravel().tolist())),
+                    dtype=object).reshape(grid.dist.shape)
+    dist[np.isnan(grid.dist)] = "-"
+    out = ["node " + " ".join(row) for row in zip(
+        map(str, grid.i.tolist()), map(str, grid.j.tolist()),
+        map(repr, grid.x.tolist()), map(repr, grid.y.tolist()),
+        [CLASSES[c] for c in grid.klass.tolist()], *dist.T)]
+    for (i, j, k) in grid.cells_sorted().tolist():
+        out.append("cell %d %d %d" % (i, j, k))
+    return "\n".join(out) + "\n"
+
+
+def solution_csv(grid, u) -> str:
+    """harness.solution_csv, one %d / %r per field of every row."""
+    rows = zip(grid.i.tolist(), grid.j.tolist(), grid.x.tolist(),
+               grid.y.tolist(), u.values.tolist())
+    return "\n".join(["i,j,x,y,u"] + ["%d,%d,%r,%r,%r" % row
+                                      for row in rows]) + "\n"
+
+
+def _svg_mapper(box):
+    from adaptfd.svgplot import WIDTH
+    scale = WIDTH / max(box.lx, box.ly)
+    height = box.ly * scale
+
+    def to_px(x, y):
+        return ((x - box.x_min) * scale, height - (y - box.y_min) * scale)
+
+    return to_px, height, scale
+
+
+def _svg_head(height):
+    from adaptfd.svgplot import WIDTH
+    return ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+            'viewBox="0 0 %d %d">' % (WIDTH, int(height) + 1, WIDTH,
+                                      int(height) + 1))
+
+
+def grid_svg(grid) -> str:
+    """svgplot.grid_svg, one %.2f per coordinate of every cell and node."""
+    from adaptfd.grid import CLASSES
+    from adaptfd.svgplot import CLASS_COLOR
+    to_px, height, scale = _svg_mapper(grid.box)
+    out = [_svg_head(height)]
+    a, b, k = grid.cells_sorted().T
+    s = 1 << k
+    px, py = to_px(*grid.position(a, b + s))
+    for row in zip(px.tolist(), py.tolist(), (s * grid.hx * scale).tolist(),
+                   (s * grid.hy * scale).tolist()):
+        out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
+                   'height="%.2f" fill="none" stroke="#999" '
+                   'stroke-width="0.5"/>' % row)
+    radius = max(0.8, 0.22 * min(grid.hx, grid.hy) * scale)
+    px, py = to_px(grid.x, grid.y)
+    for c, x, y in zip(grid.klass.tolist(), px.tolist(), py.tolist()):
+        out.append('<circle class="node %s" cx="%.2f" cy="%.2f" r="%.2f" '
+                   'fill="%s"/>' % (CLASSES[c], x, y, radius,
+                                    CLASS_COLOR[CLASSES[c]]))
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+def svg_colors(t):
+    """svgplot's blue-white-red fill of each value of t, one %02x triple
+    per value."""
+    import numpy as np
+    t = np.clip(t, 0.0, 1.0)
+    low = t < 0.5
+    f = np.where(low, t / 0.5, (t - 0.5) / 0.5)
+    r = np.where(low, 40 + 215 * f, 255)
+    g = np.where(low, 80 + 175 * f, 255 - 175 * f)
+    b = np.where(low, 255, 255 - 215 * f)
+    return ["#%02x%02x%02x" % c for c in zip(*(
+        v.astype(int).tolist() for v in (r, g, b)))]
+
+
+def solution_svg(grid, u, contours=None) -> str:
+    """svgplot.solution_svg, one %.2f per coordinate and one fill per
+    cell."""
+    import numpy as np
+    values = u.values if hasattr(u, "values") else np.asarray(u)
+    to_px, height, scale = _svg_mapper(grid.box)
+    lo, hi = float(values.min()), float(values.max())
+    span = hi - lo if hi > lo else 1.0
+    out = [_svg_head(height)]
+    a, b, k = grid.cells_sorted().T
+    s = 1 << k
+    corners = np.stack([grid.find(a, b), grid.find(a + s, b),
+                        grid.find(a, b + s), grid.find(a + s, b + s)], axis=1)
+    means = values[corners].mean(axis=1)
+    px, py = to_px(*grid.position(a, b + s))
+    for row in zip(px.tolist(), py.tolist(), (s * grid.hx * scale).tolist(),
+                   (s * grid.hy * scale).tolist(),
+                   svg_colors((means - lo) / span)):
+        out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
+                   'height="%.2f" fill="%s" stroke="none"/>' % row)
+    polys = contours or []
+    if isinstance(polys, dict):
+        polys = [p for group in polys.values() for p in group]
+    for poly in polys:
+        pts = " ".join("%.2f,%.2f" % to_px(x, y) for (x, y) in poly)
+        out.append('<polyline class="contour" points="%s" fill="none" '
+                   'stroke="black" stroke-width="1.2"/>' % pts)
+    out.append("</svg>")
+    return "\n".join(out)

@@ -563,6 +563,28 @@ def test_cli_render_rejects_missing_solution_rows(tmp_path):
     assert r.returncode == 3 and "(1, 1)" in r.stderr, r.stderr
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_render_rejects_non_finite_solution(tmp_path, bad):
+    # a non-finite u has no fill colour: the render exits 3 naming the node
+    # instead of writing fills such as "#ff-8000000000000000..."
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("preset = custom\nproblem.f = 1\nproblem.g = 0\n"
+                   "problem.dirichlet = 0\ngrid.depth = 3\n")
+    r = _run_cli(["solve", str(cfg), "--out", "o", "--quiet"],
+                 cwd=str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    lines = (tmp_path / "o" / "solution.csv").read_text().splitlines()
+    i, j, x, y, _ = lines[5].split(",")
+    lines[5] = ",".join([i, j, x, y, bad])
+    (tmp_path / "u.csv").write_text("\n".join(lines) + "\n")
+    r = _run_cli(["render", "o/grid.txt", "u.csv", "--out", "r"],
+                 cwd=str(tmp_path))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("solver failure:"), r.stderr
+    assert "(%s, %s)" % (i, j) in r.stderr and bad in r.stderr
+    assert not (tmp_path / "r").exists()
+
+
 CUSTOM = ("preset = custom\nproblem.f = 1\nproblem.dirichlet = 0\n"
           "grid.depth = 3\n")
 STEFAN = ("preset = stefan\ngrid.depth = 4\n"

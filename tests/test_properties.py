@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 from adaptfd.grid import (CLASSES, DANGLING_X, DANGLING_Y, DIRS, DomainBox,
                           GridFunction, ScaleRequest, build_quadtree,
                           default_pads)
+from adaptfd.harness import solution_csv
+from adaptfd.svgplot import grid_svg, solution_svg
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
                                UpwindDirectional, instantiate_builtin)
 from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError, TimeGroups,
                              build_schedule, euler_step)
 from adaptfd.stencils import StencilUnavailableError, laplacian_system
+import oracles
 from oracles import (brute_classify, check_legal, closure_oracle,
                      jacobian_reference, laplacian_system_reference,
                      leaf_edges, neighbor_oracle, row_terms,
@@ -363,3 +366,37 @@ def test_laplacian_system_matches_per_node_loop(case, variant):
         assert getattr(L, name).tobytes() == getattr(W, name).tobytes()
     for got, exp in zip((const, active, pins), want[1:]):
         assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+
+
+def _wild_values(rng, n):
+    """n values mixing normal draws, zeros of both signs, subnormals and
+    magnitudes near 1e300 and 1e-300 of either sign."""
+    sign = rng.choice([-1.0, 1.0], size=n)
+    pool = np.stack([
+        rng.normal(size=n),
+        sign * 0.0,
+        sign * rng.integers(1, 2**52, size=n) * 5e-324,
+        sign * rng.uniform(1.0, 4.0, size=n) * 1e300,
+        sign * rng.uniform(1.0, 9.0, size=n) * 1e-300])
+    return pool[rng.integers(0, len(pool), size=n), np.arange(n)]
+
+
+@PROPERTY
+@given(grids(), st.integers(0, 2**32 - 1))
+def test_writers_match_row_wise_oracles(case, seed):
+    # each writer formats every distinct lattice value once and indexes
+    # into those strings: its text is byte for byte the row-wise writer's,
+    # for two states on one grid (the second reuses the grid's node text)
+    grid, _ = case
+    rng = np.random.default_rng(seed)
+    assert grid.dump() == oracles.grid_dump(grid)
+    assert grid_svg(grid) == oracles.grid_svg(grid)
+    box = grid.box
+    polys = [np.column_stack([box.x_min + box.lx * rng.random(k),
+                              box.y_min + box.ly * rng.random(k)])
+             for k in (2, 5)]
+    for _ in range(2):
+        u = GridFunction(grid, _wild_values(rng, grid.n_nodes()))
+        assert solution_csv(grid, u) == oracles.solution_csv(grid, u)
+        assert solution_svg(grid, u, polys) \
+            == oracles.solution_svg(grid, u, polys)

@@ -240,6 +240,48 @@ def test_euler_step_matches_row_slice_reference(kind, box):
         euler_step_reference(op, u.values, bad)
 
 
+@pytest.mark.parametrize("kind", ["poisson_dirichlet", "bc_composite",
+                                  "obstacle", "stefan"])
+def test_operator_rows_are_views_of_one_stack(kind):
+    # L, the first-order rows and T[d] are row blocks of the one CSR stack
+    # each evaluation multiplies: their data and indices are the stack's
+    op, _ = euler_case(kind, graded_grid())
+    views = [op.L]
+    if op.first is not None:
+        views.append(op.first[0])
+    if op.T is not None:
+        views += [op.T[d] for d in "EWNS"]
+    assert len(views) == {"bc_composite": 2, "stefan": 5}.get(kind, 1)
+    assert op.stack.nnz == sum(m.nnz for m in views)
+    for m in views:
+        assert np.shares_memory(m.data, op.stack.data)
+        assert np.shares_memory(m.indices, op.stack.indices)
+
+
+def test_euler_step_reuses_start_terms_of_a_bitwise_equal_state(monkeypatch):
+    # the first visit takes the schedule's terms only from the very state
+    # the schedule was built at: a zero of the other sign is another state
+    g = graded_grid()
+    op, u0 = euler_case("stefan", g)
+    k = np.flatnonzero(op.active)[7]
+    u0[k] = 0.0
+    sched = build_schedule(g, op, GridFunction(g, u0))
+    visits = len(sched.schedule)
+    assert visits > 1
+    calls = []
+    real = op._step_terms
+    monkeypatch.setattr(op, "_step_terms",
+                        lambda v: calls.append(1) or real(v))
+    same = euler_step(op, g, GridFunction(g, u0.copy()), sched)
+    assert len(calls) == visits - 1
+    flipped = u0.copy()
+    flipped[k] = -0.0
+    calls.clear()
+    other = euler_step(op, g, GridFunction(g, flipped), sched)
+    assert len(calls) == visits
+    assert np.array_equal(same.values, other.values)
+
+
 def test_evolve_zero_stefan_stays_zero():
     g = uniform_grid(3)
     op = instantiate_builtin("stefan", ProblemDefinition(), g)
