@@ -9,11 +9,8 @@ refinement criteria and regridding (adaptivity), level-set extraction
 (contour), and a configuration-driven experiment harness (harness, cli).
 """
 
-from .grid import (DomainBox, GridFunction, GridNode, QuadtreeGrid,
-                   ScaleRequest, build_quadtree, classify_nodes,
-                   init_from_scattered)
-from .stencils import (StencilRow, laplacian_row, robin_row,
-                       upwind_first_derivative, upwind_gradient_sq)
+from .grid import (DomainBox, GridFunction, QuadtreeGrid, ScaleRequest,
+                   build_quadtree, classify_nodes, init_from_scattered)
 from .operators import (OperatorSpec, ProblemDefinition, assemble_jacobian,
                         assemble_residual, cfl_bounds, instantiate_builtin)
 from .solvers import (StoppingPolicy, TimeGroups, build_schedule, euler_step,
@@ -21,5 +18,16 @@ from .solvers import (StoppingPolicy, TimeGroups, build_schedule, euler_step,
 from .adaptivity import (RefinementPolicy, compute_refinement,
                          evaluate_criteria, regrid)
 from .contour import extract_contour, hausdorff_distance
+
+__all__ = [
+    "DomainBox", "GridFunction", "QuadtreeGrid", "ScaleRequest",
+    "build_quadtree", "classify_nodes", "init_from_scattered",
+    "OperatorSpec", "ProblemDefinition", "assemble_jacobian",
+    "assemble_residual", "cfl_bounds", "instantiate_builtin",
+    "StoppingPolicy", "TimeGroups", "build_schedule", "euler_step", "evolve",
+    "multiscale_solve", "newton_solve",
+    "RefinementPolicy", "compute_refinement", "evaluate_criteria", "regrid",
+    "extract_contour", "hausdorff_distance",
+]
 
 __version__ = "0.1.0"

@@ -176,7 +176,7 @@ def distance_criteria(targets):
     pts = np.asarray(targets, dtype=float)
 
     def crit(op, grid, u):
-        xs, ys = grid.positions()
+        xs, ys = grid.x, grid.y
         d = np.full(len(xs), np.inf)
         for (tx, ty) in pts:
             d = np.minimum(d, np.hypot(xs - tx, ys - ty))

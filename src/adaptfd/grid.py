@@ -23,9 +23,8 @@ read-only) and safe to share across threads for read-only queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -95,35 +94,6 @@ class ScaleRequest:
     x: float
     y: float
     scale: int
-
-
-@dataclass(frozen=True)
-class GridNode:
-    """Read-only record of one node, built from the grid's arrays."""
-    i: int
-    j: int
-    x: float
-    y: float
-    klass: str = REGULAR
-    # physical distances to the nearest node in each direction (None = absent)
-    de: float | None = None
-    dw: float | None = None
-    dn: float | None = None
-    ds: float | None = None
-    # node ids of those nearest neighbors
-    nbr: dict = field(default_factory=dict)
-    # equidistant opposing pairs for the second-order Laplacian:
-    # (id_plus, id_minus, physical distance)
-    pair_x: tuple | None = None
-    pair_y: tuple | None = None
-    # dangling-node extras
-    coarse_side: str | None = None      # which direction holds the coarse cell
-    band: int | None = None             # virtual size of the coarse cell
-    drv_pair: tuple | None = None       # two corner ids for the upwind derivative
-    wide: tuple | None = None           # (m, (id_c1, id_c2, id_c3, id_c4)) or None
-
-    def dist(self, d: str) -> float | None:
-        return {"E": self.de, "W": self.dw, "N": self.dn, "S": self.ds}[d]
 
 
 def default_pads(box: DomainBox) -> tuple[int, int]:
@@ -198,9 +168,8 @@ class QuadtreeGrid:
                       and its four corner ids
       min_spacing     virtual distance to the nearest neighbor
 
-    nodes, node_id and cells are read-only views of the same data, built on
-    first access for callers that want per-node records; node_text is the
-    nodes' i, j, x, y as text, built on first access for the writers.
+    node_text is the nodes' i, j, x, y as text, built on first access for
+    the writers.
     """
 
     def __init__(self, box: DomainBox, depth: int, pads: tuple[int, int],
@@ -239,9 +208,6 @@ class QuadtreeGrid:
     def position(self, i, j):
         return self.box.x_min + i * self.hx, self.box.y_min + j * self.hy
 
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x, self.y
-
     def find(self, i, j):
         """Node ids of lattice points (i, j); -1 where there is no node."""
         i = np.asarray(i, dtype=np.int64)
@@ -252,9 +218,6 @@ class QuadtreeGrid:
         pos = np.searchsorted(self._node_keys, key)
         pos = np.minimum(pos, len(self._node_keys) - 1)
         return np.where(inside & (self._node_keys[pos] == key), pos, -1)
-
-    def is_node(self, i: int, j: int) -> bool:
-        return bool(self.find(i, j) >= 0)
 
     def cells_sorted(self) -> np.ndarray:
         """Leaves as an (m, 3) array ordered by (b, a), the dump order."""
@@ -342,45 +305,6 @@ class QuadtreeGrid:
         x, y = self.position(self.i, self.j)
         self.x = _frozen(x)
         self.y = _frozen(y)
-
-    # -- per-node views -----------------------------------------------------
-
-    @cached_property
-    def node_id(self):
-        """Read-only mapping (i, j) -> node id."""
-        return MappingProxyType({ij: idx for idx, ij in enumerate(
-            zip(self.i.tolist(), self.j.tolist()))})
-
-    @cached_property
-    def cells(self):
-        """Read-only mapping of leaf SW corners (a, b) -> scale k."""
-        return MappingProxyType({(a, b): k
-                                 for (a, b, k) in self.leaves.tolist()})
-
-    @cached_property
-    def nodes(self) -> tuple:
-        """Every node as a read-only GridNode record, by node id."""
-        out = []
-        for (i, j, x, y, c, nbr, dist, pair, pdist, cs, band, drv, m,
-             wide) in zip(self.i.tolist(), self.j.tolist(), self.x.tolist(),
-                          self.y.tolist(), self.klass.tolist(),
-                          self.nbr.tolist(), self.dist.tolist(),
-                          self.pair.tolist(), self.pair_dist.tolist(),
-                          self.coarse_side.tolist(), self.band.tolist(),
-                          self.drv_pair.tolist(), self.wide.tolist(),
-                          self.wide_ids.tolist()):
-            d = [None if math.isnan(v) else v for v in dist]
-            dangling = cs >= 0
-            out.append(GridNode(
-                i, j, x, y, CLASSES[c], *d,
-                nbr={DIRS[q]: n for q, n in enumerate(nbr) if n >= 0},
-                pair_x=None if pair[0] < 0 else (pair[0], pair[1], pdist[0]),
-                pair_y=None if pair[2] < 0 else (pair[2], pair[3], pdist[1]),
-                coarse_side=DIRS[cs] if dangling else None,
-                band=band if dangling else None,
-                drv_pair=tuple(drv) if dangling else None,
-                wide=(m, tuple(wide)) if m > 0 else None))
-        return tuple(out)
 
 
 @dataclass

@@ -45,7 +45,7 @@ class ProblemDefinition:
     the grid, not the stencil, resolves the boundary).  robin supplies the
     wall data (A, B, C) of A u' + B u = C, callables (x, y, nx, ny) called
     once per wall with the arrays x, y of its nodes and its outward normal
-    nx, ny as floats (see stencils.robin_row); when absent, walls are
+    nx, ny as floats (see stencils.laplacian_system); when absent, walls are
     Dirichlet-pinned at g.  first_order optionally replaces the data branch
     on a node subset with a first-order degenerate-elliptic operator.
     """

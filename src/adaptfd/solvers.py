@@ -301,7 +301,7 @@ def multiscale_solve(op_factory, grid: QuadtreeGrid, u0, policy, stopping,
         grid_watch(grid)
     u = newton_solve(op, grid, u0, stopping, stage=0, max_iter=max_iter,
                      log=log)
-    present = sorted(set(grid.scales()), reverse=True)
+    present = grid.scales()[::-1]
     if finest_scale is None:
         finest_scale = min(policy.scales)
     start = present[1] if len(present) > 1 else present[0] - 1

@@ -13,19 +13,15 @@ equal-size cells that straddle the hanging edge plus the two fine axis
 neighbors, widened along the coarse axis until the axis-pair weight stays
 nonnegative.  Boundary nodes eliminate the outward derivative through a Robin
 condition A u' + B u = C.  Each rule is built once, from the node arrays, for
-any set of nodes; the per-node functions are one-row views of the same code.
+any set of nodes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .grid import BOUNDARY, CODE, DIRS, REGULAR, GridError, QuadtreeGrid
-
-OPPOSITE = {"+x": "W", "-x": "E", "+y": "S", "-y": "N"}
 
 # outward normal (nx, ny) of the wall whose inward direction is DIRS[d]:
 # the walls i = 0, i = side, j = 0, j = side
@@ -59,34 +55,6 @@ def sample_nodes(fn, x, y, name: str, *normal) -> np.ndarray:
     return np.full(len(x), v) if v.ndim == 0 else v
 
 
-@dataclass
-class StencilRow:
-    """One node's discretization: evaluates wbar*u_i - sum w_j u_j + constant."""
-    center: int
-    wbar: float
-    neighbors: list          # [(node id, weight >= 0), ...]
-    constant: float = 0.0
-
-    def evaluate(self, u: np.ndarray) -> float:
-        acc = self.wbar * u[self.center] + self.constant
-        for (j, w) in self.neighbors:
-            acc -= w * u[j]
-        return acc
-
-
-@dataclass(frozen=True)
-class InactiveMark:
-    """Dirichlet pin: the node is removed from the unknowns at this value."""
-    value: float
-
-
-def _index(grid: QuadtreeGrid, node) -> int:
-    """Node id of a node given by id or as a GridNode record."""
-    if isinstance(node, (int, np.integer)):
-        return int(node)
-    return int(grid.find(node.i, node.j))
-
-
 def _inv_sq(d):
     """1 / d**2 per entry, with Python's float power: its pow() and numpy's
     squaring can round differently, and rows must not change bits."""
@@ -107,45 +75,6 @@ def one_sided_geometry(grid: QuadtreeGrid, d: int, idx=slice(None)):
     dist = np.where(far, grid.band[idx] * (grid.hx if d < 2 else grid.hy),
                     grid.dist[idx, d])
     return ids, dist, far
-
-
-def _slope(grid: QuadtreeGrid, idx: int, d: int, values):
-    """(u_side - u_i) / dist toward DIRS[d] at node idx; None where the node
-    has no value on that side."""
-    ids, dist, far = one_sided_geometry(grid, d, idx)
-    if ids[0] < 0:
-        return None
-    opp = (values[ids[0]] + values[ids[1]]) / 2 if far else values[ids[0]]
-    return (opp - values[idx]) / dist
-
-
-def upwind_first_derivative(grid: QuadtreeGrid, node, direction: str,
-                            u) -> float:
-    """One-sided derivative along `direction`, differencing against the
-    opposite-side neighbor: D_{+x} u = (u_i - u_W)/dW approximates du/dx,
-    with the far-corner average standing in for a missing coarse side."""
-    idx = _index(grid, node)
-    side = OPPOSITE[direction]
-    slope = _slope(grid, idx, DIRS.index(side),
-                   u.values if hasattr(u, "values") else u)
-    if slope is None:
-        raise StencilUnavailableError(
-            "no %s neighbor at node (%d, %d)" % (side, grid.i[idx],
-                                                  grid.j[idx]))
-    return -slope
-
-
-def upwind_gradient_sq(grid: QuadtreeGrid, node, u) -> float:
-    """Monotone |grad u|^2: per axis the uphill one-sided slope, clamped at 0
-    and squared, so that -(result) is nondecreasing in every u_i - u_j."""
-    idx = _index(grid, node)
-    values = u.values if hasattr(u, "values") else u
-    total = 0.0
-    for sides in ((0, 1), (2, 3)):
-        slopes = [_slope(grid, idx, d, values) for d in sides]
-        best = max([0.0] + [s for s in slopes if s is not None])
-        total += best * best
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +117,10 @@ def _interior_rows(grid: QuadtreeGrid, ids):
     return (rows, cols, vals), faults
 
 
-def _robin_rows(grid: QuadtreeGrid, ids, A, B, C):
+def _wall_rows(grid: QuadtreeGrid, ids, A, B, C):
     """Entries, then per id the constant, active mask and pins, and the
-    faults of the rows at wall node ids, as robin_row describes them."""
+    faults of the rows at wall node ids, as laplacian_system describes
+    them."""
     k = len(ids)
     wbar, const, pins = np.zeros(k), np.zeros(k), np.zeros(k)
     pinned, ill = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
@@ -240,7 +170,7 @@ def _rows(grid: QuadtreeGrid, ids, robin=None):
     entries, faults = _interior_rows(grid, ids[~wall])
     const, active, pins = np.zeros(len(ids)), ~wall, np.zeros(len(ids))
     if robin is not None:
-        more, const[wall], active[wall], pins[wall], bad = _robin_rows(
+        more, const[wall], active[wall], pins[wall], bad = _wall_rows(
             grid, ids[wall], *robin)
         entries = [np.concatenate(part) for part in zip(entries, more)]
         faults += bad
@@ -250,44 +180,6 @@ def _rows(grid: QuadtreeGrid, ids, robin=None):
         k, error, text = min(first, key=lambda f: f[0])
         raise error(text % (grid.i[k], grid.j[k]))
     return entries, const, active, pins
-
-
-def _stencil_row(idx: int, entries, const) -> StencilRow:
-    _, cols, vals = entries
-    return StencilRow(idx, float(vals[0]),
-                      list(zip(cols[1:].tolist(), (-vals[1:]).tolist())),
-                      float(const[0]))
-
-
-def laplacian_row(grid: QuadtreeGrid, node) -> StencilRow:
-    """Row encoding -Laplacian(u) at a regular or dangling node."""
-    idx = _index(grid, node)
-    if grid.klass[idx] == CODE[BOUNDARY]:
-        raise StencilUnavailableError(
-            "boundary node (%d, %d) needs Robin data" % (grid.i[idx],
-                                                        grid.j[idx]))
-    return _stencil_row(idx, *_rows(grid, np.array([idx]))[:2])
-
-
-def robin_row(grid: QuadtreeGrid, node, A, B, C):
-    """Boundary row for A u' + B u = C (u' = outward normal derivative).
-
-    A, B, C are callables (x, y, nx, ny) -> value.  An assembly calls them
-    once per wall, in the order i = 0, i = side, j = 0, j = side, on the
-    arrays x, y of the wall's nodes (here the node, or none where it is not
-    on that wall) and the wall's outward normal nx, ny as floats; scalar
-    results are broadcast.  The first wall with A = 0 pins the node
-    (returns InactiveMark with value C/B).  Otherwise each wall's outward
-    derivative is eliminated against the one-sided inward derivative and,
-    off the corners, the centered tangential second difference is added,
-    into a -Laplacian row.
-    """
-    idx = _index(grid, node)
-    if grid.klass[idx] != CODE[BOUNDARY]:
-        raise StencilUnavailableError("robin_row applies to boundary nodes")
-    entries, const, active, pins = _rows(grid, np.array([idx]), (A, B, C))
-    return _stencil_row(idx, entries, const) if active[0] \
-        else InactiveMark(float(pins[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +192,15 @@ def laplacian_system(grid: QuadtreeGrid, robin=None):
     all nodes, a boolean mask of active unknowns, and pinned values (zero
     where active).  Boundary nodes use the Robin triple when given, else they
     are treated as Dirichlet pins at 0 to be overridden by the caller.
+
+    The Robin triple (A, B, C) of A u' + B u = C (u' the outward normal
+    derivative) is called once per wall, in the order i = 0, i = side,
+    j = 0, j = side, on the arrays x, y of the wall's nodes and the wall's
+    outward normal nx, ny as floats; scalar results are broadcast.  The
+    first wall with A = 0 pins the node at C/B.  Otherwise each wall's
+    outward derivative is eliminated against the one-sided inward
+    derivative and, off the corners, the centered tangential second
+    difference is added.
     """
     nn = grid.n_nodes()
     (rows, cols, vals), const, active, pins = _rows(grid, np.arange(nn),

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and legality checkers for quadtree grids.
 
-The grid checks work directly on a plain cells dict {(i, j): scale} so they
-can be used both on built grids and on enumerated candidate trees, without
-going through the production construction path.  The per-node and per-point
+The grid checks work directly on a plain cells dict {(i, j): scale} (of a
+built grid: cell_map) so they can be used both on built grids and on
+enumerated candidate trees, without going through the production
+construction path.  The per-node and per-point
 forms of array code (problem data, the upwind first-order rows, the
 Laplacian and Robin rows, config expressions) are kept at the end as
 references.
@@ -112,6 +113,11 @@ def cells_from_subdivided(D, depth):
 
 # ---------------------------------------------------------------------------
 # legality checkers
+
+def cell_map(grid):
+    """The leaves of a built grid as a cells dict {(a, b): k}."""
+    return {(a, b): k for a, b, k in grid.leaves.tolist()}
+
 
 def vertices_of(cells):
     verts = set()
@@ -394,17 +400,18 @@ def neighbor_oracle(verts, edges, depth, i, j, side):
             return q, t
 
 
-def dump_rows(grid, rows) -> str:
-    """Text dump of stencil rows: `row i j wbar constant n  j1 i1 w1 ...`,
-    ordered like the grid dump."""
+def dump_rows(grid, L, const, ids) -> str:
+    """Text dump of rows ids of a CSR -Laplacian L with constants const:
+    `row i j wbar constant n  i1 j1 w1 ...`, with weights w = -L[row, col]."""
     out = []
-    for r in rows:
-        n = grid.nodes[r.center]
-        parts = ["row %d %d %r %r %d" % (n.i, n.j, r.wbar, r.constant,
-                                         len(r.neighbors))]
-        for (j, w) in r.neighbors:
-            m = grid.nodes[j]
-            parts.append("%d %d %r" % (m.i, m.j, w))
+    for r in ids:
+        lo, hi = L.indptr[r], L.indptr[r + 1]
+        cols, vals = L.indices[lo:hi].tolist(), L.data[lo:hi].tolist()
+        nbrs = [(c, -v) for c, v in zip(cols, vals) if c != r]
+        parts = ["row %d %d %r %r %d" % (grid.i[r], grid.j[r],
+                                         float(L[r, r]), float(const[r]),
+                                         len(nbrs))]
+        parts += ["%d %d %r" % (grid.i[c], grid.j[c], w) for c, w in nbrs]
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 
@@ -590,6 +597,7 @@ def upwind_directional_build(hop, grid):
     lip = np.zeros(nn)
     const = np.zeros(nn)
     rows, cols, vals = [], [], []
+    cells = cell_map(grid)
     inner = np.flatnonzero(grid.klass != CODE[BOUNDARY])
     for idx, x, y in zip(inner.tolist(), grid.x[inner].tolist(),
                          grid.y[inner].tolist()):
@@ -601,9 +609,9 @@ def upwind_directional_build(hop, grid):
         for comp, upw in ((nx, "W"), (-nx, "E"), (ny, "S"), (-ny, "N")):
             if comp <= 0.0:
                 continue
-            pts, t = one_sided_oracle(grid.cells, grid.depth,
-                                      int(grid.i[idx]), int(grid.j[idx]), upw)
-            ids = [grid.node_id[p] for p in pts]
+            pts, t = one_sided_oracle(cells, grid.depth, int(grid.i[idx]),
+                                      int(grid.j[idx]), upw)
+            ids = [int(grid.find(*p)) for p in pts]
             dist = t * (grid.hx if upw in "EW" else grid.hy)
             rows += [idx] * (len(ids) + 1)
             cols += [idx, *ids]

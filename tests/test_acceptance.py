@@ -21,8 +21,8 @@ from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (StoppingPolicy, TimeGroups, build_schedule,
                              euler_step, evolve, multiscale_solve,
                              newton_solve)
-from oracles import (check_legal, closure_oracle, psor_solve, random_requests,
-                     seeds_for_requests)
+from oracles import (cell_map, check_legal, closure_oracle, psor_solve,
+                     random_requests, seeds_for_requests)
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
@@ -50,9 +50,10 @@ def test_criterion_1_quadtree_legality():
         reqs = random_requests(rng, depth, int(rng.integers(1, 8)), UNIT)
         g = build_quadtree(reqs, depth, UNIT, pads=pads)
         seeds = seeds_for_requests(reqs, depth, UNIT)
-        assert check_legal(g.cells, depth, pads, seeds), (depth, pads, reqs)
+        cells = cell_map(g)
+        assert check_legal(cells, depth, pads, seeds), (depth, pads, reqs)
         if depth <= 3:
-            assert g.cells == closure_oracle(seeds, depth, pads), \
+            assert cells == closure_oracle(seeds, depth, pads), \
                 (depth, pads, reqs)
             oracle_checked += 1
     elapsed = time.time() - t0
@@ -63,8 +64,8 @@ def test_criterion_1_quadtree_legality():
 
 
 def test_criterion_2_stencil_consistency():
-    from adaptfd.stencils import laplacian_row
-    from adaptfd.grid import REGULAR
+    from adaptfd.stencils import laplacian_system
+    from adaptfd.grid import CODE, REGULAR
     t0 = time.time()
     rng = np.random.default_rng(202)
     worst = 0.0
@@ -73,15 +74,13 @@ def test_criterion_2_stencil_consistency():
         g = build_quadtree(random_requests(rng, depth, 5, UNIT), depth, UNIT,
                            pads=(1, 1))
         a, b, c, d, e, f0 = rng.normal(size=6)
-        u = np.array([a * n.x ** 2 + b * n.y ** 2 + c * n.x * n.y
-                      + d * n.x + e * n.y + f0 for n in g.nodes])
+        u = np.array([a * x ** 2 + b * y ** 2 + c * x * y + d * x + e * y
+                      + f0 for x, y in zip(g.x.tolist(), g.y.tolist())])
         exact = -(2 * a + 2 * b)
         scale = max(abs(exact), 1.0)
-        for n in g.nodes:
-            if n.klass != REGULAR:
-                continue
-            got = laplacian_row(g, n).evaluate(u)
-            worst = max(worst, abs(got - exact) / scale)
+        L, const, _, _ = laplacian_system(g)
+        got = (L @ u + const)[g.klass == CODE[REGULAR]]
+        worst = max(worst, np.max(np.abs(got - exact), initial=0.0) / scale)
     assert worst <= 1e-10
 
     uni = convergence_report("uniform", (3, 4, 5))
@@ -225,8 +224,7 @@ def test_criterion_6_obstacle_psor_equivalence(obstacle_setup):
     from adaptfd.adaptivity import RefinementPolicy, residual_criteria
     pol = RefinementPolicy(residual_criteria(), thresholds=(1e30,),
                            scales=(0,),
-                           initial_cells=tuple((a, b, k) for (a, b), k
-                                               in g.cells.items()))
+                           initial_cells=tuple(map(tuple, g.leaves.tolist())))
     grid, u = multiscale_solve(factory, g, u0, pol, StoppingPolicy([1e-11]))
     assert grid.same_cells(g)
     ref = psor_solve(op, tol=1e-12)
@@ -372,18 +370,17 @@ def _stefan_slab_exponent():
     prob = ProblemDefinition(robin=robin)
     op = instantiate_builtin("stefan", prob, g)
     u0 = GridFunction(g, op.apply_pins(np.array(
-        [profile(n.x, t0) for n in g.nodes])))
+        [profile(x, t0) for x in g.x.tolist()])))
     T = 10 * t0
     times = list(np.geomspace(t0, T, 7))
     snaps = evolve(op, g, u0, T=T, snapshot_times=times, seed=7)
 
     side = 1 << depth
-    row = sorted((n.x, idx) for idx, n in enumerate(g.nodes)
-                 if n.j == side // 2)
-    xs = np.array([r[0] for r in row])
+    row = np.flatnonzero(g.j == side // 2)      # ordered by x
+    xs = g.x[row]
     fronts = []
     for (_, u, t) in snaps:
-        vals = np.array([u.values[idx] for (_, idx) in row])
+        vals = u.values[row]
         above = np.where(vals > 0)[0]
         k = above[-1]
         xf = xs[k] + vals[k] / (vals[k] - vals[k + 1]) * (xs[k + 1] - xs[k])

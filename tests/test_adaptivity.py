@@ -10,8 +10,8 @@ from adaptfd.adaptivity import (RefinementPolicy, cells_as_requests,
 from adaptfd.grid import DomainBox, GridFunction, ScaleRequest, build_quadtree
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import StoppingPolicy, newton_solve
-from adaptfd.stencils import laplacian_row
-from oracles import random_requests, seeds_for_requests
+from adaptfd.stencils import laplacian_system, one_sided_matrices
+from oracles import cell_map, random_requests, seeds_for_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
@@ -34,19 +34,20 @@ def test_residual_criteria_zero_at_solution():
 
 
 def test_stefan_terms_match_direct_formula():
-    from adaptfd.stencils import upwind_gradient_sq
     g = uniform_grid(3)
     op = instantiate_builtin("stefan", ProblemDefinition(), g)
     rng = np.random.default_rng(5)
     u = GridFunction(g, op.apply_pins(rng.normal(size=g.n_nodes())))
     policy = RefinementPolicy(stefan_terms_criteria(), thresholds=(1.0,))
     vals = evaluate_criteria(policy, op, g, u)
-    for idx, n in enumerate(g.nodes):
-        if not op.active[idx]:
-            continue
-        lap = abs(laplacian_row(g, n).evaluate(u.values))
-        want = min(lap, upwind_gradient_sq(g, n, u.values))
-        assert vals.values[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    L, const, _, _ = laplacian_system(g)
+    lap = np.abs(L @ u.values + const)
+    # per axis the uphill one-sided slope, clamped at 0 and squared
+    T, _ = one_sided_matrices(g)
+    grad_sq = sum(np.maximum(np.maximum(T[p] @ u.values, T[m] @ u.values),
+                             0.0) ** 2 for p, m in (("E", "W"), ("N", "S")))
+    want = np.minimum(lap, grad_sq)[op.active]
+    assert vals.values[op.active] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_distance_criteria_matches_scan():
@@ -54,8 +55,8 @@ def test_distance_criteria_matches_scan():
     targets = [(0.21, 0.7), (0.8, 0.33), (0.5, 0.51)]
     crit = distance_criteria(targets)
     vals = crit(None, g, np.zeros(g.n_nodes()))
-    for idx, n in enumerate(g.nodes):
-        want = min(math.hypot(n.x - tx, n.y - ty) for (tx, ty) in targets)
+    for idx, (x, y) in enumerate(zip(g.x.tolist(), g.y.tolist())):
+        want = min(math.hypot(x - tx, y - ty) for (tx, ty) in targets)
         assert vals[idx] == pytest.approx(want, rel=1e-12)
 
 
@@ -63,8 +64,8 @@ def test_all_below_threshold_regrid_is_noop():
     g0 = build_quadtree([ScaleRequest(0.5, 0.5, 2)], 4, UNIT, pads=(1, 1))
     policy = RefinementPolicy(lambda op, gr, u: np.zeros(gr.n_nodes()),
                               thresholds=(0.5,), scales=(0,),
-                              initial_cells=tuple((a, b, k) for (a, b), k
-                                                  in g0.cells.items()))
+                              initial_cells=tuple(map(tuple,
+                                                      g0.leaves.tolist())))
     u = GridFunction(g0, np.arange(g0.n_nodes(), dtype=float))
     vals = evaluate_criteria(policy, None, g0, u)
     reqs = compute_refinement(policy, vals, g0)
@@ -79,7 +80,7 @@ def test_single_hot_node_refined_with_padding_ring():
                               scales=(2, 1), extra_padding=1,
                               initial_cells=((0, 0, 4),))
     hot = np.zeros(g0.n_nodes())
-    hot[g0.node_id[(0, 0)]] = 5.0
+    hot[g0.find(0, 0)] = 5.0
     vals = GridFunction(g0, hot)
     reqs = compute_refinement(policy, vals, g0)
     # direct rule: value 5 > t_2=1.0 -> scale 1 at the corner, ring of 1 cell
@@ -87,18 +88,19 @@ def test_single_hot_node_refined_with_padding_ring():
     # one incident square at the corner + pad ring, each demanded once
     assert sorted(by_rule) == [(a, b, 1) for a in (0, 2) for b in (0, 2)]
     g2, _ = regrid(g0, GridFunction(g0, hot), reqs)
-    assert g2.cells.get((0, 0)) == 1 or g2.cells.get((0, 0)) == 0
+    assert cell_map(g2).get((0, 0)) in (1, 0)
 
 
 def test_regrid_transfer_exact_on_bilinear_per_cell():
     g0 = build_quadtree([ScaleRequest(0.5, 0.5, 2)], 3, UNIT, pads=(1, 1))
-    u = GridFunction(g0, np.array([1.0 + 2 * n.x - n.y + 3 * n.x * n.y
-                                   for n in g0.nodes]))
-    reqs = [ScaleRequest(n.x, n.y, 1) for n in g0.nodes]
+    xy0 = list(zip(g0.x.tolist(), g0.y.tolist()))
+    u = GridFunction(g0, np.array([1.0 + 2 * x - y + 3 * x * y
+                                   for x, y in xy0]))
+    reqs = [ScaleRequest(x, y, 1) for x, y in xy0]
     g2, u2 = regrid(g0, u, reqs)
     assert g2.n_cells() > g0.n_cells()
-    for idx, n in enumerate(g2.nodes):
-        want = 1.0 + 2 * n.x - n.y + 3 * n.x * n.y
+    for idx, (x, y) in enumerate(zip(g2.x.tolist(), g2.y.tolist())):
+        want = 1.0 + 2 * x - y + 3 * x * y
         assert u2.values[idx] == pytest.approx(want, rel=1e-12)
 
 
@@ -113,22 +115,22 @@ def test_regrid_transfer_matches_per_cell_oracle():
                                    depth, UNIT)
         reqs = np.concatenate([np.array(seeds), cells_as_requests(g0)])
         g2, u2 = regrid(g0, u, reqs)
-        for idx, n in enumerate(g2.nodes):
-            old = g0.node_id.get((n.i, n.j))
-            if old is not None:
+        for idx, (i, j, x, y) in enumerate(zip(
+                g2.i.tolist(), g2.j.tolist(), g2.x.tolist(), g2.y.tolist())):
+            old = int(g0.find(i, j))
+            if old >= 0:
                 assert u2.values[idx] == u.values[old]   # copied exactly
                 continue
             # candidate bilinear values from every old leaf containing (x, y)
             cands = []
-            for (a, b), k in g0.cells.items():
+            for a, b, k in g0.leaves.tolist():
                 s = 1 << k
-                if a <= n.i <= a + s and b <= n.j <= b + s:
+                if a <= i <= a + s and b <= j <= b + s:
                     x0, y0 = g0.position(a, b)
                     x1, y1 = g0.position(a + s, b + s)
-                    tx = (n.x - x0) / (x1 - x0)
-                    ty = (n.y - y0) / (y1 - y0)
-                    c = [g0.node_id[(a, b)], g0.node_id[(a + s, b)],
-                         g0.node_id[(a, b + s)], g0.node_id[(a + s, b + s)]]
+                    tx = (x - x0) / (x1 - x0)
+                    ty = (y - y0) / (y1 - y0)
+                    c = g0.find([a, a + s, a, a + s], [b, b, b + s, b + s])
                     v = ((1 - tx) * (1 - ty) * u.values[c[0]]
                          + tx * (1 - ty) * u.values[c[1]]
                          + (1 - tx) * ty * u.values[c[2]]
@@ -139,7 +141,7 @@ def test_regrid_transfer_matches_per_cell_oracle():
 
 def test_containment_of_initial_quadtree():
     g0 = build_quadtree([ScaleRequest(0.3, 0.7, 1)], 4, UNIT, pads=(1, 1))
-    initial = tuple((a, b, k) for (a, b), k in g0.cells.items())
+    initial = tuple(map(tuple, g0.leaves.tolist()))
     policy = RefinementPolicy(lambda op, gr, u: np.zeros(gr.n_nodes()),
                               thresholds=(0.5,), scales=(0,),
                               initial_cells=initial)
@@ -147,8 +149,7 @@ def test_containment_of_initial_quadtree():
     vals = GridFunction(g0, np.zeros(g0.n_nodes()))
     reqs = compute_refinement(policy, vals, g0)
     g2, _ = regrid(g0, GridFunction(g0, np.zeros(g0.n_nodes())), reqs)
-    for (i, j) in g0.node_id:
-        assert g2.is_node(i, j)
+    assert (g2.find(g0.i, g0.j) >= 0).all()
 
 
 def test_threshold_monotonicity():
@@ -165,11 +166,11 @@ def test_threshold_monotonicity():
         g2, _ = regrid(g0, u, reqs)
         grids.append(g2)
     fine, coarse = grids
-    for (a, b), k in fine.cells.items():
+    for a, b, k in fine.leaves.tolist():
         s = 1 << k
         assert any(ca <= a and a + s <= ca + (1 << ck) and
                    cb <= b and b + s <= cb + (1 << ck)
-                   for (ca, cb), ck in coarse.cells.items())
+                   for ca, cb, ck in coarse.leaves.tolist())
 
 
 def test_negative_padding_or_scale_rejected():

@@ -18,3 +18,15 @@ def test_readme_python_blocks_run():
         exec(compile(block, README, "exec"), namespace)
     u, grid = namespace["u"], namespace["grid"]
     assert u.values.shape == (grid.n_nodes(),)
+
+
+def test_readme_public_api_matches_all():
+    # the README's list is the contract: a name added to or dropped from
+    # adaptfd.__all__ must be added to or dropped from the list too
+    import adaptfd
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Public API\n")[1].split("\n## ")[0]
+    bullets = [line for line in section.splitlines()
+               if line.startswith(("* ", "  "))]
+    listed = re.findall(r"`([A-Za-z_]\w*)`", "\n".join(bullets))
+    assert sorted(listed) == sorted(adaptfd.__all__)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from adaptfd.adaptivity import RefinementPolicy
-from adaptfd.grid import (BOUNDARY, DomainBox, DomainError, GridError,
-                          GridFunction, ScaleRequest, build_quadtree,
-                          init_from_scattered)
+from adaptfd.grid import (DomainBox, DomainError, GridError, GridFunction,
+                          ScaleRequest, build_quadtree, init_from_scattered)
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (LinearSolveError, StoppingPolicy,
                              build_schedule, newton_solve)
-from adaptfd.stencils import laplacian_row
+from adaptfd.stencils import laplacian_system
 from oracles import dump_rows, dump_triplets
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
@@ -23,8 +22,9 @@ def uniform_grid(depth):
 
 def test_row_dump_lists_weights():
     g = uniform_grid(2)
-    rows = [laplacian_row(g, n) for n in g.nodes if n.klass != BOUNDARY]
-    text = dump_rows(g, rows)
+    L, const, active, _ = laplacian_system(g)
+    rows = np.flatnonzero(active)
+    text = dump_rows(g, L, const, rows)
     lines = text.strip().splitlines()
     assert len(lines) == len(rows)
     first = lines[0].split()

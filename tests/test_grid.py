@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from adaptfd.grid import (BOUNDARY, DANGLING_X, DANGLING_Y, MAX_DEPTH,
-                          REGULAR, DomainBox, DomainError, GridFunction,
-                          InputError, QuadtreeGrid, ScaleError, ScaleRequest,
-                          build_quadtree, init_from_scattered)
-from oracles import (brute_classify, cells_from_subdivided, check_legal,
-                     check_padding, closure_oracle, enumerate_trees,
-                     random_requests, seeds_for_requests)
+from adaptfd.grid import (BOUNDARY, CLASSES, CODE, DANGLING_X, DANGLING_Y,
+                          DIRS, MAX_DEPTH, REGULAR, DomainBox, DomainError,
+                          GridFunction, InputError, QuadtreeGrid, ScaleError,
+                          ScaleRequest, build_quadtree, init_from_scattered)
+from oracles import (brute_classify, cell_map, cells_from_subdivided,
+                     check_legal, check_padding, closure_oracle,
+                     enumerate_trees, random_requests, seeds_for_requests)
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
@@ -25,9 +25,9 @@ def uniform_requests(depth, scale, box=UNIT):
 
 def test_empty_requests_gives_root_cell():
     g = build_quadtree([], 3, UNIT)
-    assert g.cells == {(0, 0): 3}
+    assert cell_map(g) == {(0, 0): 3}
     assert g.n_nodes() == 4
-    assert all(n.klass == BOUNDARY for n in g.nodes)
+    assert (g.klass == CODE[BOUNDARY]).all()
 
 
 def test_center_request_matches_frozen_minimal_grid():
@@ -41,9 +41,9 @@ def test_center_request_matches_frozen_minimal_grid():
         (6, 4): 1, (4, 6): 1, (6, 6): 1,
         (4, 4): 0, (5, 4): 0, (4, 5): 0, (5, 5): 0,
     }
-    assert g.cells == expected
+    assert cell_map(g) == expected
     oc = closure_oracle([(4, 4, 0)], 3, (1, 1))
-    assert g.cells == oc
+    assert cell_map(g) == oc
 
 
 def test_oracle_closure_agrees_with_full_enumeration():
@@ -67,7 +67,7 @@ def test_build_matches_closure_oracle_randomized():
         reqs = random_requests(rng, depth, int(rng.integers(1, 6)), UNIT)
         g = build_quadtree(reqs, depth, UNIT, pads=pads)
         seeds = seeds_for_requests(reqs, depth, UNIT)
-        assert g.cells == closure_oracle(seeds, depth, pads)
+        assert cell_map(g) == closure_oracle(seeds, depth, pads)
 
 
 def test_balance_and_padding_on_random_grids():
@@ -78,7 +78,7 @@ def test_balance_and_padding_on_random_grids():
         reqs = random_requests(rng, depth, int(rng.integers(1, 9)), UNIT)
         g = build_quadtree(reqs, depth, UNIT, pads=pads)
         seeds = seeds_for_requests(reqs, depth, UNIT)
-        assert check_legal(g.cells, depth, pads, seeds)
+        assert check_legal(cell_map(g), depth, pads, seeds)
 
 
 def test_padding_rebuild_is_strict_superset():
@@ -87,15 +87,15 @@ def test_padding_rebuild_is_strict_superset():
     reqs = [ScaleRequest(0.4, 0.4, 1)]
     g1 = build_quadtree(reqs, 4, UNIT, pads=(1, 1))
     g2 = build_quadtree(reqs, 4, UNIT, pads=(2, 1))
-    assert not check_padding(g1.cells, 4, (2, 1))
-    assert check_padding(g2.cells, 4, (2, 1))
+    assert not check_padding(cell_map(g1), 4, (2, 1))
+    assert check_padding(cell_map(g2), 4, (2, 1))
     assert g2.n_cells() > g1.n_cells()
     # every cell of g2 fits inside a cell of g1 (pure refinement)
-    for (a, b), k in g2.cells.items():
+    for a, b, k in g2.leaves.tolist():
         s = 1 << k
         ok = any(ca <= a and a + s <= ca + (1 << ck) and
                  cb <= b and b + s <= cb + (1 << ck)
-                 for (ca, cb), ck in g1.cells.items())
+                 for ca, cb, ck in g1.leaves.tolist())
         assert ok
 
 
@@ -107,11 +107,11 @@ def test_idempotence_on_own_cells():
         g = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
         again = [ScaleRequest(*g.position(a + (1 << k) / 2 if k else a,
                                           b + (1 << k) / 2 if k else b), k)
-                 for (a, b), k in g.cells.items()]
+                 for a, b, k in g.leaves.tolist()]
         # scale-0 cells: the center snaps (tie toward origin) onto the cell
         # anchor, whose half-open containing square is the cell itself
         g2 = build_quadtree(again, depth, UNIT, pads=(1, 1))
-        assert g2.cells == g.cells
+        assert cell_map(g2) == cell_map(g)
 
 
 def test_monotonicity_in_requests():
@@ -122,11 +122,11 @@ def test_monotonicity_in_requests():
         sub = reqs[:3]
         g_sub = build_quadtree(sub, depth, UNIT, pads=(1, 1))
         g_all = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
-        for (a, b), k in g_all.cells.items():
+        for a, b, k in g_all.leaves.tolist():
             s = 1 << k
             assert any(ca <= a and a + s <= ca + (1 << ck) and
                        cb <= b and b + s <= cb + (1 << ck)
-                       for (ca, cb), ck in g_sub.cells.items())
+                       for ca, cb, ck in g_sub.leaves.tolist())
 
 
 def test_construction_work_scaling():
@@ -154,7 +154,7 @@ def test_depth_bound_from_int64_keys():
     # node, the far corner (side, side) included, finds its own id
     assert MAX_DEPTH == 31
     g = build_quadtree(np.array([[0, 0, 0]]), MAX_DEPTH, UNIT)
-    assert g.cells[(0, 0)] == 0 and g.is_node(g.side, g.side)
+    assert cell_map(g)[(0, 0)] == 0 and g.find(g.side, g.side) >= 0
     assert np.array_equal(g.find(g.i, g.j), np.arange(g.n_nodes()))
     for depth in (-1, MAX_DEPTH + 1):
         with pytest.raises(ScaleError, match="grid depth"):
@@ -171,24 +171,23 @@ def test_classify_uniform_grid():
     g = build_quadtree(uniform_requests(3, 0), 3, UNIT, pads=(1, 1))
     assert g.n_cells() == 64
     h = 1.0 / 8.0
-    for n in g.nodes:
-        if n.klass == BOUNDARY:
-            continue
-        assert n.klass == REGULAR
-        for d in (n.de, n.dw, n.dn, n.ds):
-            assert d == pytest.approx(h)
+    inner = g.klass != CODE[BOUNDARY]
+    assert (g.klass[inner] == CODE[REGULAR]).all()
+    assert g.dist[inner] == pytest.approx(h)
 
 
 def test_classify_dangling_at_shared_edge_midpoints():
     # split only the SW quadrant of a depth-2 grid: dangling nodes appear
     # exactly midway along edges shared by one coarse and two fine cells
     g = build_quadtree([ScaleRequest(0.1, 0.1, 0)], 2, UNIT, pads=(1, 1))
-    dang = {(n.i, n.j): n.klass for n in g.nodes
-            if n.klass in (DANGLING_X, DANGLING_Y)}
+    dang = {(i, j): CLASSES[c] for i, j, c in zip(
+        g.i.tolist(), g.j.tolist(), g.klass.tolist())
+        if CLASSES[c] in (DANGLING_X, DANGLING_Y)}
     assert dang == {(2, 1): DANGLING_X, (1, 2): DANGLING_Y}
-    nx = g.nodes[g.node_id[(2, 1)]]
-    assert nx.coarse_side == "E" and nx.band == 2
-    assert nx.de is None and nx.dw == pytest.approx(0.25)
+    k = int(g.find(2, 1))
+    assert DIRS[g.coarse_side[k]] == "E" and g.band[k] == 2
+    de, dw = g.dist[k, DIRS.index("E")], g.dist[k, DIRS.index("W")]
+    assert np.isnan(de) and dw == pytest.approx(0.25)
 
 
 def test_classify_matches_brute_force_on_random_grids():
@@ -197,9 +196,9 @@ def test_classify_matches_brute_force_on_random_grids():
         depth = int(rng.integers(2, 6))
         reqs = random_requests(rng, depth, int(rng.integers(1, 7)), UNIT)
         g = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
-        ref = brute_classify(g.cells, depth)
-        for n in g.nodes:
-            assert ref[(n.i, n.j)] == n.klass
+        ref = brute_classify(cell_map(g), depth)
+        for i, j, c in zip(g.i.tolist(), g.j.tolist(), g.klass.tolist()):
+            assert ref[(i, j)] == CLASSES[c]
 
 
 def test_regular_pair_distances_exist():
@@ -208,18 +207,18 @@ def test_regular_pair_distances_exist():
         depth = int(rng.integers(3, 6))
         reqs = random_requests(rng, depth, 5, UNIT)
         g = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
-        for n in g.nodes:
-            if n.klass == REGULAR:
-                assert n.pair_x is not None and n.pair_y is not None
-                assert n.pair_x[2] == pytest.approx(max(n.de, n.dw))
-                assert n.pair_y[2] == pytest.approx(max(n.dn, n.ds))
+        reg = g.klass == CODE[REGULAR]
+        assert (g.pair[reg] >= 0).all()
+        dist = g.dist[reg]
+        assert g.pair_dist[reg, 0] == pytest.approx(dist[:, :2].max(axis=1))
+        assert g.pair_dist[reg, 1] == pytest.approx(dist[:, 2:].max(axis=1))
 
 
 def test_scattered_corners_give_root_grid():
     pts = [(0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 3.0), (1.0, 1.0, 4.0)]
     g, u = init_from_scattered(pts, 3)
-    assert g.cells == {(0, 0): 3}
-    vals = {(n.i, n.j): u.values[idx] for idx, n in enumerate(g.nodes)}
+    assert cell_map(g) == {(0, 0): 3}
+    vals = dict(zip(zip(g.i.tolist(), g.j.tolist()), u.values.tolist()))
     assert vals[(0, 0)] == 1.0 and vals[(8, 8)] == 4.0
 
 
@@ -227,9 +226,8 @@ def test_scattered_uniform_lattice_forces_full_grid():
     pts = [(i / 4.0, j / 4.0, float(i + j)) for i in range(5) for j in range(5)]
     g, u = init_from_scattered(pts, 2)
     assert g.n_cells() == 16
-    assert all(k == 0 for k in g.cells.values())
-    for idx, n in enumerate(g.nodes):
-        assert u.values[idx] == pytest.approx(n.i / 1.0 + n.j / 1.0)
+    assert g.scales() == [0]
+    assert u.values == pytest.approx(g.i / 1.0 + g.j / 1.0)
 
 
 def test_scattered_irregular_points_minimal_quadtree():
@@ -251,12 +249,11 @@ def test_scattered_irregular_points_minimal_quadtree():
             for b in {max(j - s, 0), min(j, side - s)}:
                 if a % s == 0 and b % s == 0:
                     seeds.append((a, b, k))
-    assert g.cells == closure_oracle(seeds, depth, g.pads)
+    assert cell_map(g) == closure_oracle(seeds, depth, g.pads)
     for (x, y, v) in pts:
-        i = round(x * side)
-        j = round(y * side)
-        assert g.is_node(i, j)
-        assert u.values[g.node_id[(i, j)]] == pytest.approx(v)
+        k = g.find(round(x * side), round(y * side))
+        assert k >= 0
+        assert u.values[k] == pytest.approx(v)
 
 
 def test_scattered_conflicting_duplicates_rejected():

@@ -50,8 +50,8 @@ def test_custom_expressions(tmp_path):
         "grid.initial_scale = 0\n")
     res = run_experiment(cfg, out_dir=str(tmp_path))
     grid, u = res["grid"], res["u"]
-    for idx, n in enumerate(grid.nodes):
-        want = math.sin(math.pi * n.x) * math.sin(math.pi * n.y)
+    for idx, (x, y) in enumerate(zip(grid.x.tolist(), grid.y.tolist())):
+        want = math.sin(math.pi * x) * math.sin(math.pi * y)
         assert abs(u.values[idx] - want) < 5e-3
 
 
@@ -112,8 +112,8 @@ def test_region_time_keyed_by_generation():
     shares = {}
     for grid in grids:
         counts = np.zeros(len(radii) + 1)
-        for n in grid.nodes:
-            r = math.hypot(n.x, n.y)
+        for x, y in zip(grid.x.tolist(), grid.y.tolist()):
+            r = math.hypot(x, y)
             counts[sum(r >= bound for bound in radii)] += 1
         shares[grid.generation] = region_shares(radii, grid)
         assert np.array_equal(shares[grid.generation], counts / counts.sum())
@@ -179,46 +179,6 @@ def test_obstacle_contact_contour_from_sampled_obstacle(tmp_path):
     assert want and same_polylines(res["contours"], want)
 
 
-@pytest.mark.parametrize("text", [
-    "preset = obstacle\ngrid.depth = 5\n",
-    "preset = stefan\ngrid.depth = 5\nrefine.strategy = uniform_fine\n"
-    "time.T = 0.002\ntime.snapshots = 0.001,0.002\n"],
-    ids=["obstacle", "stefan_uniform_fine"])
-def test_run_path_reads_only_node_arrays(tmp_path, monkeypatch, text):
-    # the per-node views are for callers outside the run: building them
-    # would cost each grid a record per node
-    from adaptfd.grid import QuadtreeGrid
-
-    def refuse(self):
-        raise AssertionError("a per-node view was built on the run path")
-
-    for view in ("nodes", "node_id", "cells"):
-        monkeypatch.setattr(QuadtreeGrid, view, property(refuse))
-    res = run_experiment(parse_config(text), out_dir=str(tmp_path))
-    assert res["grid"].n_nodes() == len(res["u"].values)
-
-
-@pytest.mark.parametrize("text", [
-    "preset = obstacle\ngrid.depth = 5\n",
-    "preset = punctured_neumann\ngrid.depth = 5\ngrid.initial_scale = 2\n"],
-    ids=["obstacle", "punctured_neumann"])
-def test_run_assembles_rows_without_per_node_records(tmp_path, monkeypatch,
-                                                     text):
-    # dangling and wall rows come from the node arrays: an assembly that
-    # built a StencilRow per node would fail here.  Both runs have dangling
-    # nodes; obstacle also has Robin walls
-    from adaptfd import stencils
-    from adaptfd.grid import CODE, DANGLING_X, DANGLING_Y
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a StencilRow was built on the run path")
-
-    monkeypatch.setattr(stencils, "StencilRow", refuse)
-    res = run_experiment(parse_config(text), out_dir=str(tmp_path))
-    dangling = [CODE[DANGLING_X], CODE[DANGLING_Y]]
-    assert np.isin(res["grid"].klass, dangling).any()
-
-
 def test_svg_counts_match_grid_dump(tmp_path):
     cfg = parse_config("preset = custom\nproblem.f = 1\nproblem.g = 0\n"
                        "problem.dirichlet = 0\ngrid.depth = 4\n"
@@ -272,7 +232,7 @@ def test_obstacle_boundary_grid_vs_uniform_fine_reference(tmp_path):
     from adaptfd.contour import polyline_points
     from scipy.spatial import cKDTree
     tree = cKDTree(polyline_points(res["contours"]))
-    fine = [(a, b) for (a, b), k in adaptive.cells.items() if k == 0]
+    fine = [(a, b) for a, b, k in adaptive.leaves.tolist() if k == 0]
     centers = np.array([adaptive.position(a + 0.5, b + 0.5)
                         for (a, b) in fine])
     near = tree.query(centers)[0] < 0.5

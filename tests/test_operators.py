@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from adaptfd.grid import (BOUNDARY, DomainBox, GridFunction, ScaleRequest,
-                          build_quadtree)
+from adaptfd.grid import (BOUNDARY, CODE, DomainBox, GridFunction,
+                          ScaleRequest, build_quadtree)
 from adaptfd.operators import (OperatorError, ProblemDefinition,
                                UpwindDirectional, assemble_jacobian,
                                assemble_residual, cfl_bounds,
                                instantiate_builtin)
 from adaptfd.solvers import build_schedule, euler_step
-from adaptfd.stencils import laplacian_row
+from adaptfd.stencils import laplacian_system
 from oracles import random_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
@@ -25,7 +25,14 @@ def uniform_grid(depth, box=UNIT):
 
 
 def field(grid, f):
-    return np.array([f(n.x, n.y) for n in grid.nodes])
+    return np.array([f(x, y) for x, y in zip(grid.x.tolist(),
+                                             grid.y.tolist())])
+
+
+def lap(grid, u):
+    """L @ u + const of the grid's -Laplacian rows."""
+    L, const, _, _ = laplacian_system(grid)
+    return L @ u + const
 
 
 def gfun(grid, f):
@@ -87,14 +94,15 @@ def test_bc_composite_rows_match_independent_assembly():
     rng = np.random.default_rng(2)
     u = rng.normal(size=g.n_nodes())
     r = op.residual(u)
-    for idx, n in enumerate(g.nodes):
-        if n.klass == BOUNDARY:
+    lu = lap(g, u)
+    for idx, (x, y) in enumerate(zip(g.x.tolist(), g.y.tolist())):
+        if g.klass[idx] == CODE[BOUNDARY]:
             assert r[idx] == 0.0
             continue
-        if chi(n.x, n.y):
-            want = laplacian_row(g, n).evaluate(u) - ffun(n.x, n.y)
+        if chi(x, y):
+            want = lu[idx] - ffun(x, y)
         else:
-            want = u[idx] - gfun_(n.x, n.y)
+            want = u[idx] - gfun_(x, y)
         assert r[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -145,11 +153,9 @@ def test_linear_jacobian_independent_of_state():
     assert (J1 - J2).nnz == 0
     # interior rows are the Laplacian rows
     u = rng.normal(size=g.n_nodes())
-    interior = [i for i, n in enumerate(g.nodes) if n.klass != BOUNDARY]
-    lu = J1 @ u
-    for idx in interior:
-        assert lu[idx] == pytest.approx(
-            laplacian_row(g, g.nodes[idx]).evaluate(u), rel=1e-12, abs=1e-12)
+    interior = g.klass != CODE[BOUNDARY]
+    assert (J1 @ u)[interior] == pytest.approx(lap(g, u)[interior],
+                                               rel=1e-12, abs=1e-12)
 
 
 def test_obstacle_jacobian_identity_row_on_contact_branch():
@@ -162,8 +168,8 @@ def test_obstacle_jacobian_identity_row_on_contact_branch():
     u = op.apply_pins(field(g, lambda x, y: -x * (1 - x) * y * (1 - y)))
     J = op.jacobian(u)
     br = op.branches(u)
-    for idx, n in enumerate(g.nodes):
-        if n.klass == BOUNDARY or br[idx] != 1:
+    for idx in np.flatnonzero(g.klass != CODE[BOUNDARY]).tolist():
+        if br[idx] != 1:
             continue
         row = J.getrow(idx)
         assert row.nnz == 1 and row[0, idx] == pytest.approx(1.0)
@@ -211,11 +217,9 @@ def test_cfl_uniform_laplacian_quarter_h_squared():
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
     dt = cfl_bounds(op, g, u)
-    for idx, n in enumerate(g.nodes):
-        if n.klass == BOUNDARY:
-            assert dt.values[idx] == np.inf
-        else:
-            assert dt.values[idx] == pytest.approx(h * h / 4)
+    wall = g.klass == CODE[BOUNDARY]
+    assert (dt.values[wall] == np.inf).all()
+    assert dt.values[~wall] == pytest.approx(h * h / 4)
 
 
 def test_cfl_obstacle_same_as_laplacian():
@@ -318,9 +322,8 @@ def test_first_order_region_rows():
     # du/dx - 1 with u = x evaluates to zero on the region
     u = field(g, lambda x, y: x)
     r = op.residual(u)
-    for idx, n in enumerate(g.nodes):
-        if n.klass != BOUNDARY and region(n.x, n.y):
-            assert r[idx] == pytest.approx(0.0, abs=1e-12)
+    inside = (g.klass != CODE[BOUNDARY]) & region(g.x, g.y)
+    assert r[inside] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_generation_mismatch_detected():
@@ -343,11 +346,12 @@ def test_weighted_composite_form():
     rng = np.random.default_rng(7)
     u = op.apply_pins(rng.normal(size=g.n_nodes()))
     r = op.residual(u)
-    for idx, n in enumerate(g.nodes):
-        if n.klass == BOUNDARY:
+    lu = lap(g, u)
+    for idx, (x, y) in enumerate(zip(g.x.tolist(), g.y.tolist())):
+        if g.klass[idx] == CODE[BOUNDARY]:
             continue
-        pde = laplacian_row(g, n).evaluate(u) - 1.0
-        want = cfun(n.x, n.y) * pde + dfun(n.x, n.y) * (u[idx] - gfun_(n.x, n.y))
+        pde = lu[idx] - 1.0
+        want = cfun(x, y) * pde + dfun(x, y) * (u[idx] - gfun_(x, y))
         assert r[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
     # jacobian is the matching linear combination
     J = op.jacobian(u)

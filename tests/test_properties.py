@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptfd.grid import (CLASSES, DANGLING_X, DANGLING_Y, DIRS, DomainBox,
-                          GridFunction, ScaleRequest, build_quadtree,
-                          default_pads)
+from adaptfd.grid import (CLASSES, CODE, DANGLING_X, DANGLING_Y, DIRS,
+                          DomainBox, GridFunction, ScaleRequest,
+                          build_quadtree, default_pads)
 from adaptfd.harness import solution_csv
 from adaptfd.svgplot import grid_svg, solution_svg
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
@@ -24,7 +24,7 @@ from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError, TimeGroups,
                              build_schedule, euler_step)
 from adaptfd.stencils import StencilUnavailableError, laplacian_system
 import oracles
-from oracles import (brute_classify, check_legal, closure_oracle,
+from oracles import (brute_classify, cell_map, check_legal, closure_oracle,
                      jacobian_reference, laplacian_system_reference,
                      leaf_edges, neighbor_oracle, row_terms,
                      schedule_reference, seeds_for_requests, vertices_of)
@@ -123,7 +123,7 @@ def assembled(case):
     kind, problem, grid, rng = case
     pad_x, pad_y = default_pads(grid.box)
     short = {DANGLING_X: grid.pad_x < pad_x, DANGLING_Y: grid.pad_y < pad_y}
-    if any(short.get(n.klass, False) for n in grid.nodes):
+    if any(short[c] and (grid.klass == CODE[c]).any() for c in short):
         with pytest.raises(StencilUnavailableError):
             instantiate_builtin(kind, problem, grid)
         return None
@@ -220,7 +220,7 @@ def test_array_grid_matches_oracles(case):
     grid, reqs = case
     seeds = seeds_for_requests(reqs, grid.depth, grid.box)
     cells = closure_oracle(seeds, grid.depth, grid.pads)
-    assert dict(grid.cells) == cells
+    assert cell_map(grid) == cells
     assert check_legal(cells, grid.depth, grid.pads, seeds)
     classes = brute_classify(cells, grid.depth)
     assert [classes[ij] for ij in zip(grid.i.tolist(), grid.j.tolist())] \

@@ -39,7 +39,8 @@ def two_scale_grid(depth=4):
 
 
 def field(grid, f):
-    return np.array([f(n.x, n.y) for n in grid.nodes])
+    return np.array([f(x, y) for x, y in zip(grid.x.tolist(),
+                                             grid.y.tolist())])
 
 
 def heat_op(grid):
@@ -61,7 +62,7 @@ def test_schedule_uniform_single_group():
 
 def test_schedule_two_scales_multiplicities_1_4():
     g = two_scale_grid()
-    assert sorted(set(g.cells.values())) == [0, 1]
+    assert g.scales() == [0, 1]
     op = heat_op(g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
     sched = build_schedule(g, op, u)
@@ -73,7 +74,7 @@ def test_schedule_two_scales_multiplicities_1_4():
 def test_schedule_three_scales_multiplicities_1_4_16():
     reqs = [ScaleRequest(0.03, 0.03, 0), ScaleRequest(0.2, 0.2, 1)]
     g = build_quadtree(reqs, 5, UNIT, pads=(1, 1))
-    scales = sorted(set(g.cells.values()))
+    scales = g.scales()
     assert len(scales) >= 3
     op = heat_op(g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
@@ -461,8 +462,8 @@ def test_multiscale_trivial_criteria_single_solve():
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     policy = RefinementPolicy(residual_criteria(), thresholds=(1e9,),
                               scales=(0,),
-                              initial_cells=tuple((a, b, k) for (a, b), k
-                                                  in g.cells.items()))
+                              initial_cells=tuple(map(tuple,
+                                                      g.leaves.tolist())))
     log = []
     grid2, u = multiscale_solve(
         lambda gr: instantiate_builtin("poisson_dirichlet", prob, gr),
@@ -474,7 +475,7 @@ def test_multiscale_trivial_criteria_single_solve():
 
 def test_multiscale_obstacle_refines_and_contains_initial():
     g0 = build_quadtree([ScaleRequest(0.5, 0.5, 3)], 5, UNIT, pads=(1, 1))
-    initial = tuple((a, b, k) for (a, b), k in g0.cells.items())
+    initial = tuple(map(tuple, g0.leaves.tolist()))
     policy = RefinementPolicy(residual_criteria(),
                               thresholds=(0.5, 50.0),
                               scales=(1, 0),
@@ -486,8 +487,7 @@ def test_multiscale_obstacle_refines_and_contains_initial():
         policy, StoppingPolicy([1e-6, 1e-8, 1e-9]), log=log)
     assert grid.n_cells() > g0.n_cells()
     # final grid contains every node of the initial quadtree
-    for (i, j) in g0.node_id:
-        assert grid.is_node(i, j)
+    assert (grid.find(g0.i, g0.j) >= 0).all()
     r = np.abs(instantiate_builtin("obstacle", obstacle_problem(),
                                    grid).residual(u.values))
     assert r.max() <= 1e-9
