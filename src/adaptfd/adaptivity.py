@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, QuadtreeGrid, build_quadtree
+from .grid import GridError, GridFunction, QuadtreeGrid, quadtree_leaves
 from .stencils import one_sided_matrices, sample_nodes
 
 
@@ -117,14 +117,24 @@ def regrid(grid: QuadtreeGrid, u: GridFunction, requests):
     and transfer u.
 
     Returns the same (grid, u) objects when the requests reproduce the
-    current cells.  New nodes take the piecewise-bilinear interpolant of u on
-    the old leaves, in one pass; surviving nodes are copied exactly.
+    current cells; the leaves are compared before any node is classified.
+    New nodes take the piecewise-bilinear interpolant of u on the old
+    leaves, in one pass; surviving nodes are copied exactly.
     """
     u.check(grid)
-    g2 = build_quadtree(requests, grid.depth, grid.box, grid.pads,
-                        generation=grid.generation + 1)
-    if g2.same_cells(grid):
+    leaves, ops = quadtree_leaves(requests, grid.depth, grid.box, grid.pads)
+    return transfer(grid, u, leaves, ops)
+
+
+def transfer(grid: QuadtreeGrid, u: GridFunction, leaves, build_ops=0):
+    """The grid on leaves, with the depth, box and pads of grid, and u moved
+    onto it as regrid moves it; the same (grid, u) objects when leaves are
+    grid.leaves, in their order.  The leaves must form a legal quadtree."""
+    u.check(grid)
+    if np.array_equal(leaves, grid.leaves):
         return grid, u
+    g2 = QuadtreeGrid(grid.box, grid.depth, grid.pads, leaves,
+                      grid.generation + 1, build_ops)
     old = grid.find(g2.i, g2.j)
     kept = old >= 0
     vals = np.empty(g2.n_nodes())

@@ -148,6 +148,15 @@ def _frozen(arr):
     return arr
 
 
+def _morton_sorted(leaves):
+    """Squares (a, b, k) as an (m, 3) int array sorted by the Morton key of
+    their SW corner, and those keys."""
+    leaves = np.asarray(leaves, dtype=np.int64).reshape(-1, 3)
+    keys = morton(leaves[:, 0], leaves[:, 1])
+    order = np.argsort(keys, kind="stable")
+    return leaves[order], keys[order]
+
+
 class QuadtreeGrid:
     """Immutable balanced quadtree with classified nodes.
 
@@ -182,11 +191,9 @@ class QuadtreeGrid:
         self.build_ops = build_ops
         self.hx = box.lx / self.side
         self.hy = box.ly / self.side
-        leaves = np.asarray(leaves, dtype=np.int64).reshape(-1, 3)
-        keys = morton(leaves[:, 0], leaves[:, 1])
-        order = np.argsort(keys, kind="stable")
-        self.leaves = _frozen(leaves[order])
-        self._leaf_keys = _frozen(keys[order])
+        leaves, keys = _morton_sorted(leaves)
+        self.leaves = _frozen(leaves)
+        self._leaf_keys = _frozen(keys)
         self._collect_nodes()
         classify_nodes(self)
 
@@ -392,18 +399,21 @@ def _children(a, b, size):
                            _pack(a, b + size), _pack(a + size, b + size)])
 
 
-def _build_from_seeds(seeds, box: DomainBox, depth: int,
-                      pads: tuple[int, int], generation: int = 0) -> QuadtreeGrid:
-    """Bottom-up construction: per scale, close the required-square set under
+def quadtree_leaves(requests, depth: int, box: DomainBox,
+                    pads: tuple[int, int]):
+    """The leaves of build_quadtree's grid, Morton-sorted like
+    QuadtreeGrid.leaves, and its build_ops, the number of squares each rule
+    visits; no node is collected or classified.
+
+    Bottom-up closure: per scale, close the required-square set under
     siblings and fill-to-the-edge, then push parents plus padding neighbors up
     one scale.  Each rule only looks sideways or upward, so one sweep with an
-    intra-level fixpoint loop reaches the closure.  build_ops counts the
-    squares each rule visits."""
+    intra-level fixpoint loop reaches the closure."""
+    seeds = _as_seeds(requests, box, depth)
     side = 1 << depth
     pad_x, pad_y = pads
     if pad_x < 1 or pad_y < 1:
         raise GridError("pads must be >= 1")
-    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1, 3)
     ops = len(seeds)
     levels = [np.unique(_pack(seeds[seeds[:, 2] == k, 0],
                               seeds[seeds[:, 2] == k, 1]))
@@ -460,8 +470,7 @@ def _build_from_seeds(seeds, box: DomainBox, depth: int,
             keys = np.setdiff1d(keys, _pack(a // size * size, b // size * size))
         leaves.append(np.stack([keys >> _SHIFT, keys & _LOW,
                                 np.full(len(keys), k, dtype=np.int64)], axis=1))
-    return QuadtreeGrid(box, depth, pads, np.concatenate(leaves), generation,
-                        ops)
+    return _morton_sorted(np.concatenate(leaves))[0], ops
 
 
 def _edge_fill_neighbors(pa, pb, psize, side, pad_x, pad_y):
@@ -497,8 +506,8 @@ def build_quadtree(requests, depth: int, box: DomainBox,
     """
     if pads is None:
         pads = default_pads(box)
-    return _build_from_seeds(_as_seeds(requests, box, depth), box, depth,
-                             pads, generation)
+    leaves, ops = quadtree_leaves(requests, depth, box, pads)
+    return QuadtreeGrid(box, depth, pads, leaves, generation, ops)
 
 
 def init_from_scattered(points, depth: int,
@@ -546,7 +555,9 @@ def init_from_scattered(points, depth: int,
             for b in {max(j - s, 0), min(j, side - s)}:
                 if a % s == 0 and b % s == 0 and a <= i <= a + s and b <= j <= b + s:
                     seeds.append((a, b, k))
-    grid = _build_from_seeds(seeds, box, depth, pads)
+    leaves, ops = quadtree_leaves(np.array(seeds, dtype=np.int64), depth, box,
+                                  pads)
+    grid = QuadtreeGrid(box, depth, pads, leaves, build_ops=ops)
 
     values = _interpolate_scattered(grid, snapped)
     return grid, GridFunction(grid, values)

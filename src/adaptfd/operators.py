@@ -175,12 +175,7 @@ class OperatorSpec:
             blocks.append(self.first[0])
         if self.T is not None:
             blocks += [self.T[d] for d in "EWNS"]
-        self.stack = sp.vstack(blocks, format="csr")
-        self.L, *rest = _row_blocks(self.stack, len(blocks))
-        if self.first is not None:
-            self.first = (rest.pop(0),) + self.first[1:]
-        if self.T is not None:
-            self.T = dict(zip("EWNS", rest))
+        self.stack = _stacked(blocks)
 
     def _fix_weights(self):
         """Weights of the affine kinds: c and d where given; otherwise the
@@ -313,27 +308,78 @@ class OperatorSpec:
         w = self._weighted(np.asarray(u, dtype=float))[0]
         return np.argmax(w, axis=0).astype(np.int8)
 
-    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
-        """Exact generalized Jacobian (all nodes; inactive rows are zero)."""
+    def jacobian(self, u: np.ndarray, rows=None):
+        """Exact generalized Jacobian: a CSR matrix over all nodes (inactive
+        rows are zero), or at rows (a boolean mask, or ids in ascending
+        order) the square block on those rows and columns, in CSC, the
+        layout Newton's LU takes.
+
+        Each stack row is weighted by its term's coefficient, and each entry
+        summed as the sparse products sum it, to the bit: ((W0 L + W1 I) +
+        W2 first) + W3 (-2 rx Sx - 2 ry Sy), Sx and Sy the one-sided
+        differences each row selects; entries that come to zero are not
+        stored."""
         u = np.asarray(u, dtype=float)
+        n = len(u)
         w, _, grad, _ = self._weighted(u)
-        J = sp.diags(w[0]) @ self.L \
-            + sp.diags(w[1]) @ sp.eye(self.grid.n_nodes(), format="csr")
+        srow, spos, dpos, prow, colptr = self._jacobian_pattern
+        coef = [w[0]]
         if self.first is not None:
-            J = J + sp.diags(w[2]) @ self.first[0]
+            coef.append(w[2])
         if self.T is not None:
+            # -2 rx on the x difference a row selects, -2 ry on its y
+            # difference; none where W3 is zero
             rx, ry, (cE, cW, cN, cS) = grad
-            selE = (cE >= cW) & (rx > 0)
-            selW = (cW > cE) & (rx > 0)
-            selN = (cN >= cS) & (ry > 0)
-            selS = (cS > cN) & (ry > 0)
-            Sx = sp.diags(selE.astype(float)) @ self.T["E"] \
-                + sp.diags(selW.astype(float)) @ self.T["W"]
-            Sy = sp.diags(selN.astype(float)) @ self.T["N"] \
-                + sp.diags(selS.astype(float)) @ self.T["S"]
-            Jg = sp.diags(-2.0 * rx) @ Sx + sp.diags(-2.0 * ry) @ Sy
-            J = J + sp.diags(w[3]) @ Jg
-        return J.tocsr()
+            on = w[3] != 0
+            m2x, m2y = -2.0 * rx, -2.0 * ry
+            coef += [np.where(sel & on, m2, 0.0) for sel, m2 in (
+                ((cE >= cW) & (rx > 0), m2x), ((cW > cE) & (rx > 0), m2x),
+                ((cN >= cS) & (ry > 0), m2y), ((cS > cN) & (ry > 0), m2y))]
+        part = np.concatenate(coef)[srow]
+        part *= self.stack.data
+        ends = self.stack.indptr[n::n]      # where each block's entries end
+        npos = len(prow)
+        vals = np.bincount(spos[:ends[0]], part[:ends[0]], npos)
+        vals[dpos] += w[1]
+        if self.first is not None:
+            vals += np.bincount(spos[ends[0]:ends[1]],
+                                part[ends[0]:ends[1]], npos)
+        if self.T is not None:
+            lo = ends[-5]       # T[E, W, N, S] are the last four blocks
+            vals += w[3][prow] * np.bincount(spos[lo:], part[lo:], npos)
+        if rows is None:
+            at = np.ones(n, dtype=bool)
+        else:
+            at = np.zeros(n, dtype=bool)
+            at[rows] = True
+        keep = vals != 0
+        keep &= at[prow]
+        keep &= np.repeat(at, np.diff(colptr))
+        new = np.cumsum(at, dtype=np.intp) - 1
+        m = int(new[-1]) + 1
+        # every column holds its diagonal position, so none is empty
+        indptr = np.concatenate([[0], np.cumsum(keep)[colptr[1:] - 1][at]])
+        J = sp.csc_matrix((vals[keep], new[prow[keep]], indptr), shape=(m, m))
+        return J.tocsr() if rows is None else J
+
+    @cached_property
+    def _jacobian_pattern(self):
+        """Where the entries of the stack and of the identity land in the
+        Jacobian, found once per operator: the stack row of each stack
+        entry, the position of each stack entry and of each diagonal entry,
+        the row of each position and where each column's positions start.
+        Positions are the distinct (row, col) pairs in column-major order.
+        The blocks come from COO triplets with their duplicates summed, so
+        no pair repeats within a block."""
+        n = self.grid.n_nodes()
+        S = self.stack
+        srow = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+        diag = np.arange(n)
+        ukey, pos = np.unique(np.concatenate([
+            S.indices.astype(np.int64) * n + srow % n, diag * (n + 1)]),
+            return_inverse=True)
+        return (srow, pos[:S.nnz], pos[S.nnz:], ukey % n,
+                np.searchsorted(ukey, np.arange(n + 1) * n))
 
     def lipschitz(self, u: np.ndarray, rows=None) -> np.ndarray:
         """Per-node bound on dF_i/du_i over every branch the node can take:
@@ -344,20 +390,23 @@ class OperatorSpec:
         return lip if rows is None else lip[rows]
 
 
-def _row_blocks(M, k):
-    """The k equal row blocks of the CSR matrix M, as CSR matrices whose
-    data and indices are views of M's.  They are set on an empty matrix:
-    the constructor copies a view of less than half of its base."""
-    n = M.shape[0] // k
-    out = []
-    for b in range(k):
-        ptr = M.indptr[b * n:(b + 1) * n + 1]
-        lo, hi = ptr[0], ptr[-1]
-        block = sp.csr_matrix((n, M.shape[1]), dtype=M.dtype)
-        block.data, block.indices, block.indptr = \
-            M.data[lo:hi], M.indices[lo:hi], ptr - lo
-        out.append(block)
-    return out
+def _stacked(blocks):
+    """The CSR blocks stacked by rows, as sp.vstack stacks them, from their
+    data, indices and offset indptr; each block's data and indices then
+    become views of the stack's."""
+    nnz = [b.nnz for b in blocks]
+    ends = np.cumsum(nnz)
+    starts = ends - nnz
+    stack = sp.csr_matrix((
+        np.concatenate([b.data for b in blocks]),
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.indptr[:-1] + lo for b, lo in zip(blocks, starts)]
+                       + [ends[-1:]])),
+        shape=(sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
+    for b, lo, hi in zip(blocks, starts, ends):
+        b.data, b.indices = stack.data[lo:hi], stack.indices[lo:hi]
+        b.indptr = b.indptr.astype(stack.indptr.dtype, copy=False)
+    return stack
 
 
 def _weighted_sum(terms):

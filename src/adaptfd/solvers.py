@@ -19,10 +19,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .adaptivity import (cells_as_requests, compute_refinement,
-                         evaluate_criteria, regrid)
+                         evaluate_criteria, regrid, transfer)
 from .grid import GridError, GridFunction, QuadtreeGrid
 from .operators import OperatorSpec, instantiate_builtin
 
@@ -144,6 +143,12 @@ def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
     # zero or in a NaN payload gets terms of its own
     terms = start[1:] if start is not None and np.array_equal(
         start[0].view(np.int64), v.view(np.int64)) else None
+    # each group as a boolean mask, built once per step: a visit then
+    # updates in one masked pass, with no gather at the group's rows and
+    # no scatter back
+    masks = [np.zeros(len(v), dtype=bool) for _ in schedule.groups]
+    for mask, rows in zip(masks, schedule.groups):
+        mask[rows] = True
     for gid in schedule.schedule:
         rows = schedule.groups[gid]
         tau = schedule.taus[gid]
@@ -154,7 +159,7 @@ def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
         if tau * np.fmax.reduce(lip[rows]) > 1.0 + 1e-9:
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
                                    % (tau, 1.0 / lip[rows].max()))
-        v[rows] -= tau * res[rows]
+        np.subtract(v, tau * res, out=v, where=masks[gid])
         if work is not None:
             work.append(len(rows))
     return GridFunction(grid, v)
@@ -238,7 +243,15 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
     Stops when the max-norm of the residual over active nodes drops below
     the stopping threshold for this stage; the residual is checked before
     iterating, so a converged start returns immediately.
+
+    The Jacobian of a monotone scheme on its active unknowns is an M-matrix
+    (positive diagonal, nonpositive off-diagonals, nonnegative row sums), so
+    its LU takes the diagonal pivots in a fill-reducing symmetric order,
+    minimum degree on J + J^T, with no row interchanges.
     """
+    # loaded on the first solve: runs that never solve do not pay for it
+    import scipy.sparse.linalg as spla
+
     tol = stopping.threshold(stage) if isinstance(stopping, StoppingPolicy) \
         else float(stopping)
     vals = u0.values if isinstance(u0, GridFunction) else np.asarray(u0)
@@ -255,9 +268,16 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
         if iters >= max_iter:
             raise NonconvergenceError(rnorm, iters)
         t0 = time.perf_counter()
-        J = op.jacobian(u)[act][:, act].tocsc()
+        J = op.jacobian(u, act)
         ra = r[act]
-        delta = spla.spsolve(J, -ra)
+        # the factors are dropped as soon as they have solved: two alive at
+        # once would hold twice their memory
+        try:
+            delta = spla.splu(J, permc_spec="MMD_AT_PLUS_A",
+                              diag_pivot_thresh=0.0,
+                              options=dict(SymmetricMode=True)).solve(-ra)
+        except RuntimeError as exc:     # SuperLU: factor exactly singular
+            raise LinearSolveError("singular Jacobian: %s" % exc) from None
         if not np.all(np.isfinite(delta)):
             raise LinearSolveError("singular Jacobian")
         lin_res = np.linalg.norm(J @ delta + ra)
@@ -272,10 +292,14 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
                         "residual": rnorm, "wall": time.perf_counter() - t0})
 
 
-def _trial_requests(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
-    """Every cell coarser than the target split one level: the probe grid on
-    which refinement criteria see the current solution at finer resolution.
-    Squares (a, b, k), one per cell kept and four per cell split."""
+def _trial_leaves(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
+    """Every cell coarser than the target split one level: the leaves of the
+    probe grid on which refinement criteria see the current solution at
+    finer resolution, one per cell kept and four per cell split, in the
+    order of grid.leaves when no cell is coarser.  The split keeps the grid
+    balanced and padded, so these leaves are their own closure (a property
+    test checks them against build_quadtree) and the trial grid is built
+    from them directly."""
     leaves = grid.leaves
     split = leaves[:, 2] > target_scale
     a, b, k = leaves[split].T
@@ -309,7 +333,7 @@ def multiscale_solve(op_factory, grid: QuadtreeGrid, u0, policy, stopping,
     for target in range(start, finest_scale - 1, -1):
         stage += 1
         for _ in range(infill_cap):
-            trial, u_t = regrid(grid, u, _trial_requests(grid, target))
+            trial, u_t = transfer(grid, u, _trial_leaves(grid, target))
             op_t = op_factory(trial)
             u_t = GridFunction(trial, op_t.apply_pins(u_t.values))
             vals = evaluate_criteria(policy, op_t, trial, u_t)

@@ -66,6 +66,20 @@ def test_singular_linear_system_raises():
                      StoppingPolicy([1e-10]))
 
 
+def test_empty_jacobian_row_raises_linear_solve_error():
+    # c = d = 0 on the right half leaves those rows without weight: their
+    # Jacobian rows are empty, and the factorization finds the block
+    # exactly singular
+    g = uniform_grid(3)
+    prob = ProblemDefinition(c=lambda x, y: 1.0 * (x < 0.5),
+                             d=lambda x, y: 0.0, f=lambda x, y: 1.0,
+                             g=lambda x, y: 0.0)
+    op = instantiate_builtin("bc_composite", prob, g)
+    with pytest.raises(LinearSolveError, match="singular"):
+        newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+                     StoppingPolicy([1e-10]))
+
+
 def test_policy_and_stopping_validation():
     with pytest.raises(GridError):
         StoppingPolicy([])

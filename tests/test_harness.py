@@ -258,10 +258,11 @@ def _run_cli(args, cwd):
 
 
 def test_import_leaves_scattered_data_modules_unloaded(tmp_path):
-    # only init_from_scattered needs scipy.interpolate and scipy.spatial; a
-    # run should not pay for importing them (or scipy.special/optimize)
+    # only init_from_scattered needs scipy.interpolate and scipy.spatial,
+    # and only newton_solve scipy.sparse.linalg; a run should not pay for
+    # importing what it does not call (or scipy.special/optimize)
     heavy = ["scipy.interpolate", "scipy.spatial", "scipy.special",
-             "scipy.optimize"]
+             "scipy.optimize", "scipy.sparse.linalg"]
     code = ("import sys, adaptfd, adaptfd.harness, adaptfd.cli\n"
             "adaptfd.harness.parse_config('preset = obstacle\\n')\n"
             "print([m for m in %r if m in sys.modules])" % (heavy,))

@@ -10,19 +10,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adaptfd.grid
+from adaptfd.adaptivity import cells_as_requests, regrid, transfer
 from adaptfd.grid import (CLASSES, CODE, DANGLING_X, DANGLING_Y, DIRS,
-                          DomainBox, GridFunction, ScaleRequest,
+                          DomainBox, GridFunction, QuadtreeGrid, ScaleRequest,
                           build_quadtree, default_pads)
 from adaptfd.harness import solution_csv
 from adaptfd.svgplot import grid_svg, solution_svg
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
                                UpwindDirectional, instantiate_builtin)
 from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError, TimeGroups,
-                             build_schedule, euler_step)
-from adaptfd.stencils import StencilUnavailableError, laplacian_system
+                             _trial_leaves, build_schedule, euler_step)
+from adaptfd.stencils import (StencilUnavailableError, laplacian_system,
+                              one_sided_matrices)
 import oracles
 from oracles import (brute_classify, cell_map, check_legal, closure_oracle,
                      jacobian_reference, laplacian_system_reference,
@@ -99,6 +103,10 @@ def _problem(variant, box):
 
 STEP_VARIANTS = BUILTIN_KINDS + ("bc_composite_cd", "bc_composite_dead_d",
                                  "bc_composite_first_order")
+# the variants whose every active row carries a weight on a row that
+# depends on its own unknown: the static problems Newton solves
+NEWTON_VARIANTS = ("poisson_dirichlet", "bc_composite", "obstacle",
+                   "bc_composite_cd", "bc_composite_first_order")
 
 
 @st.composite
@@ -400,3 +408,115 @@ def test_writers_match_row_wise_oracles(case, seed):
         assert solution_csv(grid, u) == oracles.solution_csv(grid, u)
         assert solution_svg(grid, u, polys) \
             == oracles.solution_svg(grid, u, polys)
+
+
+def _bits(M):
+    return tuple((getattr(M, a).dtype, getattr(M, a).tobytes())
+                 for a in ("data", "indices", "indptr"))
+
+
+@PROPERTY
+@given(operators(STEP_VARIANTS))
+def test_active_block_is_the_sliced_jacobian_bit_for_bit(case):
+    # Newton's block from the cached rows is the full Jacobian cut to the
+    # active rows and columns, and the one the sparse products give, to
+    # the bit, with the same index dtypes and order
+    case = _step_case(case)
+    if case is None:
+        return
+    op, grid, u, _ = case
+    act = op.active
+    got = op.jacobian(u, act)
+    assert got.format == "csc"
+    assert _bits(got) == _bits(op.jacobian(u)[act][:, act].tocsc())
+    assert _bits(got) == _bits(jacobian_reference(op, u)[act][:, act]
+                               .tocsc())
+    assert _bits(op.jacobian(u, np.flatnonzero(act))) == _bits(got)
+
+
+@PROPERTY
+@given(operators(NEWTON_VARIANTS))
+def test_active_block_is_an_m_matrix(case):
+    # positive diagonal, nonpositive off-diagonals and nonnegative row sums:
+    # the LU of such a matrix takes its diagonal pivots without row
+    # interchanges
+    case = _step_case(case)
+    if case is None or not case[0].active.any():
+        return
+    op, grid, u, _ = case
+    J = op.jacobian(u, op.active).tocoo()
+    diag = J.diagonal()
+    assert np.all(diag > 0)
+    assert np.all(J.data[J.row != J.col] <= 0)
+    rowsum = np.asarray(J.sum(axis=1)).ravel()
+    assert np.all(rowsum >= -1e-12 * diag)
+
+
+@PROPERTY
+@given(operators(STEP_VARIANTS))
+def test_operator_stack_is_vstack_of_fresh_rows(case):
+    # the stack concatenated from the blocks' arrays is sp.vstack of rows
+    # assembled afresh, and every block is its row range of the stack,
+    # sharing the stack's data and indices
+    case = assembled(case)
+    if case is None:
+        return
+    op, grid, _ = case
+    blocks = [laplacian_system(grid, robin=op.problem.robin)[0]]
+    if op.first is not None:
+        blocks.append(op.problem.first_order.build(grid)[1])
+    if op.T is not None:
+        T, _ = one_sided_matrices(grid)
+        blocks += [T[d] for d in "EWNS"]
+    assert _bits(op.stack) == _bits(sp.vstack(blocks, format="csr"))
+    views = [op.L] + ([op.first[0]] if op.first is not None else []) \
+        + ([op.T[d] for d in "EWNS"] if op.T is not None else [])
+    n = grid.n_nodes()
+    for k, block in enumerate(views):
+        assert _bits(block) == _bits(op.stack[k * n:(k + 1) * n])
+        if block.nnz:
+            assert np.shares_memory(block.data, op.stack.data)
+            assert np.shares_memory(block.indices, op.stack.indices)
+
+
+@PROPERTY
+@given(grids(), st.integers(0, 7))
+def test_trial_split_is_its_own_closure(case, target):
+    # splitting every leaf coarser than the target once keeps the grid
+    # balanced and padded: the split leaves are those build_quadtree closes
+    # them to, so the trial grid needs no closure
+    grid, _ = case
+    target = min(target, grid.depth)
+    leaves = _trial_leaves(grid, target)
+    split = QuadtreeGrid(grid.box, grid.depth, grid.pads, leaves)
+    closed = build_quadtree(leaves, grid.depth, grid.box, grid.pads)
+    assert np.array_equal(split.leaves, closed.leaves)
+    u = GridFunction(grid, np.arange(grid.n_nodes(), dtype=float))
+    g2, u2 = transfer(grid, u, leaves)
+    if grid.leaves[:, 2].max() <= target:
+        assert g2 is grid and u2 is u
+    else:
+        assert np.array_equal(g2.leaves, closed.leaves)
+        assert g2.generation == grid.generation + 1
+        assert np.array_equal(u2.values, regrid(grid, u, leaves)[1].values)
+
+
+@PROPERTY
+@given(grids())
+def test_unchanged_regrid_classifies_nothing(case):
+    # regrid compares the closed leaves with the grid's before it builds a
+    # grid, so a request for the current cells classifies no node
+    grid, _ = case
+    u = GridFunction(grid, np.zeros(grid.n_nodes()))
+    calls = []
+    classify = adaptfd.grid.classify_nodes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adaptfd.grid, "classify_nodes",
+                   lambda g: calls.append(g) or classify(g))
+        g2, u2 = regrid(grid, u, cells_as_requests(grid))
+        assert g2 is grid and u2 is u
+        assert calls == []
+        # a changed grid is classified once
+        fine = np.concatenate([grid.leaves, [[0, 0, 0]]])
+        g3, _ = regrid(grid, u, fine)
+    assert len(calls) == (0 if g3 is grid else 1)
