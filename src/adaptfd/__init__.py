@@ -9,10 +9,9 @@ refinement criteria and regridding (adaptivity), level-set extraction
 (contour), and a configuration-driven experiment harness (harness, cli).
 """
 
-from .grid import (DomainBox, GridFunction, QuadtreeGrid, ScaleRequest,
-                   build_quadtree, classify_nodes, init_from_scattered)
-from .operators import (OperatorSpec, ProblemDefinition, assemble_jacobian,
-                        assemble_residual, cfl_bounds, instantiate_builtin)
+from .grid import (DomainBox, GridFunction, QuadtreeGrid, build_quadtree,
+                   classify_nodes, init_from_scattered)
+from .operators import OperatorSpec, ProblemDefinition, instantiate_builtin
 from .solvers import (StoppingPolicy, TimeGroups, build_schedule, euler_step,
                       evolve, multiscale_solve, newton_solve)
 from .adaptivity import (RefinementPolicy, compute_refinement,
@@ -20,10 +19,9 @@ from .adaptivity import (RefinementPolicy, compute_refinement,
 from .contour import extract_contour, hausdorff_distance
 
 __all__ = [
-    "DomainBox", "GridFunction", "QuadtreeGrid", "ScaleRequest",
-    "build_quadtree", "classify_nodes", "init_from_scattered",
-    "OperatorSpec", "ProblemDefinition", "assemble_jacobian",
-    "assemble_residual", "cfl_bounds", "instantiate_builtin",
+    "DomainBox", "GridFunction", "QuadtreeGrid", "build_quadtree",
+    "classify_nodes", "init_from_scattered",
+    "OperatorSpec", "ProblemDefinition", "instantiate_builtin",
     "StoppingPolicy", "TimeGroups", "build_schedule", "euler_step", "evolve",
     "multiscale_solve", "newton_solve",
     "RefinementPolicy", "compute_refinement", "evaluate_criteria", "regrid",

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, GridFunction, QuadtreeGrid, quadtree_leaves
+from .grid import (GridError, GridFunction, QuadtreeGrid, _ring_squares,
+                   quadtree_leaves)
 from .stencils import one_sided_matrices, sample_nodes
 
 
@@ -60,9 +61,7 @@ def evaluate_criteria(policy: RefinementPolicy, op, grid: QuadtreeGrid,
     u.check(grid)
     vals = np.asarray(policy.criteria(op, grid, u.values), dtype=float)
     vals = np.abs(vals)
-    if op is not None:
-        vals = np.where(op.active, vals, 0.0)
-    return GridFunction(grid, vals)
+    return GridFunction(grid, np.where(op.active, vals, 0.0))
 
 
 def compute_refinement(policy: RefinementPolicy, values: GridFunction,
@@ -85,43 +84,20 @@ def compute_refinement(policy: RefinementPolicy, values: GridFunction,
     if coarsest_allowed is not None:
         scale = np.maximum(scale, coarsest_allowed)
     scale = np.minimum(scale, grid.depth)
-    rings = _ring_squares(grid, grid.i[hot], grid.j[hot], scale,
+    rings = _ring_squares(grid.side, grid.i[hot], grid.j[hot], scale,
                           policy.extra_padding)
     return np.concatenate([rings, policy.initial_cells])
 
 
-def _ring_squares(grid: QuadtreeGrid, i, j, scale, pad: int) -> np.ndarray:
-    """Per node, every scale-s square incident to it plus pad rings of
-    squares around them, clipped to the domain; a-major order."""
-    side = grid.side
-    s = 1 << scale
-
-    def span(n):
-        lo = np.where(n > 0, (n - 1) // s * s, 0)
-        hi = np.where(n < side, n // s * s, side - s)
-        lo = np.maximum(lo - pad * s, 0)
-        return lo, (np.minimum(hi + pad * s, side - s) - lo) // s + 1
-
-    a0, na = span(i)
-    b0, nb = span(j)
-    count = na * nb
-    owner = np.repeat(np.arange(len(count)), count)
-    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    s, nb = s[owner], nb[owner]
-    return np.stack([a0[owner] + t // nb * s, b0[owner] + t % nb * s,
-                     scale[owner]], axis=1)
-
-
 def regrid(grid: QuadtreeGrid, u: GridFunction, requests):
-    """Rebuild from requests (ScaleRequests or squares, see build_quadtree)
-    and transfer u.
+    """Rebuild from requests, squares as build_quadtree takes them, and
+    transfer u.
 
     Returns the same (grid, u) objects when the requests reproduce the
     current cells; the leaves are compared before any node is classified.
     New nodes take the piecewise-bilinear interpolant of u on the old
     leaves, in one pass; surviving nodes are copied exactly.
     """
-    u.check(grid)
     leaves, ops = quadtree_leaves(requests, grid.depth, grid.box, grid.pads)
     return transfer(grid, u, leaves, ops)
 

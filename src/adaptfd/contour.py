@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction, QuadtreeGrid
+from .grid import QuadtreeGrid
 
 
-def extract_contour(grid: QuadtreeGrid, u, level: float = None,
-                    predicate=None) -> list:
-    """Polylines of {field = level} as arrays of (x, y) points.
+def extract_contour(grid: QuadtreeGrid, values: np.ndarray,
+                    level: float = None, predicate=None) -> list:
+    """Polylines of {values = level} as arrays of (x, y) points; values has
+    one entry per node of grid.
 
     With a predicate, the zero level of predicate(values) is traced instead
     (e.g. a contact-set margin).  A level outside the value range gives an
     empty list.  Closed contours repeat their first point at the end.
     """
-    values = u.values if isinstance(u, GridFunction) else np.asarray(u)
     if predicate is not None:
         values = np.asarray(predicate(values), dtype=float)
         level = 0.0

@@ -46,7 +46,7 @@ class GridError(Exception):
 
 
 class DomainError(GridError):
-    """A requested coordinate lies outside the domain box."""
+    """A domain box without finite positive sides, or a point outside it."""
 
 
 class ScaleError(GridError):
@@ -59,7 +59,7 @@ class InputError(GridError):
 
 
 class GenerationMismatchError(GridError):
-    """A grid function was built for a different grid generation."""
+    """A grid function lives on a grid with other cells."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ class DomainBox:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise DomainError("domain box must have positive side lengths")
+        if not (self.x_max > self.x_min and self.y_max > self.y_min
+                and math.isfinite(self.lx + self.ly)):
+            raise DomainError("domain box must have finite positive sides")
 
     @property
     def lx(self) -> float:
@@ -80,20 +81,6 @@ class DomainBox:
     @property
     def ly(self) -> float:
         return self.y_max - self.y_min
-
-    def contains(self, x: float, y: float, tol: float = 1e-12) -> bool:
-        tx = tol * self.lx
-        ty = tol * self.ly
-        return (self.x_min - tx <= x <= self.x_max + tx
-                and self.y_min - ty <= y <= self.y_max + ty)
-
-
-@dataclass(frozen=True)
-class ScaleRequest:
-    """Ask that the location lie in a cell no larger than 2^scale virtual units."""
-    x: float
-    y: float
-    scale: int
 
 
 def default_pads(box: DomainBox) -> tuple[int, int]:
@@ -248,9 +235,7 @@ class QuadtreeGrid:
 
     def interpolate(self, values: np.ndarray, x, y):
         """Bilinear interpolation from the corners of the leaf containing
-        each point (x, y) (half-open from below, clamped to the box)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        each point of the arrays x, y (half-open from below, clamped)."""
         top = self.side - 1
         ci = np.clip(np.floor((x - self.box.x_min) / self.hx), 0, top)
         cj = np.clip(np.floor((y - self.box.y_min) / self.hy), 0, top)
@@ -265,9 +250,8 @@ class QuadtreeGrid:
         v10 = values[self.find(a + s, b)]
         v01 = values[self.find(a, b + s)]
         v11 = values[self.find(a + s, b + s)]
-        out = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-               + (1 - tx) * ty * v01 + tx * ty * v11)
-        return float(out) if out.ndim == 0 else out
+        return ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
+                + (1 - tx) * ty * v01 + tx * ty * v11)
 
     # -- dump ---------------------------------------------------------------
 
@@ -319,70 +303,60 @@ class GridFunction:
     """Real values attached to every node of a specific grid."""
     grid: QuadtreeGrid
     values: np.ndarray
-    generation: int = -1
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_nodes(),):
             raise GridError("grid function size does not match node count")
-        if self.generation < 0:
-            self.generation = self.grid.generation
 
     def check(self, grid: QuadtreeGrid):
-        if self.generation != grid.generation:
+        """GenerationMismatchError unless these values live on grid's cells."""
+        if not (self.grid is grid or self.grid.same_cells(grid)):
             raise GenerationMismatchError(
-                "grid function generation %d does not match grid generation %d"
-                % (self.generation, grid.generation))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.generation)
+                "grid function on %d nodes does not live on this grid of %d "
+                "nodes" % (self.grid.n_nodes(), grid.n_nodes()))
 
 
 # ---------------------------------------------------------------------------
 # construction
 
-def _snap(frac, side: int):
-    # nearest lattice point; exact ties snap toward the origin
-    return np.clip(np.ceil(np.asarray(frac) - 0.5), 0, side).astype(np.int64)
-
-
-def _as_seeds(requests, box: DomainBox, depth: int) -> np.ndarray:
-    """Required squares as an (m, 3) int array of (a, b, k), one per request.
-
-    An integer array of squares is checked and passed through.  A sequence
-    of ScaleRequests is snapped: each pins the half-open scale-k square that
-    contains its nearest lattice point."""
+def _as_seeds(requests, depth: int) -> np.ndarray:
+    """Required squares (a, b, k), checked: an integer array of m rows."""
     side = _lattice_side(depth)
-    if isinstance(requests, np.ndarray) and requests.dtype.kind in "iu":
-        seeds = requests.astype(np.int64, copy=False).reshape(-1, 3)
-        a, b, k = seeds.T
-        if np.any((k < 0) | (k > depth)):
-            raise ScaleError("requested scale outside [0, %d]" % depth)
-        s = 1 << k
-        if np.any((a % s != 0) | (b % s != 0) | (a < 0) | (b < 0)
-                  | (a > side - s) | (b > side - s)):
-            raise GridError("requested square not aligned inside the lattice")
-        return seeds
-    reqs = list(requests)
-    x = np.array([r.x for r in reqs], dtype=float)
-    y = np.array([r.y for r in reqs], dtype=float)
-    k = np.array([r.scale for r in reqs], dtype=np.int64)
-    tx, ty = 1e-12 * box.lx, 1e-12 * box.ly
-    outside = ~((box.x_min - tx <= x) & (x <= box.x_max + tx)
-                & (box.y_min - ty <= y) & (y <= box.y_max + ty))
-    bad_scale = (k < 0) | (k > depth)
-    if np.any(outside | bad_scale):
-        first = int(np.argmax(outside | bad_scale))
-        if outside[first]:
-            raise DomainError("request at (%g, %g) lies outside the domain box"
-                              % (reqs[first].x, reqs[first].y))
-        raise ScaleError("requested scale %d outside [0, %d]"
-                         % (reqs[first].scale, depth))
-    i = _snap((x - box.x_min) / (box.lx / side), side)
-    j = _snap((y - box.y_min) / (box.ly / side), side)
+    if not (isinstance(requests, np.ndarray) and requests.dtype.kind in "iu"
+            and requests.size % 3 == 0):
+        raise GridError("requests must be an (m, 3) integer array of "
+                        "squares (a, b, k)")
+    seeds = requests.astype(np.int64, copy=False).reshape(-1, 3)
+    a, b, k = seeds.T
+    if np.any((k < 0) | (k > depth)):
+        raise ScaleError("requested scale outside [0, %d]" % depth)
     s = 1 << k
-    return np.stack([np.minimum(i // s * s, side - s),
-                     np.minimum(j // s * s, side - s), k], axis=1)
+    if np.any((a % s != 0) | (b % s != 0) | (a < 0) | (b < 0)
+              | (a > side - s) | (b > side - s)):
+        raise GridError("requested square not aligned inside the lattice")
+    return seeds
+
+
+def _ring_squares(side: int, i, j, scale, pad: int) -> np.ndarray:
+    """Per lattice point (i, j), every scale-s square incident to it plus
+    pad rings of squares around them, clipped to [0, side]; a-major order."""
+    s = 1 << scale
+
+    def span(n):
+        lo = np.where(n > 0, (n - 1) // s * s, 0)
+        hi = np.where(n < side, n // s * s, side - s)
+        lo = np.maximum(lo - pad * s, 0)
+        return lo, (np.minimum(hi + pad * s, side - s) - lo) // s + 1
+
+    a0, na = span(i)
+    b0, nb = span(j)
+    count = na * nb
+    owner = np.repeat(np.arange(len(count)), count)
+    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    s, nb = s[owner], nb[owner]
+    return np.stack([a0[owner] + t // nb * s, b0[owner] + t % nb * s,
+                     scale[owner]], axis=1)
 
 
 # squares at one scale are packed into one int64 key, a in the high half
@@ -408,12 +382,14 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
     Bottom-up closure: per scale, close the required-square set under
     siblings and fill-to-the-edge, then push parents plus padding neighbors up
     one scale.  Each rule only looks sideways or upward, so one sweep with an
-    intra-level fixpoint loop reaches the closure."""
-    seeds = _as_seeds(requests, box, depth)
+    intra-level fixpoint loop reaches the closure.  A pad above side acts
+    as pad = side: no wall is farther away."""
+    seeds = _as_seeds(requests, depth)
     side = 1 << depth
     pad_x, pad_y = pads
     if pad_x < 1 or pad_y < 1:
         raise GridError("pads must be >= 1")
+    pad_x, pad_y = min(pad_x, side), min(pad_y, side)
     ops = len(seeds)
     levels = [np.unique(_pack(seeds[seeds[:, 2] == k, 0],
                               seeds[seeds[:, 2] == k, 1]))
@@ -443,17 +419,20 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
             req = grown
         levels[k] = req
         # push required squares one scale up: parents of everything here,
-        # plus pad equal-size neighbors of each split parent
+        # plus pad equal-size neighbors of each split parent; no neighbor
+        # lies more than side // psize squares away
         a, b = req >> _SHIFT, req & _LOW
         parents = np.unique(_pack(a // psize * psize, b // psize * psize))
-        ops += len(req) + len(parents) * 2 * (pad_x + pad_y)
+        reach_x = min(pad_x, side // psize)
+        reach_y = min(pad_y, side // psize)
+        ops += len(req) + len(parents) * 2 * (reach_x + reach_y)
         pa, pb = parents >> _SHIFT, parents & _LOW
         up = [levels[k + 1], parents]
-        for s in range(1, pad_x + 1):
+        for s in range(1, reach_x + 1):
             for na in (pa - s * psize, pa + s * psize):
                 ok = (na >= 0) & (na <= side - psize)
                 up.append(_pack(na[ok], pb[ok]))
-        for s in range(1, pad_y + 1):
+        for s in range(1, reach_y + 1):
             for nb in (pb - s * psize, pb + s * psize):
                 ok = (nb >= 0) & (nb <= side - psize)
                 up.append(_pack(pa[ok], nb[ok]))
@@ -494,20 +473,17 @@ def _edge_fill_neighbors(pa, pb, psize, side, pad_x, pad_y):
 
 
 def build_quadtree(requests, depth: int, box: DomainBox,
-                   pads: tuple[int, int] | None = None,
-                   generation: int = 0) -> QuadtreeGrid:
+                   pads: tuple[int, int] | None = None) -> QuadtreeGrid:
     """Build the minimal legal quadtree whose cells contain every request.
 
-    requests are ScaleRequests or an (m, 3) int array of squares (a, b, k).
-    A ScaleRequest pins the half-open scale-k square containing its snapped
-    lattice point; coordinates already aligned at scale k thereby become
-    grid nodes.  With M requests the construction touches O(depth * M)
-    squares.
+    requests are an (m, 3) int array of squares (a, b, k), each a scale-k
+    square aligned inside the lattice.  With M requests the construction
+    touches O(depth * M) squares.
     """
     if pads is None:
         pads = default_pads(box)
     leaves, ops = quadtree_leaves(requests, depth, box, pads)
-    return QuadtreeGrid(box, depth, pads, leaves, generation, ops)
+    return QuadtreeGrid(box, depth, pads, leaves, build_ops=ops)
 
 
 def init_from_scattered(points, depth: int,
@@ -518,74 +494,78 @@ def init_from_scattered(points, depth: int,
 
     Points snap to the virtual lattice; each becomes a node by requiring all
     cells incident to it at its alignment scale (the largest scale at which
-    both indices are corner-aligned).  Returns (grid, GridFunction); the grid
-    is the fixed initial quadtree that later refinements must contain.
+    both indices are corner-aligned).  Points snapping to one lattice point
+    must agree in value; the last one's value stands.  Returns (grid,
+    GridFunction); the grid is the fixed initial quadtree that later
+    refinements must contain.
     """
-    pts = list(points)
-    if not pts:
-        raise InputError("no scattered points supplied")
+    pts = np.asarray(list(points), dtype=float)
+    if pts.shape[1:] != (3,) or not len(pts):
+        raise InputError("scattered data must be one or more (x, y, value) "
+                         "triples")
+    x, y, v = pts.T
     if box is None:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        box = DomainBox(min(xs), max(xs), min(ys), max(ys))
+        box = DomainBox(*map(float, (x.min(), x.max(), y.min(), y.max())))
     if pads is None:
         pads = default_pads(box)
     side = _lattice_side(depth)
 
-    snapped = {}
-    for (x, y, v) in pts:
-        if not box.contains(x, y):
+    tx, ty = 1e-12 * box.lx, 1e-12 * box.ly
+    outside = ~((box.x_min - tx <= x) & (x <= box.x_max + tx)
+                & (box.y_min - ty <= y) & (y <= box.y_max + ty))
+    # the nearest lattice point, exact ties toward the origin; a point
+    # outside snaps to 0, and the first bad point raises below
+    frac = np.where(outside, 0.0, [(x - box.x_min) / (box.lx / side),
+                                   (y - box.y_min) / (box.ly / side)])
+    i, j = np.clip(np.ceil(frac - 0.5), 0, side).astype(np.int64)
+    # each point against the one before it at its lattice point
+    key = j * (side + 1) + i
+    order = np.argsort(key, kind="stable")
+    p, q = order[:-1], order[1:]
+    bad = outside.copy()
+    with np.errstate(invalid="ignore"):     # equal infinite values
+        bad[q] |= (key[p] == key[q]) & (
+            np.abs(v[p] - v[q]) > 1e-12 * np.maximum(1.0, np.abs(v[q])))
+    if bad.any():
+        n = np.argmax(bad)
+        if outside[n]:
             raise DomainError("scattered point (%g, %g) outside the domain box"
-                              % (x, y))
-        i = int(_snap((x - box.x_min) / (box.lx / side), side))
-        j = int(_snap((y - box.y_min) / (box.ly / side), side))
-        if (i, j) in snapped and abs(snapped[(i, j)] - v) > 1e-12 * max(1.0, abs(v)):
-            raise InputError("duplicate points at lattice (%d, %d) with "
-                             "conflicting values" % (i, j))
-        snapped[(i, j)] = v
-
-    def val2(n):
-        return depth if n == 0 else min((n & -n).bit_length() - 1, depth)
-
-    seeds = []
-    for (i, j) in snapped:
-        k = min(val2(i), val2(j))
-        s = 1 << k
-        for a in {max(i - s, 0), min(i, side - s)}:
-            for b in {max(j - s, 0), min(j, side - s)}:
-                if a % s == 0 and b % s == 0 and a <= i <= a + s and b <= j <= b + s:
-                    seeds.append((a, b, k))
-    leaves, ops = quadtree_leaves(np.array(seeds, dtype=np.int64), depth, box,
-                                  pads)
+                              % (x[n], y[n]))
+        raise InputError("duplicate points at lattice (%d, %d) with "
+                         "conflicting values" % (i[n], j[n]))
+    # one point per lattice point, in first-seen order, with its last value
+    first = np.unique(key, return_index=True)[1]
+    last = np.unique(key[::-1], return_index=True)[1]
+    seen = np.argsort(first)
+    ij = np.stack([i, j], axis=1)[first[seen]]
+    vals = v[::-1][last[seen]]
+    # each point's alignment scale: its lowest set bit, 0 counting as side
+    low = np.where(ij > 0, ij & -ij, side).min(axis=1)
+    seeds = _ring_squares(side, ij[:, 0], ij[:, 1],
+                          np.log2(low).astype(np.int64), 0)
+    leaves, ops = quadtree_leaves(seeds, depth, box, pads)
     grid = QuadtreeGrid(box, depth, pads, leaves, build_ops=ops)
-
-    values = _interpolate_scattered(grid, snapped)
-    return grid, GridFunction(grid, values)
+    return grid, GridFunction(grid, _interpolate_scattered(grid, ij, vals))
 
 
-def _interpolate_scattered(grid: QuadtreeGrid, snapped: dict) -> np.ndarray:
+def _interpolate_scattered(grid: QuadtreeGrid, ij, vals) -> np.ndarray:
     # imported here: a run that never starts from scattered data should not
     # pay for loading scipy.interpolate and scipy.spatial
     from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
     from scipy.spatial import QhullError
 
-    ij = np.array(list(snapped), dtype=np.int64)
     pts = np.stack(grid.position(ij[:, 0], ij[:, 1]), axis=1)
-    vals = np.array(list(snapped.values()), dtype=float)
     out = np.empty(grid.n_nodes())
-    if len(snapped) == 1:
-        out[:] = vals[0]
-    else:
-        nearest = NearestNDInterpolator(pts, vals)
-        out[:] = nearest(grid.x, grid.y)
-        if len(snapped) >= 3:
-            try:
-                lin = LinearNDInterpolator(pts, vals)
-                inside = lin(grid.x, grid.y)
-                mask = ~np.isnan(inside)
-                out[mask] = inside[mask]
-            except QhullError:
-                pass  # collinear data: nearest-point fill stands
+    nearest = NearestNDInterpolator(pts, vals)
+    out[:] = nearest(grid.x, grid.y)
+    if len(vals) >= 3:
+        try:
+            lin = LinearNDInterpolator(pts, vals)
+            inside = lin(grid.x, grid.y)
+            mask = ~np.isnan(inside)
+            out[mask] = inside[mask]
+        except QhullError:
+            pass  # collinear data: nearest-point fill stands
     out[grid.find(ij[:, 0], ij[:, 1])] = vals
     return out
 

@@ -21,8 +21,8 @@ from .adaptivity import (RefinementPolicy, free_boundary_criteria,
                          proximity_criteria, residual_criteria,
                          slope_criteria, stefan_terms_criteria)
 from .contour import extract_contour
-from .grid import (MAX_DEPTH, DomainBox, GridError, GridFunction,
-                   QuadtreeGrid, build_quadtree)
+from .grid import (MAX_DEPTH, DomainBox, DomainError, GridError,
+                   GridFunction, QuadtreeGrid, build_quadtree)
 from .operators import (ProblemDefinition, UpwindDirectional,
                         instantiate_builtin)
 from .solvers import (StoppingPolicy, evolve, multiscale_solve, newton_solve)
@@ -265,6 +265,8 @@ class PresetBundle:
     regions: tuple = ()              # radii splitting the resource report
     u0: object = None                # initial values fn; None: zero
     regrid_every: int = 1            # coarse Euler steps between regrids
+    pads: tuple | None = None        # (pad_x, pad_y); None: from the box
+    max_iter: int = 100              # Newton iterations per solve
 
 
 def _ladder(criteria, thresholds, scales=(3, 2, 1, 0)):
@@ -276,6 +278,7 @@ def _ladder(criteria, thresholds, scales=(3, 2, 1, 0)):
 
 def _artificial_bc(cfg, depth):
     side = cfg.get("domain.side", 200.0, float)
+    _check("domain.side", side, 0 < side < math.inf, "finite and > 0")
 
     def source(x, y):
         r = np.hypot(x, y)
@@ -373,10 +376,14 @@ def _stefan(cfg, depth):
 
 def _custom(cfg, depth):
     """Everything from config expressions."""
-    box = DomainBox(cfg.get("domain.x_min", 0.0, float),
-                    cfg.get("domain.x_max", 1.0, float),
-                    cfg.get("domain.y_min", 0.0, float),
-                    cfg.get("domain.y_max", 1.0, float))
+    try:
+        box = DomainBox(cfg.get("domain.x_min", 0.0, float),
+                        cfg.get("domain.x_max", 1.0, float),
+                        cfg.get("domain.y_min", 0.0, float),
+                        cfg.get("domain.y_max", 1.0, float))
+    except DomainError as exc:
+        raise ConfigError("config fields 'domain.x_min', 'domain.x_max', "
+                          "'domain.y_min' and 'domain.y_max': %s" % exc)
     f = expression(cfg.get("problem.f", "0"), "problem.f")
     gexpr = expression(cfg.get("problem.g", "0"), "problem.g")
     chi = robin = None
@@ -447,12 +454,20 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     """The run cfg describes: its preset's defaults, overridden by each key
     cfg sets.  Every run parameter is read and range-checked here, once."""
     spec, depth, scale_of, stopping, times, strategy = _PRESETS[cfg.preset]
+    _check("seed", cfg.seed, cfg.seed >= 0, ">= 0")
     depth = cfg.get("grid.depth", depth, int)
     _check("grid.depth", depth, 0 <= depth <= MAX_DEPTH,
            "in [0, %d]" % MAX_DEPTH)
     scale = cfg.get("grid.initial_scale", scale_of(depth), int)
     _check("grid.initial_scale", scale, 0 <= scale <= depth,
            "in [0, grid.depth]")
+    pads = None
+    if "grid.pad_x" in cfg.raw or "grid.pad_y" in cfg.raw:
+        pads = (cfg.get("grid.pad_x", 1, int), cfg.get("grid.pad_y", 1, int))
+        for key, pad in zip(("grid.pad_x", "grid.pad_y"), pads):
+            _check(key, pad, pad >= 1, ">= 1")
+    max_iter = cfg.get("newton.max_iter", 100, int)
+    _check("newton.max_iter", max_iter, max_iter >= 1, ">= 1")
     fields = spec(cfg, depth)
     strategies = fields.pop("strategies")
     if strategy is not None:
@@ -480,7 +495,8 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
         _check("time.regrid_every", every, every >= 1, ">= 1")
         fields.update(T=T, snapshots=snapshots, regrid_every=every)
     fields["solver"] = cfg.solver or fields.get("solver", "newton_multiscale")
-    return PresetBundle(depth=depth, initial_scale=scale, **fields)
+    return PresetBundle(depth=depth, initial_scale=scale, pads=pads,
+                        max_iter=max_iter, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +625,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     preset = make_preset(cfg)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    pads = None
-    if "grid.pad_x" in cfg.raw or "grid.pad_y" in cfg.raw:
-        pads = (cfg.get("grid.pad_x", 1, int), cfg.get("grid.pad_y", 1, int))
     g0 = build_quadtree(uniform_requests(preset.box, preset.depth,
                                          preset.initial_scale),
-                        preset.depth, preset.box, pads=pads)
+                        preset.depth, preset.box, pads=preset.pads)
     factory = lambda gr: instantiate_builtin(preset.kind, preset.problem, gr)
     log = []
     results = {"log": log, "preset": preset}
@@ -636,7 +649,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
             gr, u = multiscale_solve(
                 factory, g0, u0, preset.policy, preset.stopping,
-                max_iter=cfg.get("newton.max_iter", 100, int), log=log,
+                max_iter=preset.max_iter, log=log,
                 grid_watch=watch if radii else None)
             if radii:
                 rep = resource_report(gr, radii, log, region_counts)
@@ -682,7 +695,7 @@ def manufactured_poisson(grid: QuadtreeGrid, exact, lap_exact):
     return float(np.max(np.abs(u.values - ex)))
 
 
-def convergence_report(family: str, depths, box=None) -> list:
+def convergence_report(family: str, depths) -> list:
     """Max-norm errors and observed orders for a manufactured solution.
 
     family: 'uniform' (all-fine grids), 'dangling' (a fixed band of fine
@@ -695,8 +708,7 @@ def convergence_report(family: str, depths, box=None) -> list:
     depths = list(depths)
     if len(depths) < 2:
         raise ConfigError("config field 'scales' needs at least 2 entries")
-    if box is None:
-        box = DomainBox(0.0, 1.0, 0.0, 1.0)
+    box = DomainBox(0.0, 1.0, 0.0, 1.0)
     if family == "linear":
         exact = lambda x, y: 0.75 * x - 0.5 * y + 0.25
         lap = lambda x, y: 0.0

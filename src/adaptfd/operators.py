@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import BOUNDARY, CODE, GridFunction, QuadtreeGrid
+from .grid import BOUNDARY, CODE, QuadtreeGrid
 from .stencils import (OperatorError, laplacian_system, one_sided_geometry,
                        one_sided_matrices, sample_nodes)
 
@@ -297,16 +297,9 @@ class OperatorSpec:
 
     # -- operator surface ---------------------------------------------------
 
-    def residual(self, u: np.ndarray, rows=None) -> np.ndarray:
-        """F per node; at rows, computed on the whole grid, then indexed."""
-        r = self._step_terms(np.asarray(u, dtype=float))[1]
-        return r if rows is None else r[rows]
-
-    def branches(self, u: np.ndarray) -> np.ndarray:
-        """Branch of largest weight per node: 0 = PDE row, 1 = data row,
-        2 = first-order row, 3 = gradient-square row.  Ties go to the PDE."""
-        w = self._weighted(np.asarray(u, dtype=float))[0]
-        return np.argmax(w, axis=0).astype(np.int8)
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """F per node."""
+        return self._step_terms(np.asarray(u, dtype=float))[1]
 
     def jacobian(self, u: np.ndarray, rows=None):
         """Exact generalized Jacobian: a CSR matrix over all nodes (inactive
@@ -381,13 +374,11 @@ class OperatorSpec:
         return (srow, pos[:S.nnz], pos[S.nnz:], ukey % n,
                 np.searchsorted(ukey, np.arange(n + 1) * n))
 
-    def lipschitz(self, u: np.ndarray, rows=None) -> np.ndarray:
+    def lipschitz(self, u: np.ndarray) -> np.ndarray:
         """Per-node bound on dF_i/du_i over every branch the node can take:
         sum_b W[b] * L_b, where a min kind bounds its PDE row by the larger
-        of L_0 and the bound of its second branch wherever that is open.
-        At rows, it is computed on the whole grid, then indexed."""
-        lip = self._step_terms(np.asarray(u, dtype=float))[0]
-        return lip if rows is None else lip[rows]
+        of L_0 and the bound of its second branch wherever that is open."""
+        return self._step_terms(np.asarray(u, dtype=float))[0]
 
 
 def _stacked(blocks):
@@ -425,29 +416,3 @@ def instantiate_builtin(kind: str, problem: ProblemDefinition,
     if kind not in BUILTIN_KINDS:
         raise OperatorError("unknown operator kind %r" % (kind,))
     return OperatorSpec(kind, problem, grid)
-
-
-def assemble_residual(op: OperatorSpec, grid: QuadtreeGrid,
-                      u: GridFunction) -> GridFunction:
-    u.check(grid)
-    return GridFunction(grid, op.residual(u.values))
-
-
-def assemble_jacobian(op: OperatorSpec, grid: QuadtreeGrid,
-                      u: GridFunction) -> sp.csr_matrix:
-    """Generalized Jacobian rows for the active nodes (one row per active
-    unknown, columns over all nodes)."""
-    u.check(grid)
-    J = op.jacobian(u.values)
-    return J[op.active]
-
-
-def cfl_bounds(op: OperatorSpec, grid: QuadtreeGrid,
-               u: GridFunction) -> GridFunction:
-    """Per-node explicit time step dt_i = 1/L_i; +inf where decoupled."""
-    u.check(grid)
-    lip = op.lipschitz(u.values)
-    with np.errstate(divide="ignore"):
-        dt = np.where(lip > 0, 1.0 / lip, np.inf)
-    return GridFunction(grid, dt)
-

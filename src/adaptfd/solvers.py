@@ -48,6 +48,11 @@ class ScheduleError(GridError):
 
 # every group visit evaluates the operator on the whole grid
 MAX_GROUP_VISITS = 1 << 12
+# regrids at most: before evolve's first step, and per continuation stage
+INITIAL_REGRIDS = 20
+STAGE_REGRIDS = 6
+# the largest linear residual of a Newton step, relative to the residual
+LIN_RTOL = 1e-10
 
 
 @dataclass
@@ -131,7 +136,7 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
 
 
 def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
-               schedule: TimeGroups, work=None) -> GridFunction:
+               schedule: TimeGroups) -> GridFunction:
     """One coarse step: u_i <- u_i - tau_g F_i[u] simultaneously within each
     scheduled group, sequentially across groups.  Each group visit takes its
     CFL check and its update from one whole-grid evaluation of F; the first
@@ -160,14 +165,12 @@ def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
                                    % (tau, 1.0 / lip[rows].max()))
         np.subtract(v, tau * res, out=v, where=masks[gid])
-        if work is not None:
-            work.append(len(rows))
     return GridFunction(grid, v)
 
 
 def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
            policy=None, snapshot_times=(), seed: int = 0,
-           regrid_every: int = 1, infill_cap: int = 20, log=None):
+           regrid_every: int = 1, log=None):
     """March u_t + F[u] = 0 to time T, regridding as the policy demands.
 
     Returns [(grid, u, t)] at the requested snapshot times (linearly
@@ -186,7 +189,7 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
     rng = np.random.default_rng(seed)
     u = GridFunction(grid, op.apply_pins(u0.values))
     if policy is not None:
-        for _ in range(infill_cap):
+        for _ in range(INITIAL_REGRIDS):
             prev = grid
             op, grid, u = _adapt(policy, op, grid, u)
             if grid is prev:
@@ -235,8 +238,8 @@ def _adapt(policy, op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction):
     return op, g2, GridFunction(g2, op.apply_pins(u2.values))
 
 
-def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
-                 stage=None, max_iter: int = 100, lin_rtol: float = 1e-10,
+def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
+                 stopping: StoppingPolicy, stage=None, max_iter: int = 100,
                  log=None) -> GridFunction:
     """Semismooth Newton with full steps and a sparse direct linear solve.
 
@@ -252,10 +255,8 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
     # loaded on the first solve: runs that never solve do not pay for it
     import scipy.sparse.linalg as spla
 
-    tol = stopping.threshold(stage) if isinstance(stopping, StoppingPolicy) \
-        else float(stopping)
-    vals = u0.values if isinstance(u0, GridFunction) else np.asarray(u0)
-    u = op.apply_pins(vals)
+    tol = stopping.threshold(stage)
+    u = op.apply_pins(u0.values)
     act = op.active
     if not act.any():
         return GridFunction(grid, u)
@@ -269,6 +270,9 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
             raise NonconvergenceError(rnorm, iters)
         t0 = time.perf_counter()
         J = op.jacobian(u, act)
+        # a monotone row without its diagonal is empty: SuperLU may crash
+        if not J.diagonal().all():
+            raise LinearSolveError("singular Jacobian: an empty row")
         ra = r[act]
         # the factors are dropped as soon as they have solved: two alive at
         # once would hold twice their memory
@@ -281,7 +285,7 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0, stopping,
         if not np.all(np.isfinite(delta)):
             raise LinearSolveError("singular Jacobian")
         lin_res = np.linalg.norm(J @ delta + ra)
-        if lin_res > lin_rtol * max(np.linalg.norm(ra), 1e-300):
+        if lin_res > LIN_RTOL * max(np.linalg.norm(ra), 1e-300):
             raise LinearSolveError("linear solve residual %.3e too large"
                                    % lin_res)
         u[act] += delta
@@ -309,16 +313,17 @@ def _trial_leaves(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
     return np.concatenate([leaves[~split]] + kids)
 
 
-def multiscale_solve(op_factory, grid: QuadtreeGrid, u0, policy, stopping,
-                     finest_scale=None, infill_cap: int = 6,
-                     max_iter: int = 100, log=None, grid_watch=None):
+def multiscale_solve(op_factory, grid: QuadtreeGrid, u0: GridFunction, policy,
+                     stopping: StoppingPolicy, max_iter: int = 100, log=None,
+                     grid_watch=None):
     """Coarse-to-fine continuation: solve on the initial quadtree, then admit
     refinement one scale per stage.
 
     Per stage, the criteria are probed on a one-level-finer trial grid (the
     interpolated solution exposes its truncation error there), the demanded
     cells are clamped to the stage scale, and Newton re-solves after every
-    regrid.  Stage k stops Newton at the k-th stopping threshold.
+    regrid.  Stage k stops Newton at the k-th stopping threshold.  The
+    last stage admits the policy's finest scale.
     """
     op = op_factory(grid)
     if grid_watch is not None:
@@ -326,13 +331,11 @@ def multiscale_solve(op_factory, grid: QuadtreeGrid, u0, policy, stopping,
     u = newton_solve(op, grid, u0, stopping, stage=0, max_iter=max_iter,
                      log=log)
     present = grid.scales()[::-1]
-    if finest_scale is None:
-        finest_scale = min(policy.scales)
     start = present[1] if len(present) > 1 else present[0] - 1
     stage = 0
-    for target in range(start, finest_scale - 1, -1):
+    for target in range(start, min(policy.scales) - 1, -1):
         stage += 1
-        for _ in range(infill_cap):
+        for _ in range(STAGE_REGRIDS):
             trial, u_t = transfer(grid, u, _trial_leaves(grid, target))
             op_t = op_factory(trial)
             u_t = GridFunction(trial, op_t.apply_pins(u_t.values))

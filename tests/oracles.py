@@ -306,36 +306,37 @@ def psor_solve(op, tol=1e-12, omega=1.5, max_sweeps=20000):
     return u
 
 
-def random_requests(rng, depth, count, box):
-    """Random lattice-aligned scale requests inside the box."""
-    from adaptfd.grid import ScaleRequest
+def random_requests(rng, depth, count):
+    """Random squares (a, b, k): each the half-open scale-k square that
+    contains a random lattice point, as an (m, 3) int array."""
+    import numpy as np
     side = 1 << depth
-    hx = box.lx / side
-    hy = box.ly / side
-    reqs = []
+    seeds = []
     for _ in range(count):
         i = int(rng.integers(0, side + 1))
         j = int(rng.integers(0, side + 1))
         k = int(rng.integers(0, depth + 1))
-        reqs.append(ScaleRequest(box.x_min + i * hx, box.y_min + j * hy, k))
-    return reqs
+        s = 1 << k
+        seeds.append((min(i // s * s, side - s), min(j // s * s, side - s), k))
+    return np.array(seeds, dtype=np.int64).reshape(-1, 3)
 
 
-def seeds_for_requests(reqs, depth, box):
-    """Seed squares matching the build's containment semantics, recomputed
-    here from scratch (half-open containing square of the snapped point)."""
+def seeds_for_requests(points, depth, box):
+    """Squares (a, b, k) for points (x, y, k), as an (m, 3) int array: the
+    half-open scale-k square containing the lattice point nearest (x, y),
+    exact ties toward the origin."""
     import math
+    import numpy as np
     side = 1 << depth
     seeds = []
-    for r in reqs:
-        fi = (r.x - box.x_min) / (box.lx / side)
-        fj = (r.y - box.y_min) / (box.ly / side)
+    for (x, y, k) in points:
+        fi = (x - box.x_min) / (box.lx / side)
+        fj = (y - box.y_min) / (box.ly / side)
         i = min(max(math.ceil(fi - 0.5), 0), side)
         j = min(max(math.ceil(fj - 0.5), 0), side)
-        s = 1 << r.scale
-        seeds.append((min(i // s * s, side - s), min(j // s * s, side - s),
-                      r.scale))
-    return seeds
+        s = 1 << k
+        seeds.append((min(i // s * s, side - s), min(j // s * s, side - s), k))
+    return np.array(seeds, dtype=np.int64).reshape(-1, 3)
 
 
 def one_sided_oracle(cells, depth, i, j, side):
@@ -445,6 +446,14 @@ def euler_step_reference(op, values, schedule):
                                    % (tau, 1.0 / lip.max()))
         v[rows] -= tau * res
     return v
+
+
+def branches(op, u):
+    """Branch of largest weight per node: 0 = PDE row, 1 = data row,
+    2 = first-order row, 3 = gradient-square row.  Ties go to the PDE."""
+    import numpy as np
+    w = op._weighted(np.asarray(u, dtype=float))[0]
+    return np.argmax(w, axis=0).astype(np.int8)
 
 
 def row_terms(op, u, rows):

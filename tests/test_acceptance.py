@@ -13,16 +13,15 @@ from scipy.optimize import brentq
 from scipy.special import erf
 
 from adaptfd.contour import extract_contour, hausdorff_distance
-from adaptfd.grid import (DomainBox, GridFunction, ScaleRequest,
-                          build_quadtree)
+from adaptfd.grid import DomainBox, GridFunction, build_quadtree
 from adaptfd.harness import (convergence_report, make_preset, parse_config,
-                             run_experiment)
+                             run_experiment, uniform_requests)
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (StoppingPolicy, TimeGroups, build_schedule,
                              euler_step, evolve, multiscale_solve,
                              newton_solve)
 from oracles import (cell_map, check_legal, closure_oracle, psor_solve,
-                     random_requests, seeds_for_requests)
+                     random_requests)
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
@@ -33,11 +32,8 @@ def announce(num, ok, detail):
 
 
 def uniform_grid(depth, box=UNIT):
-    side = 1 << depth
-    reqs = [ScaleRequest(box.x_min + (i + 0.5) * box.lx / side,
-                         box.y_min + (j + 0.5) * box.ly / side, 0)
-            for i in range(side) for j in range(side)]
-    return build_quadtree(reqs, depth, box, pads=(1, 1))
+    return build_quadtree(uniform_requests(box, depth, 0), depth, box,
+                          pads=(1, 1))
 
 
 def test_criterion_1_quadtree_legality():
@@ -47,9 +43,9 @@ def test_criterion_1_quadtree_legality():
     for _ in range(500):
         depth = int(rng.integers(2, 7))
         pads = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        reqs = random_requests(rng, depth, int(rng.integers(1, 8)), UNIT)
+        reqs = random_requests(rng, depth, int(rng.integers(1, 8)))
         g = build_quadtree(reqs, depth, UNIT, pads=pads)
-        seeds = seeds_for_requests(reqs, depth, UNIT)
+        seeds = reqs.tolist()
         cells = cell_map(g)
         assert check_legal(cells, depth, pads, seeds), (depth, pads, reqs)
         if depth <= 3:
@@ -71,7 +67,7 @@ def test_criterion_2_stencil_consistency():
     worst = 0.0
     for _ in range(25):
         depth = int(rng.integers(3, 6))
-        g = build_quadtree(random_requests(rng, depth, 5, UNIT), depth, UNIT,
+        g = build_quadtree(random_requests(rng, depth, 5), depth, UNIT,
                            pads=(1, 1))
         a, b, c, d, e, f0 = rng.normal(size=6)
         u = np.array([a * x ** 2 + b * y ** 2 + c * x * y + d * x + e * y
@@ -101,7 +97,7 @@ def test_criterion_3_monotonicity_fuzz():
     violations = 0
     while probes < 10000:
         depth = int(rng.integers(2, 5))
-        grid = build_quadtree(random_requests(rng, depth, 4, UNIT), depth,
+        grid = build_quadtree(random_requests(rng, depth, 4), depth,
                               UNIT, pads=(1, 1))
         kind = kinds[probes % 4]
         prob = ProblemDefinition(
@@ -119,16 +115,16 @@ def test_criterion_3_monotonicity_fuzz():
                 break
             u = op.apply_pins(rng.normal(size=grid.n_nodes()))
             i = int(rng.choice(act))
-            r0 = op.residual(u, rows=np.array([i]))[0]
+            r0 = op.residual(u)[i]
             u_up = u.copy()
             u_up[i] += 0.4
-            if op.residual(u_up, rows=np.array([i]))[0] < r0 - 1e-12:
+            if op.residual(u_up)[i] < r0 - 1e-12:
                 violations += 1
             cols = [j for j in J.rows[i] if j != i]
             j = int(rng.choice(cols)) if cols else (i + 1) % grid.n_nodes()
             u_j = u.copy()
             u_j[j] += 0.4
-            if op.residual(u_j, rows=np.array([i]))[0] > r0 + 1e-12:
+            if op.residual(u_j)[i] > r0 + 1e-12:
                 violations += 1
             probes += 1
     announce(3, violations == 0,
@@ -152,7 +148,7 @@ def test_criterion_4_comparison_principle():
     violations = 0
     while instances < 100:
         depth = int(rng.integers(2, 5))
-        grid = build_quadtree(random_requests(rng, depth, 3, UNIT), depth,
+        grid = build_quadtree(random_requests(rng, depth, 3), depth,
                               UNIT, pads=(1, 1))
         cx, cy, rad = rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), \
             rng.uniform(0.2, 0.5)
@@ -253,13 +249,14 @@ def test_criterion_7_artificial_bc_economy(tmp_path):
         out_dir=str(tmp_path / "L400"))
 
     # near-field solution at common physical sample points
-    pts = [(r * math.cos(t), r * math.sin(t))
-           for r in np.linspace(0.08, 0.92, 8)
-           for t in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
+    x, y = np.array([(r * math.cos(t), r * math.sin(t))
+                     for r in np.linspace(0.08, 0.92, 8)
+                     for t in np.linspace(0.0, 2 * math.pi, 12,
+                                          endpoint=False)]).T
     g1, u1 = res1["grid"], res1["u"]
     g2, u2 = res2["grid"], res2["u"]
-    s1 = np.array([g1.interpolate(u1.values, x, y) for (x, y) in pts])
-    s2 = np.array([g2.interpolate(u2.values, x, y) for (x, y) in pts])
+    s1 = g1.interpolate(u1.values, x, y)
+    s2 = g2.interpolate(u2.values, x, y)
     scale = np.max(np.abs(s1))
     change = float(np.max(np.abs(s1 - s2)) / scale)
     announce(7, share_nodes > 0.5 and share_area < 1e-4 and change < 0.01,

@@ -7,7 +7,8 @@ from adaptfd.adaptivity import (RefinementPolicy, cells_as_requests,
                                 compute_refinement, distance_criteria,
                                 evaluate_criteria, regrid, residual_criteria,
                                 stefan_terms_criteria)
-from adaptfd.grid import DomainBox, GridFunction, ScaleRequest, build_quadtree
+from adaptfd.grid import DomainBox, GridFunction, build_quadtree
+from adaptfd.harness import uniform_requests
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import StoppingPolicy, newton_solve
 from adaptfd.stencils import laplacian_system, one_sided_matrices
@@ -16,10 +17,15 @@ from oracles import cell_map, random_requests, seeds_for_requests
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
 def uniform_grid(depth):
-    side = 1 << depth
-    reqs = [ScaleRequest((i + 0.5) / side, (j + 0.5) / side, 0)
-            for i in range(side) for j in range(side)]
-    return build_quadtree(reqs, depth, UNIT, pads=(1, 1))
+    return build_quadtree(uniform_requests(UNIT, depth, 0), depth, UNIT,
+                          pads=(1, 1))
+
+
+def all_active_op(grid):
+    # Robin walls with A = B = 1 pin no node, so no criteria value is masked
+    robin = (lambda *a: 1.0, lambda *a: 1.0, lambda *a: 0.0)
+    return instantiate_builtin("poisson_dirichlet",
+                               ProblemDefinition(robin=robin), grid)
 
 
 def test_residual_criteria_zero_at_solution():
@@ -61,20 +67,20 @@ def test_distance_criteria_matches_scan():
 
 
 def test_all_below_threshold_regrid_is_noop():
-    g0 = build_quadtree([ScaleRequest(0.5, 0.5, 2)], 4, UNIT, pads=(1, 1))
+    g0 = build_quadtree(np.array([[8, 8, 2]]), 4, UNIT, pads=(1, 1))
     policy = RefinementPolicy(lambda op, gr, u: np.zeros(gr.n_nodes()),
                               thresholds=(0.5,), scales=(0,),
                               initial_cells=tuple(map(tuple,
                                                       g0.leaves.tolist())))
     u = GridFunction(g0, np.arange(g0.n_nodes(), dtype=float))
-    vals = evaluate_criteria(policy, None, g0, u)
+    vals = evaluate_criteria(policy, all_active_op(g0), g0, u)
     reqs = compute_refinement(policy, vals, g0)
     g2, u2 = regrid(g0, u, reqs)
     assert g2 is g0 and u2 is u
 
 
 def test_single_hot_node_refined_with_padding_ring():
-    g0 = build_quadtree([], 4, UNIT, pads=(1, 1))
+    g0 = build_quadtree(np.array([[0, 0, 4]]), 4, UNIT, pads=(1, 1))
     # depth-4 root only; flag the SW corner node far above the top threshold
     policy = RefinementPolicy(lambda op, gr, u: u, thresholds=(0.1, 1.0),
                               scales=(2, 1), extra_padding=1,
@@ -92,11 +98,11 @@ def test_single_hot_node_refined_with_padding_ring():
 
 
 def test_regrid_transfer_exact_on_bilinear_per_cell():
-    g0 = build_quadtree([ScaleRequest(0.5, 0.5, 2)], 3, UNIT, pads=(1, 1))
+    g0 = build_quadtree(np.array([[4, 4, 2]]), 3, UNIT, pads=(1, 1))
     xy0 = list(zip(g0.x.tolist(), g0.y.tolist()))
     u = GridFunction(g0, np.array([1.0 + 2 * x - y + 3 * x * y
                                    for x, y in xy0]))
-    reqs = [ScaleRequest(x, y, 1) for x, y in xy0]
+    reqs = seeds_for_requests([(x, y, 1) for x, y in xy0], 3, UNIT)
     g2, u2 = regrid(g0, u, reqs)
     assert g2.n_cells() > g0.n_cells()
     for idx, (x, y) in enumerate(zip(g2.x.tolist(), g2.y.tolist())):
@@ -108,12 +114,11 @@ def test_regrid_transfer_matches_per_cell_oracle():
     rng = np.random.default_rng(11)
     for _ in range(15):
         depth = int(rng.integers(2, 6))
-        g0 = build_quadtree(random_requests(rng, depth, 4, UNIT), depth, UNIT,
+        g0 = build_quadtree(random_requests(rng, depth, 4), depth, UNIT,
                             pads=(1, 1))
         u = GridFunction(g0, rng.normal(size=g0.n_nodes()))
-        seeds = seeds_for_requests(random_requests(rng, depth, 4, UNIT),
-                                   depth, UNIT)
-        reqs = np.concatenate([np.array(seeds), cells_as_requests(g0)])
+        reqs = np.concatenate([random_requests(rng, depth, 4),
+                               cells_as_requests(g0)])
         g2, u2 = regrid(g0, u, reqs)
         for idx, (i, j, x, y) in enumerate(zip(
                 g2.i.tolist(), g2.j.tolist(), g2.x.tolist(), g2.y.tolist())):
@@ -140,7 +145,7 @@ def test_regrid_transfer_matches_per_cell_oracle():
 
 
 def test_containment_of_initial_quadtree():
-    g0 = build_quadtree([ScaleRequest(0.3, 0.7, 1)], 4, UNIT, pads=(1, 1))
+    g0 = build_quadtree(np.array([[4, 10, 1]]), 4, UNIT, pads=(1, 1))
     initial = tuple(map(tuple, g0.leaves.tolist()))
     policy = RefinementPolicy(lambda op, gr, u: np.zeros(gr.n_nodes()),
                               thresholds=(0.5,), scales=(0,),
@@ -154,14 +159,14 @@ def test_containment_of_initial_quadtree():
 
 def test_threshold_monotonicity():
     rng = np.random.default_rng(13)
-    g0 = build_quadtree([], 4, UNIT, pads=(1, 1))
+    g0 = build_quadtree(np.array([[0, 0, 4]]), 4, UNIT, pads=(1, 1))
     u = GridFunction(g0, rng.uniform(0, 10, g0.n_nodes()))
     grids = []
     for bump in (0.0, 2.0):
         policy = RefinementPolicy(lambda op, gr, uu: uu,
                                   thresholds=(1.0 + bump, 4.0 + bump),
                                   scales=(2, 1), initial_cells=((0, 0, 4),))
-        vals = evaluate_criteria(policy, None, g0, u)
+        vals = evaluate_criteria(policy, all_active_op(g0), g0, u)
         reqs = compute_refinement(policy, vals, g0)
         g2, _ = regrid(g0, u, reqs)
         grids.append(g2)
@@ -177,7 +182,7 @@ def test_negative_padding_or_scale_rejected():
     # a negative padding used to drop every request silently, and a negative
     # scale failed with an untyped ValueError from a bit shift
     from adaptfd.grid import GridError
-    g0 = build_quadtree([ScaleRequest(0.5, 0.5, 2)], 4, UNIT, pads=(1, 1))
+    g0 = build_quadtree(np.array([[8, 8, 2]]), 4, UNIT, pads=(1, 1))
     vals = GridFunction(g0, np.ones(g0.n_nodes()))
     policy = RefinementPolicy(lambda op, gr, u: u, thresholds=(0.5,),
                               scales=(0,))

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from adaptfd.contour import extract_contour, hausdorff_distance
-from adaptfd.grid import DomainBox, ScaleRequest, build_quadtree
+from adaptfd.grid import DomainBox, build_quadtree
+from adaptfd.harness import uniform_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
 
 def uniform_grid(depth, box=UNIT):
-    side = 1 << depth
-    reqs = [ScaleRequest(box.x_min + (i + 0.5) * box.lx / side,
-                         box.y_min + (j + 0.5) * box.ly / side, 0)
-            for i in range(side) for j in range(side)]
-    return build_quadtree(reqs, depth, box, pads=(1, 1))
+    return build_quadtree(uniform_requests(box, depth, 0), depth, box,
+                          pads=(1, 1))
 
 
 def field(grid, f):
@@ -58,12 +56,9 @@ def test_contour_stitches_across_scale_change():
     # fine column on the left, coarse elsewhere; a horizontal level line
     # crosses the hanging edges and must come out as one unbroken polyline
     side = 1 << 4
-    reqs = []
-    for i in range(0, side, 2):
-        for j in range(0, side, 2):
-            reqs.append(ScaleRequest((i + 1.0) / side, (j + 1.0) / side, 1))
-    for j in range(side):
-        reqs.append(ScaleRequest(0.5 / side, (j + 0.5) / side, 0))
+    fine = uniform_requests(UNIT, 4, 0)
+    reqs = np.concatenate([uniform_requests(UNIT, 4, 1),
+                           fine[fine[:, 0] == 0]])
     g = build_quadtree(reqs, 4, UNIT, pads=(1, 1))
     assert g.scales() == [0, 1]
     u = field(g, lambda x, y: y - 0.53)

@@ -30,3 +30,17 @@ def test_readme_public_api_matches_all():
                if line.startswith(("* ", "  "))]
     listed = re.findall(r"`([A-Za-z_]\w*)`", "\n".join(bullets))
     assert sorted(listed) == sorted(adaptfd.__all__)
+
+
+def test_readme_key_table_matches_known_keys():
+    # the parser accepts exactly the keys the table lists: a key added to
+    # or dropped from harness._KNOWN_KEYS must get or lose its row too
+    from adaptfd.harness import _KNOWN_KEYS
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Configuration keys\n")[1]
+    section = section.split("\n## ")[0]
+    cells = [line.split("|")[1] for line in section.splitlines()
+             if line.startswith("| `")]
+    listed = re.findall(r"`([\w.]+)`", "\n".join(cells))
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(_KNOWN_KEYS)

@@ -3,7 +3,8 @@ import pytest
 
 from adaptfd.adaptivity import RefinementPolicy
 from adaptfd.grid import (DomainBox, DomainError, GridError, GridFunction,
-                          ScaleRequest, build_quadtree, init_from_scattered)
+                          build_quadtree, init_from_scattered)
+from adaptfd.harness import uniform_requests
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (LinearSolveError, StoppingPolicy,
                              build_schedule, newton_solve)
@@ -14,10 +15,8 @@ UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
 
 def uniform_grid(depth):
-    side = 1 << depth
-    reqs = [ScaleRequest((i + 0.5) / side, (j + 0.5) / side, 0)
-            for i in range(side) for j in range(side)]
-    return build_quadtree(reqs, depth, UNIT, pads=(1, 1))
+    return build_quadtree(uniform_requests(UNIT, depth, 0), depth, UNIT,
+                          pads=(1, 1))
 
 
 def test_row_dump_lists_weights():
@@ -48,7 +47,8 @@ def test_triplet_dump_roundtrips_matrix():
 
 
 def test_empty_schedule_when_all_nodes_pinned():
-    g = build_quadtree([], 2, UNIT)        # root cell: 4 boundary nodes
+    # the root cell alone: 4 boundary nodes
+    g = build_quadtree(np.array([[0, 0, 2]]), 2, UNIT)
     prob = ProblemDefinition(f=lambda x, y: 0.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     sched = build_schedule(g, op, GridFunction(g, np.zeros(4)))

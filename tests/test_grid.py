@@ -1,30 +1,27 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from adaptfd.adaptivity import regrid, transfer
 from adaptfd.grid import (BOUNDARY, CLASSES, CODE, DANGLING_X, DANGLING_Y,
                           DIRS, MAX_DEPTH, REGULAR, DomainBox, DomainError,
-                          GridFunction, InputError, QuadtreeGrid, ScaleError,
-                          ScaleRequest, build_quadtree, init_from_scattered)
+                          GenerationMismatchError, GridError, GridFunction,
+                          InputError, QuadtreeGrid, ScaleError,
+                          build_quadtree, init_from_scattered)
+from adaptfd.harness import uniform_requests
+from adaptfd.solvers import _trial_leaves
 from oracles import (brute_classify, cell_map, cells_from_subdivided,
                      check_legal, check_padding, closure_oracle,
-                     enumerate_trees, random_requests, seeds_for_requests)
+                     enumerate_trees, random_requests)
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
-
-
-def uniform_requests(depth, scale, box=UNIT):
-    side = 1 << depth
-    s = 1 << scale
-    hx, hy = box.lx / side, box.ly / side
-    return [ScaleRequest(box.x_min + (i + 0.5 * s) * hx,
-                         box.y_min + (j + 0.5 * s) * hy, scale)
-            for i in range(0, side, s) for j in range(0, side, s)]
+NO_SQUARES = np.zeros((0, 3), dtype=np.int64)
 
 
 def test_empty_requests_gives_root_cell():
-    g = build_quadtree([], 3, UNIT)
+    g = build_quadtree(NO_SQUARES, 3, UNIT)
     assert cell_map(g) == {(0, 0): 3}
     assert g.n_nodes() == 4
     assert (g.klass == CODE[BOUNDARY]).all()
@@ -33,7 +30,7 @@ def test_empty_requests_gives_root_cell():
 def test_center_request_matches_frozen_minimal_grid():
     # one scale-0 request at the domain center of a depth-3 grid; expected
     # cells were computed with the exhaustive minimal-quadtree oracle
-    g = build_quadtree([ScaleRequest(0.5, 0.5, 0)], 3, UNIT, pads=(1, 1))
+    g = build_quadtree(np.array([[4, 4, 0]]), 3, UNIT, pads=(1, 1))
     expected = {
         (0, 0): 2,
         (0, 4): 1, (2, 4): 1, (0, 6): 1, (2, 6): 1,
@@ -64,9 +61,9 @@ def test_build_matches_closure_oracle_randomized():
     for _ in range(100):
         depth = int(rng.integers(1, 4))
         pads = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        reqs = random_requests(rng, depth, int(rng.integers(1, 6)), UNIT)
-        g = build_quadtree(reqs, depth, UNIT, pads=pads)
-        seeds = seeds_for_requests(reqs, depth, UNIT)
+        seeds = random_requests(rng, depth, int(rng.integers(1, 6)))
+        g = build_quadtree(seeds, depth, UNIT, pads=pads)
+        seeds = seeds.tolist()
         assert cell_map(g) == closure_oracle(seeds, depth, pads)
 
 
@@ -75,16 +72,16 @@ def test_balance_and_padding_on_random_grids():
     for _ in range(60):
         depth = int(rng.integers(2, 7))
         pads = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        reqs = random_requests(rng, depth, int(rng.integers(1, 9)), UNIT)
-        g = build_quadtree(reqs, depth, UNIT, pads=pads)
-        seeds = seeds_for_requests(reqs, depth, UNIT)
+        seeds = random_requests(rng, depth, int(rng.integers(1, 9)))
+        g = build_quadtree(seeds, depth, UNIT, pads=pads)
+        seeds = seeds.tolist()
         assert check_legal(cell_map(g), depth, pads, seeds)
 
 
 def test_padding_rebuild_is_strict_superset():
     # a single split next to a coarse region is legal at pad_x=1 but not at
     # pad_x=2; rebuilding with the larger pad refines strictly
-    reqs = [ScaleRequest(0.4, 0.4, 1)]
+    reqs = np.array([[6, 6, 1]])
     g1 = build_quadtree(reqs, 4, UNIT, pads=(1, 1))
     g2 = build_quadtree(reqs, 4, UNIT, pads=(2, 1))
     assert not check_padding(cell_map(g1), 4, (2, 1))
@@ -103,14 +100,9 @@ def test_idempotence_on_own_cells():
     rng = np.random.default_rng(3)
     for _ in range(25):
         depth = int(rng.integers(2, 6))
-        reqs = random_requests(rng, depth, int(rng.integers(1, 7)), UNIT)
+        reqs = random_requests(rng, depth, int(rng.integers(1, 7)))
         g = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
-        again = [ScaleRequest(*g.position(a + (1 << k) / 2 if k else a,
-                                          b + (1 << k) / 2 if k else b), k)
-                 for a, b, k in g.leaves.tolist()]
-        # scale-0 cells: the center snaps (tie toward origin) onto the cell
-        # anchor, whose half-open containing square is the cell itself
-        g2 = build_quadtree(again, depth, UNIT, pads=(1, 1))
+        g2 = build_quadtree(g.leaves, depth, UNIT, pads=(1, 1))
         assert cell_map(g2) == cell_map(g)
 
 
@@ -118,7 +110,7 @@ def test_monotonicity_in_requests():
     rng = np.random.default_rng(13)
     for _ in range(25):
         depth = int(rng.integers(2, 6))
-        reqs = random_requests(rng, depth, 6, UNIT)
+        reqs = random_requests(rng, depth, 6)
         sub = reqs[:3]
         g_sub = build_quadtree(sub, depth, UNIT, pads=(1, 1))
         g_all = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
@@ -135,17 +127,34 @@ def test_construction_work_scaling():
     depth = 7
     counts = []
     for m in (8, 16, 32, 64, 128):
-        reqs = random_requests(rng, depth, m, UNIT)
+        reqs = random_requests(rng, depth, m)
         g = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
         counts.append(g.build_ops / (depth * m * math.log2(m + 1)))
     assert max(counts) <= 4 * counts[0] + 50
 
 
 def test_request_validation_errors():
-    with pytest.raises(DomainError):
-        build_quadtree([ScaleRequest(2.0, 0.5, 0)], 3, UNIT)
     with pytest.raises(ScaleError):
-        build_quadtree([ScaleRequest(0.5, 0.5, 4)], 3, UNIT)
+        build_quadtree(np.array([[0, 0, 4]]), 3, UNIT)
+    with pytest.raises(GridError, match="aligned"):
+        build_quadtree(np.array([[1, 0, 1]]), 3, UNIT)
+
+
+@pytest.mark.parametrize("requests", [
+    np.array([[0.0, 0.0, 1.0]]), [(0, 0, 1)], np.array([0, 0]), None],
+    ids=["float_array", "list", "not_squares", "none"])
+def test_requests_other_than_integer_squares_raise_grid_error(requests):
+    with pytest.raises(GridError, match="integer array"):
+        build_quadtree(requests, 3, UNIT)
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.0, math.inf, 0.0, 1.0), (-math.inf, 1.0, 0.0, 1.0),
+    (0.0, 1.0, 0.0, math.nan), (2.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0)],
+    ids=["x_max_inf", "x_min_inf", "y_max_nan", "x_reversed", "y_flat"])
+def test_domain_box_needs_finite_positive_sides(bounds):
+    with pytest.raises(DomainError):
+        DomainBox(*bounds)
 
 
 def test_depth_bound_from_int64_keys():
@@ -160,15 +169,13 @@ def test_depth_bound_from_int64_keys():
         with pytest.raises(ScaleError, match="grid depth"):
             build_quadtree(np.array([[0, 0, 0]]), depth, UNIT)
         with pytest.raises(ScaleError, match="grid depth"):
-            build_quadtree([ScaleRequest(0.5, 0.5, 0)], depth, UNIT)
-        with pytest.raises(ScaleError, match="grid depth"):
             init_from_scattered([(0.5, 0.5, 1.0)], depth, UNIT)
         with pytest.raises(ScaleError, match="grid depth"):
             QuadtreeGrid(UNIT, depth, (1, 1), [[0, 0, 0]])
 
 
 def test_classify_uniform_grid():
-    g = build_quadtree(uniform_requests(3, 0), 3, UNIT, pads=(1, 1))
+    g = build_quadtree(uniform_requests(UNIT, 3, 0), 3, UNIT, pads=(1, 1))
     assert g.n_cells() == 64
     h = 1.0 / 8.0
     inner = g.klass != CODE[BOUNDARY]
@@ -179,7 +186,7 @@ def test_classify_uniform_grid():
 def test_classify_dangling_at_shared_edge_midpoints():
     # split only the SW quadrant of a depth-2 grid: dangling nodes appear
     # exactly midway along edges shared by one coarse and two fine cells
-    g = build_quadtree([ScaleRequest(0.1, 0.1, 0)], 2, UNIT, pads=(1, 1))
+    g = build_quadtree(np.array([[0, 0, 0]]), 2, UNIT, pads=(1, 1))
     dang = {(i, j): CLASSES[c] for i, j, c in zip(
         g.i.tolist(), g.j.tolist(), g.klass.tolist())
         if CLASSES[c] in (DANGLING_X, DANGLING_Y)}
@@ -194,7 +201,7 @@ def test_classify_matches_brute_force_on_random_grids():
     rng = np.random.default_rng(17)
     for _ in range(40):
         depth = int(rng.integers(2, 6))
-        reqs = random_requests(rng, depth, int(rng.integers(1, 7)), UNIT)
+        reqs = random_requests(rng, depth, int(rng.integers(1, 7)))
         g = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
         ref = brute_classify(cell_map(g), depth)
         for i, j, c in zip(g.i.tolist(), g.j.tolist(), g.klass.tolist()):
@@ -205,7 +212,7 @@ def test_regular_pair_distances_exist():
     rng = np.random.default_rng(29)
     for _ in range(20):
         depth = int(rng.integers(3, 6))
-        reqs = random_requests(rng, depth, 5, UNIT)
+        reqs = random_requests(rng, depth, 5)
         g = build_quadtree(reqs, depth, UNIT, pads=(1, 1))
         reg = g.klass == CODE[REGULAR]
         assert (g.pair[reg] >= 0).all()
@@ -263,9 +270,9 @@ def test_scattered_conflicting_duplicates_rejected():
 
 
 def test_dump_is_deterministic_and_ordered():
-    g = build_quadtree([ScaleRequest(0.5, 0.5, 0)], 3, UNIT, pads=(1, 1))
+    g = build_quadtree(np.array([[4, 4, 0]]), 3, UNIT, pads=(1, 1))
     d1 = g.dump()
-    d2 = build_quadtree([ScaleRequest(0.5, 0.5, 0)], 3, UNIT, pads=(1, 1)).dump()
+    d2 = build_quadtree(np.array([[4, 4, 0]]), 3, UNIT, pads=(1, 1)).dump()
     assert d1 == d2
     node_keys = []
     cell_keys = []
@@ -280,6 +287,46 @@ def test_dump_is_deterministic_and_ordered():
 
 
 def test_grid_function_size_checked():
-    g = build_quadtree([], 3, UNIT)
+    g = build_quadtree(NO_SQUARES, 3, UNIT)
     with pytest.raises(Exception):
         GridFunction(g, np.zeros(3))
+
+
+def test_huge_pad_acts_as_pad_side_and_builds_fast():
+    # no padding neighbor lies farther than the lattice side, so a pad far
+    # above it closes to the leaves of pad = side, without a loop per unit
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        depth = int(rng.integers(1, 6))
+        side = 1 << depth
+        reqs = random_requests(rng, depth, int(rng.integers(1, 6)))
+        for pads in ((10 ** 8, 1), (1, 10 ** 8), (10 ** 30, 10 ** 30)):
+            t0 = time.process_time()
+            huge = build_quadtree(reqs, depth, UNIT, pads=pads)
+            assert time.process_time() - t0 < 1.0
+            at_side = tuple(min(p, side) for p in pads)
+            ref = build_quadtree(reqs, depth, UNIT, pads=at_side)
+            assert np.array_equal(huge.leaves, ref.leaves)
+            assert np.array_equal(huge.klass, ref.klass)
+            assert huge.build_ops == ref.build_ops
+
+
+def test_check_tells_sibling_grids_of_one_generation_apart():
+    # a trial grid and a regrid result both descend from one grid, so both
+    # are generation 1; a function on either fails the other's check
+    g0 = build_quadtree(np.array([[4, 4, 1]]), 3, UNIT, pads=(1, 1))
+    u0 = GridFunction(g0, np.zeros(g0.n_nodes()))
+    trial, u_t = transfer(g0, u0, _trial_leaves(g0, 1))
+    g1, u1 = regrid(g0, u0, np.array([[0, 0, 0]]))
+    assert trial.generation == g1.generation == 1
+    assert trial.n_nodes() != g1.n_nodes()
+    with pytest.raises(GenerationMismatchError):
+        u_t.check(g1)
+    with pytest.raises(GenerationMismatchError):
+        u1.check(trial)
+    # the same cells on another grid object pass, as do a grid's own
+    twin = QuadtreeGrid(g1.box, g1.depth, g1.pads, g1.leaves, generation=7)
+    u1.check(twin)
+    u1.check(g1)
+    with pytest.raises(GenerationMismatchError):
+        u0.check(g1)

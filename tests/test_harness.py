@@ -99,15 +99,16 @@ def same_polylines(a, b):
 def test_region_time_keyed_by_generation():
     # two solved grids with equal node counts but different region shares:
     # each Newton iteration is credited to the shares of its own grid
-    from adaptfd.grid import GridFunction, ScaleRequest, build_quadtree
+    from adaptfd.grid import GridFunction, QuadtreeGrid, build_quadtree
     from adaptfd.harness import region_shares, resource_report, solver_log_csv
     from adaptfd.operators import ProblemDefinition, instantiate_builtin
     from adaptfd.solvers import StoppingPolicy, newton_solve
 
     box = DomainBox(0.0, 8.0, -4.0, 4.0)
     radii = (2.0, 5.0)
-    grids = [build_quadtree([ScaleRequest(x, 0.5, 0)], 4, box, generation=gen)
-             for x, gen in ((1.5, 3), (6.5, 4))]
+    grids = [build_quadtree(np.array([[a, 9, 0]]), 4, box) for a in (3, 13)]
+    grids = [QuadtreeGrid(box, 4, g.pads, g.leaves, generation=gen)
+             for g, gen in zip(grids, (3, 4))]
     assert grids[0].n_nodes() == grids[1].n_nodes()
     shares = {}
     for grid in grids:
@@ -566,11 +567,18 @@ STEFAN = ("preset = stefan\ngrid.depth = 4\n"
     ("evolve", STEFAN + "time.T = 0.001\ntime.snapshots = 1.0\n",
      "time.snapshots"),
     ("evolve", STEFAN + "time.snapshots = -1\n", "time.snapshots"),
-    ("evolve", STEFAN + "time.snapshots = 0.001,nan\n", "time.snapshots")],
+    ("evolve", STEFAN + "time.snapshots = 0.001,nan\n", "time.snapshots"),
+    ("evolve", STEFAN + "seed = -1\n", "seed"),
+    ("solve", "preset = artificial_bc\ndomain.side = -5\n", "domain.side"),
+    ("solve", CUSTOM + "domain.x_max = inf\n", "domain.x_max"),
+    ("solve", CUSTOM + "domain.x_min = 2\n", "domain.x_min"),
+    ("solve", CUSTOM + "grid.pad_x = 0\n", "grid.pad_x"),
+    ("solve", CUSTOM + "newton.max_iter = 0\n", "newton.max_iter")],
     ids=["depth_negative", "initial_scale_negative", "depth_70",
          "initial_scale_above_depth", "thresholds_nan", "regrid_every_0",
          "T_nan", "T_inf", "T_0", "snapshot_after_T", "snapshot_negative",
-         "snapshot_nan"])
+         "snapshot_nan", "seed_negative", "side_negative", "x_max_inf",
+         "x_min_above_x_max", "pad_x_0", "max_iter_0"])
 def test_cli_rejects_out_of_range_run_parameters(tmp_path, verb, text,
                                                  field):
     cfg = tmp_path / "bad.cfg"

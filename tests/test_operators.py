@@ -3,25 +3,21 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from adaptfd.grid import (BOUNDARY, CODE, DomainBox, GridFunction,
-                          ScaleRequest, build_quadtree)
+from adaptfd.grid import (BOUNDARY, CODE, DomainBox, GenerationMismatchError,
+                          GridFunction, build_quadtree)
+from adaptfd.harness import uniform_requests
 from adaptfd.operators import (OperatorError, ProblemDefinition,
-                               UpwindDirectional, assemble_jacobian,
-                               assemble_residual, cfl_bounds,
-                               instantiate_builtin)
+                               UpwindDirectional, instantiate_builtin)
 from adaptfd.solvers import build_schedule, euler_step
 from adaptfd.stencils import laplacian_system
-from oracles import random_requests
+from oracles import branches, random_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
 
 def uniform_grid(depth, box=UNIT):
-    side = 1 << depth
-    reqs = [ScaleRequest(box.x_min + (i + 0.5) * box.lx / side,
-                         box.y_min + (j + 0.5) * box.ly / side, 0)
-            for i in range(side) for j in range(side)]
-    return build_quadtree(reqs, depth, box, pads=(1, 1))
+    return build_quadtree(uniform_requests(box, depth, 0), depth, box,
+                          pads=(1, 1))
 
 
 def field(grid, f):
@@ -72,20 +68,20 @@ def test_obstacle_flat_zero_state_solves():
                                     lambda x, y, nx, ny: 0.0))
     op = instantiate_builtin("obstacle", prob, g)
     u = GridFunction(g, op.apply_pins(np.zeros(g.n_nodes())))
-    r = assemble_residual(op, g, u)
-    assert np.max(np.abs(r.values)) == pytest.approx(0.0, abs=1e-14)
+    r = op.residual(u.values)
+    assert np.max(np.abs(r)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_stefan_zero_state_is_stationary():
     g = uniform_grid(3)
     op = instantiate_builtin("stefan", ProblemDefinition(), g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
-    r = assemble_residual(op, g, u)
-    assert np.max(np.abs(r.values)) == 0.0
+    r = op.residual(u.values)
+    assert np.max(np.abs(r)) == 0.0
 
 
 def test_bc_composite_rows_match_independent_assembly():
-    g = build_quadtree([ScaleRequest(0.5, 0.5, 0)], 3, UNIT, pads=(1, 1))
+    g = build_quadtree(np.array([[4, 4, 0]]), 3, UNIT, pads=(1, 1))
     chi = lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.16
     ffun = lambda x, y: 1.0 + x
     gfun_ = lambda x, y: x * y
@@ -128,8 +124,8 @@ def test_manufactured_residual_is_truncation_error():
                                  g=gexact)
         op = instantiate_builtin("bc_composite", prob, g)
         u = gfun(g, gexact)
-        r = assemble_residual(op, g, u)
-        errs.append(np.max(np.abs(r.values)))
+        r = op.residual(u.values)
+        errs.append(np.max(np.abs(r)))
     assert errs[1] < 0.3 * errs[0]
 
 
@@ -139,8 +135,8 @@ def test_obstacle_residual_at_obstacle_nonpositive():
     prob = ProblemDefinition(g=gobs)
     op = instantiate_builtin("obstacle", prob, g)
     u = gfun(g, gobs)
-    r = assemble_residual(op, g, u)
-    assert np.all(r.values <= 1e-12)
+    r = op.residual(u.values)
+    assert np.all(r <= 1e-12)
 
 
 def test_linear_jacobian_independent_of_state():
@@ -167,7 +163,7 @@ def test_obstacle_jacobian_identity_row_on_contact_branch():
     # deep in contact: u - g < pde strictly somewhere
     u = op.apply_pins(field(g, lambda x, y: -x * (1 - x) * y * (1 - y)))
     J = op.jacobian(u)
-    br = op.branches(u)
+    br = branches(op, u)
     for idx in np.flatnonzero(g.klass != CODE[BOUNDARY]).tolist():
         if br[idx] != 1:
             continue
@@ -180,7 +176,7 @@ def test_jacobian_matches_finite_differences():
     kinds = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
     for trial in range(8):
         depth = int(rng.integers(2, 5))
-        grid = build_quadtree(random_requests(rng, depth, 4, UNIT), depth,
+        grid = build_quadtree(random_requests(rng, depth, 4), depth,
                               UNIT, pads=(1, 1))
         kind = kinds[trial % 4]
         prob = ProblemDefinition(
@@ -205,8 +201,8 @@ def test_jacobian_matches_finite_differences():
             rows = np.flatnonzero(np.abs(fd - col) >
                                   1e-6 * np.maximum(1.0, np.abs(col)))
             for i in rows:
-                bru = op.branches(up)[i]
-                brm = op.branches(um)[i]
+                bru = branches(op, up)[i]
+                brm = branches(op, um)[i]
                 assert bru != brm, (kind, i, jcol, fd[i], col[i])
 
 
@@ -216,10 +212,10 @@ def test_cfl_uniform_laplacian_quarter_h_squared():
     prob = ProblemDefinition(f=lambda x, y: 0.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
-    dt = cfl_bounds(op, g, u)
+    lip = op.lipschitz(u.values)
     wall = g.klass == CODE[BOUNDARY]
-    assert (dt.values[wall] == np.inf).all()
-    assert dt.values[~wall] == pytest.approx(h * h / 4)
+    assert (lip[wall] == 0).all()
+    assert 1.0 / lip[~wall] == pytest.approx(h * h / 4)
 
 
 def test_cfl_obstacle_same_as_laplacian():
@@ -232,18 +228,17 @@ def test_cfl_obstacle_same_as_laplacian():
     opo = instantiate_builtin("obstacle", probo, g)
     rng = np.random.default_rng(9)
     u = GridFunction(g, rng.normal(size=g.n_nodes()))
-    dtp = cfl_bounds(opp, g, u).values
-    dto = cfl_bounds(opo, g, u).values
     act = opp.active
-    assert np.allclose(dtp[act], dto[act])
+    dtp = 1.0 / opp.lipschitz(u.values)[act]
+    dto = 1.0 / opo.lipschitz(u.values)[act]
+    assert np.allclose(dtp, dto)
 
 
 def test_obstacle_step_keeps_order_on_coarse_cells():
     # h = 4, so wbar = 0.25 < 1: the CFL bound must also cover the unit
     # slope of the contact branch u - g, or 1.00 and 0.95 step out of order
     box = DomainBox(-4.0, 4.0, -4.0, 4.0)
-    g = build_quadtree([ScaleRequest(x, y, 2) for x in (-2.0, 2.0)
-                        for y in (-2.0, 2.0)], 3, box)
+    g = build_quadtree(uniform_requests(box, 3, 2), 3, box)
     prob = ProblemDefinition(g=lambda x, y: 0.9,
                              robin=(lambda *a: 0.0, lambda *a: 1.0,
                                     lambda *a: 0.0))
@@ -252,9 +247,9 @@ def test_obstacle_step_keeps_order_on_coarse_cells():
     assert op.wbar[i] == pytest.approx(0.25)
     hi = GridFunction(g, op.apply_pins(np.zeros(g.n_nodes())))
     hi.values[i] = 1.0
-    lo = hi.copy()
+    lo = GridFunction(g, hi.values.copy())
     lo.values[i] = 0.95
-    assert cfl_bounds(op, g, hi).values[i] <= 1.0
+    assert 1.0 / op.lipschitz(hi.values)[i] <= 1.0
     sched = build_schedule(g, op, hi)
     hi2 = euler_step(op, g, hi, sched)
     lo2 = euler_step(op, g, lo, sched)
@@ -265,7 +260,7 @@ def test_degenerate_ellipticity_probe_all_builtins():
     rng = np.random.default_rng(13)
     for trial in range(60):
         depth = int(rng.integers(2, 5))
-        grid = build_quadtree(random_requests(rng, depth, 3, UNIT), depth,
+        grid = build_quadtree(random_requests(rng, depth, 3), depth,
                               UNIT, pads=(1, 1))
         kind = ("poisson_dirichlet", "bc_composite", "obstacle",
                 "stefan")[trial % 4]
@@ -294,7 +289,7 @@ def test_comparison_principle_bc_composite():
     rng = np.random.default_rng(17)
     for _ in range(10):
         depth = int(rng.integers(2, 5))
-        grid = build_quadtree(random_requests(rng, depth, 3, UNIT), depth,
+        grid = build_quadtree(random_requests(rng, depth, 3), depth,
                               UNIT, pads=(1, 1))
         a, b = sorted(rng.normal(size=2))
         f1 = lambda x, y: a + np.sin(3 * x) - 1.0
@@ -330,10 +325,10 @@ def test_generation_mismatch_detected():
     g = uniform_grid(2)
     prob = ProblemDefinition(f=lambda x, y: 0.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
-    u = GridFunction(g, np.zeros(g.n_nodes()), generation=g.generation + 1)
-    from adaptfd.grid import GenerationMismatchError
+    other = uniform_grid(3)
+    u = GridFunction(other, np.zeros(other.n_nodes()))
     with pytest.raises(GenerationMismatchError):
-        assemble_residual(op, g, u)
+        build_schedule(g, op, u)
 
 
 def test_weighted_composite_form():
@@ -375,7 +370,7 @@ def test_assemble_jacobian_row_count_is_active_count():
                                     lambda *a: 0.0))
     op = instantiate_builtin("obstacle", prob, g)
     u = GridFunction(g, op.apply_pins(np.zeros(g.n_nodes())))
-    J = assemble_jacobian(op, g, u)
+    J = op.jacobian(u.values)[op.active]
     assert J.shape == (int(op.active.sum()), g.n_nodes())
 
 
@@ -391,7 +386,7 @@ def test_upwind_directional_matches_per_node_loop():
     far_rows = 0
     for depth in (4, 5, 6):
         for _ in range(4):
-            grid = build_quadtree(random_requests(rng, depth, 6, UNIT),
+            grid = build_quadtree(random_requests(rng, depth, 6),
                                   depth, UNIT)
             got = hop.build(grid)
             want = upwind_directional_build(hop, grid)

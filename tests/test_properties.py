@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import adaptfd.grid
 from adaptfd.adaptivity import cells_as_requests, regrid, transfer
 from adaptfd.grid import (CLASSES, CODE, DANGLING_X, DANGLING_Y, DIRS,
-                          DomainBox, GridFunction, QuadtreeGrid, ScaleRequest,
+                          DomainBox, GridFunction, QuadtreeGrid,
                           build_quadtree, default_pads)
 from adaptfd.harness import solution_csv
 from adaptfd.svgplot import grid_svg, solution_svg
@@ -31,7 +31,7 @@ import oracles
 from oracles import (brute_classify, cell_map, check_legal, closure_oracle,
                      jacobian_reference, laplacian_system_reference,
                      leaf_edges, neighbor_oracle, row_terms,
-                     schedule_reference, seeds_for_requests, vertices_of)
+                     schedule_reference, vertices_of)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
                     database=None)
@@ -40,7 +40,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
 @st.composite
 def grids(draw):
     """(grid, requests): a random box and a quadtree on it with random pads,
-    built from the requests."""
+    built from the requested squares (a, b, k)."""
     side = 10.0 ** draw(st.floats(-2.0, 3.0))
     long = side * draw(st.floats(1.0, 8.0))
     lx, ly = (side, long) if draw(st.booleans()) else (long, side)
@@ -53,16 +53,16 @@ def grids(draw):
     # refined further toward a few random lattice points
     scale = draw(st.integers(max(0, depth - 3), depth - 1))
     s = 1 << scale
-    reqs = [ScaleRequest(x0 + lx * (a + 0.5 * s) / n,
-                         y0 + ly * (b + 0.5 * s) / n, scale)
-            for a in range(0, n, s) for b in range(0, n, s)]
-    reqs += [ScaleRequest(x0 + lx * draw(st.integers(0, n)) / n,
-                          y0 + ly * draw(st.integers(0, n)) / n,
-                          draw(st.integers(0, depth)))
-             for _ in range(draw(st.integers(0, 3)))]
+    reqs = [(a, b, scale) for a in range(0, n, s) for b in range(0, n, s)]
+    # the square of each scale k containing a random lattice point (i, j)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, k = (draw(st.integers(0, n)), draw(st.integers(0, n)),
+                   draw(st.integers(0, depth)))
+        reqs.append((min(i >> k << k, n - (1 << k)),
+                     min(j >> k << k, n - (1 << k)), k))
     pad_x, pad_y = default_pads(box)
     pads = (draw(st.integers(1, pad_x + 2)), draw(st.integers(1, pad_y + 2)))
-    return build_quadtree(reqs, depth, box, pads=pads), reqs
+    return build_quadtree(np.array(reqs), depth, box, pads=pads), reqs
 
 
 def _problem(variant, box):
@@ -225,8 +225,7 @@ def test_euler_step_keeps_order(case):
 def test_array_grid_matches_oracles(case):
     # the Morton-sorted leaves, the node classes and every neighbor id and
     # distance agree with the brute-force oracles
-    grid, reqs = case
-    seeds = seeds_for_requests(reqs, grid.depth, grid.box)
+    grid, seeds = case
     cells = closure_oracle(seeds, grid.depth, grid.pads)
     assert cell_map(grid) == cells
     assert check_legal(cells, grid.depth, grid.pads, seeds)
@@ -310,7 +309,7 @@ def test_step_kernel_matches_all_branch_evaluation(case):
     assert np.all(got_res == res)
     assert np.all(op.residual(u) == res)
     assert np.all(op.lipschitz(u) == lip)
-    assert np.array_equal(op.branches(u), np.argmax(w, axis=0))
+    assert np.array_equal(oracles.branches(op, u), np.argmax(w, axis=0))
     assert (op.jacobian(u) != jacobian_reference(op, u)).nnz == 0
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from adaptfd.adaptivity import RefinementPolicy, residual_criteria
-from adaptfd.grid import (DomainBox, GridError, GridFunction, ScaleRequest,
-                          build_quadtree)
+from adaptfd.grid import DomainBox, GridError, GridFunction, build_quadtree
+from adaptfd.harness import uniform_requests
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (InstabilityError, NonconvergenceError,
                              StoppingPolicy, TimeGroups, build_schedule,
                              euler_step, evolve, multiscale_solve,
                              newton_solve)
+from oracles import branches, euler_step_reference
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
 
@@ -19,22 +20,15 @@ DIRICHLET0 = (lambda x, y, nx, ny: 0.0, lambda x, y, nx, ny: 1.0,
 
 
 def uniform_grid(depth, box=UNIT):
-    side = 1 << depth
-    reqs = [ScaleRequest(box.x_min + (i + 0.5) * box.lx / side,
-                         box.y_min + (j + 0.5) * box.ly / side, 0)
-            for i in range(side) for j in range(side)]
-    return build_quadtree(reqs, depth, box, pads=(1, 1))
+    return build_quadtree(uniform_requests(box, depth, 0), depth, box,
+                          pads=(1, 1))
 
 
 def two_scale_grid(depth=4):
     # fine column along the left wall, scale-1 cells everywhere else
-    side = 1 << depth
-    reqs = []
-    for i in range(0, side, 2):
-        for j in range(0, side, 2):
-            reqs.append(ScaleRequest((i + 1.0) / side, (j + 1.0) / side, 1))
-    for j in range(side):
-        reqs.append(ScaleRequest(0.5 / side, (j + 0.5) / side, 0))
+    fine = uniform_requests(UNIT, depth, 0)
+    reqs = np.concatenate([uniform_requests(UNIT, depth, 1),
+                           fine[fine[:, 0] == 0]])
     return build_quadtree(reqs, depth, UNIT, pads=(1, 1))
 
 
@@ -72,7 +66,7 @@ def test_schedule_two_scales_multiplicities_1_4():
 
 
 def test_schedule_three_scales_multiplicities_1_4_16():
-    reqs = [ScaleRequest(0.03, 0.03, 0), ScaleRequest(0.2, 0.2, 1)]
+    reqs = np.array([[1, 1, 0], [6, 6, 1]])
     g = build_quadtree(reqs, 5, UNIT, pads=(1, 1))
     scales = g.scales()
     assert len(scales) >= 3
@@ -81,9 +75,11 @@ def test_schedule_three_scales_multiplicities_1_4_16():
     sched = build_schedule(g, op, u)
     assert sched.mults[:3] == [1, 4, 16]
     total = sum(m * len(gr) for m, gr in zip(sched.mults, sched.groups))
-    work = []
-    euler_step(op, g, u, sched, work=work)
-    assert sum(work) == total
+    assert sum(len(sched.groups[gid]) for gid in sched.schedule) == total
+    # the step makes those visits, one group update each
+    v = op.apply_pins(np.random.default_rng(2).normal(size=g.n_nodes()))
+    assert np.array_equal(euler_step(op, g, GridFunction(g, v), sched).values,
+                          euler_step_reference(op, v, sched))
 
 
 def test_euler_fixed_point_at_solution():
@@ -162,13 +158,8 @@ def test_euler_instability_detected():
 def graded_grid(box=UNIT, pads=(1, 1)):
     # scale-2 cells refined to scales 1 and 0 toward one corner, so the
     # schedule has at least three spacing groups
-    reqs = [ScaleRequest(box.x_min + (i + 2.0) * box.lx / 32,
-                         box.y_min + (j + 2.0) * box.ly / 32, 2)
-            for i in range(0, 32, 4) for j in range(0, 32, 4)]
-    reqs += [ScaleRequest(box.x_min + 0.03 * box.lx,
-                          box.y_min + 0.03 * box.ly, 0),
-             ScaleRequest(box.x_min + 0.2 * box.lx,
-                          box.y_min + 0.2 * box.ly, 1)]
+    reqs = np.concatenate([uniform_requests(box, 5, 2),
+                           [[1, 1, 0], [6, 6, 1]]])
     return build_quadtree(reqs, 5, box, pads=pads)
 
 
@@ -324,7 +315,7 @@ def test_asynchronous_matches_synchronous_heat():
         t = 0.0
         while t < T - 1e-14:
             step = min(tau, T - t)
-            u[act] -= step * op.residual(u, act)
+            u[act] -= step * op.residual(u)[act]
             t += step
         diffs.append(np.max(np.abs(u_async - u)))
     assert diffs[1] <= 0.6 * diffs[0]
@@ -341,7 +332,7 @@ def test_asynchronous_matches_synchronous_heat():
          "snapshot_after_T", "snapshot_nan"])
 def test_evolve_rejects_out_of_range_times(kwargs, match):
     # one all-pinned cell: a run with these arguments would end at once
-    g = build_quadtree([], 0, UNIT)
+    g = build_quadtree(np.array([[0, 0, 0]]), 0, UNIT)
     op = heat_op(g)
     u0 = GridFunction(g, np.zeros(g.n_nodes()))
     args = dict(T=0.01, snapshot_times=(0.01,))
@@ -446,7 +437,7 @@ def test_newton_residual_monotone_linear_and_stable_active_set():
     op = instantiate_builtin("obstacle", obstacle_problem(), g)
     u0 = GridFunction(g, op.apply_pins(np.maximum(op.gvals, 0.0)))
     u = newton_solve(op, g, u0, StoppingPolicy([1e-10]))
-    br = op.branches(u.values)
+    br = branches(op, u.values)
     # one extra Newton step does not change the active set
     import scipy.sparse.linalg as spla
     act = op.active
@@ -454,11 +445,11 @@ def test_newton_residual_monotone_linear_and_stable_active_set():
     r = op.residual(u.values)[act]
     v = u.values.copy()
     v[act] += spla.spsolve(J, -r)
-    assert np.array_equal(op.branches(v), br)
+    assert np.array_equal(branches(op, v), br)
 
 
 def test_multiscale_trivial_criteria_single_solve():
-    g = build_quadtree([ScaleRequest(0.5, 0.5, 2)], 4, UNIT, pads=(1, 1))
+    g = build_quadtree(np.array([[8, 8, 2]]), 4, UNIT, pads=(1, 1))
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     policy = RefinementPolicy(residual_criteria(), thresholds=(1e9,),
                               scales=(0,),
@@ -474,7 +465,7 @@ def test_multiscale_trivial_criteria_single_solve():
 
 
 def test_multiscale_obstacle_refines_and_contains_initial():
-    g0 = build_quadtree([ScaleRequest(0.5, 0.5, 3)], 5, UNIT, pads=(1, 1))
+    g0 = build_quadtree(np.array([[16, 16, 3]]), 5, UNIT, pads=(1, 1))
     initial = tuple(map(tuple, g0.leaves.tolist()))
     policy = RefinementPolicy(residual_criteria(),
                               thresholds=(0.5, 50.0),

@@ -5,7 +5,8 @@ import pytest
 import sympy as sym
 
 from adaptfd.grid import (BOUNDARY, CODE, DANGLING_X, DIRS, REGULAR,
-                          DomainBox, ScaleRequest, build_quadtree)
+                          DomainBox, build_quadtree)
+from adaptfd.harness import uniform_requests
 from adaptfd.stencils import (IllPosedBoundaryError, laplacian_system,
                               one_sided_matrices)
 from oracles import cell_map, one_sided_oracle, random_requests
@@ -33,15 +34,13 @@ def lap(grid, u, robin=None):
 
 
 def uniform_grid(depth):
-    side = 1 << depth
-    reqs = [ScaleRequest((i + 0.5) / side, (j + 0.5) / side, 0)
-            for i in range(side) for j in range(side)]
-    return build_quadtree(reqs, depth, UNIT, pads=(1, 1))
+    return build_quadtree(uniform_requests(UNIT, depth, 0), depth, UNIT,
+                          pads=(1, 1))
 
 
 def one_split_grid():
     # splits the SW quadrant of a depth-2 grid; dangling-x node at (2, 1)
-    return build_quadtree([ScaleRequest(0.1, 0.1, 0)], 2, UNIT, pads=(1, 1))
+    return build_quadtree(np.array([[0, 0, 0]]), 2, UNIT, pads=(1, 1))
 
 
 def test_upwind_exact_on_linears_and_constants():
@@ -126,7 +125,7 @@ def test_laplacian_regular_exact_on_random_quadratics():
     rng = np.random.default_rng(31)
     for _ in range(10):
         depth = int(rng.integers(3, 6))
-        g = build_quadtree(random_requests(rng, depth, 5, UNIT), depth, UNIT,
+        g = build_quadtree(random_requests(rng, depth, 5), depth, UNIT,
                            pads=(1, 1))
         a, b, c, d, e = rng.normal(size=5)
         u = field(g, lambda x, y: a * x * x + b * y * y + c * x * y
@@ -140,7 +139,7 @@ def test_row_weight_identity_and_monotonicity_fuzz():
     rows_checked = 0
     for _ in range(220):
         depth = int(rng.integers(3, 7))
-        g = build_quadtree(random_requests(rng, depth, 8, UNIT), depth, UNIT,
+        g = build_quadtree(random_requests(rng, depth, 8), depth, UNIT,
                            pads=(1, 1))
         L, const, _, _ = laplacian_system(g)
         u = rng.normal(size=g.n_nodes())
@@ -232,10 +231,7 @@ def test_robin_far_field_matches_hand_assembled_row():
     # radial condition du/dr + u/r = 0 projected on the square boundary:
     # A = (x . n)/r, B = 1/r, C = 0
     box = DomainBox(-1.0, 1.0, -1.0, 1.0)
-    side = 1 << 2
-    reqs = [ScaleRequest(-1 + (i + 0.5) / 2, -1 + (j + 0.5) / 2, 0)
-            for i in range(side) for j in range(side)]
-    g = build_quadtree(reqs, 2, box, pads=(1, 1))
+    g = build_quadtree(uniform_requests(box, 2, 0), 2, box, pads=(1, 1))
 
     A = lambda x, y, nx, ny: (x * nx + y * ny) / np.hypot(x, y)
     B = lambda x, y, nx, ny: 1.0 / np.hypot(x, y)
@@ -285,7 +281,7 @@ def test_one_sided_matrices_match_pointwise_ops():
     for trial in range(12):
         box = boxes[trial % 3]
         depth = 4 if trial == 0 else int(rng.integers(3, 6))
-        g = build_quadtree(random_requests(rng, depth, 5, box), depth, box,
+        g = build_quadtree(random_requests(rng, depth, 5), depth, box,
                            pads=None if trial else (1, 1))
         T, have = one_sided_matrices(g)
         cells = cell_map(g)
