@@ -40,8 +40,10 @@ class RefinementPolicy:
         self.thresholds = tuple(self.thresholds)
         if not self.thresholds:
             raise GridError("refinement policy needs at least one threshold")
-        if any(a > b for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise GridError("refinement thresholds must be nondecreasing")
+        if np.isnan(self.thresholds).any() or any(
+                a > b for a, b in zip(self.thresholds, self.thresholds[1:])):
+            raise GridError("refinement thresholds must be nondecreasing "
+                            "numbers")
         if self.scales is None:
             self.scales = tuple(range(len(self.thresholds) - 1, -1, -1))
         self.scales = tuple(self.scales)
@@ -188,7 +190,7 @@ def slope_criteria(weight_fn=None):
 
     def crit(op, grid, u):
         # a row of T[d] is empty where the difference toward d does not exist
-        T, _ = one_sided_matrices(grid)
+        T = one_sided_matrices(grid)
         gx = np.maximum(np.abs(T["E"] @ u), np.abs(T["W"] @ u))
         gy = np.maximum(np.abs(T["N"] @ u), np.abs(T["S"] @ u))
         v = np.hypot(gx, gy)

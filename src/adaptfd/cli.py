@@ -16,7 +16,8 @@ import numpy as np
 from . import svgplot
 from .grid import GridError, QuadtreeGrid, default_pads, parse_dump
 from .harness import (ConfigError, convergence_csv, convergence_report,
-                      load_config, read_text, run_experiment, atomic_write)
+                      listed, load_config, read_text, run_experiment,
+                      atomic_write)
 
 
 def _add_common(p):
@@ -76,7 +77,7 @@ def _dispatch(args) -> int:
     if args.verb == "convergence":
         cfg = load_config(args.config)
         family = cfg.get("refine.strategy", "uniform")
-        depths = cfg.ints("refine.scales", None)
+        depths = cfg.get("refine.scales", None, listed(int))
         if depths is None:
             raise ConfigError("config field 'refine.scales' (grid depths) "
                               "is required for convergence runs")

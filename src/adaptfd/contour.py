@@ -15,19 +15,11 @@ from .grid import QuadtreeGrid
 
 
 def extract_contour(grid: QuadtreeGrid, values: np.ndarray,
-                    level: float = None, predicate=None) -> list:
+                    level: float) -> list:
     """Polylines of {values = level} as arrays of (x, y) points; values has
-    one entry per node of grid.
-
-    With a predicate, the zero level of predicate(values) is traced instead
-    (e.g. a contact-set margin).  A level outside the value range gives an
+    one entry per node of grid.  A level outside the value range gives an
     empty list.  Closed contours repeat their first point at the end.
     """
-    if predicate is not None:
-        values = np.asarray(predicate(values), dtype=float)
-        level = 0.0
-    elif level is None:
-        raise ValueError("either a level or a predicate is required")
     if not (values.min() <= level <= values.max()):
         return []
 

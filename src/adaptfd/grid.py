@@ -46,7 +46,8 @@ class GridError(Exception):
 
 
 class DomainError(GridError):
-    """A domain box without finite positive sides, or a point outside it."""
+    """A domain box without finite positive sides or usable node spacings,
+    or a point outside it."""
 
 
 class ScaleError(GridError):
@@ -114,6 +115,20 @@ def _lattice_side(depth) -> int:
     return 1 << depth
 
 
+def _spacings(box: DomainBox, depth: int):
+    """(hx, hy) of the depth-level lattice on box; DomainError unless every
+    node distance d, from min(hx, hy) to max(lx, ly), has a finite positive
+    d * d and 1 / (d * d), which the stencils divide by."""
+    side = _lattice_side(depth)
+    hx, hy = box.lx / side, box.ly / side
+    for d in (min(hx, hy), max(box.lx, box.ly)):
+        if not (0.0 < d * d < math.inf and 1.0 / (d * d) < math.inf):
+            raise DomainError("a depth-%d grid on this box has node distance "
+                              "%r, too far from 1 to square and invert"
+                              % (depth, d))
+    return hx, hy
+
+
 def _spread_bits(v):
     # the low 32 bits of v moved to the even bit positions of a uint64
     v = np.asarray(v).astype(np.uint64) & np.uint64(0xFFFFFFFF)
@@ -176,8 +191,7 @@ class QuadtreeGrid:
         self.pad_x, self.pad_y = pads
         self.generation = generation
         self.build_ops = build_ops
-        self.hx = box.lx / self.side
-        self.hy = box.ly / self.side
+        self.hx, self.hy = _spacings(box, depth)
         leaves, keys = _morton_sorted(leaves)
         self.leaves = _frozen(leaves)
         self._leaf_keys = _frozen(keys)

@@ -21,8 +21,8 @@ from .adaptivity import (RefinementPolicy, free_boundary_criteria,
                          proximity_criteria, residual_criteria,
                          slope_criteria, stefan_terms_criteria)
 from .contour import extract_contour
-from .grid import (MAX_DEPTH, DomainBox, DomainError, GridError,
-                   GridFunction, QuadtreeGrid, build_quadtree)
+from .grid import (MAX_DEPTH, DomainBox, GridError, GridFunction,
+                   QuadtreeGrid, _spacings, build_quadtree)
 from .operators import (ProblemDefinition, UpwindDirectional,
                         instantiate_builtin)
 from .solvers import (StoppingPolicy, evolve, multiscale_solve, newton_solve)
@@ -64,21 +64,10 @@ class ExperimentConfig:
             raise ConfigError("config field %r has a bad value %r"
                               % (key, self.raw[key]))
 
-    def floats(self, key, default=None):
-        if key not in self.raw:
-            return default
-        try:
-            return tuple(float(tok) for tok in self.raw[key].split(","))
-        except ValueError:
-            raise ConfigError("config field %r is not a float list" % key)
 
-    def ints(self, key, default=None):
-        if key not in self.raw:
-            return default
-        try:
-            return tuple(int(tok) for tok in self.raw[key].split(","))
-        except ValueError:
-            raise ConfigError("config field %r is not an int list" % key)
+def listed(kind):
+    """A cast for ExperimentConfig.get: comma-separated values of kind."""
+    return lambda text: tuple(map(kind, text.split(",")))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -269,16 +258,25 @@ class PresetBundle:
     max_iter: int = 100              # Newton iterations per solve
 
 
-def _ladder(criteria, thresholds, scales=(3, 2, 1, 0)):
+def _ladder(criteria, thresholds, scales=(3, 2, 1, 0), padding=0):
     """A grid strategy: fn(initial cells) -> the policy that refines along
     this threshold ladder.  criteria() runs only for the chosen strategy."""
     return lambda cells: RefinementPolicy(criteria(), thresholds, scales,
-                                          initial_cells=cells)
+                                          padding, cells)
+
+
+def _box(keys, depth, *bounds):
+    """The DomainBox of bounds, on which a depth-level grid has node
+    distances the stencils can use; ConfigError naming keys otherwise."""
+    box = _checked(keys, DomainBox, *bounds)
+    _checked(keys + ("grid.depth",), _spacings, box, depth)
+    return box
 
 
 def _artificial_bc(cfg, depth):
     side = cfg.get("domain.side", 200.0, float)
-    _check("domain.side", side, 0 < side < math.inf, "finite and > 0")
+    box = _box(("domain.side",), depth, -side / 2, side / 2, -side / 2,
+               side / 2)
 
     def source(x, y):
         r = np.hypot(x, y)
@@ -298,8 +296,7 @@ def _artificial_bc(cfg, depth):
     return dict(
         kind="poisson_dirichlet", problem=ProblemDefinition(f=source,
                                                             robin=robin),
-        box=DomainBox(-side / 2, side / 2, -side / 2, side / 2),
-        contour=("level", 0.0), regions=(1.0, 10.0, side / 2),
+        box=box, contour=("level", 0.0), regions=(1.0, 10.0, side / 2),
         strategies={None: _ladder(
             lambda: proximity_criteria([(0.0, 0.0)], reach=side),
             tuple(side - r for r in reversed(radii)),
@@ -376,14 +373,9 @@ def _stefan(cfg, depth):
 
 def _custom(cfg, depth):
     """Everything from config expressions."""
-    try:
-        box = DomainBox(cfg.get("domain.x_min", 0.0, float),
-                        cfg.get("domain.x_max", 1.0, float),
-                        cfg.get("domain.y_min", 0.0, float),
-                        cfg.get("domain.y_max", 1.0, float))
-    except DomainError as exc:
-        raise ConfigError("config fields 'domain.x_min', 'domain.x_max', "
-                          "'domain.y_min' and 'domain.y_max': %s" % exc)
+    keys = ("domain.x_min", "domain.x_max", "domain.y_min", "domain.y_max")
+    box = _box(keys, depth, *(cfg.get(key, default, float) for key, default
+                              in zip(keys, (0.0, 1.0, 0.0, 1.0))))
     f = expression(cfg.get("problem.f", "0"), "problem.f")
     gexpr = expression(cfg.get("problem.g", "0"), "problem.g")
     chi = robin = None
@@ -397,29 +389,19 @@ def _custom(cfg, depth):
     if "problem.dirichlet" in cfg.raw:
         robin = dirichlet_walls(expression(cfg.raw["problem.dirichlet"],
                                            "problem.dirichlet"))
-    thresholds = cfg.floats("refine.thresholds", (1e9,))
-    scales = cfg.ints("refine.scales", None)
-    if scales is not None and len(scales) != len(thresholds):
-        raise ConfigError("config fields 'refine.thresholds' and "
-                          "'refine.scales' must have equal lengths")
-    padding = cfg.get("refine.padding", 0, int)
-
-    def policy(cells):
-        try:
-            return RefinementPolicy(residual_criteria(), thresholds, scales,
-                                    padding, cells)
-        except GridError as exc:
-            raise ConfigError("config fields 'refine.thresholds', "
-                              "'refine.scales' and 'refine.padding': %s"
-                              % exc)
-
+    level = cfg.get("contour.level", 0.0, float)
+    _check("contour.level", level, math.isfinite(level), "finite")
     return dict(
         kind=kind, box=box,
         problem=ProblemDefinition(chi=chi, f=f, g=gexpr, robin=robin),
-        contour=("level", cfg.get("contour.level", 0.0, float)),
+        contour=("level", level),
         # an evolution starts from g, a static solve from zero
         u0=gexpr if cfg.solver == "euler_evolve" else None,
-        strategies={None: policy})
+        strategies={None: _ladder(
+            residual_criteria, cfg.get("refine.thresholds", (1e9,),
+                                       listed(float)),
+            cfg.get("refine.scales", None, listed(int)),
+            cfg.get("refine.padding", 0, int))})
 
 
 # Per preset: fn(cfg, depth) -> what sets it apart, the PresetBundle fields
@@ -450,6 +432,17 @@ def _check(key, value, ok: bool, rule: str):
                           % (key, rule, value))
 
 
+def _checked(keys, build, *args):
+    """build(*args), the library object that checks the values of the config
+    keys; its GridError becomes a ConfigError naming them."""
+    try:
+        return build(*args)
+    except GridError as exc:
+        *rest, last = map(repr, keys)
+        names = "s %s and %s" % (", ".join(rest), last) if rest else " " + last
+        raise ConfigError("config field%s: %s" % (names, exc)) from None
+
+
 def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     """The run cfg describes: its preset's defaults, overridden by each key
     cfg sets.  Every run parameter is read and range-checked here, once."""
@@ -476,19 +469,20 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
             raise ConfigError("config field 'refine.strategy' must be one of "
                               "%s" % sorted(strategies))
     if strategies[strategy] is not None:
-        fields["policy"] = strategies[strategy](
-            uniform_requests(fields["box"], depth, scale))
+        cells = uniform_requests(fields["box"], depth, scale)
+        fields["policy"] = _checked(
+            ("refine.thresholds", "refine.scales", "refine.padding"),
+            strategies[strategy], cells)
     if strategy == "uniform_fine":     # stefan's all-fine reference grid
         scale = 0
     if stopping is not None:
-        stopping = cfg.floats("stopping.thresholds", stopping)
-        _check("stopping.thresholds", stopping,
-               all(map(math.isfinite, stopping)), "finite")
-        fields["stopping"] = StoppingPolicy(stopping)
+        fields["stopping"] = _checked(
+            ("stopping.thresholds",), StoppingPolicy,
+            cfg.get("stopping.thresholds", stopping, listed(float)))
     if times is not None:
         T = cfg.get("time.T", times[0], float)
         _check("time.T", T, 0 < T < math.inf, "finite and > 0")
-        snapshots = cfg.floats("time.snapshots", times[1]) or (T,)
+        snapshots = cfg.get("time.snapshots", times[1], listed(float)) or (T,)
         _check("time.snapshots", snapshots,
                all(0 <= t <= T for t in snapshots), "in [0, time.T]")
         every = cfg.get("time.regrid_every", 1, int)
@@ -615,9 +609,8 @@ def _extract(preset: PresetBundle, grid, u):
     mode, val = preset.contour
     if mode == "contact":
         g = preset.problem.sample(preset.problem.g, grid, name="g")
-        return extract_contour(grid, u.values,
-                               predicate=lambda v: v - g - val)
-    return extract_contour(grid, u.values, level=val)
+        return extract_contour(grid, u.values - g - val, 0.0)
+    return extract_contour(grid, u.values, val)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
@@ -628,17 +621,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     g0 = build_quadtree(uniform_requests(preset.box, preset.depth,
                                          preset.initial_scale),
                         preset.depth, preset.box, pads=preset.pads)
-    factory = lambda gr: instantiate_builtin(preset.kind, preset.problem, gr)
     log = []
     results = {"log": log, "preset": preset}
 
     try:
         u0 = GridFunction(g0, preset.problem.sample(preset.u0, g0, name="u0"))
+        # the operator is built in the call: no reference to it outlives the
+        # solve, so its rows are freed before the artifacts are written
         if preset.solver == "euler_evolve":
-            snaps = evolve(factory(g0), g0, u0, T=preset.T,
-                           policy=preset.policy,
-                           snapshot_times=preset.snapshots, seed=cfg.seed,
-                           regrid_every=preset.regrid_every, log=log)
+            snaps = evolve(
+                instantiate_builtin(preset.kind, preset.problem, g0), g0, u0,
+                T=preset.T, policy=preset.policy,
+                snapshot_times=preset.snapshots, seed=cfg.seed,
+                regrid_every=preset.regrid_every, log=log)
             results["snapshots"] = snaps
         elif preset.solver == "newton_multiscale":
             region_counts = {}
@@ -648,9 +643,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 region_counts[grid.generation] = region_shares(radii, grid)
 
             gr, u = multiscale_solve(
-                factory, g0, u0, preset.policy, preset.stopping,
-                max_iter=preset.max_iter, log=log,
-                grid_watch=watch if radii else None)
+                instantiate_builtin(preset.kind, preset.problem, g0), g0, u0,
+                preset.policy, preset.stopping, max_iter=preset.max_iter,
+                log=log, grid_watch=watch if radii else None)
             if radii:
                 rep = resource_report(gr, radii, log, region_counts)
                 atomic_write(os.path.join(out, "report.csv"), report_csv(rep))
@@ -669,6 +664,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                          solution_csv(gr, u))
             atomic_write(os.path.join(out, "contours%s.csv" % tag),
                          contour_csv(contours[t]))
+        polylines = [p for group in contours.values() for p in group]
         results["contours"] = contours.pop(None, contours)
     finally:
         atomic_write(os.path.join(out, "solver_log.csv"), solver_log_csv(log))
@@ -677,7 +673,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     atomic_write(os.path.join(out, "grid.svg"),
                  svgplot.grid_svg(gr))
     atomic_write(os.path.join(out, "solution.svg"),
-                 svgplot.solution_svg(gr, u, results.get("contours")))
+                 svgplot.solution_svg(gr, u.values, polylines))
     results["grid"] = gr
     results["u"] = u
     return results

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import BOUNDARY, CODE, QuadtreeGrid
-from .stencils import (OperatorError, laplacian_system, one_sided_geometry,
+from .stencils import (OperatorError, laplacian_system, one_sided_entries,
                        one_sided_matrices, sample_nodes)
 
 BUILTIN_KINDS = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
@@ -75,7 +75,7 @@ class UpwindDirectional:
 
     def build(self, grid: QuadtreeGrid):
         nn = grid.n_nodes()
-        mask, lip, const = np.zeros(nn, dtype=bool), np.zeros(nn), np.zeros(nn)
+        mask, const = np.zeros(nn, dtype=bool), np.zeros(nn)
         inner = np.flatnonzero(grid.klass != CODE[BOUNDARY])
         at = inner[sample_nodes(self.region, grid.x[inner], grid.y[inner],
                                 "region") != 0]
@@ -90,28 +90,20 @@ class UpwindDirectional:
                   for c in (nx, ny))
         mask[at] = True
         const[at] = -sample_nodes(self.rhs, x, y, "rhs")
-        # the one-sided difference toward each upwind side W, E, S, N (DIRS
-        # indices 1, 0, 3, 2): the diagonal, then its ids.  COO to CSR keeps
-        # each row's entries in input order, so duplicates sum as in a
-        # per-node loop
-        rows, cols, vals = [], [], []
+        # comp * (u_i - u_side) / dist toward each upwind side W, E, S, N
+        # (DIRS indices 1, 0, 3, 2)
+        entries = []
         for comp, d in ((nx, 1), (-nx, 0), (ny, 3), (-ny, 2)):
-            idx, comp = at[comp > 0.0], comp[comp > 0.0]
-            ids, dist, far = one_sided_geometry(grid, d, idx)
-            if np.any(ids[:, 0] < 0):
-                bad = idx[ids[:, 0] < 0][0]
-                raise OperatorError("no upwind neighbor for first-order "
-                                    "row at (%d, %d)"
-                                    % (grid.i[bad], grid.j[bad]))
-            off = -comp / dist / np.where(far, 2, 1)
-            rows += [idx, idx, idx[far]]
-            cols += [idx, ids[:, 0], ids[far, 1]]
-            vals += [comp / dist, off, off[far]]
-            lip[idx] += comp / dist
-        M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                  np.concatenate(cols))),
-                          shape=(nn, nn))
-        return mask, M, const, lip
+            up = comp > 0.0
+            part, missing = one_sided_entries(grid, d, at[up], -comp[up])
+            if len(missing):
+                k = missing[0]
+                raise OperatorError("no upwind neighbor for first-order row "
+                                    "at (%d, %d)" % (grid.i[k], grid.j[k]))
+            entries.append(part)
+        rows, cols, vals = (np.concatenate(p) for p in zip(*entries))
+        M = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
+        return mask, M, const, M.diagonal()
 
 
 @dataclass
@@ -157,11 +149,9 @@ class OperatorSpec:
         # branches evaluated: the PDE row, a min kind's second, any weighted
         self.live = [b for b in range(4) if b in (0, self.second)
                      or self.weights[b].any()]
-        # where a min kind may move the PDE weight onto its second branch
-        self._pde_rows = self.weights[0] > 0
         self.T = None
         if self.kind == "stefan":
-            self.T, _ = one_sided_matrices(grid)
+            self.T = one_sided_matrices(grid)
             # largest axis difference weight per node, for the CFL bound
             inv = {d: -t.diagonal() for d, t in self.T.items()}
             self.wx_max = np.maximum(inv["E"], inv["W"])
@@ -251,7 +241,7 @@ class OperatorSpec:
             opened = self.is_open(u)
             take = vals[self.second] < vals[0]
             take &= opened
-            take &= self._pde_rows
+            take &= self.active
         return vals, grad, opened, take
 
     def _weighted(self, u):

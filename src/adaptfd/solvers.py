@@ -313,11 +313,11 @@ def _trial_leaves(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
     return np.concatenate([leaves[~split]] + kids)
 
 
-def multiscale_solve(op_factory, grid: QuadtreeGrid, u0: GridFunction, policy,
-                     stopping: StoppingPolicy, max_iter: int = 100, log=None,
-                     grid_watch=None):
-    """Coarse-to-fine continuation: solve on the initial quadtree, then admit
-    refinement one scale per stage.
+def multiscale_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
+                     policy, stopping: StoppingPolicy, max_iter: int = 100,
+                     log=None, grid_watch=None):
+    """Coarse-to-fine continuation: solve op on the initial quadtree, then
+    admit refinement one scale per stage, rebuilding op on each new grid.
 
     Per stage, the criteria are probed on a one-level-finer trial grid (the
     interpolated solution exposes its truncation error there), the demanded
@@ -325,7 +325,6 @@ def multiscale_solve(op_factory, grid: QuadtreeGrid, u0: GridFunction, policy,
     regrid.  Stage k stops Newton at the k-th stopping threshold.  The
     last stage admits the policy's finest scale.
     """
-    op = op_factory(grid)
     if grid_watch is not None:
         grid_watch(grid)
     u = newton_solve(op, grid, u0, stopping, stage=0, max_iter=max_iter,
@@ -337,7 +336,7 @@ def multiscale_solve(op_factory, grid: QuadtreeGrid, u0: GridFunction, policy,
         stage += 1
         for _ in range(STAGE_REGRIDS):
             trial, u_t = transfer(grid, u, _trial_leaves(grid, target))
-            op_t = op_factory(trial)
+            op_t = instantiate_builtin(op.kind, op.problem, trial)
             u_t = GridFunction(trial, op_t.apply_pins(u_t.values))
             vals = evaluate_criteria(policy, op_t, trial, u_t)
             reqs = compute_refinement(policy, vals, trial,
@@ -349,7 +348,7 @@ def multiscale_solve(op_factory, grid: QuadtreeGrid, u0: GridFunction, policy,
             if g2 is grid:
                 break
             grid, u = g2, u2
-            op = op_factory(grid)
+            op = instantiate_builtin(op.kind, op.problem, grid)
             if grid_watch is not None:
                 grid_watch(grid)
             u = newton_solve(op, grid, u, stopping, stage=stage,

@@ -62,21 +62,6 @@ def _inv_sq(d):
     return np.array([1.0 / v**2 for v in values.tolist()])[inverse]
 
 
-def one_sided_geometry(grid: QuadtreeGrid, d: int, idx=slice(None)):
-    """Where a one-sided difference toward DIRS[d] looks from nodes idx (all
-    by default): (ids (k, 2), dist, far), with the value on that side the
-    mean of u over ids at distance dist.  A neighbor fills both columns with
-    its id; on the coarse side of a dangling node (far) they are the two far
-    corners of the coarse cell at distance band * h (first order,
-    monotone).  ids are -1 and dist NaN where a node has no value there."""
-    far = grid.coarse_side[idx] == d
-    ids = np.stack([np.where(far, grid.drv_pair[idx, k], grid.nbr[idx, d])
-                    for k in (0, 1)], axis=-1)
-    dist = np.where(far, grid.band[idx] * (grid.hx if d < 2 else grid.hy),
-                    grid.dist[idx, d])
-    return ids, dist, far
-
-
 # ---------------------------------------------------------------------------
 # rows from the node arrays: COO entries (rows, cols, vals), each row its
 # center first and then its neighbors in stencil order, and the faults, as
@@ -209,26 +194,38 @@ def laplacian_system(grid: QuadtreeGrid, robin=None):
     return L, const, active, pins
 
 
-def one_sided_matrices(grid: QuadtreeGrid):
-    """Sparse one-sided difference operators toward each side.
+def one_sided_entries(grid: QuadtreeGrid, d: int, idx, scale=1.0):
+    """COO entries (rows, cols, vals) of scale * (u_side - u_i) / dist toward
+    DIRS[d] at node ids idx (scale a number or one per id), and the ids of
+    idx with no value on that side, which get no entries.  That value is the
+    neighbor's, or on the coarse side of a dangling node (far) the mean of
+    the coarse cell's two far corners at distance band * h (first order,
+    monotone): scale / dist on the neighbor or half of it on each far
+    corner, and -scale / dist on the node itself."""
+    far = grid.coarse_side[idx] == d
+    ids = np.stack([np.where(far, grid.drv_pair[idx, k], grid.nbr[idx, d])
+                    for k in (0, 1)], axis=-1)
+    dist = np.where(far, grid.band[idx] * (grid.hx if d < 2 else grid.hy),
+                    grid.dist[idx, d])
+    have = ids[:, 0] >= 0
+    w = (scale / dist)[have]
+    missing = idx[~have]
+    idx, ids, far = idx[have], ids[have], far[have]
+    half = w[far] / 2
+    rows = np.concatenate([idx, idx[~far], idx[far], idx[far]])
+    cols = np.concatenate([idx, ids[~far, 0], ids[far, 0], ids[far, 1]])
+    vals = np.concatenate([-w, w[~far], half, half])
+    return (rows, cols, vals), missing
 
-    T[d] @ u gives (u_side - u_i)/dist per node, with the dangling missing
-    side replaced by the far-corner average.  have[d] marks nodes where the
-    difference exists.
-    """
+
+def one_sided_matrices(grid: QuadtreeGrid):
+    """Sparse one-sided difference operators toward each side: T[d] @ u
+    gives (u_side - u_i)/dist per node, with the dangling missing side
+    replaced by the far-corner average.  A row of T[d] is empty where no
+    difference toward d exists."""
     nn = grid.n_nodes()
     T = {}
-    have = {}
     for d, name in enumerate(DIRS):
-        ids, dist, far = one_sided_geometry(grid, d)
-        have[name] = ids[:, 0] >= 0
-        near = np.flatnonzero(have[name] & ~far)
-        dang = np.flatnonzero(far)
-        inv = 1.0 / dist[near]
-        inv_c = 1.0 / dist[dang]
-        rows = np.concatenate([near, near, dang, dang, dang])
-        cols = np.concatenate([ids[near, 0], near, ids[dang, 0],
-                               ids[dang, 1], dang])
-        vals = np.concatenate([inv, -inv, inv_c / 2, inv_c / 2, -inv_c])
+        (rows, cols, vals), _ = one_sided_entries(grid, d, np.arange(nn))
         T[name] = sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
-    return T, have
+    return T

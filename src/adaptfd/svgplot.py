@@ -79,9 +79,8 @@ def _colors(t):
                        lambda c: "#%02x%02x%02x" % tuple(c))
 
 
-def solution_svg(grid, u, contours=None) -> str:
-    """Leaf cells filled by value with optional contour polylines on top."""
-    values = u.values if hasattr(u, "values") else np.asarray(u)
+def solution_svg(grid, values, polylines=()) -> str:
+    """Leaf cells filled by the node values, with polylines on top."""
     to_px, height, scale = _mapper(grid.box)
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
@@ -95,10 +94,7 @@ def solution_svg(grid, u, contours=None) -> str:
                'fill="%s" stroke="none"/>'.__mod__,
                zip(*_cell_text(grid, to_px, scale),
                    _colors((means - lo) / span)))
-    polys = contours or []
-    if isinstance(polys, dict):
-        polys = [p for group in polys.values() for p in group]
-    for poly in polys:
+    for poly in polylines:
         pts = " ".join("%.2f,%.2f" % to_px(x, y) for (x, y) in poly)
         out.append('<polyline class="contour" points="%s" fill="none" '
                    'stroke="black" stroke-width="1.2"/>' % pts)

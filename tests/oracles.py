@@ -873,11 +873,10 @@ def svg_colors(t):
         v.astype(int).tolist() for v in (r, g, b)))]
 
 
-def solution_svg(grid, u, contours=None) -> str:
+def solution_svg(grid, values, polylines=()) -> str:
     """svgplot.solution_svg, one %.2f per coordinate and one fill per
     cell."""
     import numpy as np
-    values = u.values if hasattr(u, "values") else np.asarray(u)
     to_px, height, scale = _svg_mapper(grid.box)
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
@@ -893,10 +892,7 @@ def solution_svg(grid, u, contours=None) -> str:
                    svg_colors((means - lo) / span)):
         out.append('<rect class="cell" x="%.2f" y="%.2f" width="%.2f" '
                    'height="%.2f" fill="%s" stroke="none"/>' % row)
-    polys = contours or []
-    if isinstance(polys, dict):
-        polys = [p for group in polys.values() for p in group]
-    for poly in polys:
+    for poly in polylines:
         pts = " ".join("%.2f,%.2f" % to_px(x, y) for (x, y) in poly)
         out.append('<polyline class="contour" points="%s" fill="none" '
                    'stroke="black" stroke-width="1.2"/>' % pts)

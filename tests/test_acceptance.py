@@ -221,14 +221,13 @@ def test_criterion_6_obstacle_psor_equivalence(obstacle_setup):
     pol = RefinementPolicy(residual_criteria(), thresholds=(1e30,),
                            scales=(0,),
                            initial_cells=tuple(map(tuple, g.leaves.tolist())))
-    grid, u = multiscale_solve(factory, g, u0, pol, StoppingPolicy([1e-11]))
+    grid, u = multiscale_solve(op, g, u0, pol, StoppingPolicy([1e-11]))
     assert grid.same_cells(g)
     ref = psor_solve(op, tol=1e-12)
     diff = float(np.max(np.abs(u.values - ref)))
 
-    cn = extract_contour(grid, u.values,
-                         predicate=lambda v: v - op.gvals - 1e-8)
-    cp = extract_contour(grid, ref, predicate=lambda v: v - op.gvals - 1e-8)
+    cn = extract_contour(grid, u.values - op.gvals - 1e-8, level=0.0)
+    cp = extract_contour(grid, ref - op.gvals - 1e-8, level=0.0)
     hd = hausdorff_distance(cn, cp)
     cell = preset.box.lx / (1 << 5)
     elapsed = time.time() - t0

@@ -49,7 +49,7 @@ def test_stefan_terms_match_direct_formula():
     L, const, _, _ = laplacian_system(g)
     lap = np.abs(L @ u.values + const)
     # per axis the uphill one-sided slope, clamped at 0 and squared
-    T, _ = one_sided_matrices(g)
+    T = one_sided_matrices(g)
     grad_sq = sum(np.maximum(np.maximum(T[p] @ u.values, T[m] @ u.values),
                              0.0) ** 2 for p, m in (("E", "W"), ("N", "S")))
     want = np.minimum(lap, grad_sq)[op.active]

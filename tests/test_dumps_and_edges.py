@@ -89,6 +89,8 @@ def test_policy_and_stopping_validation():
         RefinementPolicy(lambda *a: 0, thresholds=())
     with pytest.raises(GridError):
         RefinementPolicy(lambda *a: 0, thresholds=(2.0, 1.0))
+    with pytest.raises(GridError):
+        RefinementPolicy(lambda *a: 0, thresholds=(float("nan"),))
 
 
 def test_scattered_point_outside_box_rejected():

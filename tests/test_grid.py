@@ -157,6 +157,25 @@ def test_domain_box_needs_finite_positive_sides(bounds):
         DomainBox(*bounds)
 
 
+@pytest.mark.parametrize("bounds, depth", [
+    ((0.0, 1e200, 0.0, 1.0), 3), ((-5e299, 5e299, -5e299, 5e299), 13),
+    ((0.0, 1.0, 0.0, 1e-300), 3), ((0.0, 8e-160, 0.0, 1.0), 3),
+    ((0.0, 1e-150, 0.0, 1e-150), 31)],
+    ids=["square_overflows", "wide_square_overflows", "square_underflows",
+         "reciprocal_overflows", "deep_square_underflows"])
+def test_node_distances_must_square_and_invert(bounds, depth):
+    # the stencils divide by the square of every node distance, from
+    # min(hx, hy) to max(lx, ly): a box whose distances square or invert to
+    # 0 or inf is refused before any node is built
+    box = DomainBox(*bounds)
+    with pytest.raises(DomainError, match="node distance"):
+        build_quadtree(np.array([[0, 0, depth]]), depth, box)
+    with pytest.raises(DomainError, match="node distance"):
+        QuadtreeGrid(box, depth, (1, 1), [[0, 0, depth]])
+    # a box 1e150 wide still builds: its squares stay in range
+    build_quadtree(np.array([[0, 0, 3]]), 3, DomainBox(0.0, 1e150, 0.0, 1.0))
+
+
 def test_depth_bound_from_int64_keys():
     # node keys j * (side + 1) + i and packed squares (a << 32) | b fit in
     # an int64 up to depth 31: there a fine corner cell builds and every

@@ -175,8 +175,7 @@ def test_obstacle_contact_contour_from_sampled_obstacle(tmp_path):
     op = instantiate_builtin(preset.kind, preset.problem, grid)
     assert np.array_equal(preset.problem.sample(preset.problem.g, grid),
                           op.gvals)
-    want = extract_contour(grid, u.values,
-                           predicate=lambda v: v - op.gvals - 1e-8)
+    want = extract_contour(grid, u.values - op.gvals - 1e-8, level=0.0)
     assert want and same_polylines(res["contours"], want)
 
 
@@ -221,8 +220,7 @@ def test_obstacle_boundary_grid_vs_uniform_fine_reference(tmp_path):
     op = instantiate_builtin(preset.kind, preset.problem, gu)
     u0 = GridFunction(gu, op.apply_pins(np.maximum(op.gvals, 0.0)))
     uu = newton_solve(op, gu, u0, StoppingPolicy([1e-9]))
-    ref = extract_contour(gu, uu.values,
-                          predicate=lambda v: v - op.gvals - 1e-8)
+    ref = extract_contour(gu, uu.values - op.gvals - 1e-8, level=0.0)
 
     assert adaptive.n_nodes() < gu.n_nodes()
     coarse_cell = max(preset.box.lx / (1 << 7) * (1 << k)
@@ -573,12 +571,23 @@ STEFAN = ("preset = stefan\ngrid.depth = 4\n"
     ("solve", CUSTOM + "domain.x_max = inf\n", "domain.x_max"),
     ("solve", CUSTOM + "domain.x_min = 2\n", "domain.x_min"),
     ("solve", CUSTOM + "grid.pad_x = 0\n", "grid.pad_x"),
-    ("solve", CUSTOM + "newton.max_iter = 0\n", "newton.max_iter")],
+    ("solve", CUSTOM + "newton.max_iter = 0\n", "newton.max_iter"),
+    *[("solve", "preset = artificial_bc\ndomain.side = %s\n" % side,
+       "domain.side") for side in ("1e300", "1e200", "1e-300", "5e-324")],
+    ("solve", CUSTOM + "domain.x_max = 1e200\n", "domain.x_max"),
+    ("solve", CUSTOM + "domain.x_max = 1e-300\n", "domain.x_max"),
+    ("solve", CUSTOM + "contour.level = nan\n", "contour.level"),
+    ("solve", CUSTOM + "refine.thresholds = nan\n", "refine.thresholds"),
+    ("solve", CUSTOM + "stopping.thresholds = 1e-6,1e-3\n",
+     "stopping.thresholds")],
     ids=["depth_negative", "initial_scale_negative", "depth_70",
          "initial_scale_above_depth", "thresholds_nan", "regrid_every_0",
          "T_nan", "T_inf", "T_0", "snapshot_after_T", "snapshot_negative",
          "snapshot_nan", "seed_negative", "side_negative", "x_max_inf",
-         "x_min_above_x_max", "pad_x_0", "max_iter_0"])
+         "x_min_above_x_max", "pad_x_0", "max_iter_0", "side_1e300",
+         "side_1e200", "side_1e-300", "side_5e-324", "x_max_1e200",
+         "x_max_1e-300", "contour_level_nan", "refine_thresholds_nan",
+         "thresholds_increasing"])
 def test_cli_rejects_out_of_range_run_parameters(tmp_path, verb, text,
                                                  field):
     cfg = tmp_path / "bad.cfg"

@@ -377,30 +377,33 @@ def test_assemble_jacobian_row_count_is_active_count():
 def test_upwind_directional_matches_per_node_loop():
     # punctured_neumann's inward band on random graded grids: mask, M,
     # const and lip bitwise equal to a per-node build, including rows whose
-    # upwind side is the coarse side of a dangling node
+    # upwind side is the coarse side of a dangling node; off the unit
+    # square hx != hy, so the two spacings cannot stand in for each other
     from adaptfd.harness import make_preset, parse_config
     from oracles import upwind_directional_build
     hop = make_preset(parse_config("preset = punctured_neumann\n")) \
         .problem.first_order
     rng = np.random.default_rng(46)
-    far_rows = 0
-    for depth in (4, 5, 6):
-        for _ in range(4):
-            grid = build_quadtree(random_requests(rng, depth, 6),
-                                  depth, UNIT)
-            got = hop.build(grid)
-            want = upwind_directional_build(hop, grid)
-            for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
-                assert a.tobytes() == b.tobytes()
-            M, W = got[1], want[1]
-            assert M.has_canonical_format and W.has_canonical_format
-            for name in ("indptr", "indices", "data"):
-                assert getattr(M, name).tobytes() \
-                    == getattr(W, name).tobytes()
-            # rows that difference against a dangling node's far corners
-            for r in np.flatnonzero(got[0] & (grid.coarse_side >= 0)):
-                far_rows += M[r, grid.drv_pair[r, 0]] != 0
-    assert far_rows > 0
+    for box in (UNIT, DomainBox(0.0, 1.5, 0.0, 1.0),
+                DomainBox(0.2, 0.8, 0.1, 0.9)):
+        far_rows = 0
+        for depth in (4, 5, 6):
+            for _ in range(4):
+                grid = build_quadtree(random_requests(rng, depth, 6),
+                                      depth, box)
+                got = hop.build(grid)
+                want = upwind_directional_build(hop, grid)
+                for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+                    assert a.tobytes() == b.tobytes()
+                M, W = got[1], want[1]
+                assert M.has_canonical_format and W.has_canonical_format
+                for name in ("indptr", "indices", "data"):
+                    assert getattr(M, name).tobytes() \
+                        == getattr(W, name).tobytes()
+                # rows that difference against a dangling node's far corners
+                for r in np.flatnonzero(got[0] & (grid.coarse_side >= 0)):
+                    far_rows += M[r, grid.drv_pair[r, 0]] != 0
+        assert far_rows > 0
 
 
 def test_upwind_directional_calls_direction_once_per_build():

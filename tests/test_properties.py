@@ -405,8 +405,8 @@ def test_writers_match_row_wise_oracles(case, seed):
     for _ in range(2):
         u = GridFunction(grid, _wild_values(rng, grid.n_nodes()))
         assert solution_csv(grid, u) == oracles.solution_csv(grid, u)
-        assert solution_svg(grid, u, polys) \
-            == oracles.solution_svg(grid, u, polys)
+        assert solution_svg(grid, u.values, polys) \
+            == oracles.solution_svg(grid, u.values, polys)
 
 
 def _bits(M):
@@ -465,7 +465,7 @@ def test_operator_stack_is_vstack_of_fresh_rows(case):
     if op.first is not None:
         blocks.append(op.problem.first_order.build(grid)[1])
     if op.T is not None:
-        T, _ = one_sided_matrices(grid)
+        T = one_sided_matrices(grid)
         blocks += [T[d] for d in "EWNS"]
     assert _bits(op.stack) == _bits(sp.vstack(blocks, format="csr"))
     views = [op.L] + ([op.first[0]] if op.first is not None else []) \

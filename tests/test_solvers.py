@@ -457,7 +457,7 @@ def test_multiscale_trivial_criteria_single_solve():
                                                       g.leaves.tolist())))
     log = []
     grid2, u = multiscale_solve(
-        lambda gr: instantiate_builtin("poisson_dirichlet", prob, gr),
+        instantiate_builtin("poisson_dirichlet", prob, g),
         g, GridFunction(g, np.zeros(g.n_nodes())),
         policy, StoppingPolicy([1e-9]), log=log)
     assert grid2.same_cells(g)
@@ -473,7 +473,7 @@ def test_multiscale_obstacle_refines_and_contains_initial():
                               initial_cells=initial)
     log = []
     grid, u = multiscale_solve(
-        lambda gr: instantiate_builtin("obstacle", obstacle_problem(), gr),
+        instantiate_builtin("obstacle", obstacle_problem(), g0),
         g0, GridFunction(g0, np.zeros(g0.n_nodes())),
         policy, StoppingPolicy([1e-6, 1e-8, 1e-9]), log=log)
     assert grid.n_cells() > g0.n_cells()
