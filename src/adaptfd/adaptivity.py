@@ -22,7 +22,7 @@ from .stencils import one_sided_matrices, sample_nodes
 
 @dataclass
 class RefinementPolicy:
-    """criteria(op, grid, u_values) -> nonnegative per-node array.
+    """criteria(op, u_values) -> nonnegative array over the nodes of op.grid.
 
     thresholds t_1 <= ... <= t_K map to scales: a node whose value exceeds
     t_k (largest such k) is refined to scales[k]; by default scales descend
@@ -57,13 +57,13 @@ class RefinementPolicy:
                                         dtype=np.int64).reshape(-1, 3)
 
 
-def evaluate_criteria(policy: RefinementPolicy, op, grid: QuadtreeGrid,
+def evaluate_criteria(policy: RefinementPolicy, op,
                       u: GridFunction) -> GridFunction:
-    """Nonnegative criteria value per node; pinned nodes evaluate to 0."""
-    u.check(grid)
-    vals = np.asarray(policy.criteria(op, grid, u.values), dtype=float)
+    """Nonnegative criteria value per node of op.grid; pinned nodes give 0."""
+    u.check(op.grid)
+    vals = np.asarray(policy.criteria(op, u.values), dtype=float)
     vals = np.abs(vals)
-    return GridFunction(grid, np.where(op.active, vals, 0.0))
+    return GridFunction(op.grid, np.where(op.active, vals, 0.0))
 
 
 def compute_refinement(policy: RefinementPolicy, values: GridFunction,
@@ -131,7 +131,7 @@ def cells_as_requests(grid: QuadtreeGrid) -> np.ndarray:
 
 def residual_criteria():
     """G = |F[u]|: the operator's own residual magnitude."""
-    return lambda op, grid, u: np.abs(op.residual(u))
+    return lambda op, u: np.abs(op.residual(u))
 
 
 def free_boundary_criteria(closeness: float):
@@ -140,7 +140,7 @@ def free_boundary_criteria(closeness: float):
     the contact contour, so that band scores high under the
     exceeds-threshold rule."""
 
-    def crit(op, grid, u):
+    def crit(op, u):
         lap = np.abs(op.L @ u + op.Lconst)
         both = np.maximum(lap, np.abs(u - op.gvals))
         return np.maximum(closeness - both, 0.0)
@@ -151,7 +151,7 @@ def free_boundary_criteria(closeness: float):
 def stefan_terms_criteria():
     """min(|Lap_h u|, |grad u|^2): large near the advancing front."""
 
-    def crit(op, grid, u):
+    def crit(op, u):
         lap = np.abs(op.L @ u + op.Lconst)
         rx, ry, _ = op._evaluate(u)[1]
         return np.minimum(lap, rx * rx + ry * ry)
@@ -163,8 +163,8 @@ def distance_criteria(targets):
     """G = distance to the nearest target point."""
     pts = np.asarray(targets, dtype=float)
 
-    def crit(op, grid, u):
-        xs, ys = grid.x, grid.y
+    def crit(op, u):
+        xs, ys = op.grid.x, op.grid.y
         d = np.full(len(xs), np.inf)
         for (tx, ty) in pts:
             d = np.minimum(d, np.hypot(xs - tx, ys - ty))
@@ -177,8 +177,8 @@ def proximity_criteria(targets, reach: float):
     """G = (reach - distance)+: bands around targets map onto the ladder."""
     dist = distance_criteria(targets)
 
-    def crit(op, grid, u):
-        return np.maximum(reach - dist(op, grid, u), 0.0)
+    def crit(op, u):
+        return np.maximum(reach - dist(op, u), 0.0)
 
     return crit
 
@@ -188,14 +188,14 @@ def slope_criteria(weight_fn=None):
     (e.g. proximity to an interior boundary): weight_fn takes node arrays
     (x, y), like problem data."""
 
-    def crit(op, grid, u):
+    def crit(op, u):
         # a row of T[d] is empty where the difference toward d does not exist
-        T = one_sided_matrices(grid)
+        T = one_sided_matrices(op.grid)
         gx = np.maximum(np.abs(T["E"] @ u), np.abs(T["W"] @ u))
         gy = np.maximum(np.abs(T["N"] @ u), np.abs(T["S"] @ u))
         v = np.hypot(gx, gy)
         if weight_fn is not None:
-            v = v * sample_nodes(weight_fn, grid.x, grid.y, "weight")
+            v = v * sample_nodes(weight_fn, op.grid.x, op.grid.y, "weight")
         return v
 
     return crit

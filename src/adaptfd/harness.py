@@ -296,7 +296,9 @@ def _artificial_bc(cfg, depth):
     return dict(
         kind="poisson_dirichlet", problem=ProblemDefinition(f=source,
                                                             robin=robin),
-        box=box, contour=("level", 0.0), regions=(1.0, 10.0, side / 2),
+        box=box, contour=("level", 0.0),
+        # the rings stay inside the box: region_areas needs increasing radii
+        regions=tuple(r for r in (1.0, 10.0) if r < side / 2) + (side / 2,),
         strategies={None: _ladder(
             lambda: proximity_criteria([(0.0, 0.0)], reach=side),
             tuple(side - r for r in reversed(radii)),
@@ -488,7 +490,10 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
         every = cfg.get("time.regrid_every", 1, int)
         _check("time.regrid_every", every, every >= 1, ">= 1")
         fields.update(T=T, snapshots=snapshots, regrid_every=every)
-    fields["solver"] = cfg.solver or fields.get("solver", "newton_multiscale")
+    solver = fields["solver"] = cfg.solver or fields.get(
+        "solver", "newton_multiscale")
+    _check("solver", solver, solver in ("newton_multiscale", "euler_evolve"),
+           "newton_multiscale or euler_evolve")
     return PresetBundle(depth=depth, initial_scale=scale, pads=pads,
                         max_iter=max_iter, **fields)
 
@@ -630,12 +635,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         # solve, so its rows are freed before the artifacts are written
         if preset.solver == "euler_evolve":
             snaps = evolve(
-                instantiate_builtin(preset.kind, preset.problem, g0), g0, u0,
+                instantiate_builtin(preset.kind, preset.problem, g0), u0,
                 T=preset.T, policy=preset.policy,
                 snapshot_times=preset.snapshots, seed=cfg.seed,
                 regrid_every=preset.regrid_every, log=log)
             results["snapshots"] = snaps
-        elif preset.solver == "newton_multiscale":
+        else:
             region_counts = {}
             radii = preset.regions
 
@@ -643,7 +648,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 region_counts[grid.generation] = region_shares(radii, grid)
 
             gr, u = multiscale_solve(
-                instantiate_builtin(preset.kind, preset.problem, g0), g0, u0,
+                instantiate_builtin(preset.kind, preset.problem, g0), u0,
                 preset.policy, preset.stopping, max_iter=preset.max_iter,
                 log=log, grid_watch=watch if radii else None)
             if radii:
@@ -651,9 +656,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 atomic_write(os.path.join(out, "report.csv"), report_csv(rep))
                 results["report"] = rep
             snaps = [(gr, u, None)]
-        else:
-            raise ConfigError("config field 'solver' must be "
-                              "newton_multiscale or euler_evolve")
         # one solution/contour pair per snapshot, named by its time; a
         # static solve has the one pair, untimed
         contours = {}
@@ -685,7 +687,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 def manufactured_poisson(grid: QuadtreeGrid, exact, lap_exact):
     problem = ProblemDefinition(f=lambda x, y: -lap_exact(x, y), g=exact)
     op = instantiate_builtin("poisson_dirichlet", problem, grid)
-    u = newton_solve(op, grid, GridFunction(grid, np.zeros(grid.n_nodes())),
+    u = newton_solve(op, GridFunction(grid, np.zeros(grid.n_nodes())),
                      StoppingPolicy([1e-11]))
     ex = problem.sample(exact, grid, name="exact")
     return float(np.max(np.abs(u.values - ex)))

@@ -64,8 +64,8 @@ class StoppingPolicy:
         self.thresholds = tuple(self.thresholds)
         if not self.thresholds:
             raise GridError("stopping policy needs at least one threshold")
-        if not all(map(math.isfinite, self.thresholds)):
-            raise GridError("stopping thresholds must be finite")
+        if not all(0 <= t < math.inf for t in self.thresholds):
+            raise GridError("stopping thresholds must be finite and >= 0")
         if any(a < b for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise GridError("stopping thresholds must be nonincreasing")
 
@@ -95,11 +95,10 @@ class TimeGroups:
                           self.coarse_tau * factor, self.start)
 
 
-def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
-                   rng=None) -> TimeGroups:
+def build_schedule(op: OperatorSpec, u: GridFunction, rng=None) -> TimeGroups:
     """Group the active nodes with a Lipschitz bound by the operator's spacing
     classes and give each group the largest stable step tau_coarse / 2^p."""
-    u.check(grid)
+    u.check(op.grid)
     if rng is None:
         rng = np.random.default_rng(0)
     lip, res = op._step_terms(u.values)
@@ -135,13 +134,13 @@ def build_schedule(grid: QuadtreeGrid, op: OperatorSpec, u: GridFunction,
     return TimeGroups(groups, taus, mults, schedule, coarse_tau, start)
 
 
-def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
+def euler_step(op: OperatorSpec, u: GridFunction,
                schedule: TimeGroups) -> GridFunction:
     """One coarse step: u_i <- u_i - tau_g F_i[u] simultaneously within each
     scheduled group, sequentially across groups.  Each group visit takes its
     CFL check and its update from one whole-grid evaluation of F; the first
     visit reuses the schedule's evaluation when u is its starting state."""
-    u.check(grid)
+    u.check(op.grid)
     v = u.values.copy()
     start = schedule.start
     # bitwise: a state that differs from the start only in the sign of a
@@ -165,12 +164,11 @@ def euler_step(op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction,
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
                                    % (tau, 1.0 / lip[rows].max()))
         np.subtract(v, tau * res, out=v, where=masks[gid])
-    return GridFunction(grid, v)
+    return GridFunction(op.grid, v)
 
 
-def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
-           policy=None, snapshot_times=(), seed: int = 0,
-           regrid_every: int = 1, log=None):
+def evolve(op: OperatorSpec, u0: GridFunction, T: float, policy=None,
+           snapshot_times=(), seed: int = 0, regrid_every: int = 1, log=None):
     """March u_t + F[u] = 0 to time T, regridding as the policy demands.
 
     Returns [(grid, u, t)] at the requested snapshot times (linearly
@@ -186,13 +184,15 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
         raise GridError("regrid_every must be >= 1")
     if not all(0 <= t <= T for t in snapshot_times):
         raise GridError("snapshot times must lie in [0, T]")
+    u0.check(op.grid)
     rng = np.random.default_rng(seed)
-    u = GridFunction(grid, op.apply_pins(u0.values))
+    u = GridFunction(op.grid, op.apply_pins(u0.values))
     if policy is not None:
         for _ in range(INITIAL_REGRIDS):
-            prev = grid
-            op, grid, u = _adapt(policy, op, grid, u)
-            if grid is prev:
+            # the grid, not the operator: a replaced operator's rows are freed
+            prev = op.grid
+            op, u = _adapt(policy, op, u)
+            if op.grid is prev:
                 break
 
     times = sorted(snapshot_times)
@@ -201,7 +201,7 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
     nsnap = 0
     steps = 0
     while t < T - 1e-14:
-        sched = build_schedule(grid, op, u, rng)
+        sched = build_schedule(op, u, rng)
         if sched.coarse_tau == 0.0:
             tau = T - t
             u2 = u
@@ -209,39 +209,40 @@ def evolve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction, T: float,
             tau = min(sched.coarse_tau, T - t)
             if tau < sched.coarse_tau:
                 sched = sched.scaled(tau / sched.coarse_tau)
-            u2 = euler_step(op, grid, u, sched)
+            # by keyword: bench/layer_trace.py finds the schedule by name
+            u2 = euler_step(op, u, schedule=sched)
         while nsnap < len(times) and times[nsnap] <= t + tau + 1e-14:
             w = min(max((times[nsnap] - t) / tau, 0.0), 1.0)
             vals = (1 - w) * u.values + w * u2.values
-            out.append((grid, GridFunction(grid, vals), times[nsnap]))
+            out.append((op.grid, GridFunction(op.grid, vals), times[nsnap]))
             nsnap += 1
         u = u2
         t += tau
         steps += 1
         if log is not None:
-            log.append({"event": "euler", "t": t, "nodes": grid.n_nodes(),
+            log.append({"event": "euler", "t": t, "nodes": op.grid.n_nodes(),
                         "tau": tau})
         if policy is not None and steps % regrid_every == 0 and t < T - 1e-14:
-            op, grid, u = _adapt(policy, op, grid, u)
+            op, u = _adapt(policy, op, u)
     # a T within the 1e-14 tolerance of 0 takes no step
-    return out + [(grid, u, s) for s in times[nsnap:]]
+    return out + [(op.grid, u, s) for s in times[nsnap:]]
 
 
-def _adapt(policy, op: OperatorSpec, grid: QuadtreeGrid, u: GridFunction):
+def _adapt(policy, op: OperatorSpec, u: GridFunction):
     """One adapt step: criteria, refinement and regrid, then on a new grid
-    a new operator and the pinned values.  Returns (op, grid, u)."""
-    vals = evaluate_criteria(policy, op, grid, u)
-    g2, u2 = regrid(grid, u, compute_refinement(policy, vals, grid))
-    if g2 is grid:
-        return op, grid, u
+    a new operator and the pinned values.  Returns (op, u)."""
+    vals = evaluate_criteria(policy, op, u)
+    g2, u2 = regrid(op.grid, u, compute_refinement(policy, vals, op.grid))
+    if g2 is op.grid:
+        return op, u
     op = instantiate_builtin(op.kind, op.problem, g2)
-    return op, g2, GridFunction(g2, op.apply_pins(u2.values))
+    return op, GridFunction(g2, op.apply_pins(u2.values))
 
 
-def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
-                 stopping: StoppingPolicy, stage=None, max_iter: int = 100,
-                 log=None) -> GridFunction:
-    """Semismooth Newton with full steps and a sparse direct linear solve.
+def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
+                 stage=None, max_iter: int = 100, log=None) -> GridFunction:
+    """Semismooth Newton with full steps and a sparse direct linear solve,
+    from u0 on op.grid.
 
     Stops when the max-norm of the residual over active nodes drops below
     the stopping threshold for this stage; the residual is checked before
@@ -255,17 +256,18 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
     # loaded on the first solve: runs that never solve do not pay for it
     import scipy.sparse.linalg as spla
 
+    u0.check(op.grid)
     tol = stopping.threshold(stage)
     u = op.apply_pins(u0.values)
     act = op.active
     if not act.any():
-        return GridFunction(grid, u)
+        return GridFunction(op.grid, u)
     iters = 0
     while True:
         r = op.residual(u)
         rnorm = float(np.max(np.abs(r[act])))
         if rnorm <= tol:
-            return GridFunction(grid, u)
+            return GridFunction(op.grid, u)
         if iters >= max_iter:
             raise NonconvergenceError(rnorm, iters)
         t0 = time.perf_counter()
@@ -291,8 +293,8 @@ def newton_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
         u[act] += delta
         iters += 1
         if log is not None:
-            log.append({"event": "newton", "nodes": grid.n_nodes(),
-                        "generation": grid.generation, "iteration": iters,
+            log.append({"event": "newton", "nodes": op.grid.n_nodes(),
+                        "generation": op.grid.generation, "iteration": iters,
                         "residual": rnorm, "wall": time.perf_counter() - t0})
 
 
@@ -313,11 +315,11 @@ def _trial_leaves(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
     return np.concatenate([leaves[~split]] + kids)
 
 
-def multiscale_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
-                     policy, stopping: StoppingPolicy, max_iter: int = 100,
-                     log=None, grid_watch=None):
-    """Coarse-to-fine continuation: solve op on the initial quadtree, then
-    admit refinement one scale per stage, rebuilding op on each new grid.
+def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
+                     stopping: StoppingPolicy, max_iter: int = 100, log=None,
+                     grid_watch=None):
+    """Coarse-to-fine continuation: solve op from u0 on op.grid, then admit
+    refinement one scale per stage, rebuilding op on each new grid.
 
     Per stage, the criteria are probed on a one-level-finer trial grid (the
     interpolated solution exposes its truncation error there), the demanded
@@ -325,10 +327,11 @@ def multiscale_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
     regrid.  Stage k stops Newton at the k-th stopping threshold.  The
     last stage admits the policy's finest scale.
     """
+    u0.check(op.grid)
+    grid = op.grid
     if grid_watch is not None:
         grid_watch(grid)
-    u = newton_solve(op, grid, u0, stopping, stage=0, max_iter=max_iter,
-                     log=log)
+    u = newton_solve(op, u0, stopping, stage=0, max_iter=max_iter, log=log)
     present = grid.scales()[::-1]
     start = present[1] if len(present) > 1 else present[0] - 1
     stage = 0
@@ -338,7 +341,7 @@ def multiscale_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
             trial, u_t = transfer(grid, u, _trial_leaves(grid, target))
             op_t = instantiate_builtin(op.kind, op.problem, trial)
             u_t = GridFunction(trial, op_t.apply_pins(u_t.values))
-            vals = evaluate_criteria(policy, op_t, trial, u_t)
+            vals = evaluate_criteria(policy, op_t, u_t)
             reqs = compute_refinement(policy, vals, trial,
                                       coarsest_allowed=target)
             # refinement accumulates down the ladder: solved regions must not
@@ -351,8 +354,8 @@ def multiscale_solve(op: OperatorSpec, grid: QuadtreeGrid, u0: GridFunction,
             op = instantiate_builtin(op.kind, op.problem, grid)
             if grid_watch is not None:
                 grid_watch(grid)
-            u = newton_solve(op, grid, u, stopping, stage=stage,
+            u = newton_solve(op, u, stopping, stage=stage,
                              max_iter=max_iter, log=log)
-        u = newton_solve(op, grid, u, stopping, stage=stage,
+        u = newton_solve(op, u, stopping, stage=stage,
                          max_iter=max_iter, log=log)
     return grid, u

@@ -201,10 +201,10 @@ def test_criterion_5_forward_euler_contraction():
                 tau = 0.999 / lip[act].max()
                 sched = TimeGroups([act], [tau], [1], np.array([0]), tau)
             else:
-                sched = build_schedule(g, op, u)
+                sched = build_schedule(op, u)
             d0 = np.max(np.abs(u.values - v.values))
-            u2 = euler_step(op, g, u, sched)
-            v2 = euler_step(op, g, v, sched)
+            u2 = euler_step(op, u, sched)
+            v2 = euler_step(op, v, sched)
             worst = max(worst,
                         (np.max(np.abs(u2.values - v2.values)) - d0))
     announce(5, worst <= 1e-12,
@@ -221,7 +221,7 @@ def test_criterion_6_obstacle_psor_equivalence(obstacle_setup):
     pol = RefinementPolicy(residual_criteria(), thresholds=(1e30,),
                            scales=(0,),
                            initial_cells=tuple(map(tuple, g.leaves.tolist())))
-    grid, u = multiscale_solve(op, g, u0, pol, StoppingPolicy([1e-11]))
+    grid, u = multiscale_solve(op, u0, pol, StoppingPolicy([1e-11]))
     assert grid.same_cells(g)
     ref = psor_solve(op, tol=1e-12)
     diff = float(np.max(np.abs(u.values - ref)))
@@ -369,7 +369,7 @@ def _stefan_slab_exponent():
         [profile(x, t0) for x in g.x.tolist()])))
     T = 10 * t0
     times = list(np.geomspace(t0, T, 7))
-    snaps = evolve(op, g, u0, T=T, snapshot_times=times, seed=7)
+    snaps = evolve(op, u0, T=T, snapshot_times=times, seed=7)
 
     side = 1 << depth
     row = np.flatnonzero(g.j == side // 2)      # ordered by x
@@ -398,7 +398,7 @@ def test_criterion_10_newton_economics(obstacle_runs):
                              g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     lin_log = []
-    newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+    newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                  StoppingPolicy([1e-9]), log=lin_log)
     ok = small > len(newton) / 2 and len(lin_log) == 1
     announce(10, ok,

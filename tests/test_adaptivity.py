@@ -32,10 +32,10 @@ def test_residual_criteria_zero_at_solution():
     g = uniform_grid(3)
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
-    u = newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+    u = newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-12]))
     policy = RefinementPolicy(residual_criteria(), thresholds=(1.0,))
-    vals = evaluate_criteria(policy, op, g, u)
+    vals = evaluate_criteria(policy, op, u)
     assert np.max(vals.values) < 1e-10
 
 
@@ -45,7 +45,7 @@ def test_stefan_terms_match_direct_formula():
     rng = np.random.default_rng(5)
     u = GridFunction(g, op.apply_pins(rng.normal(size=g.n_nodes())))
     policy = RefinementPolicy(stefan_terms_criteria(), thresholds=(1.0,))
-    vals = evaluate_criteria(policy, op, g, u)
+    vals = evaluate_criteria(policy, op, u)
     L, const, _, _ = laplacian_system(g)
     lap = np.abs(L @ u.values + const)
     # per axis the uphill one-sided slope, clamped at 0 and squared
@@ -60,7 +60,7 @@ def test_distance_criteria_matches_scan():
     g = uniform_grid(4)
     targets = [(0.21, 0.7), (0.8, 0.33), (0.5, 0.51)]
     crit = distance_criteria(targets)
-    vals = crit(None, g, np.zeros(g.n_nodes()))
+    vals = crit(all_active_op(g), np.zeros(g.n_nodes()))
     for idx, (x, y) in enumerate(zip(g.x.tolist(), g.y.tolist())):
         want = min(math.hypot(x - tx, y - ty) for (tx, ty) in targets)
         assert vals[idx] == pytest.approx(want, rel=1e-12)
@@ -68,12 +68,12 @@ def test_distance_criteria_matches_scan():
 
 def test_all_below_threshold_regrid_is_noop():
     g0 = build_quadtree(np.array([[8, 8, 2]]), 4, UNIT, pads=(1, 1))
-    policy = RefinementPolicy(lambda op, gr, u: np.zeros(gr.n_nodes()),
+    policy = RefinementPolicy(lambda op, u: np.zeros(op.grid.n_nodes()),
                               thresholds=(0.5,), scales=(0,),
                               initial_cells=tuple(map(tuple,
                                                       g0.leaves.tolist())))
     u = GridFunction(g0, np.arange(g0.n_nodes(), dtype=float))
-    vals = evaluate_criteria(policy, all_active_op(g0), g0, u)
+    vals = evaluate_criteria(policy, all_active_op(g0), u)
     reqs = compute_refinement(policy, vals, g0)
     g2, u2 = regrid(g0, u, reqs)
     assert g2 is g0 and u2 is u
@@ -82,7 +82,7 @@ def test_all_below_threshold_regrid_is_noop():
 def test_single_hot_node_refined_with_padding_ring():
     g0 = build_quadtree(np.array([[0, 0, 4]]), 4, UNIT, pads=(1, 1))
     # depth-4 root only; flag the SW corner node far above the top threshold
-    policy = RefinementPolicy(lambda op, gr, u: u, thresholds=(0.1, 1.0),
+    policy = RefinementPolicy(lambda op, u: u, thresholds=(0.1, 1.0),
                               scales=(2, 1), extra_padding=1,
                               initial_cells=((0, 0, 4),))
     hot = np.zeros(g0.n_nodes())
@@ -147,7 +147,7 @@ def test_regrid_transfer_matches_per_cell_oracle():
 def test_containment_of_initial_quadtree():
     g0 = build_quadtree(np.array([[4, 10, 1]]), 4, UNIT, pads=(1, 1))
     initial = tuple(map(tuple, g0.leaves.tolist()))
-    policy = RefinementPolicy(lambda op, gr, u: np.zeros(gr.n_nodes()),
+    policy = RefinementPolicy(lambda op, u: np.zeros(op.grid.n_nodes()),
                               thresholds=(0.5,), scales=(0,),
                               initial_cells=initial)
     # requests that do not mention the initial cells still reproduce them
@@ -163,10 +163,10 @@ def test_threshold_monotonicity():
     u = GridFunction(g0, rng.uniform(0, 10, g0.n_nodes()))
     grids = []
     for bump in (0.0, 2.0):
-        policy = RefinementPolicy(lambda op, gr, uu: uu,
+        policy = RefinementPolicy(lambda op, uu: uu,
                                   thresholds=(1.0 + bump, 4.0 + bump),
                                   scales=(2, 1), initial_cells=((0, 0, 4),))
-        vals = evaluate_criteria(policy, all_active_op(g0), g0, u)
+        vals = evaluate_criteria(policy, all_active_op(g0), u)
         reqs = compute_refinement(policy, vals, g0)
         g2, _ = regrid(g0, u, reqs)
         grids.append(g2)
@@ -184,14 +184,14 @@ def test_negative_padding_or_scale_rejected():
     from adaptfd.grid import GridError
     g0 = build_quadtree(np.array([[8, 8, 2]]), 4, UNIT, pads=(1, 1))
     vals = GridFunction(g0, np.ones(g0.n_nodes()))
-    policy = RefinementPolicy(lambda op, gr, u: u, thresholds=(0.5,),
+    policy = RefinementPolicy(lambda op, u: u, thresholds=(0.5,),
                               scales=(0,))
     assert len(compute_refinement(policy, vals, g0)) == 32
     with pytest.raises(GridError):
-        RefinementPolicy(lambda op, gr, u: u, thresholds=(0.5,), scales=(0,),
+        RefinementPolicy(lambda op, u: u, thresholds=(0.5,), scales=(0,),
                          extra_padding=-1)
     with pytest.raises(GridError):
-        RefinementPolicy(lambda op, gr, u: u, thresholds=(0.5,), scales=(-1,))
+        RefinementPolicy(lambda op, u: u, thresholds=(0.5,), scales=(-1,))
 
 
 @pytest.mark.parametrize("line", ["refine.padding = -1", "refine.scales = -1"])

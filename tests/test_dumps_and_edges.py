@@ -51,7 +51,7 @@ def test_empty_schedule_when_all_nodes_pinned():
     g = build_quadtree(np.array([[0, 0, 2]]), 2, UNIT)
     prob = ProblemDefinition(f=lambda x, y: 0.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
-    sched = build_schedule(g, op, GridFunction(g, np.zeros(4)))
+    sched = build_schedule(op, GridFunction(g, np.zeros(4)))
     assert len(sched.schedule) == 0 and sched.groups == []
 
 
@@ -62,7 +62,7 @@ def test_singular_linear_system_raises():
     prob = ProblemDefinition(f=lambda x, y: 1.0, robin=neumann)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     with pytest.raises(LinearSolveError):
-        newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+        newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-10]))
 
 
@@ -76,7 +76,7 @@ def test_empty_jacobian_row_raises_linear_solve_error():
                              g=lambda x, y: 0.0)
     op = instantiate_builtin("bc_composite", prob, g)
     with pytest.raises(LinearSolveError, match="singular"):
-        newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+        newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-10]))
 
 
@@ -85,6 +85,8 @@ def test_policy_and_stopping_validation():
         StoppingPolicy([])
     with pytest.raises(GridError):
         StoppingPolicy([1e-6, 1e-3])       # must not increase
+    with pytest.raises(GridError):
+        StoppingPolicy([1e-6, -1.0])       # must not be negative
     with pytest.raises(GridError):
         RefinementPolicy(lambda *a: 0, thresholds=())
     with pytest.raises(GridError):

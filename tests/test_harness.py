@@ -91,6 +91,21 @@ def test_region_accounting_helpers():
     assert areas[0] == pytest.approx(math.pi / 200.0 ** 2)
 
 
+@pytest.mark.parametrize("side, names", [
+    (10, ["r<1", "1<r<5", "r>5"]),
+    (200, ["r<1", "1<r<10", "10<r<100", "r>100"])])
+def test_artificial_bc_regions_stay_inside_the_box(tmp_path, side, names):
+    cfg = parse_config("preset = artificial_bc\ndomain.side = %d\n"
+                       "grid.depth = 6\n" % side)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == names
+    shares = np.array([row[1:] for row in rows], dtype=float)
+    assert ((shares >= 0) & (shares <= 1)).all()
+    assert shares.sum(axis=0) == pytest.approx(np.ones(3))
+
+
 def same_polylines(a, b):
     return len(a) == len(b) and all(np.array_equal(p, q)
                                     for p, q in zip(a, b))
@@ -132,7 +147,7 @@ def test_region_time_keyed_by_generation():
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, grids[1])
     log = []
-    newton_solve(op, grids[1], GridFunction(grids[1], np.zeros(
+    newton_solve(op, GridFunction(grids[1], np.zeros(
         grids[1].n_nodes())), StoppingPolicy([1e-10]), log=log)
     assert log and all(e["generation"] == 4 for e in log)
     assert solver_log_csv(log).splitlines()[0] == \
@@ -219,7 +234,7 @@ def test_obstacle_boundary_grid_vs_uniform_fine_reference(tmp_path):
     gu = build_quadtree(uniform_requests(preset.box, 7, 0), 7, preset.box)
     op = instantiate_builtin(preset.kind, preset.problem, gu)
     u0 = GridFunction(gu, op.apply_pins(np.maximum(op.gvals, 0.0)))
-    uu = newton_solve(op, gu, u0, StoppingPolicy([1e-9]))
+    uu = newton_solve(op, u0, StoppingPolicy([1e-9]))
     ref = extract_contour(gu, uu.values - op.gvals - 1e-8, level=0.0)
 
     assert adaptive.n_nodes() < gu.n_nodes()
@@ -579,7 +594,9 @@ STEFAN = ("preset = stefan\ngrid.depth = 4\n"
     ("solve", CUSTOM + "contour.level = nan\n", "contour.level"),
     ("solve", CUSTOM + "refine.thresholds = nan\n", "refine.thresholds"),
     ("solve", CUSTOM + "stopping.thresholds = 1e-6,1e-3\n",
-     "stopping.thresholds")],
+     "stopping.thresholds"),
+    ("solve", CUSTOM + "stopping.thresholds = -1\n", "stopping.thresholds"),
+    ("solve", "preset = obstacle\nsolver = bogus\n", "solver")],
     ids=["depth_negative", "initial_scale_negative", "depth_70",
          "initial_scale_above_depth", "thresholds_nan", "regrid_every_0",
          "T_nan", "T_inf", "T_0", "snapshot_after_T", "snapshot_negative",
@@ -587,7 +604,7 @@ STEFAN = ("preset = stefan\ngrid.depth = 4\n"
          "x_min_above_x_max", "pad_x_0", "max_iter_0", "side_1e300",
          "side_1e200", "side_1e-300", "side_5e-324", "x_max_1e200",
          "x_max_1e-300", "contour_level_nan", "refine_thresholds_nan",
-         "thresholds_increasing"])
+         "thresholds_increasing", "thresholds_negative", "solver_bogus"])
 def test_cli_rejects_out_of_range_run_parameters(tmp_path, verb, text,
                                                  field):
     cfg = tmp_path / "bad.cfg"

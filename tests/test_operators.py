@@ -250,9 +250,9 @@ def test_obstacle_step_keeps_order_on_coarse_cells():
     lo = GridFunction(g, hi.values.copy())
     lo.values[i] = 0.95
     assert 1.0 / op.lipschitz(hi.values)[i] <= 1.0
-    sched = build_schedule(g, op, hi)
-    hi2 = euler_step(op, g, hi, sched)
-    lo2 = euler_step(op, g, lo, sched)
+    sched = build_schedule(op, hi)
+    hi2 = euler_step(op, hi, sched)
+    lo2 = euler_step(op, lo, sched)
     assert hi2.values[i] >= lo2.values[i]
 
 
@@ -328,7 +328,7 @@ def test_generation_mismatch_detected():
     other = uniform_grid(3)
     u = GridFunction(other, np.zeros(other.n_nodes()))
     with pytest.raises(GenerationMismatchError):
-        build_schedule(g, op, u)
+        build_schedule(op, u)
 
 
 def test_weighted_composite_form():

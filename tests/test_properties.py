@@ -152,7 +152,7 @@ def shared_schedule(op, grid, u, v):
     # repeats the finest group up to 2^20 times where the coarsest group
     # holds rows with a small bound (L = 1 on data rows) and the finest
     # cells are tiny
-    sched = build_schedule(grid, op, u)
+    sched = build_schedule(op, u)
     return replace(sched, schedule=np.arange(len(sched.groups)))
 
 
@@ -193,8 +193,8 @@ def test_euler_step_does_not_expand(case):
     v = GridFunction(grid, op.apply_pins(rng.normal(size=grid.n_nodes())))
     sched = shared_schedule(op, grid, u, v)
     d0 = np.max(np.abs(u.values - v.values))
-    u2 = euler_step(op, grid, u, sched)
-    v2 = euler_step(op, grid, v, sched)
+    u2 = euler_step(op, u, sched)
+    v2 = euler_step(op, v, sched)
     d1 = np.max(np.abs(u2.values - v2.values))
     assert d1 <= d0 + 1e-12 * (1.0 + np.max(np.abs(u.values))
                                + np.max(np.abs(v.values)))
@@ -214,8 +214,8 @@ def test_euler_step_keeps_order(case):
     u = GridFunction(grid, op.apply_pins(v.values + lift))
     assert np.all(u.values >= v.values)
     sched = shared_schedule(op, grid, u, v)
-    u2 = euler_step(op, grid, u, sched)
-    v2 = euler_step(op, grid, v, sched)
+    u2 = euler_step(op, u, sched)
+    v2 = euler_step(op, v, sched)
     tol = 1e-12 * (1.0 + np.max(np.abs(u.values)) + np.max(np.abs(v.values)))
     assert np.all(u2.values >= v2.values - tol)
 
@@ -277,9 +277,9 @@ def test_schedule_matches_per_step_grouping(case):
     want = schedule_reference(grid, op, u, want_rng)
     if sum(want.mults) > MAX_GROUP_VISITS:
         with pytest.raises(ScheduleError):
-            build_schedule(grid, op, u, got_rng)
+            build_schedule(op, u, got_rng)
         return
-    got = build_schedule(grid, op, u, got_rng)
+    got = build_schedule(op, u, got_rng)
     assert len(got.groups) == len(want.groups)
     for a, b in zip(got.groups, want.groups):
         assert np.array_equal(a, b)
@@ -289,7 +289,7 @@ def test_schedule_matches_per_step_grouping(case):
     assert np.array_equal(got.schedule, want.schedule)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     parts = op.time_groups
-    build_schedule(grid, op, u)
+    build_schedule(op, u)
     assert op.time_groups is parts
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from adaptfd.adaptivity import RefinementPolicy, residual_criteria
-from adaptfd.grid import DomainBox, GridError, GridFunction, build_quadtree
+from adaptfd.adaptivity import evaluate_criteria
+from adaptfd.grid import (DomainBox, GenerationMismatchError, GridError,
+                          GridFunction, build_quadtree)
 from adaptfd.harness import uniform_requests
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (InstabilityError, NonconvergenceError,
@@ -46,7 +48,7 @@ def test_schedule_uniform_single_group():
     g = uniform_grid(3)
     op = heat_op(g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
-    sched = build_schedule(g, op, u)
+    sched = build_schedule(op, u)
     assert len(sched.groups) == 1
     assert sched.mults == [1]
     assert list(sched.schedule) == [0]
@@ -59,7 +61,7 @@ def test_schedule_two_scales_multiplicities_1_4():
     assert g.scales() == [0, 1]
     op = heat_op(g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
-    sched = build_schedule(g, op, u)
+    sched = build_schedule(op, u)
     assert sched.mults == [1, 4]
     assert sched.taus[0] == pytest.approx(4 * sched.taus[1])
     assert sorted(sched.schedule.tolist()) == [0, 1, 1, 1, 1]
@@ -72,13 +74,13 @@ def test_schedule_three_scales_multiplicities_1_4_16():
     assert len(scales) >= 3
     op = heat_op(g)
     u = GridFunction(g, np.zeros(g.n_nodes()))
-    sched = build_schedule(g, op, u)
+    sched = build_schedule(op, u)
     assert sched.mults[:3] == [1, 4, 16]
     total = sum(m * len(gr) for m, gr in zip(sched.mults, sched.groups))
     assert sum(len(sched.groups[gid]) for gid in sched.schedule) == total
     # the step makes those visits, one group update each
     v = op.apply_pins(np.random.default_rng(2).normal(size=g.n_nodes()))
-    assert np.array_equal(euler_step(op, g, GridFunction(g, v), sched).values,
+    assert np.array_equal(euler_step(op, GridFunction(g, v), sched).values,
                           euler_step_reference(op, v, sched))
 
 
@@ -86,10 +88,10 @@ def test_euler_fixed_point_at_solution():
     g = uniform_grid(3)
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
-    u = newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+    u = newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-12]))
-    sched = build_schedule(g, op, u)
-    u2 = euler_step(op, g, u, sched)
+    sched = build_schedule(op, u)
+    u2 = euler_step(op, u, sched)
     assert np.max(np.abs(u2.values - u.values)) < 1e-11
 
 
@@ -98,8 +100,8 @@ def test_euler_discrete_max_principle_heat():
     op = heat_op(g)
     rng = np.random.default_rng(1)
     u = GridFunction(g, op.apply_pins(rng.uniform(0, 1, g.n_nodes())))
-    sched = build_schedule(g, op, u)
-    u2 = euler_step(op, g, u, sched)
+    sched = build_schedule(op, u)
+    u2 = euler_step(op, u, sched)
     assert u2.values.max() <= u.values.max() + 1e-12
     assert u2.values.min() >= u.values.min() - 1e-12
 
@@ -120,10 +122,10 @@ def test_euler_contraction_random_pairs():
         for _ in range(100):
             u = GridFunction(g, op.apply_pins(rng.normal(size=g.n_nodes())))
             v = GridFunction(g, op.apply_pins(rng.normal(size=g.n_nodes())))
-            sched = build_schedule(g, op, u)
+            sched = build_schedule(op, u)
             d0 = np.max(np.abs(u.values - v.values))
-            u2 = euler_step(op, g, u, sched)
-            v2 = euler_step(op, g, v, sched)
+            u2 = euler_step(op, u, sched)
+            v2 = euler_step(op, v, sched)
             assert np.max(np.abs(u2.values - v2.values)) <= d0 + 1e-12
 
 
@@ -139,8 +141,8 @@ def test_euler_contraction_stefan_manual_group():
         tau = 0.999 / lip[act].max()
         sched = TimeGroups([act], [tau], [1], np.array([0]), tau)
         d0 = np.max(np.abs(u.values - v.values))
-        u2 = euler_step(op, g, u, sched)
-        v2 = euler_step(op, g, v, sched)
+        u2 = euler_step(op, u, sched)
+        v2 = euler_step(op, v, sched)
         assert np.max(np.abs(u2.values - v2.values)) <= d0 + 1e-12
 
 
@@ -149,10 +151,10 @@ def test_euler_instability_detected():
     op = heat_op(g)
     u = GridFunction(g, op.apply_pins(np.random.default_rng(2).normal(
         size=g.n_nodes())))
-    sched = build_schedule(g, op, u)
+    sched = build_schedule(op, u)
     bad = sched.scaled(3.0)
     with pytest.raises(InstabilityError):
-        euler_step(op, g, u, bad)
+        euler_step(op, u, bad)
 
 
 def graded_grid(box=UNIT, pads=(1, 1)):
@@ -216,18 +218,18 @@ def test_euler_step_matches_row_slice_reference(kind, box):
     rng = np.random.default_rng(5)
     u = GridFunction(g, u0)
     for _ in range(3):
-        sched = build_schedule(g, op, u, rng)
+        sched = build_schedule(op, u, rng)
         assert len(sched.groups) >= 3
         # the state-dependent Stefan bound can grow inside a step
         sched = sched.scaled(0.5)
         want = euler_step_reference(op, u.values, sched)
-        u2 = euler_step(op, g, u, sched)
+        u2 = euler_step(op, u, sched)
         assert np.array_equal(u2.values, want)
         assert not np.array_equal(u2.values, u.values)
         u = u2
-    bad = build_schedule(g, op, u, rng).scaled(3.0)
+    bad = build_schedule(op, u, rng).scaled(3.0)
     with pytest.raises(InstabilityError):
-        euler_step(op, g, u, bad)
+        euler_step(op, u, bad)
     with pytest.raises(InstabilityError):
         euler_step_reference(op, u.values, bad)
 
@@ -257,19 +259,19 @@ def test_euler_step_reuses_start_terms_of_a_bitwise_equal_state(monkeypatch):
     op, u0 = euler_case("stefan", g)
     k = np.flatnonzero(op.active)[7]
     u0[k] = 0.0
-    sched = build_schedule(g, op, GridFunction(g, u0))
+    sched = build_schedule(op, GridFunction(g, u0))
     visits = len(sched.schedule)
     assert visits > 1
     calls = []
     real = op._step_terms
     monkeypatch.setattr(op, "_step_terms",
                         lambda v: calls.append(1) or real(v))
-    same = euler_step(op, g, GridFunction(g, u0.copy()), sched)
+    same = euler_step(op, GridFunction(g, u0.copy()), sched)
     assert len(calls) == visits - 1
     flipped = u0.copy()
     flipped[k] = -0.0
     calls.clear()
-    other = euler_step(op, g, GridFunction(g, flipped), sched)
+    other = euler_step(op, GridFunction(g, flipped), sched)
     assert len(calls) == visits
     assert np.array_equal(same.values, other.values)
 
@@ -278,7 +280,7 @@ def test_evolve_zero_stefan_stays_zero():
     g = uniform_grid(3)
     op = instantiate_builtin("stefan", ProblemDefinition(), g)
     u0 = GridFunction(g, np.zeros(g.n_nodes()))
-    snaps = evolve(op, g, u0, T=0.01, snapshot_times=(0.002, 0.01))
+    snaps = evolve(op, u0, T=0.01, snapshot_times=(0.002, 0.01))
     assert len(snaps) == 2
     for (_, u, t) in snaps:
         assert np.max(np.abs(u.values)) == 0.0
@@ -289,7 +291,7 @@ def test_evolve_heat_decays_toward_zero():
     op = heat_op(g)
     u0 = GridFunction(g, field(
         g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)))
-    snaps = evolve(op, g, u0, T=0.05, snapshot_times=(0.05,))
+    snaps = evolve(op, u0, T=0.05, snapshot_times=(0.05,))
     (_, u, t) = snaps[0]
     exact = math.exp(-2 * math.pi ** 2 * 0.05)
     got = u.values.max()
@@ -306,7 +308,7 @@ def test_asynchronous_matches_synchronous_heat():
         u0 = GridFunction(g, op.apply_pins(field(
             g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))))
         T = 0.02
-        snaps = evolve(op, g, u0, T=T, snapshot_times=(T,), seed=3)
+        snaps = evolve(op, u0, T=T, snapshot_times=(T,), seed=3)
         u_async = snaps[0][1].values
 
         u = u0.values.copy()
@@ -338,14 +340,14 @@ def test_evolve_rejects_out_of_range_times(kwargs, match):
     args = dict(T=0.01, snapshot_times=(0.01,))
     args.update(kwargs)
     with pytest.raises(GridError, match=match):
-        evolve(op, g, u0, **args)
+        evolve(op, u0, **args)
 
 
 def test_evolve_to_a_time_below_the_step_tolerance_keeps_snapshots():
     g = uniform_grid(2)
     op = heat_op(g)
     u0 = GridFunction(g, op.apply_pins(np.ones(g.n_nodes())))
-    snaps = evolve(op, g, u0, T=1e-15, snapshot_times=(0.0, 1e-15))
+    snaps = evolve(op, u0, T=1e-15, snapshot_times=(0.0, 1e-15))
     assert [t for (_, _, t) in snaps] == [0.0, 1e-15]
     assert all(np.array_equal(u.values, u0.values) for (_, u, _) in snaps)
 
@@ -364,11 +366,11 @@ def test_evolve_determinism_same_seed():
     op = heat_op(g)
     rng = np.random.default_rng(4)
     u0 = GridFunction(g, op.apply_pins(rng.normal(size=g.n_nodes())))
-    a = evolve(op, g, u0, T=0.01, snapshot_times=(0.01,), seed=42)
-    b = evolve(op, g, u0, T=0.01, snapshot_times=(0.01,), seed=42)
+    a = evolve(op, u0, T=0.01, snapshot_times=(0.01,), seed=42)
+    b = evolve(op, u0, T=0.01, snapshot_times=(0.01,), seed=42)
     assert np.array_equal(a[0][1].values, b[0][1].values)
-    sched_a = build_schedule(g, op, u0, np.random.default_rng(5))
-    sched_b = build_schedule(g, op, u0, np.random.default_rng(5))
+    sched_a = build_schedule(op, u0, np.random.default_rng(5))
+    sched_b = build_schedule(op, u0, np.random.default_rng(5))
     assert np.array_equal(sched_a.schedule, sched_b.schedule)
 
 
@@ -378,7 +380,7 @@ def test_newton_linear_one_iteration():
                              g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     log = []
-    u = newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+    u = newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-9]), log=log)
     assert len(log) == 1
     assert np.max(np.abs(op.residual(u.values)[op.active])) <= 1e-9
@@ -388,10 +390,10 @@ def test_newton_zero_iterations_at_solution():
     g = uniform_grid(3)
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
-    u = newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+    u = newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-10]))
     log = []
-    u2 = newton_solve(op, g, u, StoppingPolicy([1e-10]), log=log)
+    u2 = newton_solve(op, u, StoppingPolicy([1e-10]), log=log)
     assert log == []
     assert np.array_equal(u.values, u2.values)
 
@@ -401,7 +403,7 @@ def test_newton_iteration_cap_raises():
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, g)
     with pytest.raises(NonconvergenceError):
-        newton_solve(op, g, GridFunction(g, np.zeros(g.n_nodes())),
+        newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-30]), max_iter=2)
 
 
@@ -415,7 +417,7 @@ def test_newton_matches_psor_on_obstacle():
     g = uniform_grid(4)
     op = instantiate_builtin("obstacle", obstacle_problem(), g)
     u0 = GridFunction(g, op.apply_pins(np.maximum(op.gvals, 0.0)))
-    u = newton_solve(op, g, u0, StoppingPolicy([1e-11]))
+    u = newton_solve(op, u0, StoppingPolicy([1e-11]))
     ref = psor_solve(op)
     assert np.max(np.abs(u.values - ref)) < 1e-8
     # solution properties: dominance and complementarity
@@ -436,7 +438,7 @@ def test_newton_residual_monotone_linear_and_stable_active_set():
     g = uniform_grid(4)
     op = instantiate_builtin("obstacle", obstacle_problem(), g)
     u0 = GridFunction(g, op.apply_pins(np.maximum(op.gvals, 0.0)))
-    u = newton_solve(op, g, u0, StoppingPolicy([1e-10]))
+    u = newton_solve(op, u0, StoppingPolicy([1e-10]))
     br = branches(op, u.values)
     # one extra Newton step does not change the active set
     import scipy.sparse.linalg as spla
@@ -458,7 +460,7 @@ def test_multiscale_trivial_criteria_single_solve():
     log = []
     grid2, u = multiscale_solve(
         instantiate_builtin("poisson_dirichlet", prob, g),
-        g, GridFunction(g, np.zeros(g.n_nodes())),
+        GridFunction(g, np.zeros(g.n_nodes())),
         policy, StoppingPolicy([1e-9]), log=log)
     assert grid2.same_cells(g)
     assert len(log) == 1      # one linear solve on the initial grid only
@@ -474,7 +476,7 @@ def test_multiscale_obstacle_refines_and_contains_initial():
     log = []
     grid, u = multiscale_solve(
         instantiate_builtin("obstacle", obstacle_problem(), g0),
-        g0, GridFunction(g0, np.zeros(g0.n_nodes())),
+        GridFunction(g0, np.zeros(g0.n_nodes())),
         policy, StoppingPolicy([1e-6, 1e-8, 1e-9]), log=log)
     assert grid.n_cells() > g0.n_cells()
     # final grid contains every node of the initial quadtree
@@ -498,7 +500,31 @@ def test_schedule_bound_raises_before_allocating():
     u = GridFunction(grid, np.zeros(grid.n_nodes()))
     t0 = time.perf_counter()
     with pytest.raises(ScheduleError, match=r"spacing \[16, 8, 4, 2, 1\]"):
-        build_schedule(grid, op, u)
+        build_schedule(op, u)
     with pytest.raises(ScheduleError, match="limit %d" % MAX_GROUP_VISITS):
-        evolve(op, grid, u, T=1.0)
+        evolve(op, u, T=1.0)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda op, u, pol, stop: newton_solve(op, u, stop),
+    lambda op, u, pol, stop: multiscale_solve(op, u, pol, stop),
+    lambda op, u, pol, stop: evolve(op, u, T=0.01),
+    lambda op, u, pol, stop: build_schedule(op, u),
+    lambda op, u, pol, stop: euler_step(op, u, build_schedule(
+        op, GridFunction(op.grid, np.zeros(op.grid.n_nodes())))),
+    lambda op, u, pol, stop: evaluate_criteria(pol, op, u)],
+    ids=["newton_solve", "multiscale_solve", "evolve", "build_schedule",
+         "euler_step", "evaluate_criteria"])
+def test_solution_on_another_grid_is_rejected(call):
+    # two 19-node grids with other cells: the size alone cannot tell them
+    # apart
+    g1, g2 = (build_quadtree(np.array([seed]), 3, UNIT, pads=(1, 1))
+              for seed in ([0, 0, 0], [7, 7, 0]))
+    assert g1.n_nodes() == g2.n_nodes() == 19
+    op = instantiate_builtin("poisson_dirichlet", ProblemDefinition(
+        f=lambda x, y: 1.0, g=lambda x, y: 0.0), g1)
+    policy = RefinementPolicy(residual_criteria(), thresholds=(1.0,))
+    with pytest.raises(GenerationMismatchError):
+        call(op, GridFunction(g2, np.zeros(19)), policy,
+             StoppingPolicy([1e-9]))
