@@ -100,25 +100,45 @@ def regrid(grid: QuadtreeGrid, u: GridFunction, requests):
     New nodes take the piecewise-bilinear interpolant of u on the old
     leaves, in one pass; surviving nodes are copied exactly.
     """
-    leaves, ops = quadtree_leaves(requests, grid.depth, grid.box, grid.pads)
-    return transfer(grid, u, leaves, ops)
+    leaves, keys, ops = quadtree_leaves(requests, grid.depth, grid.box,
+                                        grid.pads)
+    return transfer(grid, u, leaves, ops, keys)
 
 
-def transfer(grid: QuadtreeGrid, u: GridFunction, leaves, build_ops=0):
+def transfer(grid: QuadtreeGrid, u: GridFunction, leaves, build_ops=0,
+             keys=None):
     """The grid on leaves, with the depth, box and pads of grid, and u moved
     onto it as regrid moves it; the same (grid, u) objects when leaves are
-    grid.leaves, in their order.  The leaves must form a legal quadtree."""
+    grid.leaves, in their order.  The leaves must form a legal quadtree;
+    keys, if given, are their Morton keys, by which they are sorted."""
     u.check(grid)
     if np.array_equal(leaves, grid.leaves):
         return grid, u
     g2 = QuadtreeGrid(grid.box, grid.depth, grid.pads, leaves,
-                      grid.generation + 1, build_ops)
+                      grid.generation + 1, build_ops, keys)
+    return g2, GridFunction(g2, _moved(grid, g2, u.values))
+
+
+def _moved(grid: QuadtreeGrid, g2: QuadtreeGrid, values) -> np.ndarray:
+    """values on grid's nodes moved onto g2's: copied exactly where a node
+    survives, the piecewise-bilinear interpolant on grid's leaves at new
+    nodes."""
     old = grid.find(g2.i, g2.j)
     kept = old >= 0
-    vals = np.empty(g2.n_nodes())
-    vals[kept] = u.values[old[kept]]
-    vals[~kept] = grid.interpolate(u.values, g2.x[~kept], g2.y[~kept])
-    return g2, GridFunction(g2, vals)
+    out = np.empty(g2.n_nodes())
+    out[kept] = values[old[kept]]
+    out[~kept] = grid.interpolate(values, g2.x[~kept], g2.y[~kept])
+    return out
+
+
+def inherit_set(grid: QuadtreeGrid, g2: QuadtreeGrid,
+                mask: np.ndarray) -> np.ndarray:
+    """A node set of grid (boolean mask) carried onto g2: a surviving node
+    keeps its state, and a new node is in the set when every old node it
+    is interpolated from is.  The bilinear weights of those nodes are
+    positive and sum to one, so that is where the moved 0/1 indicator is
+    1 up to rounding."""
+    return _moved(grid, g2, mask.astype(float)) >= 1.0 - 1e-12
 
 
 def cells_as_requests(grid: QuadtreeGrid) -> np.ndarray:

@@ -180,11 +180,14 @@ class QuadtreeGrid:
       min_spacing     virtual distance to the nearest neighbor
 
     node_text is the nodes' i, j, x, y as text, built on first access for
-    the writers.
+    the writers.  keys, when given, are the Morton keys of leaves that come
+    sorted by them, as quadtree_leaves returns both; otherwise the leaves
+    are sorted here.
     """
 
     def __init__(self, box: DomainBox, depth: int, pads: tuple[int, int],
-                 leaves, generation: int = 0, build_ops: int = 0):
+                 leaves, generation: int = 0, build_ops: int = 0,
+                 keys=None):
         self.box = box
         self.depth = depth
         self.side = _lattice_side(depth)
@@ -192,7 +195,8 @@ class QuadtreeGrid:
         self.generation = generation
         self.build_ops = build_ops
         self.hx, self.hy = _spacings(box, depth)
-        leaves, keys = _morton_sorted(leaves)
+        if keys is None:
+            leaves, keys = _morton_sorted(leaves)
         self.leaves = _frozen(leaves)
         self._leaf_keys = _frozen(keys)
         self._collect_nodes()
@@ -390,8 +394,8 @@ def _children(a, b, size):
 def quadtree_leaves(requests, depth: int, box: DomainBox,
                     pads: tuple[int, int]):
     """The leaves of build_quadtree's grid, Morton-sorted like
-    QuadtreeGrid.leaves, and its build_ops, the number of squares each rule
-    visits; no node is collected or classified.
+    QuadtreeGrid.leaves, their Morton keys and its build_ops, the number of
+    squares each rule visits; no node is collected or classified.
 
     Bottom-up closure: per scale, close the required-square set under
     siblings and fill-to-the-edge, then push parents plus padding neighbors up
@@ -463,7 +467,7 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
             keys = np.setdiff1d(keys, _pack(a // size * size, b // size * size))
         leaves.append(np.stack([keys >> _SHIFT, keys & _LOW,
                                 np.full(len(keys), k, dtype=np.int64)], axis=1))
-    return _morton_sorted(np.concatenate(leaves))[0], ops
+    return (*_morton_sorted(np.concatenate(leaves)), ops)
 
 
 def _edge_fill_neighbors(pa, pb, psize, side, pad_x, pad_y):
@@ -496,8 +500,8 @@ def build_quadtree(requests, depth: int, box: DomainBox,
     """
     if pads is None:
         pads = default_pads(box)
-    leaves, ops = quadtree_leaves(requests, depth, box, pads)
-    return QuadtreeGrid(box, depth, pads, leaves, build_ops=ops)
+    leaves, keys, ops = quadtree_leaves(requests, depth, box, pads)
+    return QuadtreeGrid(box, depth, pads, leaves, build_ops=ops, keys=keys)
 
 
 def init_from_scattered(points, depth: int,
@@ -557,8 +561,8 @@ def init_from_scattered(points, depth: int,
     low = np.where(ij > 0, ij & -ij, side).min(axis=1)
     seeds = _ring_squares(side, ij[:, 0], ij[:, 1],
                           np.log2(low).astype(np.int64), 0)
-    leaves, ops = quadtree_leaves(seeds, depth, box, pads)
-    grid = QuadtreeGrid(box, depth, pads, leaves, build_ops=ops)
+    leaves, keys, ops = quadtree_leaves(seeds, depth, box, pads)
+    grid = QuadtreeGrid(box, depth, pads, leaves, build_ops=ops, keys=keys)
     return grid, GridFunction(grid, _interpolate_scattered(grid, ij, vals))
 
 

@@ -464,6 +464,16 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     max_iter = cfg.get("newton.max_iter", 100, int)
     _check("newton.max_iter", max_iter, max_iter >= 1, ">= 1")
     fields = spec(cfg, depth)
+    solver = fields["solver"] = cfg.solver or fields.get(
+        "solver", "newton_multiscale")
+    _check("solver", solver, solver in ("newton_multiscale", "euler_evolve"),
+           "newton_multiscale or euler_evolve")
+    # what each solver reads that only some presets define
+    need, what = {"newton_multiscale": (stopping, "stopping thresholds"),
+                  "euler_evolve": (times, "final time")}[solver]
+    if need is None:
+        raise ConfigError("config field 'solver' cannot be %s for preset %r, "
+                          "which has no %s" % (solver, cfg.preset, what))
     strategies = fields.pop("strategies")
     if strategy is not None:
         strategy = cfg.get("refine.strategy", strategy)
@@ -490,10 +500,6 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
         every = cfg.get("time.regrid_every", 1, int)
         _check("time.regrid_every", every, every >= 1, ">= 1")
         fields.update(T=T, snapshots=snapshots, regrid_every=every)
-    solver = fields["solver"] = cfg.solver or fields.get(
-        "solver", "newton_multiscale")
-    _check("solver", solver, solver in ("newton_multiscale", "euler_evolve"),
-           "newton_multiscale or euler_evolve")
     return PresetBundle(depth=depth, initial_scale=scale, pads=pads,
                         max_iter=max_iter, **fields)
 
@@ -552,7 +558,7 @@ def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceRe
     time_by_region = np.zeros(nr)
     total_time = 0.0
     for entry in log:
-        if entry.get("event") != "newton":
+        if entry.get("event") not in ("newton", "policy"):
             continue
         wall = entry.get("wall", 0.0)
         total_time += wall

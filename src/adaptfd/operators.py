@@ -244,16 +244,20 @@ class OperatorSpec:
             take &= self.active
         return vals, grad, opened, take
 
-    def _weighted(self, u):
+    def _weighted(self, u, take=None):
         """Weights of the four branches, values of the live ones, one-sided
-        gradient and where the second branch is open (None if absent)."""
-        vals, grad, opened, take = self._evaluate(u)
+        gradient and where a min kind takes its second branch (None if
+        absent).  A given take, a boolean node mask that is false off the
+        active nodes, replaces that branch choice."""
+        vals, grad, _, took = self._evaluate(u)
+        if take is None:
+            take = took
         w = list(self.weights)
         if take is not None:
             b = self.second
             w[0] = w[0] - take
             w[b] = w[b] + take
-        return w, vals, grad, opened
+        return w, vals, grad, take
 
     def _bound(self, grad, opened):
         bound = {0: self.wbar, 1: 1.0}
@@ -271,19 +275,24 @@ class OperatorSpec:
         return _weighted_sum((self.weights[b], bound[b]) for b in self.live
                              if b != self.second)
 
+    def _combined(self, vals, take):
+        """The residual from the branch values of _evaluate: their weighted
+        sum, or for a min kind the branch take picks at each node, built in
+        vals[0]'s array."""
+        if take is None:
+            return _weighted_sum((self.weights[b], v) for b, v in vals.items())
+        # a min kind weights one branch per node: its PDE row, or its
+        # second branch where that is taken; the rest carry weight 0
+        res = vals[0]
+        np.copyto(res, vals[self.second], where=take)
+        res *= self.weights[0]
+        res += 0.0      # as in _weighted_sum
+        return res
+
     def _step_terms(self, u):
         """(Lipschitz bound, residual) at every node, from one gradient."""
         vals, grad, opened, take = self._evaluate(u)
-        if take is None:
-            res = _weighted_sum((self.weights[b], v) for b, v in vals.items())
-        else:
-            # a min kind weights one branch per node: its PDE row, or its
-            # second branch where that is taken; the rest carry weight 0
-            res = vals[0]
-            np.copyto(res, vals[self.second], where=take)
-            res *= self.weights[0]
-            res += 0.0      # as in _weighted_sum
-        return self._bound(grad, opened), res
+        return self._bound(grad, opened), self._combined(vals, take)
 
     # -- operator surface ---------------------------------------------------
 
@@ -302,9 +311,13 @@ class OperatorSpec:
         W2 first) + W3 (-2 rx Sx - 2 ry Sy), Sx and Sy the one-sided
         differences each row selects; entries that come to zero are not
         stored."""
-        u = np.asarray(u, dtype=float)
-        n = len(u)
-        w, _, grad, _ = self._weighted(u)
+        w, _, grad, _ = self._weighted(np.asarray(u, dtype=float))
+        return self._jacobian(w, grad, rows)
+
+    def _jacobian(self, w, grad, rows=None):
+        """The Jacobian of jacobian() from branch weights w and the one-sided
+        gradient grad, as _weighted gives them."""
+        n = self.grid.n_nodes()
         srow, spos, dpos, prow, colptr = self._jacobian_pattern
         coef = [w[0]]
         if self.first is not None:

@@ -9,7 +9,11 @@ Gauss-Seidel across groups.
 Static problems use semismooth Newton with the exact generalized Jacobian
 and a sparse direct solve, wrapped in coarse-to-fine continuation: solve on
 the initial quadtree, admit one finer scale per stage as the refinement
-criteria demand, and re-solve until the finest scale converges.
+criteria demand, and re-solve until the finest scale converges.  On a min
+kind, Newton is policy iteration over the nodes that take the second
+branch (for obstacle, the contact set), so each new grid starts from the
+previous grid's converged set: one solve of that policy's system, then
+Newton from its solution.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptivity import (cells_as_requests, compute_refinement,
-                         evaluate_criteria, regrid, transfer)
+                         evaluate_criteria, inherit_set, regrid, transfer)
 from .grid import GridError, GridFunction, QuadtreeGrid
 from .operators import OperatorSpec, instantiate_builtin
 
@@ -240,62 +244,90 @@ def _adapt(policy, op: OperatorSpec, u: GridFunction):
 
 
 def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
-                 stage=None, max_iter: int = 100, log=None) -> GridFunction:
+                 stage=None, max_iter: int = 100, log=None,
+                 take=None) -> GridFunction:
     """Semismooth Newton with full steps and a sparse direct linear solve,
     from u0 on op.grid.
 
     Stops when the max-norm of the residual over active nodes drops below
     the stopping threshold for this stage; the residual is checked before
-    iterating, so a converged start returns immediately.
+    iterating, so a converged start returns immediately.  Each iteration
+    takes the residual and the Jacobian from one evaluation of op.
+
+    take, for a min kind, is a boolean mask over op.grid's nodes: the
+    policy of nodes on their second branch (for obstacle, the contact set).
+    Newton then first solves that policy's system once, u = g on the set
+    and the PDE row elsewhere, with the same Jacobian and checks, and
+    iterates from its solution.  That solve is not an iteration: it does
+    not count toward max_iter, and it is logged as a "policy" event.
 
     The Jacobian of a monotone scheme on its active unknowns is an M-matrix
     (positive diagonal, nonpositive off-diagonals, nonnegative row sums), so
     its LU takes the diagonal pivots in a fill-reducing symmetric order,
     minimum degree on J + J^T, with no row interchanges.
     """
-    # loaded on the first solve: runs that never solve do not pay for it
+    # loaded on the first solve, before any step is timed: runs that never
+    # solve do not pay for it
     import scipy.sparse.linalg as spla
 
     u0.check(op.grid)
+    if take is not None and op.second is None:
+        raise GridError("a branch policy needs a min kind, not %r" % op.kind)
     tol = stopping.threshold(stage)
     u = op.apply_pins(u0.values)
     act = op.active
     if not act.any():
         return GridFunction(op.grid, u)
+    if take is not None:
+        t0 = time.perf_counter()
+        w, vals, grad, take = op._weighted(u, take & act)
+        r = op._combined(vals, take)
+        u[act] += _newton_step(spla, op._jacobian(w, grad, act), r[act])
+        if log is not None:
+            log.append({"event": "policy", "nodes": op.grid.n_nodes(),
+                        "generation": op.grid.generation,
+                        "residual": float(np.max(np.abs(r[act]))),
+                        "wall": time.perf_counter() - t0})
     iters = 0
     while True:
-        r = op.residual(u)
+        w, vals, grad, take = op._weighted(u)
+        r = op._combined(vals, take)
         rnorm = float(np.max(np.abs(r[act])))
         if rnorm <= tol:
             return GridFunction(op.grid, u)
         if iters >= max_iter:
             raise NonconvergenceError(rnorm, iters)
         t0 = time.perf_counter()
-        J = op.jacobian(u, act)
-        # a monotone row without its diagonal is empty: SuperLU may crash
-        if not J.diagonal().all():
-            raise LinearSolveError("singular Jacobian: an empty row")
-        ra = r[act]
-        # the factors are dropped as soon as they have solved: two alive at
-        # once would hold twice their memory
-        try:
-            delta = spla.splu(J, permc_spec="MMD_AT_PLUS_A",
-                              diag_pivot_thresh=0.0,
-                              options=dict(SymmetricMode=True)).solve(-ra)
-        except RuntimeError as exc:     # SuperLU: factor exactly singular
-            raise LinearSolveError("singular Jacobian: %s" % exc) from None
-        if not np.all(np.isfinite(delta)):
-            raise LinearSolveError("singular Jacobian")
-        lin_res = np.linalg.norm(J @ delta + ra)
-        if lin_res > LIN_RTOL * max(np.linalg.norm(ra), 1e-300):
-            raise LinearSolveError("linear solve residual %.3e too large"
-                                   % lin_res)
-        u[act] += delta
+        u[act] += _newton_step(spla, op._jacobian(w, grad, act), r[act])
         iters += 1
         if log is not None:
             log.append({"event": "newton", "nodes": op.grid.n_nodes(),
                         "generation": op.grid.generation, "iteration": iters,
                         "residual": rnorm, "wall": time.perf_counter() - t0})
+
+
+def _newton_step(spla, J, ra):
+    """The step delta with J delta = -ra, J a Jacobian's active block and
+    ra the residual on its rows, checked: no empty row, a finite step and a
+    linear residual within LIN_RTOL of ra.  spla is scipy.sparse.linalg."""
+    # a monotone row without its diagonal is empty: SuperLU may crash
+    if not J.diagonal().all():
+        raise LinearSolveError("singular Jacobian: an empty row")
+    # the factors are dropped as soon as they have solved: two alive at
+    # once would hold twice their memory
+    try:
+        delta = spla.splu(J, permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.0,
+                          options=dict(SymmetricMode=True)).solve(-ra)
+    except RuntimeError as exc:     # SuperLU: factor exactly singular
+        raise LinearSolveError("singular Jacobian: %s" % exc) from None
+    if not np.all(np.isfinite(delta)):
+        raise LinearSolveError("singular Jacobian")
+    lin_res = np.linalg.norm(J @ delta + ra)
+    if lin_res > LIN_RTOL * max(np.linalg.norm(ra), 1e-300):
+        raise LinearSolveError("linear solve residual %.3e too large"
+                               % lin_res)
+    return delta
 
 
 def _trial_leaves(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
@@ -325,7 +357,9 @@ def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
     interpolated solution exposes its truncation error there), the demanded
     cells are clamped to the stage scale, and Newton re-solves after every
     regrid.  Stage k stops Newton at the k-th stopping threshold.  The
-    last stage admits the policy's finest scale.
+    last stage admits the policy's finest scale.  For a min kind, Newton
+    on each new grid starts from the branch policy of the previous grid's
+    solution, carried over by inherit_set.
     """
     u0.check(op.grid)
     grid = op.grid
@@ -350,12 +384,16 @@ def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
             g2, u2 = regrid(grid, u, reqs)
             if g2 is grid:
                 break
+            # a min kind's converged branch policy, carried onto g2
+            take = op._evaluate(u.values)[3]
+            if take is not None:
+                take = inherit_set(grid, g2, take)
             grid, u = g2, u2
             op = instantiate_builtin(op.kind, op.problem, grid)
             if grid_watch is not None:
                 grid_watch(grid)
             u = newton_solve(op, u, stopping, stage=stage,
-                             max_iter=max_iter, log=log)
+                             max_iter=max_iter, log=log, take=take)
         u = newton_solve(op, u, stopping, stage=stage,
                          max_iter=max_iter, log=log)
     return grid, u

@@ -5,8 +5,8 @@ import pytest
 
 from adaptfd.adaptivity import (RefinementPolicy, cells_as_requests,
                                 compute_refinement, distance_criteria,
-                                evaluate_criteria, regrid, residual_criteria,
-                                stefan_terms_criteria)
+                                evaluate_criteria, inherit_set, regrid,
+                                residual_criteria, stefan_terms_criteria)
 from adaptfd.grid import DomainBox, GridFunction, build_quadtree
 from adaptfd.harness import uniform_requests
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
@@ -142,6 +142,49 @@ def test_regrid_transfer_matches_per_cell_oracle():
                          + tx * ty * u.values[c[3]])
                     cands.append(v)
             assert any(abs(u2.values[idx] - v) < 1e-12 for v in cands)
+
+
+def test_inherit_set_keeps_old_states_and_needs_every_source():
+    # scale-1 cells of a depth-2 lattice (nodes at 0, 2, 4) split into
+    # scale-0 cells: the nodes at odd i or j are new
+    g0 = build_quadtree(uniform_requests(UNIT, 2, 1), 2, UNIT, pads=(1, 1))
+    g1, _ = regrid(g0, GridFunction(g0, np.zeros(g0.n_nodes())),
+                   uniform_requests(UNIT, 2, 0))
+    assert g1.n_nodes() == 25
+    old = {(0, 0), (2, 2), (4, 2), (2, 4), (4, 4)}
+    mask = np.array([ij in old for ij in zip(g0.i.tolist(), g0.j.tolist())])
+    got = inherit_set(g0, g1, mask)
+    # new nodes in the set: edge midpoints between two old nodes in it and
+    # centers of cells whose four corners are; (1, 0), (0, 1) and (1, 1)
+    # each have a source outside it
+    new = {(3, 2), (2, 3), (4, 3), (3, 4), (3, 3)}
+    assert {ij for ij, c in zip(zip(g1.i.tolist(), g1.j.tolist()), got)
+            if c} == old | new
+    # the rule holds on any grid and set: a kept node keeps its state, a
+    # new one is in the set iff every corner of its old leaf with a
+    # positive bilinear weight is
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        depth = int(rng.integers(2, 6))
+        g0 = build_quadtree(random_requests(rng, depth, 4), depth, UNIT,
+                            pads=(1, 1))
+        mask = rng.random(g0.n_nodes()) < 0.7
+        g1, _ = regrid(g0, GridFunction(g0, np.zeros(g0.n_nodes())),
+                       np.concatenate([random_requests(rng, depth, 4),
+                                       cells_as_requests(g0)]))
+        got = inherit_set(g0, g1, mask)
+        for idx, (i, j) in enumerate(zip(g1.i.tolist(), g1.j.tolist())):
+            k = int(g0.find(i, j))
+            if k >= 0:
+                assert got[idx] == mask[k]
+                continue
+            a, b, lv = g0.leaves[g0.leaf_of_cell(min(i, g0.side - 1),
+                                                 min(j, g0.side - 1))]
+            s = 1 << int(lv)
+            xs = [a] if i == a else [a + s] if i == a + s else [a, a + s]
+            ys = [b] if j == b else [b + s] if j == b + s else [b, b + s]
+            want = all(mask[g0.find(p, q)] for p in xs for q in ys)
+            assert got[idx] == want
 
 
 def test_containment_of_initial_quadtree():

@@ -349,3 +349,26 @@ def test_check_tells_sibling_grids_of_one_generation_apart():
     u1.check(g1)
     with pytest.raises(GenerationMismatchError):
         u0.check(g1)
+
+
+def test_leaves_are_sorted_once_per_grid(monkeypatch):
+    # quadtree_leaves hands its Morton keys to the grid, so a built or
+    # regridded grid sorts its leaves once; leaves that come unsorted, as
+    # the trial split gives them, are sorted by the grid, to the same order
+    import adaptfd.grid
+    calls = []
+    sort = adaptfd.grid._morton_sorted
+    monkeypatch.setattr(adaptfd.grid, "_morton_sorted",
+                        lambda leaves: calls.append(1) or sort(leaves))
+    g0 = build_quadtree(np.array([[4, 4, 1]]), 3, UNIT, pads=(1, 1))
+    assert len(calls) == 1
+    g1, _ = regrid(g0, GridFunction(g0, np.zeros(g0.n_nodes())),
+                   np.array([[0, 0, 0]]))
+    assert len(calls) == 2
+    leaves = _trial_leaves(g1, 0)
+    trial, _ = transfer(g1, GridFunction(g1, np.zeros(g1.n_nodes())), leaves)
+    assert len(calls) == 3
+    ref = build_quadtree(leaves, 3, UNIT, pads=(1, 1))
+    assert np.array_equal(trial.leaves, ref.leaves)
+    assert np.array_equal(trial._leaf_keys, ref._leaf_keys)
+    assert trial.dump() == ref.dump()

@@ -678,6 +678,36 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
 
 
+@pytest.mark.parametrize("verb, text, needs", [
+    ("solve", "preset = stefan\n", "stopping thresholds"),
+    ("solve", "preset = stefan\nsolver = newton_multiscale\n",
+     "stopping thresholds"),
+    ("evolve", "preset = obstacle\n", "final time"),
+    ("solve", "preset = obstacle\nsolver = euler_evolve\n", "final time")],
+    ids=["stefan_solve", "stefan_newton", "obstacle_evolve",
+         "obstacle_euler"])
+def test_solver_the_preset_cannot_run_is_a_config_error(
+        tmp_path, monkeypatch, capsys, verb, text, needs):
+    # stefan has no stopping thresholds and obstacle no final time: the
+    # preset rejects the solver before any grid is built or file written
+    from adaptfd import harness
+    from adaptfd.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(harness, "build_quadtree", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([verb, str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'solver'" in err
+    assert needs in err
+    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("name", ["farfield", "obstacle", "stefan"])
 def test_shipped_configs_load(name):
     from adaptfd.harness import load_config

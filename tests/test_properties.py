@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +24,9 @@ from adaptfd.harness import solution_csv
 from adaptfd.svgplot import grid_svg, solution_svg
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
                                UpwindDirectional, instantiate_builtin)
-from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError, TimeGroups,
-                             _trial_leaves, build_schedule, euler_step)
+from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError,
+                             StoppingPolicy, TimeGroups, _trial_leaves,
+                             build_schedule, euler_step, newton_solve)
 from adaptfd.stencils import (StencilUnavailableError, laplacian_system,
                               one_sided_matrices)
 import oracles
@@ -519,3 +521,58 @@ def test_unchanged_regrid_classifies_nothing(case):
         fine = np.concatenate([grid.leaves, [[0, 0, 0]]])
         g3, _ = regrid(grid, u, fine)
     assert len(calls) == (0 if g3 is grid else 1)
+
+
+@st.composite
+def obstacle_problems(draw):
+    """(kind, problem, grid, rng) as operators() gives them: an obstacle
+    problem on a random grid, its obstacle a random wave that the walls are
+    pinned to, its load a random constant on the scale of the box, so that
+    the contact set is neither empty nor everything on most draws."""
+    grid, _ = draw(grids())
+    box = grid.box
+    amp, lift = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
+    kx, ky = draw(st.floats(0.5, 12.0)), draw(st.floats(0.5, 12.0))
+    load = draw(st.floats(-30.0, 30.0)) / min(box.lx, box.ly) ** 2
+
+    def obstacle(x, y):
+        xn = (x - box.x_min) / box.lx
+        yn = (y - box.y_min) / box.ly
+        return amp * np.sin(kx * xn) * np.cos(ky * yn) + lift
+
+    return "obstacle", ProblemDefinition(f=lambda x, y: load, g=obstacle), \
+        grid, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(obstacle_problems(), st.floats(0.0, 1.0))
+def test_policy_start_reaches_the_plain_solution(case, density):
+    # Newton from zero and Newton after the policy solve of a random
+    # contact set both stop below the threshold, and their states differ
+    # by no more than any two states whose residuals are that small can:
+    # F(u) - F(v) = D (u - v), each row of D a convex combination of the
+    # PDE row and the unit row, and D^-1 1 <= z + 1 for z = L^-1 1 on the
+    # unknowns, so |u - v| <= (1 + max z) (|F(u)| + |F(v)|)
+    case = assembled(case)
+    if case is None or not case[0].active.any():
+        return
+    op, grid, rng = case
+    act = op.active
+    wbar = float(op.wbar[act].max())
+    gmax = float(np.abs(op.gvals).max())
+    stop = StoppingPolicy([1e-10 * (1.0 + wbar) * (1.0 + gmax)])
+    zero = GridFunction(grid, np.zeros(grid.n_nodes()))
+    take = (rng.random(grid.n_nodes()) < density) & act
+    log = []
+    u = newton_solve(op, zero, stop).values
+    v = newton_solve(op, zero, stop, take=take, log=log).values
+    assert log[0]["event"] == "policy"
+    ru = float(np.max(np.abs(op.residual(u)[act])))
+    rv = float(np.max(np.abs(op.residual(v)[act])))
+    assert max(ru, rv) <= stop.threshold()
+    z = spla.spsolve(op.L[act][:, act].tocsc(), np.ones(int(act.sum())))
+    assert np.all(z >= 0)
+    # the rounding of a residual row: its weights times the state
+    size = 1.0 + max(np.abs(u).max(), np.abs(v).max())
+    rounding = 1e-14 * (1.0 + wbar) * (size + gmax + abs(op.fvals).max())
+    assert np.max(np.abs(u - v)) <= (1.0 + z.max()) * (ru + rv + 2 * rounding)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptfd.adaptivity import RefinementPolicy, residual_criteria
-from adaptfd.adaptivity import evaluate_criteria
+from adaptfd.adaptivity import evaluate_criteria, inherit_set
 from adaptfd.grid import (DomainBox, GenerationMismatchError, GridError,
                           GridFunction, build_quadtree)
 from adaptfd.harness import uniform_requests
@@ -448,6 +448,84 @@ def test_newton_residual_monotone_linear_and_stable_active_set():
     v = u.values.copy()
     v[act] += spla.spsolve(J, -r)
     assert np.array_equal(branches(op, v), br)
+
+
+def test_newton_from_the_converged_contact_set_takes_no_iteration():
+    # the policy solve at the converged contact set is the discrete
+    # solution: no Newton iteration follows it, and it is no iteration
+    # itself, so even max_iter = 1 is not reached
+    g = uniform_grid(4)
+    op = instantiate_builtin("obstacle", obstacle_problem(), g)
+    zero = GridFunction(g, np.zeros(g.n_nodes()))
+    u = newton_solve(op, zero, StoppingPolicy([1e-11]))
+    take = op._evaluate(u.values)[3]
+    assert 0 < take.sum() < op.active.sum()
+    log = []
+    u2 = newton_solve(op, zero, StoppingPolicy([1e-11]), max_iter=1,
+                      log=log, take=take)
+    assert [e["event"] for e in log] == ["policy"]
+    assert set(log[0]) == {"event", "nodes", "generation", "residual",
+                           "wall"}
+    assert log[0]["nodes"] == g.n_nodes()
+    # the residual of the policy's system at the start: u - g on the set,
+    # the PDE row elsewhere
+    u0 = op.apply_pins(np.zeros(g.n_nodes()))
+    rows = np.where(take, u0 - op.gvals, op.L @ u0 + op.Lconst - op.fvals)
+    assert log[0]["residual"] == pytest.approx(
+        np.max(np.abs(rows[op.active])), rel=1e-14)
+    assert np.max(np.abs(u2.values - u.values)) < 1e-12
+    assert np.array_equal(op._evaluate(u2.values)[3], take)
+    # a policy from an empty set iterates as Newton does
+    log = []
+    newton_solve(op, zero, StoppingPolicy([1e-11]), log=log,
+                 take=np.zeros(g.n_nodes(), dtype=bool))
+    assert log[0]["event"] == "policy"
+    assert [e["event"] for e in log[1:]] == ["newton"] * (len(log) - 1)
+
+
+def test_newton_policy_needs_a_min_kind():
+    g = uniform_grid(3)
+    op = heat_op(g)
+    with pytest.raises(GridError, match="min kind"):
+        newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
+                     StoppingPolicy([1e-9]),
+                     take=np.zeros(g.n_nodes(), dtype=bool))
+
+
+def test_multiscale_starts_each_new_grid_from_the_inherited_contact_set(
+        monkeypatch):
+    # every Newton solve on a new grid gets the previous grid's converged
+    # contact set carried onto it; the first solve and the re-solves on an
+    # unchanged grid get none
+    import adaptfd.solvers as solvers
+    g0 = build_quadtree(np.array([[16, 16, 3]]), 5, UNIT, pads=(1, 1))
+    policy = RefinementPolicy(residual_criteria(), thresholds=(0.5, 50.0),
+                              scales=(1, 0), initial_cells=tuple(
+                                  map(tuple, g0.leaves.tolist())))
+    calls = []
+    solve = solvers.newton_solve
+
+    def watched(op, u, *args, **kwargs):
+        out = solve(op, u, *args, **kwargs)
+        calls.append((op.grid, kwargs.get("take"), out))
+        return out
+
+    monkeypatch.setattr(solvers, "newton_solve", watched)
+    log = []
+    multiscale_solve(instantiate_builtin("obstacle", obstacle_problem(), g0),
+                     GridFunction(g0, np.zeros(g0.n_nodes())), policy,
+                     StoppingPolicy([1e-6, 1e-8, 1e-9]), log=log)
+    assert calls[0][1] is None
+    new = 0
+    for (prev, _, u), (grid, take, _) in zip(calls, calls[1:]):
+        if grid is prev:
+            assert take is None
+            continue
+        new += 1
+        old = instantiate_builtin("obstacle", obstacle_problem(), prev)
+        want = inherit_set(prev, grid, old._evaluate(u.values)[3])
+        assert np.array_equal(take, want)
+    assert new == sum(e["event"] == "policy" for e in log) > 0
 
 
 def test_multiscale_trivial_criteria_single_solve():
