@@ -10,7 +10,7 @@ refinement criteria and regridding (adaptivity), level-set extraction
 """
 
 from .grid import (DomainBox, GridFunction, QuadtreeGrid, build_quadtree,
-                   classify_nodes, init_from_scattered)
+                   classify_nodes)
 from .operators import OperatorSpec, ProblemDefinition, instantiate_builtin
 from .solvers import (StoppingPolicy, TimeGroups, build_schedule, euler_step,
                       evolve, multiscale_solve, newton_solve)
@@ -20,7 +20,7 @@ from .contour import extract_contour, hausdorff_distance
 
 __all__ = [
     "DomainBox", "GridFunction", "QuadtreeGrid", "build_quadtree",
-    "classify_nodes", "init_from_scattered",
+    "classify_nodes",
     "OperatorSpec", "ProblemDefinition", "instantiate_builtin",
     "StoppingPolicy", "TimeGroups", "build_schedule", "euler_step", "evolve",
     "multiscale_solve", "newton_solve",

@@ -91,7 +91,7 @@ def _dispatch(args) -> int:
         return 0
 
     # render
-    nodes, cells, box, depth = parse_dump(read_text(args.grid_dump))
+    cells, box, depth = parse_dump(read_text(args.grid_dump))
     values = {}
     rows = csv.DictReader(read_text(args.solution_csv).splitlines())
     for row in rows:

@@ -46,17 +46,12 @@ class GridError(Exception):
 
 
 class DomainError(GridError):
-    """A domain box without finite positive sides or usable node spacings,
-    or a point outside it."""
+    """A domain box without finite positive sides or usable node spacings."""
 
 
 class ScaleError(GridError):
     """A requested scale is outside [0, depth], or a grid depth outside
     [0, MAX_DEPTH]."""
-
-
-class InputError(GridError):
-    """Bad scattered-data input (e.g. conflicting duplicate points)."""
 
 
 class GenerationMismatchError(GridError):
@@ -358,8 +353,11 @@ def _as_seeds(requests, depth: int) -> np.ndarray:
 
 def _ring_squares(side: int, i, j, scale, pad: int) -> np.ndarray:
     """Per lattice point (i, j), every scale-s square incident to it plus
-    pad rings of squares around them, clipped to [0, side]; a-major order."""
+    pad rings of squares around them, clipped to [0, side]; a-major order.
+    A pad above side acts as pad = side: that ring already covers the
+    lattice."""
     s = 1 << scale
+    pad = min(pad, side)
 
     def span(n):
         lo = np.where(n > 0, (n - 1) // s * s, 0)
@@ -504,90 +502,6 @@ def build_quadtree(requests, depth: int, box: DomainBox,
     return QuadtreeGrid(box, depth, pads, leaves, build_ops=ops, keys=keys)
 
 
-def init_from_scattered(points, depth: int,
-                        box: DomainBox | None = None,
-                        pads: tuple[int, int] | None = None):
-    """Interpolate scattered (x, y, value) data onto the smallest quadtree on
-    which every data point appears as a node.
-
-    Points snap to the virtual lattice; each becomes a node by requiring all
-    cells incident to it at its alignment scale (the largest scale at which
-    both indices are corner-aligned).  Points snapping to one lattice point
-    must agree in value; the last one's value stands.  Returns (grid,
-    GridFunction); the grid is the fixed initial quadtree that later
-    refinements must contain.
-    """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.shape[1:] != (3,) or not len(pts):
-        raise InputError("scattered data must be one or more (x, y, value) "
-                         "triples")
-    x, y, v = pts.T
-    if box is None:
-        box = DomainBox(*map(float, (x.min(), x.max(), y.min(), y.max())))
-    if pads is None:
-        pads = default_pads(box)
-    side = _lattice_side(depth)
-
-    tx, ty = 1e-12 * box.lx, 1e-12 * box.ly
-    outside = ~((box.x_min - tx <= x) & (x <= box.x_max + tx)
-                & (box.y_min - ty <= y) & (y <= box.y_max + ty))
-    # the nearest lattice point, exact ties toward the origin; a point
-    # outside snaps to 0, and the first bad point raises below
-    frac = np.where(outside, 0.0, [(x - box.x_min) / (box.lx / side),
-                                   (y - box.y_min) / (box.ly / side)])
-    i, j = np.clip(np.ceil(frac - 0.5), 0, side).astype(np.int64)
-    # each point against the one before it at its lattice point
-    key = j * (side + 1) + i
-    order = np.argsort(key, kind="stable")
-    p, q = order[:-1], order[1:]
-    bad = outside.copy()
-    with np.errstate(invalid="ignore"):     # equal infinite values
-        bad[q] |= (key[p] == key[q]) & (
-            np.abs(v[p] - v[q]) > 1e-12 * np.maximum(1.0, np.abs(v[q])))
-    if bad.any():
-        n = np.argmax(bad)
-        if outside[n]:
-            raise DomainError("scattered point (%g, %g) outside the domain box"
-                              % (x[n], y[n]))
-        raise InputError("duplicate points at lattice (%d, %d) with "
-                         "conflicting values" % (i[n], j[n]))
-    # one point per lattice point, in first-seen order, with its last value
-    first = np.unique(key, return_index=True)[1]
-    last = np.unique(key[::-1], return_index=True)[1]
-    seen = np.argsort(first)
-    ij = np.stack([i, j], axis=1)[first[seen]]
-    vals = v[::-1][last[seen]]
-    # each point's alignment scale: its lowest set bit, 0 counting as side
-    low = np.where(ij > 0, ij & -ij, side).min(axis=1)
-    seeds = _ring_squares(side, ij[:, 0], ij[:, 1],
-                          np.log2(low).astype(np.int64), 0)
-    leaves, keys, ops = quadtree_leaves(seeds, depth, box, pads)
-    grid = QuadtreeGrid(box, depth, pads, leaves, build_ops=ops, keys=keys)
-    return grid, GridFunction(grid, _interpolate_scattered(grid, ij, vals))
-
-
-def _interpolate_scattered(grid: QuadtreeGrid, ij, vals) -> np.ndarray:
-    # imported here: a run that never starts from scattered data should not
-    # pay for loading scipy.interpolate and scipy.spatial
-    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
-    from scipy.spatial import QhullError
-
-    pts = np.stack(grid.position(ij[:, 0], ij[:, 1]), axis=1)
-    out = np.empty(grid.n_nodes())
-    nearest = NearestNDInterpolator(pts, vals)
-    out[:] = nearest(grid.x, grid.y)
-    if len(vals) >= 3:
-        try:
-            lin = LinearNDInterpolator(pts, vals)
-            inside = lin(grid.x, grid.y)
-            mask = ~np.isnan(inside)
-            out[mask] = inside[mask]
-        except QhullError:
-            pass  # collinear data: nearest-point fill stands
-    out[grid.find(ij[:, 0], ij[:, 1])] = vals
-    return out
-
-
 # ---------------------------------------------------------------------------
 # node classification
 
@@ -723,30 +637,34 @@ def _dangling_geometry(grid: QuadtreeGrid, quads, scale):
 # dump parsing (used by the render verb)
 
 def parse_dump(text: str):
-    """Parse a grid dump back into (nodes, cells, box, depth).
-
-    nodes: list of dicts with i, j, x, y, klass; cells: list of (i, j, k).
-    The box and depth are recovered from the records themselves.
-    """
-    nodes = []
-    cells = []
+    """Parse a grid dump back into (cells, box, depth): cells are the
+    squares (a, b, k) of the cell records, checked to tile the lattice of
+    side 2^depth; the box spans the x and y of the node records."""
+    xs, ys, cells = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         try:
             if parts and parts[0] == "node":
-                nodes.append({"i": int(parts[1]), "j": int(parts[2]),
-                              "x": float(parts[3]), "y": float(parts[4]),
-                              "klass": parts[5]})
+                # node i j x y class ...; only x and y are kept
+                int(parts[1]), int(parts[2]), parts[5]
+                xs.append(float(parts[3]))
+                ys.append(float(parts[4]))
             elif parts and parts[0] == "cell":
                 cells.append((int(parts[1]), int(parts[2]), int(parts[3])))
         except (IndexError, ValueError):
             raise GridError("dump line %d is not a node or cell record: %r"
                             % (lineno, line)) from None
-    if not nodes or not cells:
+    if not xs or not cells:
         raise GridError("dump contains no node/cell records")
-    side = max(i + (1 << k) for (i, j, k) in cells)
-    depth = side.bit_length() - 1
-    xs = [n["x"] for n in nodes]
-    ys = [n["y"] for n in nodes]
-    box = DomainBox(min(xs), max(xs), min(ys), max(ys))
-    return nodes, cells, box, depth
+    cells = _as_seeds(np.array(cells), MAX_DEPTH)
+    a, b, k = cells.T
+    depth = int(np.max(np.maximum(a, b) + (1 << k))).bit_length() - 1
+    # each cell covers the Morton keys [morton(a, b), + 4^k); sorted, the
+    # ranges of a tiling run from 0 to 4^depth with no gap or overlap
+    leaves, keys = _morton_sorted(cells)
+    ends = keys + (np.uint64(1) << (2 * leaves[:, 2]).astype(np.uint64))
+    if keys[0] != 0 or ends[-1] != 1 << 2 * depth \
+            or np.any(keys[1:] != ends[:-1]):
+        raise GridError("dump cells do not tile the %d x %d lattice"
+                        % (1 << depth, 1 << depth))
+    return cells, DomainBox(min(xs), max(xs), min(ys), max(ys)), depth

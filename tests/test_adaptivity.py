@@ -237,6 +237,25 @@ def test_negative_padding_or_scale_rejected():
         RefinementPolicy(lambda op, u: u, thresholds=(0.5,), scales=(-1,))
 
 
+@pytest.mark.parametrize("padding", ["100000000000000000000",
+                                     "9223372036854775807"])
+def test_padding_past_lattice_acts_as_lattice_side(tmp_path, padding):
+    # a padding ring wider than the lattice covers it already; such values
+    # used to overflow (OverflowError, or pad * s wrapping negative)
+    from adaptfd.cli import main
+    text = ("preset = custom\nproblem.f = 1\nproblem.g = 0\n"
+            "problem.dirichlet = 0\ngrid.depth = 3\nrefine.thresholds = 0\n"
+            "refine.padding = %s\n")
+    dumps = []
+    for pad in ("8", padding):
+        cfg = tmp_path / ("pad%s.cfg" % pad)
+        cfg.write_text(text % pad)
+        out = tmp_path / ("o%s" % pad)
+        assert main(["solve", str(cfg), "--out", str(out), "--quiet"]) == 0
+        dumps.append((out / "grid.txt").read_bytes())
+    assert dumps[0] == dumps[1]
+
+
 @pytest.mark.parametrize("line", ["refine.padding = -1", "refine.scales = -1"])
 def test_negative_refinement_config_is_a_config_error(tmp_path, line):
     from adaptfd.cli import main

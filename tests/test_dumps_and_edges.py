@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from adaptfd.adaptivity import RefinementPolicy
-from adaptfd.grid import (DomainBox, DomainError, GridError, GridFunction,
-                          build_quadtree, init_from_scattered)
+from adaptfd.grid import DomainBox, GridError, GridFunction, build_quadtree
 from adaptfd.harness import uniform_requests
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (LinearSolveError, StoppingPolicy,
@@ -93,8 +92,3 @@ def test_policy_and_stopping_validation():
         RefinementPolicy(lambda *a: 0, thresholds=(2.0, 1.0))
     with pytest.raises(GridError):
         RefinementPolicy(lambda *a: 0, thresholds=(float("nan"),))
-
-
-def test_scattered_point_outside_box_rejected():
-    with pytest.raises(DomainError):
-        init_from_scattered([(2.0, 0.5, 1.0)], 3, box=UNIT)

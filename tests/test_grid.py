@@ -8,8 +8,7 @@ from adaptfd.adaptivity import regrid, transfer
 from adaptfd.grid import (BOUNDARY, CLASSES, CODE, DANGLING_X, DANGLING_Y,
                           DIRS, MAX_DEPTH, REGULAR, DomainBox, DomainError,
                           GenerationMismatchError, GridError, GridFunction,
-                          InputError, QuadtreeGrid, ScaleError,
-                          build_quadtree, init_from_scattered)
+                          QuadtreeGrid, ScaleError, build_quadtree)
 from adaptfd.harness import uniform_requests
 from adaptfd.solvers import _trial_leaves
 from oracles import (brute_classify, cell_map, cells_from_subdivided,
@@ -188,8 +187,6 @@ def test_depth_bound_from_int64_keys():
         with pytest.raises(ScaleError, match="grid depth"):
             build_quadtree(np.array([[0, 0, 0]]), depth, UNIT)
         with pytest.raises(ScaleError, match="grid depth"):
-            init_from_scattered([(0.5, 0.5, 1.0)], depth, UNIT)
-        with pytest.raises(ScaleError, match="grid depth"):
             QuadtreeGrid(UNIT, depth, (1, 1), [[0, 0, 0]])
 
 
@@ -238,54 +235,6 @@ def test_regular_pair_distances_exist():
         dist = g.dist[reg]
         assert g.pair_dist[reg, 0] == pytest.approx(dist[:, :2].max(axis=1))
         assert g.pair_dist[reg, 1] == pytest.approx(dist[:, 2:].max(axis=1))
-
-
-def test_scattered_corners_give_root_grid():
-    pts = [(0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 3.0), (1.0, 1.0, 4.0)]
-    g, u = init_from_scattered(pts, 3)
-    assert cell_map(g) == {(0, 0): 3}
-    vals = dict(zip(zip(g.i.tolist(), g.j.tolist()), u.values.tolist()))
-    assert vals[(0, 0)] == 1.0 and vals[(8, 8)] == 4.0
-
-
-def test_scattered_uniform_lattice_forces_full_grid():
-    pts = [(i / 4.0, j / 4.0, float(i + j)) for i in range(5) for j in range(5)]
-    g, u = init_from_scattered(pts, 2)
-    assert g.n_cells() == 16
-    assert g.scales() == [0]
-    assert u.values == pytest.approx(g.i / 1.0 + g.j / 1.0)
-
-
-def test_scattered_irregular_points_minimal_quadtree():
-    pts = [(0.13, 0.81, 1.0), (0.55, 0.52, 2.0), (0.88, 0.11, 0.5)]
-    depth = 3
-    g, u = init_from_scattered(pts, depth, box=UNIT)
-    # recompute the node-forcing seeds from scratch and close them
-    side = 1 << depth
-    seeds = []
-    for (x, y, _) in pts:
-        i = min(max(math.ceil(x * side - 0.5), 0), side)
-        j = min(max(math.ceil(y * side - 0.5), 0), side)
-        k = depth
-        for n in (i, j):
-            if n != 0:
-                k = min(k, (n & -n).bit_length() - 1)
-        s = 1 << k
-        for a in {max(i - s, 0), min(i, side - s)}:
-            for b in {max(j - s, 0), min(j, side - s)}:
-                if a % s == 0 and b % s == 0:
-                    seeds.append((a, b, k))
-    assert cell_map(g) == closure_oracle(seeds, depth, g.pads)
-    for (x, y, v) in pts:
-        k = g.find(round(x * side), round(y * side))
-        assert k >= 0
-        assert u.values[k] == pytest.approx(v)
-
-
-def test_scattered_conflicting_duplicates_rejected():
-    with pytest.raises(InputError):
-        init_from_scattered([(0.5, 0.5, 1.0), (0.5, 0.5, 2.0)],
-                            3, box=UNIT)
 
 
 def test_dump_is_deterministic_and_ordered():

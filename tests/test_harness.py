@@ -272,9 +272,10 @@ def _run_cli(args, cwd):
 
 
 def test_import_leaves_scattered_data_modules_unloaded(tmp_path):
-    # only init_from_scattered needs scipy.interpolate and scipy.spatial,
-    # and only newton_solve scipy.sparse.linalg; a run should not pay for
-    # importing what it does not call (or scipy.special/optimize)
+    # nothing in the package needs scipy.interpolate; only
+    # hausdorff_distance needs scipy.spatial and only newton_solve
+    # scipy.sparse.linalg, each imported on first call; a run should not
+    # pay for importing what it does not call (or scipy.special/optimize)
     heavy = ["scipy.interpolate", "scipy.spatial", "scipy.special",
              "scipy.optimize", "scipy.sparse.linalg"]
     code = ("import sys, adaptfd, adaptfd.harness, adaptfd.cli\n"
@@ -518,6 +519,23 @@ def test_cli_render_rejects_malformed_records(tmp_path):
     r = _run_cli(["render", "good.txt", "u.csv"], cwd=str(tmp_path))
     assert r.returncode == 3, r.stderr
     assert "solution line 2" in r.stderr
+    # cells that do not tile the lattice: one overlapping, one missing,
+    # one misaligned and one of negative scale
+    unit = DomainBox(0.0, 1.0, 0.0, 1.0)
+    g = build_quadtree(uniform_requests(unit, 2, 0), 2, unit)
+    dump = g.dump()
+    assert "cell 0 0 0\n" in dump
+    (tmp_path / "u.csv").write_text("i,j,u\n" + "".join(
+        "%d,%d,0.0\n" % ij for ij in zip(g.i.tolist(), g.j.tolist())))
+    for bad in (dump + "cell 0 0 1\n", dump.replace("cell 0 0 0\n", ""),
+                dump.replace("cell 0 0 0\n", "cell 1 0 1\n"),
+                dump.replace("cell 0 0 0\n", "cell 0 0 -1\n")):
+        (tmp_path / "bad.txt").write_text(bad)
+        r = _run_cli(["render", "bad.txt", "u.csv", "--out", "r"],
+                     cwd=str(tmp_path))
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("solver failure:"), r.stderr
+        assert not (tmp_path / "r").exists()
 
 
 def test_cli_render_rejects_missing_solution_rows(tmp_path):
