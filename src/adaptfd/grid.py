@@ -303,7 +303,7 @@ class QuadtreeGrid:
         corners = np.concatenate([b * stride + a, b * stride + a + s,
                                   (b + s) * stride + a,
                                   (b + s) * stride + a + s])
-        self._node_keys = _frozen(np.unique(corners))
+        self._node_keys = _frozen(_unique(corners))
         self.i = _frozen(self._node_keys % stride)
         self.j = _frozen(self._node_keys // stride)
         x, y = self.position(self.i, self.j)
@@ -389,6 +389,25 @@ def _children(a, b, size):
                            _pack(a, b + size), _pack(a + size, b + size)])
 
 
+def _unique(keys):
+    """The distinct values of an integer array, ascending, as np.unique
+    gives them: one sort and a neighbor compare (np.unique without
+    return_inverse hashes, several times slower on these keys)."""
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _difference(keys, drop):
+    """The values of keys, ascending and distinct, that are not in drop:
+    np.setdiff1d by one sort of drop and a binary search."""
+    drop = np.sort(drop)
+    return keys[np.searchsorted(drop, keys, "left")
+                == np.searchsorted(drop, keys, "right")]
+
+
 def quadtree_leaves(requests, depth: int, box: DomainBox,
                     pads: tuple[int, int]):
     """The leaves of build_quadtree's grid, Morton-sorted like
@@ -407,10 +426,10 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
         raise GridError("pads must be >= 1")
     pad_x, pad_y = min(pad_x, side), min(pad_y, side)
     ops = len(seeds)
-    levels = [np.unique(_pack(seeds[seeds[:, 2] == k, 0],
-                              seeds[seeds[:, 2] == k, 1]))
+    levels = [_unique(_pack(seeds[seeds[:, 2] == k, 0],
+                            seeds[seeds[:, 2] == k, 1]))
               for k in range(depth + 1)]
-    levels[depth] = np.union1d(levels[depth], [0])
+    levels[depth] = _unique(np.append(levels[depth], 0))
 
     for k in range(depth):
         req = levels[k]
@@ -420,7 +439,7 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
         psize = size << 1
         while True:
             a, b = req >> _SHIFT, req & _LOW
-            parents = np.unique(_pack(a // psize * psize, b // psize * psize))
+            parents = _unique(_pack(a // psize * psize, b // psize * psize))
             pa, pb = parents >> _SHIFT, parents & _LOW
             # sibling closure: a split parent keeps all four children; fill
             # to the edge: a split parent too close to a wall drags its
@@ -428,8 +447,8 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
             # node sits within pad coarse cells of that wall
             na, nb = _edge_fill_neighbors(pa, pb, psize, side, pad_x, pad_y)
             ops += len(req) + 4 * len(parents) + len(na)
-            grown = np.union1d(req, np.concatenate(
-                [_children(pa, pb, size), _children(na, nb, size)]))
+            grown = _unique(np.concatenate(
+                [req, _children(pa, pb, size), _children(na, nb, size)]))
             if len(grown) == len(req):
                 break
             req = grown
@@ -438,7 +457,7 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
         # plus pad equal-size neighbors of each split parent; no neighbor
         # lies more than side // psize squares away
         a, b = req >> _SHIFT, req & _LOW
-        parents = np.unique(_pack(a // psize * psize, b // psize * psize))
+        parents = _unique(_pack(a // psize * psize, b // psize * psize))
         reach_x = min(pad_x, side // psize)
         reach_y = min(pad_y, side // psize)
         ops += len(req) + len(parents) * 2 * (reach_x + reach_y)
@@ -452,7 +471,7 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
             for nb in (pb - s * psize, pb + s * psize):
                 ok = (nb >= 0) & (nb <= side - psize)
                 up.append(_pack(pa[ok], nb[ok]))
-        levels[k + 1] = np.unique(np.concatenate(up))
+        levels[k + 1] = _unique(np.concatenate(up))
 
     # a square is a leaf unless a square one scale down lies inside it
     leaves = []
@@ -462,7 +481,8 @@ def quadtree_leaves(requests, depth: int, box: DomainBox,
         if k > 0:
             size = 1 << k
             a, b = levels[k - 1] >> _SHIFT, levels[k - 1] & _LOW
-            keys = np.setdiff1d(keys, _pack(a // size * size, b // size * size))
+            keys = _difference(keys, _pack(a // size * size,
+                                           b // size * size))
         leaves.append(np.stack([keys >> _SHIFT, keys & _LOW,
                                 np.full(len(keys), k, dtype=np.int64)], axis=1))
     return (*_morton_sorted(np.concatenate(leaves)), ops)
@@ -611,7 +631,10 @@ def _dangling_geometry(grid: QuadtreeGrid, quads, scale):
             fine, coarse, pad = half * grid.hy, bd * grid.hx, grid.pad_x
         else:
             fine, coarse, pad = half * grid.hx, bd * grid.hy, grid.pad_y
-        m = np.maximum(1, np.ceil(fine / coarse - 1e-12)).astype(np.int64)
+        # any m above pad does not fit: clipped to pad + 1 before the cast,
+        # so an extreme aspect ratio cannot overflow int64
+        m = np.clip(np.ceil(fine / coarse - 1e-12), 1,
+                    pad + 1).astype(np.int64)
         # the far corners and the four wide-stencil corners, as offsets
         # (along the coarse axis, across it); (ex, ey) is the unit step along
         ex, ey = (1, 0) if d < 2 else (0, 1)

@@ -347,6 +347,24 @@ def _trial_leaves(grid: QuadtreeGrid, target_scale: int) -> np.ndarray:
     return np.concatenate([leaves[~split]] + kids)
 
 
+def _probe(op: OperatorSpec, u: GridFunction, policy,
+           target: int) -> np.ndarray:
+    """The squares a continuation stage demands of op.grid at scale target
+    and coarser: the criteria read u interpolated onto the one-level-finer
+    trial grid, and every current cell is kept.  The trial grid, its
+    operator and the criteria values die on return, so none of them is
+    alive while the caller regrids and solves."""
+    grid = op.grid
+    trial, u_t = transfer(grid, u, _trial_leaves(grid, target))
+    op_t = instantiate_builtin(op.kind, op.problem, trial)
+    u_t = GridFunction(trial, op_t.apply_pins(u_t.values))
+    vals = evaluate_criteria(policy, op_t, u_t)
+    reqs = compute_refinement(policy, vals, trial, coarsest_allowed=target)
+    # refinement accumulates down the ladder: solved regions must not
+    # coarsen away just because their residual signal went quiet
+    return np.concatenate([reqs, cells_as_requests(grid)])
+
+
 def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
                      stopping: StoppingPolicy, max_iter: int = 100, log=None,
                      grid_watch=None):
@@ -354,12 +372,13 @@ def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
     refinement one scale per stage, rebuilding op on each new grid.
 
     Per stage, the criteria are probed on a one-level-finer trial grid (the
-    interpolated solution exposes its truncation error there), the demanded
-    cells are clamped to the stage scale, and Newton re-solves after every
-    regrid.  Stage k stops Newton at the k-th stopping threshold.  The
-    last stage admits the policy's finest scale.  For a min kind, Newton
-    on each new grid starts from the branch policy of the previous grid's
-    solution, carried over by inherit_set.
+    interpolated solution exposes its truncation error there; _probe returns
+    only the demanded squares, so no trial grid outlives its criteria), the
+    demanded cells are clamped to the stage scale, and Newton re-solves
+    after every regrid.  Stage k stops Newton at the k-th stopping
+    threshold.  The last stage admits the policy's finest scale.  For a min
+    kind, Newton on each new grid starts from the branch policy of the
+    previous grid's solution, carried over by inherit_set.
     """
     u0.check(op.grid)
     grid = op.grid
@@ -372,16 +391,7 @@ def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
     for target in range(start, min(policy.scales) - 1, -1):
         stage += 1
         for _ in range(STAGE_REGRIDS):
-            trial, u_t = transfer(grid, u, _trial_leaves(grid, target))
-            op_t = instantiate_builtin(op.kind, op.problem, trial)
-            u_t = GridFunction(trial, op_t.apply_pins(u_t.values))
-            vals = evaluate_criteria(policy, op_t, u_t)
-            reqs = compute_refinement(policy, vals, trial,
-                                      coarsest_allowed=target)
-            # refinement accumulates down the ladder: solved regions must not
-            # coarsen away just because their residual signal went quiet
-            reqs = np.concatenate([reqs, cells_as_requests(grid)])
-            g2, u2 = regrid(grid, u, reqs)
+            g2, u2 = regrid(grid, u, _probe(op, u, policy, target))
             if g2 is grid:
                 break
             # a min kind's converged branch policy, carried onto g2

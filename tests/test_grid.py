@@ -1,16 +1,21 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adaptfd.adaptivity import regrid, transfer
 from adaptfd.grid import (BOUNDARY, CLASSES, CODE, DANGLING_X, DANGLING_Y,
                           DIRS, MAX_DEPTH, REGULAR, DomainBox, DomainError,
                           GenerationMismatchError, GridError, GridFunction,
-                          QuadtreeGrid, ScaleError, build_quadtree)
+                          QuadtreeGrid, ScaleError, _difference, _unique,
+                          build_quadtree)
 from adaptfd.harness import uniform_requests
 from adaptfd.solvers import _trial_leaves
+from adaptfd.stencils import StencilUnavailableError, laplacian_system
 from oracles import (brute_classify, cell_map, cells_from_subdivided,
                      check_legal, check_padding, closure_oracle,
                      enumerate_trees, random_requests)
@@ -321,3 +326,54 @@ def test_leaves_are_sorted_once_per_grid(monkeypatch):
     assert np.array_equal(trial.leaves, ref.leaves)
     assert np.array_equal(trial._leaf_keys, ref._leaf_keys)
     assert trial.dump() == ref.dump()
+
+
+# int64 keys: a narrow range repeats values, the full range reaches the
+# extremes
+KEYS = st.lists(st.one_of(st.integers(-4, 4),
+                          st.integers(-2**63, 2**63 - 1)),
+                max_size=60).map(lambda v: np.array(v, dtype=np.int64))
+EMPTY = np.zeros(0, dtype=np.int64)
+NEGATIVE = np.array([-3, -9, -1, -9], dtype=np.int64)
+ALL_EQUAL = np.full(5, 7, dtype=np.int64)
+SORTED = np.arange(-3, 6, dtype=np.int64)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(KEYS)
+@example(EMPTY)
+@example(NEGATIVE)
+@example(ALL_EQUAL)
+@example(SORTED)
+def test_unique_by_sort_is_np_unique(keys):
+    got = _unique(keys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(keys))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(KEYS, KEYS)
+@example(EMPTY, SORTED)
+@example(SORTED, EMPTY)
+@example(NEGATIVE, ALL_EQUAL)
+@example(ALL_EQUAL, ALL_EQUAL)
+def test_sorted_difference_is_setdiff1d(keys, drop):
+    keys = np.unique(keys)
+    got = _difference(keys, drop)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.setdiff1d(keys, drop))
+
+
+@pytest.mark.parametrize("box", [DomainBox(0.0, 1e12, 0.0, 1e-12),
+                                 DomainBox(0.0, 1e-12, 0.0, 1e12)])
+def test_extreme_aspect_ratio_leaves_the_i_stencil_unavailable(box):
+    # the dangling nodes here need an I-stencil ~5e23 coarse cells wide,
+    # far beyond the pad: no width fits, and assembly refuses the grid
+    # rather than writing empty rows from an int64 overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_quadtree(np.array([[2, 2, 0], [0, 0, 3]]), 3, box,
+                           pads=(1, 1))
+    assert (g.wide >= 0).all()
+    with pytest.raises(StencilUnavailableError):
+        laplacian_system(g)

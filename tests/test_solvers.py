@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from adaptfd.adaptivity import RefinementPolicy, residual_criteria
 from adaptfd.adaptivity import evaluate_criteria, inherit_set
 from adaptfd.grid import (DomainBox, GenerationMismatchError, GridError,
                           GridFunction, build_quadtree)
-from adaptfd.harness import uniform_requests
+from adaptfd.harness import parse_config, run_experiment, uniform_requests
 from adaptfd.operators import ProblemDefinition, instantiate_builtin
 from adaptfd.solvers import (InstabilityError, NonconvergenceError,
                              StoppingPolicy, TimeGroups, build_schedule,
@@ -526,6 +528,35 @@ def test_multiscale_starts_each_new_grid_from_the_inherited_contact_set(
         want = inherit_set(prev, grid, old._evaluate(u.values)[3])
         assert np.array_equal(take, want)
     assert new == sum(e["event"] == "policy" for e in log) > 0
+
+
+def test_no_probe_grid_is_alive_while_newton_solves(monkeypatch, tmp_path):
+    # the trial grid of each continuation probe dies with the probe, before
+    # the regrid and the solves it leads to; a probe that splits no cell
+    # returns op.grid itself
+    import adaptfd.solvers as solvers
+    probes = []
+    seen = []
+    move, solve = solvers.transfer, solvers.newton_solve
+
+    def watched_transfer(*args, **kwargs):
+        out = move(*args, **kwargs)
+        probes.append(weakref.ref(out[0]))
+        return out
+
+    def watched_solve(op, *args, **kwargs):
+        gc.collect()
+        seen.append(sum(r() is not None and r() is not op.grid
+                        for r in probes))
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "transfer", watched_transfer)
+    monkeypatch.setattr(solvers, "newton_solve", watched_solve)
+    run_experiment(parse_config("preset = obstacle\n"
+                                "refine.strategy = boundary\n"
+                                "grid.depth = 6\n"), out_dir=str(tmp_path))
+    assert len(probes) > 0 and len(seen) > 1
+    assert seen == [0] * len(seen)
 
 
 def test_multiscale_trivial_criteria_single_solve():
