@@ -96,10 +96,12 @@ def _dispatch(args) -> int:
     rows = csv.DictReader(read_text(args.solution_csv).splitlines())
     for row in rows:
         try:
-            values[(int(row["i"]), int(row["j"]))] = float(row["u"])
+            ij, v = (int(row["i"]), int(row["j"])), float(row["u"])
         except (KeyError, TypeError, ValueError):
             raise GridError("solution line %d is not an i,j,u record"
                             % rows.line_num) from None
+        if values.setdefault(ij, v) is not v:
+            raise GridError("solution has two rows for (%d, %d)" % ij)
     grid = QuadtreeGrid(box, depth, default_pads(box), cells)
     u = []
     for ij in zip(grid.i.tolist(), grid.j.tolist()):
@@ -108,7 +110,9 @@ def _dispatch(args) -> int:
         if not math.isfinite(values[ij]):
             raise GridError("solution value %r at grid node (%d, %d) is not "
                             "finite" % ((values[ij],) + ij))
-        u.append(values[ij])
+        u.append(values.pop(ij))
+    if values:
+        raise GridError("solution row (%d, %d) is no grid node" % min(values))
     u = np.array(u)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

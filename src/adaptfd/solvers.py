@@ -12,8 +12,8 @@ the initial quadtree, admit one finer scale per stage as the refinement
 criteria demand, and re-solve until the finest scale converges.  On a min
 kind, Newton is policy iteration over the nodes that take the second
 branch (for obstacle, the contact set), so each new grid starts from the
-previous grid's converged set: one solve of that policy's system, then
-Newton from its solution.
+policy Newton converged on in the previous grid.  Both drivers reach a new
+grid through one step, _adapt.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def evolve(op: OperatorSpec, u0: GridFunction, T: float, policy=None,
         for _ in range(INITIAL_REGRIDS):
             # the grid, not the operator: a replaced operator's rows are freed
             prev = op.grid
-            op, u = _adapt(policy, op, u)
+            op, u = _adapt(op, u, compute_refinement(
+                policy, evaluate_criteria(policy, op, u), op.grid))
             if op.grid is prev:
                 break
 
@@ -227,16 +228,16 @@ def evolve(op: OperatorSpec, u0: GridFunction, T: float, policy=None,
             log.append({"event": "euler", "t": t, "nodes": op.grid.n_nodes(),
                         "tau": tau})
         if policy is not None and steps % regrid_every == 0 and t < T - 1e-14:
-            op, u = _adapt(policy, op, u)
+            op, u = _adapt(op, u, compute_refinement(
+                policy, evaluate_criteria(policy, op, u), op.grid))
     # a T within the 1e-14 tolerance of 0 takes no step
     return out + [(op.grid, u, s) for s in times[nsnap:]]
 
 
-def _adapt(policy, op: OperatorSpec, u: GridFunction):
-    """One adapt step: criteria, refinement and regrid, then on a new grid
-    a new operator and the pinned values.  Returns (op, u)."""
-    vals = evaluate_criteria(policy, op, u)
-    g2, u2 = regrid(op.grid, u, compute_refinement(policy, vals, op.grid))
+def _adapt(op: OperatorSpec, u: GridFunction, requests):
+    """Regrid op.grid to the demanded squares; on a new grid, a new
+    operator and the pinned values.  Returns (op, u)."""
+    g2, u2 = regrid(op.grid, u, requests)
     if g2 is op.grid:
         return op, u
     op = instantiate_builtin(op.kind, op.problem, g2)
@@ -247,19 +248,16 @@ def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
                  stage=None, max_iter: int = 100, log=None,
                  take=None) -> GridFunction:
     """Semismooth Newton with full steps and a sparse direct linear solve,
-    from u0 on op.grid.
+    from u0 on op.grid: one loop, each pass of which solves the system of
+    one policy, with residual and Jacobian from one evaluation of op.
 
-    Stops when the max-norm of the residual over active nodes drops below
-    the stopping threshold for this stage; the residual is checked before
-    iterating, so a converged start returns immediately.  Each iteration
-    takes the residual and the Jacobian from one evaluation of op.
-
-    take, for a min kind, is a boolean mask over op.grid's nodes: the
-    policy of nodes on their second branch (for obstacle, the contact set).
-    Newton then first solves that policy's system once, u = g on the set
-    and the PDE row elsewhere, with the same Jacobian and checks, and
-    iterates from its solution.  That solve is not an iteration: it does
-    not count toward max_iter, and it is logged as a "policy" event.
+    A min kind's policy is the mask of nodes on their second branch (for
+    obstacle, the contact set; u = g there).  A given take is the first
+    pass's policy; that pass is logged as "policy", not as an iteration
+    toward max_iter.  Each later pass takes the branch choice at the
+    current state and first stops the loop when the max-norm of the
+    residual over active nodes is at most the stage's threshold; the
+    policy it stops at stays on op (_solve).
 
     The Jacobian of a monotone scheme on its active unknowns is an M-matrix
     (positive diagonal, nonpositive off-diagonals, nonnegative row sums), so
@@ -276,34 +274,37 @@ def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
     tol = stopping.threshold(stage)
     u = op.apply_pins(u0.values)
     act = op.active
-    if not act.any():
-        return GridFunction(op.grid, u)
-    if take is not None:
-        t0 = time.perf_counter()
-        w, vals, grad, take = op._weighted(u, take & act)
-        r = op._combined(vals, take)
-        u[act] += _newton_step(spla, op._jacobian(w, grad, act), r[act])
-        if log is not None:
-            log.append({"event": "policy", "nodes": op.grid.n_nodes(),
-                        "generation": op.grid.generation,
-                        "residual": float(np.max(np.abs(r[act]))),
-                        "wall": time.perf_counter() - t0})
+    # with no unknown there is no system to solve
+    take = take & act if take is not None and act.any() else None
+    given = take is not None
     iters = 0
     while True:
-        w, vals, grad, take = op._weighted(u)
+        w, vals, grad, take = op._weighted(u, take)
         r = op._combined(vals, take)
-        rnorm = float(np.max(np.abs(r[act])))
-        if rnorm <= tol:
+        rnorm = float(np.max(np.abs(r[act]), initial=0.0))
+        if not given and rnorm <= tol:
+            op._converged_take = take
             return GridFunction(op.grid, u)
-        if iters >= max_iter:
+        if not given and iters >= max_iter:
             raise NonconvergenceError(rnorm, iters)
         t0 = time.perf_counter()
         u[act] += _newton_step(spla, op._jacobian(w, grad, act), r[act])
-        iters += 1
+        iters += not given
         if log is not None:
-            log.append({"event": "newton", "nodes": op.grid.n_nodes(),
-                        "generation": op.grid.generation, "iteration": iters,
-                        "residual": rnorm, "wall": time.perf_counter() - t0})
+            event = ({"event": "policy"} if given else
+                     {"event": "newton", "iteration": iters})
+            log.append(dict(event, nodes=op.grid.n_nodes(),
+                            generation=op.grid.generation, residual=rnorm,
+                            wall=time.perf_counter() - t0))
+        given, take = False, None
+
+
+def _solve(op, u, stopping, stage, max_iter, log, take=None):
+    """newton_solve and, for a min kind, the policy of its converged pass
+    (else None), which it leaves on op: no evaluation repeats it."""
+    u = newton_solve(op, u, stopping, stage=stage, max_iter=max_iter,
+                     log=log, take=take)
+    return u, op._converged_take
 
 
 def _newton_step(spla, J, ra):
@@ -374,36 +375,30 @@ def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
     Per stage, the criteria are probed on a one-level-finer trial grid (the
     interpolated solution exposes its truncation error there; _probe returns
     only the demanded squares, so no trial grid outlives its criteria), the
-    demanded cells are clamped to the stage scale, and Newton re-solves
-    after every regrid.  Stage k stops Newton at the k-th stopping
-    threshold.  The last stage admits the policy's finest scale.  For a min
-    kind, Newton on each new grid starts from the branch policy of the
-    previous grid's solution, carried over by inherit_set.
+    demanded cells are clamped to the stage scale, and after every regrid
+    (_adapt, as in evolve) Newton re-solves.  Stage k stops Newton at the
+    k-th stopping threshold.  The last stage admits the policy's finest
+    scale.  For a min kind, Newton on each new grid starts from the policy
+    it converged on in the last grid (_solve), carried over by inherit_set.
     """
     u0.check(op.grid)
     grid = op.grid
     if grid_watch is not None:
         grid_watch(grid)
-    u = newton_solve(op, u0, stopping, stage=0, max_iter=max_iter, log=log)
+    u, take = _solve(op, u0, stopping, 0, max_iter, log)
     present = grid.scales()[::-1]
     start = present[1] if len(present) > 1 else present[0] - 1
-    stage = 0
-    for target in range(start, min(policy.scales) - 1, -1):
-        stage += 1
+    targets = range(start, min(policy.scales) - 1, -1)
+    for stage, target in enumerate(targets, 1):
         for _ in range(STAGE_REGRIDS):
-            g2, u2 = regrid(grid, u, _probe(op, u, policy, target))
-            if g2 is grid:
+            op, u = _adapt(op, u, _probe(op, u, policy, target))
+            if op.grid is grid:
                 break
-            # a min kind's converged branch policy, carried onto g2
-            take = op._evaluate(u.values)[3]
             if take is not None:
-                take = inherit_set(grid, g2, take)
-            grid, u = g2, u2
-            op = instantiate_builtin(op.kind, op.problem, grid)
+                take = inherit_set(grid, op.grid, take)
+            grid = op.grid
             if grid_watch is not None:
                 grid_watch(grid)
-            u = newton_solve(op, u, stopping, stage=stage,
-                             max_iter=max_iter, log=log, take=take)
-        u = newton_solve(op, u, stopping, stage=stage,
-                         max_iter=max_iter, log=log)
+            u, take = _solve(op, u, stopping, stage, max_iter, log, take)
+        u, take = _solve(op, u, stopping, stage, max_iter, log)
     return grid, u

@@ -554,6 +554,23 @@ def test_cli_render_rejects_missing_solution_rows(tmp_path):
     r = _run_cli(["render", "grid.txt", "u.csv", "--out", "r"],
                  cwd=str(tmp_path))
     assert r.returncode == 3 and "(1, 1)" in r.stderr, r.stderr
+    # nor is a row that is no node of the dump, or a second row for a node
+    # that would overwrite the first: each exits 3 naming its (i, j)
+    run_experiment(parse_config("preset = custom\nproblem.f = 1\n"
+                                "problem.g = 0\nproblem.dirichlet = 0\n"
+                                "grid.depth = 3\n"),
+                   out_dir=str(tmp_path / "o"))
+    lines = (tmp_path / "o" / "solution.csv").read_text().splitlines()
+    i, j, x, y, _ = lines[5].split(",")
+    for extra, ij in (("999,999,9.0,9.0,5.0", "(999, 999)"),
+                      (",".join([i, j, x, y, "5.0"]), "(%s, %s)" % (i, j))):
+        (tmp_path / "u.csv").write_text("\n".join(lines + [extra]) + "\n")
+        r = _run_cli(["render", "o/grid.txt", "u.csv", "--out", "r"],
+                     cwd=str(tmp_path))
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("solver failure:"), r.stderr
+        assert ij in r.stderr, r.stderr
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

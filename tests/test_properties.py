@@ -40,9 +40,11 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
 
 
 @st.composite
-def grids(draw):
+def grids(draw, deep=False):
     """(grid, requests): a random box and a quadtree on it with random pads,
-    built from the requested squares (a, b, k)."""
+    built from the requested squares (a, b, k).  A deep grid is refined
+    toward 16 to 32 points, each at the base scale or finer, instead of 0
+    to 3 points at any scale."""
     side = 10.0 ** draw(st.floats(-2.0, 3.0))
     long = side * draw(st.floats(1.0, 8.0))
     lx, ly = (side, long) if draw(st.booleans()) else (long, side)
@@ -57,9 +59,9 @@ def grids(draw):
     s = 1 << scale
     reqs = [(a, b, scale) for a in range(0, n, s) for b in range(0, n, s)]
     # the square of each scale k containing a random lattice point (i, j)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(16, 32) if deep else st.integers(0, 3))):
         i, j, k = (draw(st.integers(0, n)), draw(st.integers(0, n)),
-                   draw(st.integers(0, depth)))
+                   draw(st.integers(0, scale if deep else depth)))
         reqs.append((min(i >> k << k, n - (1 << k)),
                      min(j >> k << k, n - (1 << k)), k))
     pad_x, pad_y = default_pads(box)
@@ -112,11 +114,11 @@ NEWTON_VARIANTS = ("poisson_dirichlet", "bc_composite", "obstacle",
 
 
 @st.composite
-def operators(draw, variants=BUILTIN_KINDS):
+def operators(draw, variants=BUILTIN_KINDS, deep=False):
     """(kind, problem, grid, rng): a problem of one of the variants on a
-    random grid, and a generator for random states."""
+    random grid (deep as in grids), and a generator for random states."""
     variant = draw(st.sampled_from(variants))
-    grid, _ = draw(grids())
+    grid, _ = draw(grids(deep))
     kind = "bc_composite" if variant.startswith("bc_composite") else variant
     return kind, _problem(variant, grid.box), grid, np.random.default_rng(
         draw(st.integers(0, 2**32 - 1)))
@@ -220,6 +222,32 @@ def test_euler_step_keeps_order(case):
     v2 = euler_step(op, v, sched)
     tol = 1e-12 * (1.0 + np.max(np.abs(u.values)) + np.max(np.abs(v.values)))
     assert np.all(u2.values >= v2.values - tol)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a forward Euler step of stefan does not keep order across u_i = 0: "
+    "the residual jumps up by max(0, |grad u|^2 - Lap u) as u_i leaves 0, "
+    "so no step tau > 0 keeps u_i - tau F_i nondecreasing in u_i"))
+def test_stefan_euler_step_keeps_order_across_zero():
+    # one-phase data on the uniform depth-3 unit grid: v is 0 except 4.0 at
+    # the four neighbors of node (4, 4), and u = v except u(4, 4) = 1e-9;
+    # one visit of every active node at 0.999 / max L over both states
+    # gives u2(4, 4) = 0.999 against v2(4, 4) = 1.998
+    unit = DomainBox(0.0, 1.0, 0.0, 1.0)
+    squares = np.array([(a, b, 0) for a in range(8) for b in range(8)])
+    grid = build_quadtree(squares, 3, unit, pads=(1, 1))
+    op = instantiate_builtin("stefan", ProblemDefinition(
+        g=lambda x, y: 0.0), grid)
+    ids = grid.find(np.array([4, 3, 5, 4, 4]), np.array([4, 4, 4, 3, 5]))
+    v = np.zeros(grid.n_nodes())
+    v[ids[1:]] = 4.0
+    u = v.copy()
+    u[ids[0]] = 1e-9
+    u, v = GridFunction(grid, u), GridFunction(grid, v)
+    sched = shared_schedule(op, grid, u, v)
+    u2 = euler_step(op, u, sched).values
+    v2 = euler_step(op, v, sched).values
+    assert u2[ids[0]] >= v2[ids[0]]
 
 
 @PROPERTY
@@ -524,12 +552,13 @@ def test_unchanged_regrid_classifies_nothing(case):
 
 
 @st.composite
-def obstacle_problems(draw):
+def obstacle_problems(draw, deep=False):
     """(kind, problem, grid, rng) as operators() gives them: an obstacle
-    problem on a random grid, its obstacle a random wave that the walls are
-    pinned to, its load a random constant on the scale of the box, so that
-    the contact set is neither empty nor everything on most draws."""
-    grid, _ = draw(grids())
+    problem on a random grid (deep as in grids), its obstacle a random wave
+    that the walls are pinned to, its load a random constant on the scale
+    of the box, so that the contact set is neither empty nor everything on
+    most draws."""
+    grid, _ = draw(grids(deep))
     box = grid.box
     amp, lift = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
     kx, ky = draw(st.floats(0.5, 12.0)), draw(st.floats(0.5, 12.0))
@@ -576,3 +605,30 @@ def test_policy_start_reaches_the_plain_solution(case, density):
     size = 1.0 + max(np.abs(u).max(), np.abs(v).max())
     rounding = 1e-14 * (1.0 + wbar) * (size + gmax + abs(op.fvals).max())
     assert np.max(np.abs(u - v)) <= (1.0 + z.max()) * (ru + rv + 2 * rounding)
+
+
+# the properties above that step no Stefan state across u_i = 0, again on
+# deep grids: grids() seldom draws one above 164 nodes.  The Euler tests
+# keep grids(); a deep draw finds the Stefan order defect pinned above.
+# 75 examples each hold the seven to about 8 s on 2 cores.
+def _on_deep_grids(test, *strategies):
+    return settings(PROPERTY, max_examples=75)(
+        given(*strategies)(test.hypothesis.inner_test))
+
+
+test_array_grid_matches_oracles_on_deep_grids = _on_deep_grids(
+    test_array_grid_matches_oracles, grids(deep=True))
+test_laplacian_system_matches_per_node_loop_on_deep_grids = _on_deep_grids(
+    test_laplacian_system_matches_per_node_loop, grids(deep=True),
+    st.sampled_from(WALL_DATA))
+test_residual_degenerate_elliptic_on_deep_grids = _on_deep_grids(
+    test_residual_degenerate_elliptic, operators(deep=True))
+test_active_block_is_an_m_matrix_on_deep_grids = _on_deep_grids(
+    test_active_block_is_an_m_matrix, operators(NEWTON_VARIANTS, deep=True))
+test_trial_split_is_its_own_closure_on_deep_grids = _on_deep_grids(
+    test_trial_split_is_its_own_closure, grids(deep=True), st.integers(0, 7))
+test_unchanged_regrid_classifies_nothing_on_deep_grids = _on_deep_grids(
+    test_unchanged_regrid_classifies_nothing, grids(deep=True))
+test_policy_start_reaches_the_plain_solution_on_deep_grids = _on_deep_grids(
+    test_policy_start_reaches_the_plain_solution,
+    obstacle_problems(deep=True), st.floats(0.0, 1.0))
