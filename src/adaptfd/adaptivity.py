@@ -100,13 +100,11 @@ def regrid(grid: QuadtreeGrid, u: GridFunction, requests):
     New nodes take the piecewise-bilinear interpolant of u on the old
     leaves, in one pass; surviving nodes are copied exactly.
     """
-    leaves, keys, ops = quadtree_leaves(requests, grid.depth, grid.box,
-                                        grid.pads)
-    return transfer(grid, u, leaves, ops, keys)
+    leaves, keys, _ = quadtree_leaves(requests, grid.depth, grid.pads)
+    return transfer(grid, u, leaves, keys)
 
 
-def transfer(grid: QuadtreeGrid, u: GridFunction, leaves, build_ops=0,
-             keys=None):
+def transfer(grid: QuadtreeGrid, u: GridFunction, leaves, keys=None):
     """The grid on leaves, with the depth, box and pads of grid, and u moved
     onto it as regrid moves it; the same (grid, u) objects when leaves are
     grid.leaves, in their order.  The leaves must form a legal quadtree;
@@ -114,8 +112,7 @@ def transfer(grid: QuadtreeGrid, u: GridFunction, leaves, build_ops=0,
     u.check(grid)
     if np.array_equal(leaves, grid.leaves):
         return grid, u
-    g2 = QuadtreeGrid(grid.box, grid.depth, grid.pads, leaves,
-                      grid.generation + 1, build_ops, keys)
+    g2 = QuadtreeGrid(grid.box, grid.depth, grid.pads, leaves, keys=keys)
     return g2, GridFunction(g2, _moved(grid, g2, u.values))
 
 

@@ -181,13 +181,11 @@ class QuadtreeGrid:
     """
 
     def __init__(self, box: DomainBox, depth: int, pads: tuple[int, int],
-                 leaves, generation: int = 0, build_ops: int = 0,
-                 keys=None):
+                 leaves, build_ops: int = 0, keys=None):
         self.box = box
         self.depth = depth
         self.side = _lattice_side(depth)
         self.pad_x, self.pad_y = pads
-        self.generation = generation
         self.build_ops = build_ops
         self.hx, self.hy = _spacings(box, depth)
         if keys is None:
@@ -408,8 +406,7 @@ def _difference(keys, drop):
                 == np.searchsorted(drop, keys, "right")]
 
 
-def quadtree_leaves(requests, depth: int, box: DomainBox,
-                    pads: tuple[int, int]):
+def quadtree_leaves(requests, depth: int, pads: tuple[int, int]):
     """The leaves of build_quadtree's grid, Morton-sorted like
     QuadtreeGrid.leaves, their Morton keys and its build_ops, the number of
     squares each rule visits; no node is collected or classified.
@@ -518,7 +515,7 @@ def build_quadtree(requests, depth: int, box: DomainBox,
     """
     if pads is None:
         pads = default_pads(box)
-    leaves, keys, ops = quadtree_leaves(requests, depth, box, pads)
+    leaves, keys, ops = quadtree_leaves(requests, depth, pads)
     return QuadtreeGrid(box, depth, pads, leaves, build_ops=ops, keys=keys)
 
 

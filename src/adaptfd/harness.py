@@ -550,19 +550,22 @@ def region_areas(radii, box: DomainBox):
 
 
 def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceReport:
-    """Node, Newton-time and area shares per region; region_counts maps the
-    generation of each solved grid to its node shares per region."""
+    """Node, Newton-time and area shares per region; region_counts lists
+    (len(log), node shares per region) of each solved grid as it was
+    announced, so a log row belongs to the last grid announced before it."""
     nr = len(radii) + 1
     node_share = region_shares(radii, grid)
+    shares = dict(region_counts)
 
     time_by_region = np.zeros(nr)
     total_time = 0.0
-    for entry in log:
+    frac = None
+    for pos, entry in enumerate(log):
+        frac = shares.get(pos, frac)
         if entry.get("event") not in ("newton", "policy"):
             continue
         wall = entry.get("wall", 0.0)
         total_time += wall
-        frac = region_counts.get(entry.get("generation"))
         if frac is not None:
             time_by_region += wall * frac
     if total_time > 0:
@@ -647,11 +650,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 regrid_every=preset.regrid_every, log=log)
             results["snapshots"] = snaps
         else:
-            region_counts = {}
+            region_counts = []
             radii = preset.regions
 
             def watch(grid):
-                region_counts[grid.generation] = region_shares(radii, grid)
+                region_counts.append((len(log), region_shares(radii, grid)))
 
             gr, u = multiscale_solve(
                 instantiate_builtin(preset.kind, preset.problem, g0), u0,

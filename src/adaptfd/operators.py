@@ -29,11 +29,12 @@ from .grid import BOUNDARY, CODE, QuadtreeGrid
 from .stencils import (OperatorError, laplacian_system, one_sided_entries,
                        one_sided_matrices, sample_nodes)
 
-BUILTIN_KINDS = ("poisson_dirichlet", "bc_composite", "obstacle", "stefan")
-
-# kinds whose residual is min(PDE row, second branch): the second branch id
-# and the states u in which that branch is open
-_MIN_KINDS = {"obstacle": (1, lambda u: True), "stefan": (3, lambda u: u <= 0)}
+# every kind; a min kind's residual is min(PDE row, second branch), and its
+# entry gives that branch's id and the states u in which it is open
+BUILTIN_KINDS = {"poisson_dirichlet": (None, None),
+                 "bc_composite": (None, None),
+                 "obstacle": (1, lambda u: True),
+                 "stefan": (3, lambda u: u <= 0)}
 
 
 @dataclass
@@ -122,6 +123,9 @@ class OperatorSpec:
     grid: QuadtreeGrid
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in BUILTIN_KINDS:
+            raise OperatorError("unknown operator kind %r" % (self.kind,))
+        self.second, self.is_open = BUILTIN_KINDS[self.kind]
         grid = self.grid
         problem = self.problem
         self.fvals = problem.sample(problem.f, grid, name="f")
@@ -139,7 +143,6 @@ class OperatorSpec:
         if self.kind == "obstacle" and problem.g is None:
             raise OperatorError("obstacle needs an obstacle datum g")
 
-        self.second, self.is_open = _MIN_KINDS.get(self.kind, (None, None))
         self.weights = np.zeros((4, grid.n_nodes()))
         self.weights[0] = 1.0
         self.first = None
@@ -416,6 +419,4 @@ def _weighted_sum(terms):
 
 def instantiate_builtin(kind: str, problem: ProblemDefinition,
                         grid: QuadtreeGrid) -> OperatorSpec:
-    if kind not in BUILTIN_KINDS:
-        raise OperatorError("unknown operator kind %r" % (kind,))
     return OperatorSpec(kind, problem, grid)

@@ -293,8 +293,7 @@ def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
         if log is not None:
             event = ({"event": "policy"} if given else
                      {"event": "newton", "iteration": iters})
-            log.append(dict(event, nodes=op.grid.n_nodes(),
-                            generation=op.grid.generation, residual=rnorm,
+            log.append(dict(event, nodes=op.grid.n_nodes(), residual=rnorm,
                             wall=time.perf_counter() - t0))
         given, take = False, None
 
@@ -352,14 +351,16 @@ def _probe(op: OperatorSpec, u: GridFunction, policy,
            target: int) -> np.ndarray:
     """The squares a continuation stage demands of op.grid at scale target
     and coarser: the criteria read u interpolated onto the one-level-finer
-    trial grid, and every current cell is kept.  The trial grid, its
-    operator and the criteria values die on return, so none of them is
-    alive while the caller regrids and solves."""
+    trial grid, and every current cell is kept; a split that changes no
+    cell reads them on op itself.  The trial grid, its operator and the
+    criteria values die on return, so none of them is alive while the
+    caller regrids and solves."""
     grid = op.grid
     trial, u_t = transfer(grid, u, _trial_leaves(grid, target))
-    op_t = instantiate_builtin(op.kind, op.problem, trial)
-    u_t = GridFunction(trial, op_t.apply_pins(u_t.values))
-    vals = evaluate_criteria(policy, op_t, u_t)
+    if trial is not grid:
+        op = instantiate_builtin(op.kind, op.problem, trial)
+        u_t = GridFunction(trial, op.apply_pins(u_t.values))
+    vals = evaluate_criteria(policy, op, u_t)
     reqs = compute_refinement(policy, vals, trial, coarsest_allowed=target)
     # refinement accumulates down the ladder: solved regions must not
     # coarsen away just because their residual signal went quiet

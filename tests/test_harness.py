@@ -1,15 +1,24 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptfd
 import oracles
-from adaptfd.harness import (ConfigError, _obstacle_fn, _top_maxima,
-                             convergence_report, expression, make_preset,
+from adaptfd import harness
+from adaptfd.cli import main as cli_main
+from adaptfd.harness import (_KNOWN_KEYS, ConfigError, _obstacle_fn,
+                             _top_maxima, convergence_report, expression,
+                             make_preset,
                              parse_config, region_areas, region_names,
                              run_experiment, stefan_initial,
                              uniform_requests)
@@ -111,10 +120,11 @@ def same_polylines(a, b):
                                     for p, q in zip(a, b))
 
 
-def test_region_time_keyed_by_generation():
+def test_region_time_keyed_by_log_position():
     # two solved grids with equal node counts but different region shares:
-    # each Newton iteration is credited to the shares of its own grid
-    from adaptfd.grid import GridFunction, QuadtreeGrid, build_quadtree
+    # each Newton iteration is credited to the shares of the last grid
+    # announced before its log row
+    from adaptfd.grid import GridFunction
     from adaptfd.harness import region_shares, resource_report, solver_log_csv
     from adaptfd.operators import ProblemDefinition, instantiate_builtin
     from adaptfd.solvers import StoppingPolicy, newton_solve
@@ -122,36 +132,64 @@ def test_region_time_keyed_by_generation():
     box = DomainBox(0.0, 8.0, -4.0, 4.0)
     radii = (2.0, 5.0)
     grids = [build_quadtree(np.array([[a, 9, 0]]), 4, box) for a in (3, 13)]
-    grids = [QuadtreeGrid(box, 4, g.pads, g.leaves, generation=gen)
-             for g, gen in zip(grids, (3, 4))]
     assert grids[0].n_nodes() == grids[1].n_nodes()
-    shares = {}
+    shares = []
     for grid in grids:
         counts = np.zeros(len(radii) + 1)
         for x, y in zip(grid.x.tolist(), grid.y.tolist()):
             r = math.hypot(x, y)
             counts[sum(r >= bound for bound in radii)] += 1
-        shares[grid.generation] = region_shares(radii, grid)
-        assert np.array_equal(shares[grid.generation], counts / counts.sum())
-    assert not np.allclose(shares[3], shares[4])
-    log = [{"event": "newton", "nodes": grids[0].n_nodes(), "generation": 3,
-            "wall": 1.0},
-           {"event": "newton", "nodes": grids[1].n_nodes(), "generation": 4,
-            "wall": 3.0}]
-    rep = resource_report(grids[1], radii, log, shares)
-    want = 0.25 * shares[3] + 0.75 * shares[4]
+        shares.append(region_shares(radii, grid))
+        assert np.array_equal(shares[-1], counts / counts.sum())
+    assert not np.allclose(shares[0], shares[1])
+    log = [{"event": "newton", "nodes": grids[0].n_nodes(), "wall": 1.0},
+           {"event": "newton", "nodes": grids[1].n_nodes(), "wall": 3.0}]
+    rep = resource_report(grids[1], radii, log,
+                          [(0, shares[0]), (1, shares[1])])
+    want = 0.25 * shares[0] + 0.75 * shares[1]
     assert [row[2] for row in rep.regions] == pytest.approx(want)
 
-    # Newton logs the generation of the grid it solved on; the solver log
+    # a Newton row names no grid beyond its node count; the solver log
     # keeps its columns
     prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0)
     op = instantiate_builtin("poisson_dirichlet", prob, grids[1])
     log = []
     newton_solve(op, GridFunction(grids[1], np.zeros(
         grids[1].n_nodes())), StoppingPolicy([1e-10]), log=log)
-    assert log and all(e["generation"] == 4 for e in log)
+    assert log and all(set(e) == {"event", "nodes", "iteration", "residual",
+                                  "wall"} for e in log)
     assert solver_log_csv(log).splitlines()[0] == \
         "event,nodes,iteration,residual,wall,t,tau"
+
+
+@pytest.mark.parametrize("text", [
+    "preset = artificial_bc\ndomain.side = 10\ngrid.depth = 6\n",
+    "preset = obstacle\ngrid.depth = 6\n"],
+    ids=["artificial_bc", "obstacle"])
+def test_solver_rows_follow_their_announced_grid(text):
+    # resource_report credits a newton or policy row to the last grid
+    # announced before it: each such row has that grid's node count
+    from adaptfd.grid import GridFunction
+    from adaptfd.operators import instantiate_builtin
+    from adaptfd.solvers import multiscale_solve
+
+    preset = make_preset(parse_config(text))
+    g0 = build_quadtree(uniform_requests(preset.box, preset.depth,
+                                         preset.initial_scale),
+                        preset.depth, preset.box, pads=preset.pads)
+    log, announced = [], []
+    multiscale_solve(
+        instantiate_builtin(preset.kind, preset.problem, g0),
+        GridFunction(g0, preset.problem.sample(preset.u0, g0)),
+        preset.policy, preset.stopping, max_iter=preset.max_iter, log=log,
+        grid_watch=lambda grid: announced.append((len(log), grid.n_nodes())))
+    assert len(announced) > 2
+    rows = [(pos, e) for pos, e in enumerate(log)
+            if e["event"] in ("newton", "policy")]
+    assert rows and rows[0][0] >= announced[0][0]
+    for pos, entry in rows:
+        nodes = [n for start, n in announced if start <= pos][-1]
+        assert entry["nodes"] == nodes
 
 
 def test_euler_run_assembles_one_operator(tmp_path, monkeypatch):
@@ -759,3 +797,44 @@ def test_shipped_convergence_config_rates(tmp_path):
     assert lines[0] == "h,error,rate" and len(lines) == 5   # depths 3..6
     rates = [float(line.split(",")[2]) for line in lines[2:]]
     assert all(abs(rate - 2.0) < 0.2 for rate in rates), rates
+
+
+EXTREMES = ("0", "-1", "1e300", "5e-324", "nan", "inf", "-inf", "")
+# time.T and time.snapshots values above T_CAP are cut to it: with at most
+# depth 3, every evolve a draw starts then ends after a few steps
+T_CAP = 0.01
+
+
+def _capped(text):
+    return ",".join(repr(T_CAP) if float(t or 0) > T_CAP else t
+                    for t in text.split(","))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(verb=st.sampled_from(["solve", "evolve"]),
+       entries=st.lists(st.tuples(
+           st.sampled_from(sorted(_KNOWN_KEYS)),
+           st.one_of(st.sampled_from(EXTREMES),
+                     st.lists(st.sampled_from(EXTREMES), min_size=2,
+                              max_size=3).map(",".join))),
+           min_size=1, max_size=4, unique_by=lambda e: e[0]),
+       depth=st.integers(0, 3))
+def test_extreme_config_values_exit_with_a_typed_code(verb, entries, depth):
+    # any value a key can take ends in success (0), a config error (2) or a
+    # solver failure (3), and a run whose solve started leaves its log
+    lines = ["%s = %s" % (key, _capped(value) if key in (
+        "time.T", "time.snapshots") else value) for key, value in entries]
+    lines.append("grid.depth = %d" % depth)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.object(harness, "evolve", wraps=harness.evolve) as ev, \
+            mock.patch.object(harness, "multiscale_solve",
+                              wraps=harness.multiscale_solve) as ms:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "out")
+        code = cli_main([verb, path, "--out", out, "--quiet"])
+        assert code in (0, 2, 3), lines
+        if ev.called or ms.called:
+            assert os.path.exists(os.path.join(out, "solver_log.csv")), lines

@@ -6,8 +6,9 @@ import scipy.sparse.linalg as spla
 from adaptfd.grid import (BOUNDARY, CODE, DomainBox, GenerationMismatchError,
                           GridFunction, build_quadtree)
 from adaptfd.harness import uniform_requests
-from adaptfd.operators import (OperatorError, ProblemDefinition,
-                               UpwindDirectional, instantiate_builtin)
+from adaptfd.operators import (OperatorError, OperatorSpec,
+                               ProblemDefinition, UpwindDirectional,
+                               instantiate_builtin)
 from adaptfd.solvers import build_schedule, euler_step
 from adaptfd.stencils import laplacian_system
 from oracles import branches, random_requests
@@ -50,6 +51,11 @@ def test_unknown_kind_rejected():
     g = uniform_grid(2)
     with pytest.raises(OperatorError):
         instantiate_builtin("biharmonic", ProblemDefinition(), g)
+    # the operator checks its own kind: built directly, too, and a kind
+    # that is no string (here unhashable) is unknown as well
+    for kind in ("biharmonic", ["obstacle"]):
+        with pytest.raises(OperatorError, match="unknown operator kind"):
+            OperatorSpec(kind, ProblemDefinition(), g)
 
 
 def test_missing_datum_rejected():

@@ -466,8 +466,7 @@ def test_newton_from_the_converged_contact_set_takes_no_iteration():
     u2 = newton_solve(op, zero, StoppingPolicy([1e-11]), max_iter=1,
                       log=log, take=take)
     assert [e["event"] for e in log] == ["policy"]
-    assert set(log[0]) == {"event", "nodes", "generation", "residual",
-                           "wall"}
+    assert set(log[0]) == {"event", "nodes", "residual", "wall"}
     assert log[0]["nodes"] == g.n_nodes()
     # the residual of the policy's system at the start: u - g on the set,
     # the PDE row elsewhere
@@ -557,6 +556,42 @@ def test_no_probe_grid_is_alive_while_newton_solves(monkeypatch, tmp_path):
                                 "grid.depth = 6\n"), out_dir=str(tmp_path))
     assert len(probes) > 0 and len(seen) > 1
     assert seen == [0] * len(seen)
+
+
+def test_probe_that_splits_nothing_assembles_no_operator(monkeypatch):
+    # a target no finer than the grid's coarsest leaf splits no cell, so
+    # the probe reads the criteria on op itself: it assembles no operator
+    # and demands what a freshly assembled one would
+    from adaptfd.adaptivity import compute_refinement
+    from adaptfd.operators import OperatorSpec
+    from adaptfd.solvers import _probe
+    g = two_scale_grid()
+    op = instantiate_builtin("obstacle", obstacle_problem(), g)
+    u = GridFunction(g, op.apply_pins(np.maximum(op.gvals, 0.0)))
+    policy = RefinementPolicy(residual_criteria(), thresholds=(0.5,),
+                              scales=(0,))
+    made = []
+    init = OperatorSpec.__post_init__
+
+    def counted(self):
+        made.append(self.kind)
+        init(self)
+
+    coarsest = int(g.leaves[:, 2].max())
+    for target in (coarsest, g.depth):
+        monkeypatch.setattr(OperatorSpec, "__post_init__", counted)
+        reqs = _probe(op, u, policy, target)
+        monkeypatch.undo()
+        assert made == []
+        fresh = instantiate_builtin("obstacle", obstacle_problem(), g)
+        want = compute_refinement(policy, evaluate_criteria(
+            policy, fresh, u), g, coarsest_allowed=target)
+        assert len(want) > 0
+        assert np.array_equal(reqs, np.concatenate([want, g.leaves]))
+    # a finer target splits the coarse cells and assembles one operator
+    monkeypatch.setattr(OperatorSpec, "__post_init__", counted)
+    _probe(op, u, policy, coarsest - 1)
+    assert made == ["obstacle"]
 
 
 def test_multiscale_trivial_criteria_single_solve():
