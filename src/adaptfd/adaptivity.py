@@ -152,26 +152,26 @@ def residual_criteria():
 
 
 def free_boundary_criteria(closeness: float):
-    """(closeness - max(|Lap_h u|, |u - g|))+: positive exactly where BOTH
-    terms of the obstacle operator are close to zero, i.e. in a band around
-    the contact contour, so that band scores high under the
-    exceeds-threshold rule."""
+    """(closeness - max(|-Lap_h u - f|, |u - g|))+: positive exactly where
+    BOTH branches of the obstacle operator are close to zero, i.e. in a band
+    around the contact contour, so that band scores high under the
+    exceeds-threshold rule.  The PDE row is the one op._evaluate reads."""
 
     def crit(op, u):
-        lap = np.abs(op.L @ u + op.Lconst)
-        both = np.maximum(lap, np.abs(u - op.gvals))
+        pde = np.abs(op._evaluate(u)[0][0])
+        both = np.maximum(pde, np.abs(u - op.gvals))
         return np.maximum(closeness - both, 0.0)
 
     return crit
 
 
 def stefan_terms_criteria():
-    """min(|Lap_h u|, |grad u|^2): large near the advancing front."""
+    """min(|-Lap_h u - f|, |grad u|^2): large near the advancing front.  Both
+    terms come from one op._evaluate."""
 
     def crit(op, u):
-        lap = np.abs(op.L @ u + op.Lconst)
-        rx, ry, _ = op._evaluate(u)[1]
-        return np.minimum(lap, rx * rx + ry * ry)
+        vals, (rx, ry, _), _, _ = op._evaluate(u)
+        return np.minimum(np.abs(vals[0]), rx * rx + ry * ry)
 
     return crit
 

@@ -707,14 +707,22 @@ def convergence_report(family: str, depths) -> list:
 
     family: 'uniform' (all-fine grids), 'dangling' (a fixed band of fine
     cells, so hanging nodes persist at every resolution), or 'linear'
-    (exact on the stencils; errors at round-off).
+    (exact on the stencils; errors at round-off).  Each depth lies in
+    [0, MAX_DEPTH], or [1, MAX_DEPTH] for 'dangling'; the order is NaN
+    where either error is 0.
     """
     if family not in ("uniform", "dangling", "linear"):
         raise ConfigError("config field 'refine.strategy' must be uniform, "
                           "dangling or linear, not %r" % (family,))
     depths = list(depths)
     if len(depths) < 2:
-        raise ConfigError("config field 'scales' needs at least 2 entries")
+        raise ConfigError("config field 'refine.scales' needs at least 2 "
+                          "entries")
+    # a dangling band is half the lattice, so it needs a depth of 1
+    low = int(family == "dangling")
+    for depth in depths:
+        _check("refine.scales", depth, low <= depth <= MAX_DEPTH,
+               "depths in [%d, %d]" % (low, MAX_DEPTH))
     box = DomainBox(0.0, 1.0, 0.0, 1.0)
     if family == "linear":
         exact = lambda x, y: 0.75 * x - 0.5 * y + 0.25
@@ -735,7 +743,7 @@ def convergence_report(family: str, depths) -> list:
             grid = build_quadtree(uniform_requests(box, depth, 0), depth, box)
         err = manufactured_poisson(grid, exact, lap)
         h = box.lx / (1 << depth)
-        rate = math.log2(prev_err / err) if prev_err else float("nan")
+        rate = math.log2(prev_err / err) if prev_err and err else math.nan
         rows.append((h, err, rate))
         prev_err = err
     return rows

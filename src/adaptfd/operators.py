@@ -208,12 +208,13 @@ class OperatorSpec:
         classes = np.unique(spacing)[::-1].tolist()
         return classes, [idx[spacing == s] for s in classes]
 
-    def _evaluate(self, u):
-        """Values of the live branches, the one-sided gradient (rx, ry,
-        slopes) or None, where the second branch is open and where a min
-        kind takes it (None if absent), all from one product with the
-        stack, finished in place in the order of arithmetic of
-        (L u + Lconst) - f."""
+    def _evaluate(self, u, take=None):
+        """The one read of the branches: values of the live ones, the
+        one-sided gradient (rx, ry, slopes) or None, where the second branch
+        is open and where a min kind takes it (None if absent), all from one
+        product with the stack, finished in place in the order of arithmetic
+        of (L u + Lconst) - f.  A given take, a boolean node mask that is
+        false off the active nodes, replaces a min kind's branch choice."""
         n = len(u)
         part = self.stack @ u
         part = [part[k:k + n] for k in range(0, len(part), n)]
@@ -239,28 +240,14 @@ class OperatorSpec:
             vals[3] = rx * rx
             vals[3] += ry * ry
             np.negative(vals[3], out=vals[3])
-        opened = take = None
+        opened = None
         if self.second is not None:
             opened = self.is_open(u)
-            take = vals[self.second] < vals[0]
-            take &= opened
-            take &= self.active
+            if take is None:
+                take = vals[self.second] < vals[0]
+                take &= opened
+                take &= self.active
         return vals, grad, opened, take
-
-    def _weighted(self, u, take=None):
-        """Weights of the four branches, values of the live ones, one-sided
-        gradient and where a min kind takes its second branch (None if
-        absent).  A given take, a boolean node mask that is false off the
-        active nodes, replaces that branch choice."""
-        vals, grad, _, took = self._evaluate(u)
-        if take is None:
-            take = took
-        w = list(self.weights)
-        if take is not None:
-            b = self.second
-            w[0] = w[0] - take
-            w[b] = w[b] + take
-        return w, vals, grad, take
 
     def _bound(self, grad, opened):
         bound = {0: self.wbar, 1: 1.0}
@@ -314,13 +301,19 @@ class OperatorSpec:
         W2 first) + W3 (-2 rx Sx - 2 ry Sy), Sx and Sy the one-sided
         differences each row selects; entries that come to zero are not
         stored."""
-        w, _, grad, _ = self._weighted(np.asarray(u, dtype=float))
-        return self._jacobian(w, grad, rows)
+        _, grad, _, take = self._evaluate(np.asarray(u, dtype=float))
+        return self._jacobian(take, grad, rows)
 
-    def _jacobian(self, w, grad, rows=None):
-        """The Jacobian of jacobian() from branch weights w and the one-sided
-        gradient grad, as _weighted gives them."""
+    def _jacobian(self, take, grad, rows=None):
+        """The Jacobian of jacobian() from a min kind's branch choice take
+        (None for the affine kinds) and the one-sided gradient grad, as
+        _evaluate gives them: the weights move from the PDE row onto the
+        second branch where take is set."""
         n = self.grid.n_nodes()
+        w = list(self.weights)
+        if take is not None:
+            w[0] = w[0] - take
+            w[self.second] = w[self.second] + take
         srow, spos, dpos, prow, colptr = self._jacobian_pattern
         coef = [w[0]]
         if self.first is not None:

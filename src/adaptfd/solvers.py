@@ -256,8 +256,9 @@ def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
     pass's policy; that pass is logged as "policy", not as an iteration
     toward max_iter.  Each later pass takes the branch choice at the
     current state and first stops the loop when the max-norm of the
-    residual over active nodes is at most the stage's threshold; the
-    policy it stops at stays on op (_solve).
+    residual over active nodes is at most the stage's threshold.  Nothing
+    is written on op: the returned values are the array the last pass
+    evaluated, so op._evaluate on them reads the policy the loop stopped at.
 
     The Jacobian of a monotone scheme on its active unknowns is an M-matrix
     (positive diagonal, nonpositive off-diagonals, nonnegative row sums), so
@@ -279,16 +280,15 @@ def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
     given = take is not None
     iters = 0
     while True:
-        w, vals, grad, take = op._weighted(u, take)
+        vals, grad, _, take = op._evaluate(u, take)
         r = op._combined(vals, take)
         rnorm = float(np.max(np.abs(r[act]), initial=0.0))
         if not given and rnorm <= tol:
-            op._converged_take = take
             return GridFunction(op.grid, u)
         if not given and iters >= max_iter:
             raise NonconvergenceError(rnorm, iters)
         t0 = time.perf_counter()
-        u[act] += _newton_step(spla, op._jacobian(w, grad, act), r[act])
+        u[act] += _newton_step(spla, op._jacobian(take, grad, act), r[act])
         iters += not given
         if log is not None:
             event = ({"event": "policy"} if given else
@@ -296,14 +296,6 @@ def newton_solve(op: OperatorSpec, u0: GridFunction, stopping: StoppingPolicy,
             log.append(dict(event, nodes=op.grid.n_nodes(), residual=rnorm,
                             wall=time.perf_counter() - t0))
         given, take = False, None
-
-
-def _solve(op, u, stopping, stage, max_iter, log, take=None):
-    """newton_solve and, for a min kind, the policy of its converged pass
-    (else None), which it leaves on op: no evaluation repeats it."""
-    u = newton_solve(op, u, stopping, stage=stage, max_iter=max_iter,
-                     log=log, take=take)
-    return u, op._converged_take
 
 
 def _newton_step(spla, J, ra):
@@ -380,26 +372,32 @@ def multiscale_solve(op: OperatorSpec, u0: GridFunction, policy,
     (_adapt, as in evolve) Newton re-solves.  Stage k stops Newton at the
     k-th stopping threshold.  The last stage admits the policy's finest
     scale.  For a min kind, Newton on each new grid starts from the policy
-    it converged on in the last grid (_solve), carried over by inherit_set.
+    it converged on in the last grid: after a regrid that changes the grid,
+    one evaluation of the operator and state just solved reads that policy
+    (newton_solve returns the array it evaluated last), and inherit_set
+    carries it over.
     """
     u0.check(op.grid)
     grid = op.grid
     if grid_watch is not None:
         grid_watch(grid)
-    u, take = _solve(op, u0, stopping, 0, max_iter, log)
+    u = newton_solve(op, u0, stopping, stage=0, max_iter=max_iter, log=log)
     present = grid.scales()[::-1]
     start = present[1] if len(present) > 1 else present[0] - 1
     targets = range(start, min(policy.scales) - 1, -1)
     for stage, target in enumerate(targets, 1):
         for _ in range(STAGE_REGRIDS):
-            op, u = _adapt(op, u, _probe(op, u, policy, target))
-            if op.grid is grid:
+            new, moved = _adapt(op, u, _probe(op, u, policy, target))
+            if new.grid is grid:
                 break
-            if take is not None:
-                take = inherit_set(grid, op.grid, take)
-            grid = op.grid
+            take = None if op.second is None else inherit_set(
+                grid, new.grid, op._evaluate(u.values)[3])
+            # the old operator, state and grid die here, before Newton
+            op, u, grid = new, moved, new.grid
             if grid_watch is not None:
                 grid_watch(grid)
-            u, take = _solve(op, u, stopping, stage, max_iter, log, take)
-        u, take = _solve(op, u, stopping, stage, max_iter, log)
+            u = newton_solve(op, u, stopping, stage=stage, max_iter=max_iter,
+                             log=log, take=take)
+        u = newton_solve(op, u, stopping, stage=stage, max_iter=max_iter,
+                         log=log)
     return grid, u

@@ -452,7 +452,11 @@ def branches(op, u):
     """Branch of largest weight per node: 0 = PDE row, 1 = data row,
     2 = first-order row, 3 = gradient-square row.  Ties go to the PDE."""
     import numpy as np
-    w = op._weighted(np.asarray(u, dtype=float))[0]
+    take = op._evaluate(np.asarray(u, dtype=float))[3]
+    w = op.weights.copy()
+    if take is not None:
+        w[0] -= take
+        w[op.second] += take
     return np.argmax(w, axis=0).astype(np.int8)
 
 

@@ -56,6 +56,35 @@ def test_stefan_terms_match_direct_formula():
     assert vals.values[op.active] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_criteria_read_the_pde_row_with_its_load():
+    # with f set, both criteria measure -Lap_h u - f, the operator's PDE
+    # row, not -Lap_h u alone
+    from adaptfd.adaptivity import free_boundary_criteria
+    g = uniform_grid(4)
+    L, const, _, _ = laplacian_system(g)
+    rng = np.random.default_rng(7)
+    gobs = lambda x, y: 0.25 - (x - 0.5) ** 2 - (y - 0.5) ** 2
+    op = instantiate_builtin("obstacle", ProblemDefinition(
+        f=lambda x, y: -2.0, g=gobs), g)
+    u = op.apply_pins(rng.normal(size=g.n_nodes()))
+    pde = np.abs(L @ u + const + 2.0)
+    closeness = 1e4     # larger than every term: nothing is clamped
+    want = closeness - np.maximum(pde, np.abs(u - op.gvals))
+    vals = free_boundary_criteria(closeness)(op, u)
+    assert vals[op.active] == pytest.approx(want[op.active], rel=1e-12)
+
+    op = instantiate_builtin("stefan", ProblemDefinition(
+        f=lambda x, y: 3.0), g)
+    u = op.apply_pins(rng.normal(size=g.n_nodes()))
+    T = one_sided_matrices(g)
+    grad_sq = sum(np.maximum(np.maximum(T[p] @ u, T[m] @ u), 0.0) ** 2
+                  for p, m in (("E", "W"), ("N", "S")))
+    want = np.minimum(np.abs(L @ u + const - 3.0), grad_sq)
+    vals = stefan_terms_criteria()(op, u)
+    assert vals[op.active] == pytest.approx(want[op.active], rel=1e-12,
+                                            abs=1e-12)
+
+
 def test_distance_criteria_matches_scan():
     g = uniform_grid(4)
     targets = [(0.21, 0.7), (0.8, 0.33), (0.5, 0.51)]

@@ -544,6 +544,42 @@ def test_cli_convergence_rejects_unknown_family(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("family, scales", [
+    ("uniform", "3,-1"), ("uniform", "3,40"), ("dangling", "0,2"),
+    ("uniform", "4")])
+def test_cli_convergence_rejects_depths_it_cannot_take(tmp_path, capsys,
+                                                       family, scales):
+    # a negative depth, one past grid.MAX_DEPTH, a dangling band at depth 0
+    # and a single depth are config errors naming refine.scales
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("refine.strategy = %s\nrefine.scales = %s\n"
+                   % (family, scales))
+    out = tmp_path / "c"
+    assert cli_main(["convergence", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "refine.scales" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, scales", [("uniform", "1,0"),
+                                            ("linear", "2,1")])
+def test_cli_convergence_writes_no_rate_against_a_zero_error(tmp_path,
+                                                             family, scales):
+    # depth 0 pins its four nodes to the exact solution, and the linear
+    # family is exact on depth 1: an error of 0 has no observed order
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("refine.strategy = %s\nrefine.scales = %s\n"
+                   % (family, scales))
+    out = tmp_path / "c"
+    assert cli_main(["convergence", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "h,error,rate" and len(lines) == 3
+    rows = [line.split(",") for line in lines[1:]]
+    assert float(rows[1][1]) == 0.0
+    assert [r[2] for r in rows] == ["", ""]
+
+
 def test_cli_render_rejects_malformed_records(tmp_path):
     # a dump or solution line that is not a record exits 3 naming the line
     (tmp_path / "bad.txt").write_text("cell 0 0 1\nnode 0 0 x\n")
@@ -838,3 +874,27 @@ def test_extreme_config_values_exit_with_a_typed_code(verb, entries, depth):
         assert code in (0, 2, 3), lines
         if ev.called or ms.called:
             assert os.path.exists(os.path.join(out, "solver_log.csv")), lines
+
+
+# no depth drawn is past 3 unless the range check rejects it: a depth in
+# [4, MAX_DEPTH] may need more memory than the machine has
+DEPTHS = (-2, -1, 0, 1, 2, 3, 32, 40)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(family=st.one_of(st.sampled_from(["uniform", "dangling", "linear"]),
+                        st.sampled_from(EXTREMES)),
+       depths=st.lists(st.sampled_from(DEPTHS), min_size=1, max_size=3))
+def test_extreme_convergence_configs_exit_with_a_typed_code(family, depths):
+    # every family and depth list the convergence verb can be given ends in
+    # a study (0) or a config error (2)
+    lines = ["refine.strategy = %s" % family,
+             "refine.scales = %s" % ",".join(map(str, depths))]
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = os.path.join(tmp, "conv.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = cli_main(["convergence", path, "--out",
+                         os.path.join(tmp, "out"), "--quiet"])
+        assert code in (0, 2), lines

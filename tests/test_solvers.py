@@ -484,6 +484,40 @@ def test_newton_from_the_converged_contact_set_takes_no_iteration():
     assert [e["event"] for e in log[1:]] == ["newton"] * (len(log) - 1)
 
 
+def test_operators_carry_no_solver_state(monkeypatch):
+    # after Newton, with and without a policy, and after the continuation,
+    # every operator holds the attributes its assembly set, unchanged, and
+    # at most its two caches
+    import adaptfd.operators as operators
+    made = []
+    init = operators.OperatorSpec.__post_init__
+
+    def recorded(self):
+        init(self)
+        made.append((self, {k: id(v) for k, v in vars(self).items()}))
+
+    monkeypatch.setattr(operators.OperatorSpec, "__post_init__", recorded)
+    g = uniform_grid(4)
+    op = instantiate_builtin("obstacle", obstacle_problem(), g)
+    zero = GridFunction(g, np.zeros(g.n_nodes()))
+    u = newton_solve(op, zero, StoppingPolicy([1e-11]))
+    newton_solve(op, zero, StoppingPolicy([1e-11]),
+                 take=op._evaluate(u.values)[3])
+    g0 = build_quadtree(np.array([[16, 16, 3]]), 5, UNIT, pads=(1, 1))
+    policy = RefinementPolicy(residual_criteria(), thresholds=(0.5, 50.0),
+                              scales=(1, 0), initial_cells=tuple(
+                                  map(tuple, g0.leaves.tolist())))
+    multiscale_solve(instantiate_builtin("obstacle", obstacle_problem(), g0),
+                     GridFunction(g0, np.zeros(g0.n_nodes())), policy,
+                     StoppingPolicy([1e-6, 1e-8, 1e-9]))
+    assert len(made) > 3
+    for op, assembled in made:
+        held = {k: id(v) for k, v in vars(op).items()}
+        extra = set(held) - set(assembled)
+        assert extra <= {"time_groups", "_jacobian_pattern"}, extra
+        assert {k: held[k] for k in assembled} == assembled
+
+
 def test_newton_policy_needs_a_min_kind():
     g = uniform_grid(3)
     op = heat_op(g)
