@@ -522,28 +522,47 @@ def build_quadtree(requests, depth: int, box: DomainBox,
 # ---------------------------------------------------------------------------
 # node classification
 
-# the unit cells NE, NW, SW, SE of a node, as offsets from (i, j)
-_QUADRANTS = ((0, 0), (-1, 0), (-1, -1), (0, -1))
-# per direction E, W, N, S: the two quadrants on that side
+# Morton key bits of i (even positions) and of j (odd positions)
+_X_BITS = np.uint64(0x5555555555555555)
+_Y_BITS = np.uint64(0xAAAAAAAAAAAAAAAA)
+# per direction E, W, N, S: the quadrants (NE, NW, SW, SE) on that side,
+# the unit step, and the quadrant whose leaf is the coarse cell of a node
+# that dangles toward it
 _SIDE_QUADS = ((0, 3), (1, 2), (0, 1), (3, 2))
-# per direction: the quadrant whose leaf is the coarse cell of a node that
-# dangles toward it
-_COARSE_QUAD = (0, 1, 0, 3)
 _STEP = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
+_COARSE_QUAD = np.array([0, 1, 0, 3])
 
 
 def classify_nodes(grid: QuadtreeGrid) -> QuadtreeGrid:
     """Assign every node a class and fill the neighbor ids and distances,
-    equidistant opposing pairs and the dangling-node stencil geometry,
-    from the four quadrant leaves of all nodes found at once."""
+    equidistant opposing pairs and the dangling-node stencil geometry.
+
+    The leaves of a node's quadrants NE, NW, SW, SE come from one Morton
+    key per node, moved one cell W and S by dilated decrements, and one
+    binary search in the leaf keys per quadrant.  A direction's distance is
+    the nearer edge on that side of its two quadrant leaves; no node lies
+    strictly inside the edge to that neighbor, so the E and W neighbors are
+    the next and previous ids in the (j, i) node order and the N and S
+    neighbors those in the (i, j) order, checked to lie where the distances
+    put them.  Only pairs of unequal distances and the dangling-node
+    geometry search the node keys."""
     side = grid.side
     i, j = grid.i, grid.j
     n = len(i)
-    quads = np.full((n, 4), -1, dtype=np.int64)
-    for q, (di, dj) in enumerate(_QUADRANTS):
-        ci, cj = i + di, j + dj
-        ok = (ci >= 0) & (ci < side) & (cj >= 0) & (cj < side)
-        quads[ok, q] = grid.leaf_of_cell(ci[ok], cj[ok])
+    key = morton(i, j)
+    # the keys of (i - 1, j) and (i, j - 1): a decrement of i's dilated
+    # bits borrows through the cleared bits of j, and the mask drops them
+    key_x, key_y = key & _X_BITS, key & _Y_BITS
+    key_w = (key_x - np.uint64(1)) & _X_BITS
+    key_s = (key_y - np.uint64(2)) & _Y_BITS
+    inside = ((i < side) & (j < side), (i > 0) & (j < side),
+              (i > 0) & (j > 0), (i < side) & (j > 0))
+    # -1 where the quadrant is outside the lattice: the last entry of the
+    # leaf edge arrays below, beyond every wall
+    quads = np.stack([np.where(ok, np.searchsorted(
+        grid._leaf_keys, q, side="right") - 1, -1) for q, ok in zip(
+            (key, key_w | key_y, key_w | key_s, key_x | key_s), inside)],
+        axis=1)
     on_wall = (i == 0) | (i == side) | (j == 0) | (j == side)
     ne, nw, sw, se = quads.T
     # a node whose two quadrants toward d lie in one leaf dangles toward d;
@@ -552,53 +571,82 @@ def classify_nodes(grid: QuadtreeGrid) -> QuadtreeGrid:
                         ~on_wall & (ne == nw), ~on_wall & (se == sw)],
                        [1, 0, 2, 3], -1)
 
-    a, b, k = grid.leaves[quads].transpose(2, 0, 1)
+    # per direction, the leaf edges on that side, negated toward W and S so
+    # that the nearer edge is the smaller, and the node coordinate alike
+    a, b, k = grid.leaves.T
     s = 1 << k
-    extent = np.stack([a + s - i[:, None], i[:, None] - a,
-                       b + s - j[:, None], j[:, None] - b])
     far = 2 * side + 1
     dist_v = np.empty((n, 4), dtype=np.int64)
-    for d, (q1, q2) in enumerate(_SIDE_QUADS):
-        e = np.where(quads[:, [q1, q2]] >= 0, extent[d][:, [q1, q2]], far)
-        dist_v[:, d] = e.min(axis=1)
-    dist_v[dist_v == far] = 0
+    for d, (edge, pos) in enumerate(((a + s, i), (-a, -i), (b + s, j),
+                                     (-b, -j))):
+        edge = np.append(edge, far + side)
+        q1, q2 = _SIDE_QUADS[d]
+        dist_v[:, d] = np.minimum(edge[quads[:, q1]], edge[quads[:, q2]]) - pos
+    dist_v[dist_v > side] = 0
     dangling = coarse >= 0
     dist_v[dangling, coarse[dangling]] = 0
     present = dist_v > 0
 
-    nbr = np.full((n, 4), -1, dtype=np.int64)
-    for d in range(4):
-        at = present[:, d]
-        nbr[at, d] = _node_ids(grid, i[at] + _STEP[d, 0] * dist_v[at, d],
-                               j[at] + _STEP[d, 1] * dist_v[at, d])
+    # E and W neighbors by the (j, i) node order, N and S by the (i, j) one
+    by_i = np.argsort(i, kind="stable")
+    north, south = _line_neighbors(j[by_i], i[by_i], dist_v[by_i, 2],
+                                   dist_v[by_i, 3])
+    nbr = np.empty((n, 4), dtype=np.int64)
+    nbr[:, 0], nbr[:, 1] = _line_neighbors(i, j, dist_v[:, 0], dist_v[:, 1])
+    ids = np.append(by_i, -1)
+    nbr[by_i, 2], nbr[by_i, 3] = ids[north], ids[south]
     h = np.array([grid.hx, grid.hx, grid.hy, grid.hy])
     grid.nbr = _frozen(nbr)
     grid.dist = _frozen(np.where(present, dist_v * h, np.nan))
-    spacing = np.where(present, dist_v, far).min(axis=1)
+    spacing = np.where(present, dist_v, far)
+    spacing = np.minimum(np.minimum(spacing[:, 0], spacing[:, 1]),
+                         np.minimum(spacing[:, 2], spacing[:, 3]))
     spacing[spacing == far] = 0
     grid.min_spacing = _frozen(spacing)
 
-    # nearest equidistant opposing pairs (the far node on the finer side
-    # always exists: the fine cells' parent supplies the corner)
-    pair = np.full((n, 4), -1, dtype=np.int64)
-    pair_dist = np.full((n, 2), np.nan)
+    # nearest equidistant opposing pairs: the two neighbors where they are
+    # equidistant, else the nodes at the farther one's distance (the far
+    # node on the finer side always exists: the fine cells' parent supplies
+    # the corner)
+    both = present[:, 0::2] & present[:, 1::2]
+    span = np.maximum(dist_v[:, 0::2], dist_v[:, 1::2])
+    pair = np.where(np.repeat(both, 2, axis=1), nbr, -1)
     for ax in range(2):
-        at = present[:, 2 * ax] & present[:, 2 * ax + 1]
-        d = np.maximum(dist_v[at, 2 * ax], dist_v[at, 2 * ax + 1])
+        at = np.flatnonzero(both[:, ax]
+                            & (dist_v[:, 2 * ax] != dist_v[:, 2 * ax + 1]))
+        # rows: the + and the - node of the pair
+        du = span[at, ax] * np.array([[1], [-1]])
         di, dj = _STEP[2 * ax]
-        pair[at, 2 * ax] = _node_ids(grid, i[at] + di * d, j[at] + dj * d)
-        pair[at, 2 * ax + 1] = _node_ids(grid, i[at] - di * d, j[at] - dj * d)
-        pair_dist[at, ax] = d * h[2 * ax]
+        pair[at, 2 * ax:2 * ax + 2] = _node_ids(grid, i[at] + di * du,
+                                                j[at] + dj * du).T
     grid.pair = _frozen(pair)
-    grid.pair_dist = _frozen(pair_dist)
+    grid.pair_dist = _frozen(np.where(both, span * h[0::2], np.nan))
 
     grid.klass = _frozen(np.select(
         [on_wall, coarse >= 2, coarse >= 0],
         [CODE[BOUNDARY], CODE[DANGLING_Y], CODE[DANGLING_X]],
         CODE[REGULAR]).astype(np.int8))
     grid.coarse_side = _frozen(coarse.astype(np.int8))
-    _dangling_geometry(grid, quads, k)
+    at = np.flatnonzero(dangling)
+    _dangling_geometry(grid, at, k[quads[at, _COARSE_QUAD[coarse[at]]]])
     return grid
+
+
+def _line_neighbors(u, v, ahead, behind):
+    """Positions of the neighbors of nodes listed line by line (v, then u
+    ascending) at distances ahead and behind along u (0 where absent, -1
+    returned): the next and the previous entry, checked to lie on the same
+    line at that distance."""
+    step = u[1:] - u[:-1]
+    apart = v[1:] != v[:-1]
+    has_ahead, has_behind = ahead > 0, behind > 0
+    if has_ahead[-1] or has_behind[0] \
+            or np.any(has_ahead[:-1] & ((step != ahead[:-1]) | apart)) \
+            or np.any(has_behind[1:] & ((step != behind[1:]) | apart)):
+        raise GridError("cells do not form a legal quadtree: a neighbor "
+                        "corner is missing")
+    pos = np.arange(len(u))
+    return np.where(has_ahead, pos + 1, -1), np.where(has_behind, pos - 1, -1)
 
 
 def _node_ids(grid: QuadtreeGrid, i, j):
@@ -609,44 +657,41 @@ def _node_ids(grid: QuadtreeGrid, i, j):
     return ids
 
 
-def _dangling_geometry(grid: QuadtreeGrid, quads, scale):
-    """Corner ids for the dangling-node I-stencil: the value opposite the
-    coarse cell is interpolated from equidistant far corners; the stencil is
-    widened until the axis-pair weight stays nonnegative."""
+def _dangling_geometry(grid: QuadtreeGrid, at, scale):
+    """Corner ids for the I-stencils of the dangling nodes at, whose coarse
+    cells have the given scales: the value opposite the coarse cell is
+    interpolated from equidistant far corners; the stencil is widened until
+    the axis-pair weight stays nonnegative."""
     n = grid.n_nodes()
+    d = grid.coarse_side[at]
+    along_x = d < 2
+    bd = 1 << scale
+    half = bd >> 1
+    # no m above side fits: the pads are clipped to side + 1 before any
+    # int64 array is built, so an extreme aspect ratio cannot overflow
+    pad = np.where(along_x, min(grid.pad_x, grid.side + 1),
+                   min(grid.pad_y, grid.side + 1))
+    fine = half * np.where(along_x, grid.hy, grid.hx)
+    coarse = bd * np.where(along_x, grid.hx, grid.hy)
+    m = np.clip(np.ceil(fine / coarse - 1e-12), 1, pad + 1).astype(np.int64)
+    # the two far corners and the four wide-stencil corners, as offsets u
+    # along the coarse axis and v across it; (ex, ey) is the unit step along
+    beyond = np.where(d % 2 == 0, bd, -bd)
+    w = m * bd
+    u = np.stack([beyond, beyond, -w, -w, w, w])
+    v = np.stack([-half, half] * 3)
+    ex, ey = along_x.astype(np.int64), (~along_x).astype(np.int64)
+    corners = grid.find(grid.i[at] + u * ex + v * ey,
+                        grid.j[at] + u * ey + v * ex).T
+    fits = (m <= pad) & np.all(corners[:, 2:] >= 0, axis=1)
     band = np.zeros(n, dtype=np.int64)
+    band[at] = bd
     drv = np.full((n, 2), -1, dtype=np.int64)
+    drv[at] = corners[:, :2]
     wide = np.zeros(n, dtype=np.int64)
+    wide[at[fits]] = m[fits]
     wide_ids = np.full((n, 4), -1, dtype=np.int64)
-    for d in range(4):
-        at = np.flatnonzero(grid.coarse_side == d)
-        bd = 1 << scale[at, _COARSE_QUAD[d]]
-        half = bd >> 1
-        band[at] = bd
-        sgn = 1 if d in (0, 2) else -1
-        if d < 2:
-            fine, coarse, pad = half * grid.hy, bd * grid.hx, grid.pad_x
-        else:
-            fine, coarse, pad = half * grid.hx, bd * grid.hy, grid.pad_y
-        # any m above pad does not fit: clipped to pad + 1 before the cast,
-        # so an extreme aspect ratio cannot overflow int64
-        m = np.clip(np.ceil(fine / coarse - 1e-12), 1,
-                    pad + 1).astype(np.int64)
-        # the far corners and the four wide-stencil corners, as offsets
-        # (along the coarse axis, across it); (ex, ey) is the unit step along
-        ex, ey = (1, 0) if d < 2 else (0, 1)
-        i, j = grid.i[at], grid.j[at]
-
-        def ids(offsets):
-            return np.stack([grid.find(i + u * ex + v * ey, j + u * ey + v * ex)
-                             for (u, v) in offsets], axis=1)
-
-        drv[at] = ids([(sgn * bd, -half), (sgn * bd, half)])
-        w = m * bd
-        cids = ids([(-w, -half), (-w, half), (w, -half), (w, half)])
-        fits = (m <= pad) & np.all(cids >= 0, axis=1)
-        wide[at[fits]] = m[fits]
-        wide_ids[at[fits]] = cids[fits]
+    wide_ids[at[fits]] = corners[fits, 2:]
     grid.band = _frozen(band)
     grid.drv_pair = _frozen(drv)
     grid.wide = _frozen(wide)

@@ -10,6 +10,7 @@ solver log) are written atomically into the output directory.
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
 import math
 import os
@@ -586,10 +587,18 @@ def resource_report(grid: QuadtreeGrid, radii, log, region_counts) -> ResourceRe
 # experiment driver
 
 def atomic_write(path: str, text: str):
+    """Write text to path through path + ".tmp", so that path holds either
+    its old content or all of text; a failed write removes the temporary
+    file and re-raises."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _csv(header: str, fmt: str, rows) -> str:

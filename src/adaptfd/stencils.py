@@ -123,6 +123,8 @@ def _wall_rows(grid: QuadtreeGrid, ids, A, B, C):
         pins[p[ok]] = c[ok] / b[ok]
         pinned[p[pin]] = True
         row = a != 0.0
+        if not row.any():
+            continue
         p, a, b, c = p[row], a[row], b[row], c[row]
         dist = grid.dist[ids[p], d]
         inv = _inv_sq(dist)

@@ -279,6 +279,125 @@ def brute_classify(cells, depth):
     return classes
 
 
+# the node arrays classify_nodes fills, in the order classify_reference
+# returns them
+CLASSIFIED = ("klass", "nbr", "dist", "pair", "pair_dist", "coarse_side",
+              "band", "drv_pair", "wide", "wide_ids", "min_spacing")
+
+
+def classify_reference(grid):
+    """The node arrays of CLASSIFIED for grid's nodes and leaves, as a dict,
+    by the searches classify_nodes replaced: a leaf_of_cell per quadrant,
+    a (4, n, 4) stack of leaf extents, a find per neighbor and per pair,
+    and the dangling-node geometry one coarse side at a time."""
+    import numpy as np
+    from adaptfd.grid import BOUNDARY, CODE, DANGLING_X, DANGLING_Y, \
+        GridError, REGULAR
+
+    def node_ids(i, j):
+        ids = grid.find(i, j)
+        if np.any(ids < 0):
+            raise GridError("cells do not form a legal quadtree: a neighbor "
+                            "corner is missing")
+        return ids
+
+    step = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
+    side = grid.side
+    i, j = grid.i, grid.j
+    n = len(i)
+    # the unit cells NE, NW, SW, SE of a node
+    quads = np.full((n, 4), -1, dtype=np.int64)
+    for q, (di, dj) in enumerate(((0, 0), (-1, 0), (-1, -1), (0, -1))):
+        ci, cj = i + di, j + dj
+        ok = (ci >= 0) & (ci < side) & (cj >= 0) & (cj < side)
+        quads[ok, q] = grid.leaf_of_cell(ci[ok], cj[ok])
+    on_wall = (i == 0) | (i == side) | (j == 0) | (j == side)
+    ne, nw, sw, se = quads.T
+    coarse = np.select([~on_wall & (nw == sw), ~on_wall & (ne == se),
+                        ~on_wall & (ne == nw), ~on_wall & (se == sw)],
+                       [1, 0, 2, 3], -1)
+
+    a, b, k = grid.leaves[quads].transpose(2, 0, 1)
+    s = 1 << k
+    extent = np.stack([a + s - i[:, None], i[:, None] - a,
+                       b + s - j[:, None], j[:, None] - b])
+    far = 2 * side + 1
+    dist_v = np.empty((n, 4), dtype=np.int64)
+    # per direction E, W, N, S: the two quadrants on that side
+    for d, (q1, q2) in enumerate(((0, 3), (1, 2), (0, 1), (3, 2))):
+        e = np.where(quads[:, [q1, q2]] >= 0, extent[d][:, [q1, q2]], far)
+        dist_v[:, d] = e.min(axis=1)
+    dist_v[dist_v == far] = 0
+    dangling = coarse >= 0
+    dist_v[dangling, coarse[dangling]] = 0
+    present = dist_v > 0
+
+    out = {}
+    nbr = np.full((n, 4), -1, dtype=np.int64)
+    for d in range(4):
+        at = present[:, d]
+        nbr[at, d] = node_ids(i[at] + step[d, 0] * dist_v[at, d],
+                              j[at] + step[d, 1] * dist_v[at, d])
+    h = np.array([grid.hx, grid.hx, grid.hy, grid.hy])
+    out["nbr"] = nbr
+    out["dist"] = np.where(present, dist_v * h, np.nan)
+    spacing = np.where(present, dist_v, far).min(axis=1)
+    spacing[spacing == far] = 0
+    out["min_spacing"] = spacing
+
+    pair = np.full((n, 4), -1, dtype=np.int64)
+    pair_dist = np.full((n, 2), np.nan)
+    for ax in range(2):
+        at = present[:, 2 * ax] & present[:, 2 * ax + 1]
+        d = np.maximum(dist_v[at, 2 * ax], dist_v[at, 2 * ax + 1])
+        di, dj = step[2 * ax]
+        pair[at, 2 * ax] = node_ids(i[at] + di * d, j[at] + dj * d)
+        pair[at, 2 * ax + 1] = node_ids(i[at] - di * d, j[at] - dj * d)
+        pair_dist[at, ax] = d * h[2 * ax]
+    out["pair"] = pair
+    out["pair_dist"] = pair_dist
+    out["klass"] = np.select(
+        [on_wall, coarse >= 2, coarse >= 0],
+        [CODE[BOUNDARY], CODE[DANGLING_Y], CODE[DANGLING_X]],
+        CODE[REGULAR]).astype(np.int8)
+    out["coarse_side"] = coarse.astype(np.int8)
+
+    # the dangling-node I-stencil, one coarse side d at a time; the coarse
+    # cell is the leaf of quadrant (NE, NW, NE, SE)[d]
+    band = np.zeros(n, dtype=np.int64)
+    drv = np.full((n, 2), -1, dtype=np.int64)
+    wide = np.zeros(n, dtype=np.int64)
+    wide_ids = np.full((n, 4), -1, dtype=np.int64)
+    for d in range(4):
+        at = np.flatnonzero(coarse == d)
+        bd = 1 << k[at, (0, 1, 0, 3)[d]]
+        half = bd >> 1
+        band[at] = bd
+        sgn = 1 if d in (0, 2) else -1
+        if d < 2:
+            fine, coarse_h, pad = half * grid.hy, bd * grid.hx, grid.pad_x
+        else:
+            fine, coarse_h, pad = half * grid.hx, bd * grid.hy, grid.pad_y
+        m = np.clip(np.ceil(fine / coarse_h - 1e-12), 1,
+                    pad + 1).astype(np.int64)
+        ex, ey = (1, 0) if d < 2 else (0, 1)
+        ii, jj = i[at], j[at]
+
+        def ids(offsets):
+            return np.stack([grid.find(ii + u * ex + v * ey,
+                                       jj + u * ey + v * ex)
+                             for (u, v) in offsets], axis=1)
+
+        drv[at] = ids([(sgn * bd, -half), (sgn * bd, half)])
+        w = m * bd
+        cids = ids([(-w, -half), (-w, half), (w, -half), (w, half)])
+        fits = (m <= pad) & np.all(cids >= 0, axis=1)
+        wide[at[fits]] = m[fits]
+        wide_ids[at[fits]] = cids[fits]
+    out.update(band=band, drv_pair=drv, wide=wide, wide_ids=wide_ids)
+    return {name: out[name] for name in CLASSIFIED}
+
+
 def psor_solve(op, tol=1e-12, omega=1.5, max_sweeps=20000):
     """Projected SOR oracle for min(wbar u - sum w u_j, u - g) = 0."""
     import numpy as np

@@ -229,6 +229,19 @@ def test_classify_matches_brute_force_on_random_grids():
             assert ref[(i, j)] == CLASSES[c]
 
 
+@pytest.mark.parametrize("leaves, depth", [
+    ([[0, 0, 0], [1, 1, 0]], 1),                        # a gap
+    ([[0, 0, 1], [0, 0, 0]], 1),                        # nested leaves
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], 1),             # a missing corner
+    # a square split into two of its four children
+    ([[0, 0, 1], [2, 0, 1], [0, 2, 1], [2, 2, 0], [3, 3, 0]], 2),
+])
+def test_cells_that_do_not_tile_are_refused(leaves, depth):
+    # a neighbor the node order gives is not where the leaf edges put it
+    with pytest.raises(GridError, match="legal quadtree"):
+        QuadtreeGrid(UNIT, depth, (1, 1), leaves)
+
+
 def test_regular_pair_distances_exist():
     rng = np.random.default_rng(29)
     for _ in range(20):

@@ -77,6 +77,35 @@ def test_rerun_is_bitwise_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_failed_atomic_write_keeps_the_old_artifact_and_no_temp_file(
+        tmp_path):
+    path = tmp_path / "a.csv"
+    harness.atomic_write(str(path), "old\n")
+    # the text cannot be encoded: nothing of it reaches a.csv
+    with pytest.raises(UnicodeEncodeError):
+        harness.atomic_write(str(path), "bad\ud800")
+    assert path.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["a.csv"]
+    # the write itself fails, as on a full disk
+    real_open = open
+
+    def full_disk(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        fh.write = mock.Mock(side_effect=OSError(28, "No space left"))
+        return fh
+
+    with mock.patch("builtins.open", full_disk):
+        with pytest.raises(OSError, match="No space"):
+            harness.atomic_write(str(path), "new\n")
+    assert path.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["a.csv"]
+    # the rename fails: a directory stands where the artifact goes
+    (tmp_path / "d.csv").mkdir()
+    with pytest.raises(OSError):
+        harness.atomic_write(str(tmp_path / "d.csv"), "text\n")
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "d.csv"]
+
+
 def test_convergence_rates():
     rows = convergence_report("uniform", (3, 4, 5))
     assert all(r >= 1.9 for (_, _, r) in rows[1:])

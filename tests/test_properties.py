@@ -40,11 +40,12 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
 
 
 @st.composite
-def grids(draw, deep=False):
+def grids(draw, deep=False, wide_pads=False):
     """(grid, requests): a random box and a quadtree on it with random pads,
     built from the requested squares (a, b, k).  A deep grid is refined
     toward 16 to 32 points, each at the base scale or finer, instead of 0
-    to 3 points at any scale."""
+    to 3 points at any scale.  With wide_pads, one axis, drawn at random,
+    has a pad above the lattice side."""
     side = 10.0 ** draw(st.floats(-2.0, 3.0))
     long = side * draw(st.floats(1.0, 8.0))
     lx, ly = (side, long) if draw(st.booleans()) else (long, side)
@@ -65,8 +66,10 @@ def grids(draw, deep=False):
         reqs.append((min(i >> k << k, n - (1 << k)),
                      min(j >> k << k, n - (1 << k)), k))
     pad_x, pad_y = default_pads(box)
-    pads = (draw(st.integers(1, pad_x + 2)), draw(st.integers(1, pad_y + 2)))
-    return build_quadtree(np.array(reqs), depth, box, pads=pads), reqs
+    pads = [draw(st.integers(1, pad_x + 2)), draw(st.integers(1, pad_y + 2))]
+    if wide_pads:
+        pads[draw(st.integers(0, 1))] = draw(st.integers(n + 1, 4 * n))
+    return build_quadtree(np.array(reqs), depth, box, pads=tuple(pads)), reqs
 
 
 def _problem(variant, box):
@@ -277,6 +280,20 @@ def test_array_grid_matches_oracles(case):
                 assert (grid.i[grid.nbr[idx, d]], grid.j[grid.nbr[idx, d]]) \
                     == (ni, nj)
                 assert grid.dist[idx, d] == t * h[d]
+
+
+@PROPERTY
+@given(grids())
+def test_classify_matches_node_search_reference(case):
+    # every node array has the dtype, shape and bytes that the classifier
+    # searching the node keys for each neighbor, pair and stencil corner
+    # gives
+    grid, _ = case
+    ref = oracles.classify_reference(grid)
+    for name in oracles.CLASSIFIED:
+        got = getattr(grid, name)
+        assert (got.dtype, got.shape) == (ref[name].dtype, ref[name].shape)
+        assert got.tobytes() == ref[name].tobytes(), name
 
 
 def _step_case(case):
@@ -610,7 +627,8 @@ def test_policy_start_reaches_the_plain_solution(case, density):
 # the properties above that step no Stefan state across u_i = 0, again on
 # deep grids: grids() seldom draws one above 164 nodes.  The Euler tests
 # keep grids(); a deep draw finds the Stefan order defect pinned above.
-# 75 examples each hold the seven to about 8 s on 2 cores.
+# 75 examples each hold the seven to about 8 s on 2 cores.  The classifier
+# is also held to its reference with a pad above the lattice side.
 def _on_deep_grids(test, *strategies):
     return settings(PROPERTY, max_examples=75)(
         given(*strategies)(test.hypothesis.inner_test))
@@ -618,6 +636,10 @@ def _on_deep_grids(test, *strategies):
 
 test_array_grid_matches_oracles_on_deep_grids = _on_deep_grids(
     test_array_grid_matches_oracles, grids(deep=True))
+test_classify_matches_node_search_reference_on_deep_grids = _on_deep_grids(
+    test_classify_matches_node_search_reference, grids(deep=True))
+test_classify_matches_node_search_reference_with_wide_pads = _on_deep_grids(
+    test_classify_matches_node_search_reference, grids(wide_pads=True))
 test_laplacian_system_matches_per_node_loop_on_deep_grids = _on_deep_grids(
     test_laplacian_system_matches_per_node_loop, grids(deep=True),
     st.sampled_from(WALL_DATA))
