@@ -3,10 +3,10 @@
 A refinement policy evaluates a nonnegative criteria field at every active
 node and compares it against a nondecreasing threshold ladder: crossing a
 higher rung demands a finer scale.  Crossing nodes turn into required
-squares (a, b, k) (every incident square of the demanded scale, dilated by
-an optional padding ring of squares), the fixed initial quadtree is always
-appended, and the grid is rebuilt with values transferred by bilinear
-interpolation; surviving nodes keep their values exactly.
+squares (a, b, k) (every incident square of the demanded scale), the fixed
+initial quadtree is always appended, and the grid is rebuilt with values
+transferred by bilinear interpolation; surviving nodes keep their values
+exactly.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ class RefinementPolicy:
     thresholds t_1 <= ... <= t_K map to scales: a node whose value exceeds
     t_k (largest such k) is refined to scales[k]; by default scales descend
     to the finest, so a larger criteria value demands a finer grid.
-    extra_padding rings of squares are added around each demanded square,
-    and initial_cells, squares (a, b, k), are demanded always.
+    initial_cells, squares (a, b, k), are demanded always.
     """
     criteria: object
     thresholds: tuple
     scales: tuple | None = None
-    extra_padding: int = 0
     initial_cells: tuple = ()
 
     def __post_init__(self):
@@ -51,8 +49,6 @@ class RefinementPolicy:
             raise GridError("one scale per threshold required")
         if any(k < 0 for k in self.scales):
             raise GridError("refinement scales must be >= 0")
-        if self.extra_padding < 0:
-            raise GridError("refinement padding must be >= 0")
         self.initial_cells = np.asarray(self.initial_cells,
                                         dtype=np.int64).reshape(-1, 3)
 
@@ -86,9 +82,8 @@ def compute_refinement(policy: RefinementPolicy, values: GridFunction,
     if coarsest_allowed is not None:
         scale = np.maximum(scale, coarsest_allowed)
     scale = np.minimum(scale, grid.depth)
-    rings = _ring_squares(grid.side, grid.i[hot], grid.j[hot], scale,
-                          policy.extra_padding)
-    return np.concatenate([rings, policy.initial_cells])
+    return np.concatenate([_ring_squares(grid.side, grid.i[hot], grid.j[hot],
+                                         scale), policy.initial_cells])
 
 
 def regrid(grid: QuadtreeGrid, u: GridFunction, requests):

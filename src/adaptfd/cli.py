@@ -62,10 +62,8 @@ def _dispatch(args) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.verb == "solve":
-            cfg.solver = cfg.solver or "newton_multiscale"
-        else:
-            cfg.solver = "euler_evolve"
+        cfg.solver = {"solve": "newton_multiscale",
+                      "evolve": "euler_evolve"}[args.verb]
         out = args.out or cfg.out_dir
         results = run_experiment(cfg, out_dir=out)
         if not args.quiet:

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import QuadtreeGrid
+from .grid import GridFunction, QuadtreeGrid
 
 
 def extract_contour(grid: QuadtreeGrid, values: np.ndarray,
                     level: float) -> list:
     """Polylines of {values = level} as arrays of (x, y) points; values has
-    one entry per node of grid.  A level outside the value range gives an
-    empty list.  Closed contours repeat their first point at the end.
+    one entry per node of grid (GridError otherwise).  A level outside the
+    value range gives an empty list.  Closed contours repeat their first
+    point at the end.
     """
+    values = GridFunction(grid, values).values
     if not (values.min() <= level <= values.max()):
         return []
 

@@ -154,6 +154,19 @@ def _morton_sorted(leaves):
     return leaves[order], keys[order]
 
 
+def _check_tiling(leaves, keys, depth: int):
+    """GridError unless the Morton-sorted squares (a, b, k), with keys their
+    Morton keys, tile the lattice: aligned inside it, each covers the keys
+    [morton(a, b), + 4^k), and those ranges run from 0 to 4^depth with no
+    gap or overlap."""
+    _as_seeds(leaves, depth)
+    ends = keys + (np.uint64(1) << (2 * leaves[:, 2]).astype(np.uint64))
+    if not len(keys) or keys[0] != 0 or ends[-1] != 1 << 2 * depth \
+            or np.any(keys[1:] != ends[:-1]):
+        raise GridError("cells do not form a legal quadtree: they do not "
+                        "tile the %d x %d lattice" % (1 << depth, 1 << depth))
+
+
 class QuadtreeGrid:
     """Immutable balanced quadtree with classified nodes.
 
@@ -177,7 +190,7 @@ class QuadtreeGrid:
     node_text is the nodes' i, j, x, y as text, built on first access for
     the writers.  keys, when given, are the Morton keys of leaves that come
     sorted by them, as quadtree_leaves returns both; otherwise the leaves
-    are sorted here.
+    are sorted here.  Leaves that do not tile the lattice raise GridError.
     """
 
     def __init__(self, box: DomainBox, depth: int, pads: tuple[int, int],
@@ -190,6 +203,7 @@ class QuadtreeGrid:
         self.hx, self.hy = _spacings(box, depth)
         if keys is None:
             leaves, keys = _morton_sorted(leaves)
+        _check_tiling(leaves, keys, depth)
         self.leaves = _frozen(leaves)
         self._leaf_keys = _frozen(keys)
         self._collect_nodes()
@@ -349,19 +363,15 @@ def _as_seeds(requests, depth: int) -> np.ndarray:
     return seeds
 
 
-def _ring_squares(side: int, i, j, scale, pad: int) -> np.ndarray:
-    """Per lattice point (i, j), every scale-s square incident to it plus
-    pad rings of squares around them, clipped to [0, side]; a-major order.
-    A pad above side acts as pad = side: that ring already covers the
-    lattice."""
+def _ring_squares(side: int, i, j, scale) -> np.ndarray:
+    """Per lattice point (i, j), every scale-s square incident to it, inside
+    [0, side]; a-major order."""
     s = 1 << scale
-    pad = min(pad, side)
 
     def span(n):
         lo = np.where(n > 0, (n - 1) // s * s, 0)
         hi = np.where(n < side, n // s * s, side - s)
-        lo = np.maximum(lo - pad * s, 0)
-        return lo, (np.minimum(hi + pad * s, side - s) - lo) // s + 1
+        return lo, (hi - lo) // s + 1
 
     a0, na = span(i)
     b0, nb = span(j)
@@ -703,8 +713,9 @@ def _dangling_geometry(grid: QuadtreeGrid, at, scale):
 
 def parse_dump(text: str):
     """Parse a grid dump back into (cells, box, depth): cells are the
-    squares (a, b, k) of the cell records, checked to tile the lattice of
-    side 2^depth; the box spans the x and y of the node records."""
+    aligned squares (a, b, k) of the cell records, depth is read from their
+    extent (QuadtreeGrid checks that they tile that lattice), and the box
+    spans the x and y of the node records."""
     xs, ys, cells = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
@@ -724,12 +735,4 @@ def parse_dump(text: str):
     cells = _as_seeds(np.array(cells), MAX_DEPTH)
     a, b, k = cells.T
     depth = int(np.max(np.maximum(a, b) + (1 << k))).bit_length() - 1
-    # each cell covers the Morton keys [morton(a, b), + 4^k); sorted, the
-    # ranges of a tiling run from 0 to 4^depth with no gap or overlap
-    leaves, keys = _morton_sorted(cells)
-    ends = keys + (np.uint64(1) << (2 * leaves[:, 2]).astype(np.uint64))
-    if keys[0] != 0 or ends[-1] != 1 << 2 * depth \
-            or np.any(keys[1:] != ends[:-1]):
-        raise GridError("dump cells do not tile the %d x %d lattice"
-                        % (1 << depth, 1 << depth))
     return cells, DomainBox(min(xs), max(xs), min(ys), max(ys)), depth

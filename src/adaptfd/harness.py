@@ -34,14 +34,14 @@ class ConfigError(Exception):
 
 
 _KNOWN_KEYS = {
-    "preset", "seed", "solver",
+    "preset", "seed",
     "output.dir",
     "domain.side", "domain.x_min", "domain.x_max", "domain.y_min",
     "domain.y_max",
     "grid.depth", "grid.pad_x", "grid.pad_y", "grid.initial_scale",
-    "refine.strategy", "refine.thresholds", "refine.scales", "refine.padding",
+    "refine.strategy", "refine.thresholds", "refine.scales",
     "stopping.thresholds", "newton.max_iter",
-    "time.T", "time.snapshots", "time.regrid_every",
+    "time.T", "time.snapshots",
     "contour.level",
     "problem.kind", "problem.f", "problem.g", "problem.chi",
     "problem.dirichlet",
@@ -52,7 +52,7 @@ _KNOWN_KEYS = {
 class ExperimentConfig:
     preset: str = "custom"
     seed: int = 0
-    solver: str | None = None
+    solver: str | None = None     # set by the verb; None: the preset's
     out_dir: str = "out"
     raw: dict = field(default_factory=dict)
 
@@ -89,7 +89,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("config field 'preset' must be one of %s"
                           % (tuple(_PRESETS),))
     cfg.seed = cfg.get("seed", 0, int)
-    cfg.solver = raw.get("solver")
     cfg.out_dir = raw.get("output.dir", "out")
     return cfg
 
@@ -254,16 +253,15 @@ class PresetBundle:
     contour: tuple | None = None     # ("level", v) or ("contact", eps)
     regions: tuple = ()              # radii splitting the resource report
     u0: object = None                # initial values fn; None: zero
-    regrid_every: int = 1            # coarse Euler steps between regrids
     pads: tuple | None = None        # (pad_x, pad_y); None: from the box
     max_iter: int = 100              # Newton iterations per solve
 
 
-def _ladder(criteria, thresholds, scales=(3, 2, 1, 0), padding=0):
+def _ladder(criteria, thresholds, scales=(3, 2, 1, 0)):
     """A grid strategy: fn(initial cells) -> the policy that refines along
     this threshold ladder.  criteria() runs only for the chosen strategy."""
     return lambda cells: RefinementPolicy(criteria(), thresholds, scales,
-                                          padding, cells)
+                                          initial_cells=cells)
 
 
 def _box(keys, depth, *bounds):
@@ -403,8 +401,7 @@ def _custom(cfg, depth):
         strategies={None: _ladder(
             residual_criteria, cfg.get("refine.thresholds", (1e9,),
                                        listed(float)),
-            cfg.get("refine.scales", None, listed(int)),
-            cfg.get("refine.padding", 0, int))})
+            cfg.get("refine.scales", None, listed(int)))})
 
 
 # Per preset: fn(cfg, depth) -> what sets it apart, the PresetBundle fields
@@ -473,8 +470,8 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     need, what = {"newton_multiscale": (stopping, "stopping thresholds"),
                   "euler_evolve": (times, "final time")}[solver]
     if need is None:
-        raise ConfigError("config field 'solver' cannot be %s for preset %r, "
-                          "which has no %s" % (solver, cfg.preset, what))
+        raise ConfigError("'solver' %s cannot run preset %r, which has no %s"
+                          % (solver, cfg.preset, what))
     strategies = fields.pop("strategies")
     if strategy is not None:
         strategy = cfg.get("refine.strategy", strategy)
@@ -484,8 +481,8 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     if strategies[strategy] is not None:
         cells = uniform_requests(fields["box"], depth, scale)
         fields["policy"] = _checked(
-            ("refine.thresholds", "refine.scales", "refine.padding"),
-            strategies[strategy], cells)
+            ("refine.thresholds", "refine.scales"), strategies[strategy],
+            cells)
     if strategy == "uniform_fine":     # stefan's all-fine reference grid
         scale = 0
     if stopping is not None:
@@ -498,9 +495,7 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
         snapshots = cfg.get("time.snapshots", times[1], listed(float)) or (T,)
         _check("time.snapshots", snapshots,
                all(0 <= t <= T for t in snapshots), "in [0, time.T]")
-        every = cfg.get("time.regrid_every", 1, int)
-        _check("time.regrid_every", every, every >= 1, ">= 1")
-        fields.update(T=T, snapshots=snapshots, regrid_every=every)
+        fields.update(T=T, snapshots=snapshots)
     return PresetBundle(depth=depth, initial_scale=scale, pads=pads,
                         max_iter=max_iter, **fields)
 
@@ -655,8 +650,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             snaps = evolve(
                 instantiate_builtin(preset.kind, preset.problem, g0), u0,
                 T=preset.T, policy=preset.policy,
-                snapshot_times=preset.snapshots, seed=cfg.seed,
-                regrid_every=preset.regrid_every, log=log)
+                snapshot_times=preset.snapshots, seed=cfg.seed, log=log)
             results["snapshots"] = snaps
         else:
             region_counts = []

@@ -172,8 +172,9 @@ def euler_step(op: OperatorSpec, u: GridFunction,
 
 
 def evolve(op: OperatorSpec, u0: GridFunction, T: float, policy=None,
-           snapshot_times=(), seed: int = 0, regrid_every: int = 1, log=None):
-    """March u_t + F[u] = 0 to time T, regridding as the policy demands.
+           snapshot_times=(), seed: int = 0, log=None):
+    """March u_t + F[u] = 0 to time T, regridding after every coarse step
+    as the policy demands.
 
     Returns [(grid, u, t)] at the requested snapshot times (linearly
     interpolated inside the coarse step that crosses each).  Before stepping,
@@ -184,8 +185,6 @@ def evolve(op: OperatorSpec, u0: GridFunction, T: float, policy=None,
         raise GridError("final time must be positive")
     if not math.isfinite(T):
         raise GridError("final time must be finite")
-    if regrid_every < 1:
-        raise GridError("regrid_every must be >= 1")
     if not all(0 <= t <= T for t in snapshot_times):
         raise GridError("snapshot times must lie in [0, T]")
     u0.check(op.grid)
@@ -204,7 +203,6 @@ def evolve(op: OperatorSpec, u0: GridFunction, T: float, policy=None,
     out = []
     t = 0.0
     nsnap = 0
-    steps = 0
     while t < T - 1e-14:
         sched = build_schedule(op, u, rng)
         if sched.coarse_tau == 0.0:
@@ -223,11 +221,10 @@ def evolve(op: OperatorSpec, u0: GridFunction, T: float, policy=None,
             nsnap += 1
         u = u2
         t += tau
-        steps += 1
         if log is not None:
             log.append({"event": "euler", "t": t, "nodes": op.grid.n_nodes(),
                         "tau": tau})
-        if policy is not None and steps % regrid_every == 0 and t < T - 1e-14:
+        if policy is not None and t < T - 1e-14:
             op, u = _adapt(op, u, compute_refinement(
                 policy, evaluate_criteria(policy, op, u), op.grid))
     # a T within the 1e-14 tolerance of 0 takes no step

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptfd.contour import extract_contour, hausdorff_distance
-from adaptfd.grid import DomainBox, build_quadtree
+from adaptfd.grid import DomainBox, GridError, build_quadtree
 from adaptfd.harness import uniform_requests
 
 UNIT = DomainBox(0.0, 1.0, 0.0, 1.0)
@@ -33,6 +33,20 @@ def test_level_outside_range_empty():
     g = uniform_grid(3)
     u = field(g, lambda x, y: x)
     assert extract_contour(g, u, level=7.5) == []
+
+
+def test_values_must_match_the_nodes():
+    # too few values used to raise IndexError, too many were read without
+    # complaint, and a list raised AttributeError
+    g = build_quadtree(np.array([[4, 4, 0]]), 3, UNIT, pads=(1, 1))
+    assert g.n_nodes() == 27
+    for n in (10, 77):
+        with pytest.raises(GridError):
+            extract_contour(g, np.linspace(-1.0, 1.0, n), 0.0)
+    u = field(g, lambda x, y: x - 0.5)
+    as_list = extract_contour(g, u.tolist(), 0.0)
+    assert len(as_list) == 1
+    assert np.array_equal(as_list[0], extract_contour(g, u, 0.0)[0])
 
 
 def test_circle_contour_second_order_accurate():

@@ -235,9 +235,12 @@ def test_classify_matches_brute_force_on_random_grids():
     ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], 1),             # a missing corner
     # a square split into two of its four children
     ([[0, 0, 1], [2, 0, 1], [0, 2, 1], [2, 2, 0], [3, 3, 0]], 2),
+    # square (0, 2, 1) missing: every node still finds its neighbors
+    ([[0, 0, 1], [2, 0, 0], [3, 0, 0], [2, 1, 0], [3, 1, 0], [2, 2, 1]], 2),
 ])
 def test_cells_that_do_not_tile_are_refused(leaves, depth):
-    # a neighbor the node order gives is not where the leaf edges put it
+    # the constructor refuses leaves that do not tile the lattice, also
+    # where every node would find its neighbors
     with pytest.raises(GridError, match="legal quadtree"):
         QuadtreeGrid(UNIT, depth, (1, 1), leaves)
 

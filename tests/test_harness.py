@@ -818,12 +818,8 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
 
 @pytest.mark.parametrize("verb, text, needs", [
     ("solve", "preset = stefan\n", "stopping thresholds"),
-    ("solve", "preset = stefan\nsolver = newton_multiscale\n",
-     "stopping thresholds"),
-    ("evolve", "preset = obstacle\n", "final time"),
-    ("solve", "preset = obstacle\nsolver = euler_evolve\n", "final time")],
-    ids=["stefan_solve", "stefan_newton", "obstacle_evolve",
-         "obstacle_euler"])
+    ("evolve", "preset = obstacle\n", "final time")],
+    ids=["stefan_solve", "obstacle_evolve"])
 def test_solver_the_preset_cannot_run_is_a_config_error(
         tmp_path, monkeypatch, capsys, verb, text, needs):
     # stefan has no stopping thresholds and obstacle no final time: the
@@ -844,6 +840,27 @@ def test_solver_the_preset_cannot_run_is_a_config_error(
     assert needs in err
     assert not out.exists()
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("time.regrid_every", "1"), ("refine.padding", "0"),
+    ("solver", "euler_evolve")])
+def test_removed_keys_are_unknown(tmp_path, monkeypatch, capsys, key, value):
+    # the verb picks the solver, a policy regrids after every coarse step and
+    # refines no padding ring: these keys, even at those values, are refused
+    # before any grid is built
+    from adaptfd.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(harness, "build_quadtree", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = stefan\ngrid.depth = 3\n%s = %s\n" % (key, value))
+    out = tmp_path / "out"
+    assert main(["evolve", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "unknown config key %r" % key in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["farfield", "obstacle", "stefan"])
@@ -875,21 +892,19 @@ def _capped(text):
                     for t in text.split(","))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(verb=st.sampled_from(["solve", "evolve"]),
-       entries=st.lists(st.tuples(
-           st.sampled_from(sorted(_KNOWN_KEYS)),
-           st.one_of(st.sampled_from(EXTREMES),
-                     st.lists(st.sampled_from(EXTREMES), min_size=2,
-                              max_size=3).map(",".join))),
-           min_size=1, max_size=4, unique_by=lambda e: e[0]),
-       depth=st.integers(0, 3))
-def test_extreme_config_values_exit_with_a_typed_code(verb, entries, depth):
+def _entries(keys):
+    # one to four distinct keys, each with an extreme value or a list of them
+    return st.lists(st.tuples(
+        st.sampled_from(sorted(keys)),
+        st.one_of(st.sampled_from(EXTREMES),
+                  st.lists(st.sampled_from(EXTREMES), min_size=2,
+                           max_size=3).map(",".join))),
+        min_size=1, max_size=4, unique_by=lambda e: e[0])
+
+
+def _assert_typed_exit(verb, lines):
     # any value a key can take ends in success (0), a config error (2) or a
     # solver failure (3), and a run whose solve started leaves its log
-    lines = ["%s = %s" % (key, _capped(value) if key in (
-        "time.T", "time.snapshots") else value) for key, value in entries]
-    lines.append("grid.depth = %d" % depth)
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stderr(io.StringIO()), \
             mock.patch.object(harness, "evolve", wraps=harness.evolve) as ev, \
@@ -903,6 +918,36 @@ def test_extreme_config_values_exit_with_a_typed_code(verb, entries, depth):
         assert code in (0, 2, 3), lines
         if ev.called or ms.called:
             assert os.path.exists(os.path.join(out, "solver_log.csv")), lines
+
+
+def _entry_lines(entries):
+    return ["%s = %s" % (key, _capped(value) if key in (
+        "time.T", "time.snapshots") else value) for key, value in entries]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(verb=st.sampled_from(["solve", "evolve"]),
+       entries=_entries(_KNOWN_KEYS), depth=st.integers(0, 3))
+def test_extreme_config_values_exit_with_a_typed_code(verb, entries, depth):
+    _assert_typed_exit(verb, _entry_lines(entries)
+                       + ["grid.depth = %d" % depth])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(preset=st.sampled_from(sorted(harness._PRESETS)),
+       entries=_entries(_KNOWN_KEYS - {"preset"}), depth=st.integers(0, 3),
+       scale=st.one_of(st.none(), st.integers(0, 3)))
+def test_extreme_preset_config_values_exit_with_a_typed_code(
+        preset, entries, depth, scale):
+    # the same guard on each preset, run by the verb it needs; a drawn
+    # initial scale, which the entries may override, lets the presets whose
+    # default scale lies past depth 3 reach a run
+    lines = ["preset = %s" % preset]
+    if scale is not None:
+        lines.append("grid.initial_scale = %d" % min(scale, depth))
+    _assert_typed_exit("evolve" if preset == "stefan" else "solve",
+                       lines + _entry_lines(entries)
+                       + ["grid.depth = %d" % depth])
 
 
 # no depth drawn is past 3 unless the range check rejects it: a depth in

@@ -328,11 +328,10 @@ def test_asynchronous_matches_synchronous_heat():
 
 @pytest.mark.parametrize("kwargs, match", [
     (dict(T=math.nan), "finite"), (dict(T=math.inf), "finite"),
-    (dict(regrid_every=0), "regrid_every"),
     (dict(snapshot_times=(-0.001,)), "snapshot"),
     (dict(snapshot_times=(0.001, 0.02)), "snapshot"),
     (dict(snapshot_times=(math.nan,)), "snapshot")],
-    ids=["T_nan", "T_inf", "regrid_every_0", "snapshot_negative",
+    ids=["T_nan", "T_inf", "snapshot_negative",
          "snapshot_after_T", "snapshot_nan"])
 def test_evolve_rejects_out_of_range_times(kwargs, match):
     # one all-pinned cell: a run with these arguments would end at once
