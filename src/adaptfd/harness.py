@@ -38,7 +38,7 @@ _KNOWN_KEYS = {
     "output.dir",
     "domain.side", "domain.x_min", "domain.x_max", "domain.y_min",
     "domain.y_max",
-    "grid.depth", "grid.pad_x", "grid.pad_y", "grid.initial_scale",
+    "grid.depth", "grid.initial_scale",
     "refine.strategy", "refine.thresholds", "refine.scales",
     "stopping.thresholds", "newton.max_iter",
     "time.T", "time.snapshots",
@@ -253,7 +253,6 @@ class PresetBundle:
     contour: tuple | None = None     # ("level", v) or ("contact", eps)
     regions: tuple = ()              # radii splitting the resource report
     u0: object = None                # initial values fn; None: zero
-    pads: tuple | None = None        # (pad_x, pad_y); None: from the box
     max_iter: int = 100              # Newton iterations per solve
 
 
@@ -408,19 +407,20 @@ def _custom(cfg, depth):
 # kind, problem, box, contour and any of solver, regions, u0, and
 # "strategies": refine.strategy (None if not read) -> fn(initial cells) ->
 # policy, or None; then the defaults of grid.depth, grid.initial_scale (fn
-# of the depth), stopping.thresholds, (time.T, time.snapshots) and
-# refine.strategy, None where the preset does not read the key.
+# of the depth, within it), stopping.thresholds, (time.T, times: the default
+# snapshots are those below time.T, then time.T) and refine.strategy, None
+# where the preset does not read the key.
 _PRESETS = {
-    "artificial_bc": (_artificial_bc, 13, lambda d: d - 1, (1e-8,), None,
-                      None),
-    "irregular_dirichlet": (_irregular_dirichlet, 8, lambda d: 4,
+    "artificial_bc": (_artificial_bc, 13, lambda d: max(d - 1, 0), (1e-8,),
+                      None, None),
+    "irregular_dirichlet": (_irregular_dirichlet, 8, lambda d: min(4, d),
                             (1e-6, 1e-8, 1e-9, 1e-10), None, None),
-    "punctured_neumann": (_punctured_neumann, 8, lambda d: 4,
+    "punctured_neumann": (_punctured_neumann, 8, lambda d: min(4, d),
                           (1e-7, 1e-8, 1e-9, 1e-10), None, None),
-    "obstacle": (_obstacle, 8, lambda d: 5, (1e-6, 1e-7, 1e-8, 1e-9, 1e-9),
-                 None, "boundary"),
-    "stefan": (_stefan, 7, lambda d: 2, None, (0.025, (0.005, 0.025)),
-               "operator"),
+    "obstacle": (_obstacle, 8, lambda d: min(5, d),
+                 (1e-6, 1e-7, 1e-8, 1e-9, 1e-9), None, "boundary"),
+    "stefan": (_stefan, 7, lambda d: min(2, d), None,
+               (0.025, (0.005, 0.025)), "operator"),
     "custom": (_custom, 6, lambda d: max(d - 2, 0), (1e-9,), (0.01, ()),
                None),
 }
@@ -454,11 +454,6 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     scale = cfg.get("grid.initial_scale", scale_of(depth), int)
     _check("grid.initial_scale", scale, 0 <= scale <= depth,
            "in [0, grid.depth]")
-    pads = None
-    if "grid.pad_x" in cfg.raw or "grid.pad_y" in cfg.raw:
-        pads = (cfg.get("grid.pad_x", 1, int), cfg.get("grid.pad_y", 1, int))
-        for key, pad in zip(("grid.pad_x", "grid.pad_y"), pads):
-            _check(key, pad, pad >= 1, ">= 1")
     max_iter = cfg.get("newton.max_iter", 100, int)
     _check("newton.max_iter", max_iter, max_iter >= 1, ">= 1")
     fields = spec(cfg, depth)
@@ -492,12 +487,13 @@ def make_preset(cfg: ExperimentConfig) -> PresetBundle:
     if times is not None:
         T = cfg.get("time.T", times[0], float)
         _check("time.T", T, 0 < T < math.inf, "finite and > 0")
-        snapshots = cfg.get("time.snapshots", times[1], listed(float)) or (T,)
+        snapshots = cfg.get("time.snapshots", tuple(
+            t for t in times[1] if t < T) + (T,), listed(float))
         _check("time.snapshots", snapshots,
                all(0 <= t <= T for t in snapshots), "in [0, time.T]")
         fields.update(T=T, snapshots=snapshots)
-    return PresetBundle(depth=depth, initial_scale=scale, pads=pads,
-                        max_iter=max_iter, **fields)
+    return PresetBundle(depth=depth, initial_scale=scale, max_iter=max_iter,
+                        **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +634,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     os.makedirs(out, exist_ok=True)
     g0 = build_quadtree(uniform_requests(preset.box, preset.depth,
                                          preset.initial_scale),
-                        preset.depth, preset.box, pads=preset.pads)
+                        preset.depth, preset.box)
     log = []
     results = {"log": log, "preset": preset}
 
@@ -741,9 +737,9 @@ def convergence_report(family: str, depths) -> list:
             fine = uniform_requests(box, depth, 0)
             reqs = np.concatenate([uniform_requests(box, depth, 1),
                                    fine[fine[:, 0] < 1 << depth - 1]])
-            grid = build_quadtree(reqs, depth, box, pads=(1, 1))
         else:
-            grid = build_quadtree(uniform_requests(box, depth, 0), depth, box)
+            reqs = uniform_requests(box, depth, 0)
+        grid = build_quadtree(reqs, depth, box)
         err = manufactured_poisson(grid, exact, lap)
         h = box.lx / (1 << depth)
         rate = math.log2(prev_err / err) if prev_err and err else math.nan

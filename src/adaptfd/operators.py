@@ -181,12 +181,12 @@ class OperatorSpec:
                 w[1] = problem.sample(problem.d, grid, 0.0, name="d")
                 if np.any(w[:2] < 0):
                     raise OperatorError("weights c, d must be nonnegative")
-                return
-            if problem.chi is None:
+            elif problem.chi is None:
                 raise OperatorError("bc_composite needs a domain indicator "
                                     "or weights")
-            w[0] = problem.sample(problem.chi, grid, name="chi") != 0
-            w[1] = 1.0 - w[0]
+            else:
+                w[0] = problem.sample(problem.chi, grid, name="chi") != 0
+                w[1] = 1.0 - w[0]
         if problem.first_order is not None:
             mask, M, const, lip = problem.first_order.build(grid)
             w[:, mask] = 0.0

@@ -7,8 +7,7 @@ import numpy as np
 from .grid import CLASSES, text_by_key
 
 CLASS_COLOR = {"regular": "#1f77b4", "dangling-x": "#d62728",
-               "dangling-y": "#ff7f0e", "boundary": "#2ca02c",
-               "inactive": "#7f7f7f"}
+               "dangling-y": "#ff7f0e", "boundary": "#2ca02c"}
 
 WIDTH = 720
 

@@ -205,7 +205,7 @@ def test_solver_rows_follow_their_announced_grid(text):
     preset = make_preset(parse_config(text))
     g0 = build_quadtree(uniform_requests(preset.box, preset.depth,
                                          preset.initial_scale),
-                        preset.depth, preset.box, pads=preset.pads)
+                        preset.depth, preset.box)
     log, announced = [], []
     multiscale_solve(
         instantiate_builtin(preset.kind, preset.problem, g0),
@@ -723,7 +723,6 @@ STEFAN = ("preset = stefan\ngrid.depth = 4\n"
     ("solve", "preset = artificial_bc\ndomain.side = -5\n", "domain.side"),
     ("solve", CUSTOM + "domain.x_max = inf\n", "domain.x_max"),
     ("solve", CUSTOM + "domain.x_min = 2\n", "domain.x_min"),
-    ("solve", CUSTOM + "grid.pad_x = 0\n", "grid.pad_x"),
     ("solve", CUSTOM + "newton.max_iter = 0\n", "newton.max_iter"),
     *[("solve", "preset = artificial_bc\ndomain.side = %s\n" % side,
        "domain.side") for side in ("1e300", "1e200", "1e-300", "5e-324")],
@@ -739,7 +738,7 @@ STEFAN = ("preset = stefan\ngrid.depth = 4\n"
          "initial_scale_above_depth", "thresholds_nan", "regrid_every_0",
          "T_nan", "T_inf", "T_0", "snapshot_after_T", "snapshot_negative",
          "snapshot_nan", "seed_negative", "side_negative", "x_max_inf",
-         "x_min_above_x_max", "pad_x_0", "max_iter_0", "side_1e300",
+         "x_min_above_x_max", "max_iter_0", "side_1e300",
          "side_1e200", "side_1e-300", "side_5e-324", "x_max_1e200",
          "x_max_1e-300", "contour_level_nan", "refine_thresholds_nan",
          "thresholds_increasing", "thresholds_negative", "solver_bogus"])
@@ -762,15 +761,14 @@ PRESET_STRATEGIES = [
       for s in ("predetermined", "boundary", "operator")],
     *["preset = stefan\nrefine.strategy = %s\n" % s
       for s in ("uniform_fine", "uniform_coarse", "term", "operator")],
-    "preset = custom\n",
-    "preset = custom\ngrid.initial_scale = 1\ngrid.pad_x = 3\n"]
+    "preset = custom\n"]
 
 
 @pytest.mark.parametrize("text", PRESET_STRATEGIES, ids=[
     "artificial_bc", "irregular_dirichlet", "punctured_neumann",
     "obstacle_predetermined", "obstacle_boundary", "obstacle_operator",
     "stefan_uniform_fine", "stefan_uniform_coarse", "stefan_term",
-    "stefan_operator", "custom", "custom_padded"])
+    "stefan_operator", "custom"])
 def test_preset_builds_no_grid_and_seeds_policy_with_initial_cells(
         tmp_path, monkeypatch, text):
     # make_preset takes the initial cells from uniform_requests, builds no
@@ -844,11 +842,11 @@ def test_solver_the_preset_cannot_run_is_a_config_error(
 
 @pytest.mark.parametrize("key, value", [
     ("time.regrid_every", "1"), ("refine.padding", "0"),
-    ("solver", "euler_evolve")])
+    ("solver", "euler_evolve"), ("grid.pad_x", "1"), ("grid.pad_y", "1")])
 def test_removed_keys_are_unknown(tmp_path, monkeypatch, capsys, key, value):
     # the verb picks the solver, a policy regrids after every coarse step and
-    # refines no padding ring: these keys, even at those values, are refused
-    # before any grid is built
+    # refines no padding ring, and the box alone sets the scale padding:
+    # these keys, even at those values, are refused before any grid is built
     from adaptfd.cli import main
 
     def refuse(*args, **kwargs):
@@ -861,6 +859,41 @@ def test_removed_keys_are_unknown(tmp_path, monkeypatch, capsys, key, value):
     assert main(["evolve", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "unknown config key %r" % key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("preset", sorted(harness._PRESETS))
+def test_every_preset_runs_from_its_depth_alone(tmp_path, capsys, preset,
+                                                depth):
+    # a preset's default initial scale lies within any depth set, and
+    # stefan's default snapshots end at the final time set: no run is
+    # refused over a key its config never set
+    text = "preset = %s\ngrid.depth = %d\n" % (preset, depth)
+    if preset == "stefan":
+        text += "time.T = 0.002\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    verb = "evolve" if preset == "stefan" else "solve"
+    code = cli_main([verb, str(cfg), "--out", str(out), "--quiet"])
+    assert code == 0, capsys.readouterr().err
+    assert (out / "grid.txt").exists()
+
+
+@pytest.mark.parametrize("text, snapshots", [
+    ("preset = stefan\n", (0.005, 0.025)),
+    ("preset = stefan\ntime.T = 0.01\n", (0.005, 0.01)),
+    ("preset = stefan\ntime.T = 0.002\n", (0.002,)),
+    ("preset = stefan\ntime.T = 0.03\n", (0.005, 0.025, 0.03)),
+    ("preset = stefan\ntime.T = 0.01\ntime.snapshots = 0.003\n", (0.003,)),
+    ("preset = custom\n", (0.01,)),
+    ("preset = custom\ntime.T = 0.3\n", (0.3,))],
+    ids=["stefan", "stefan_T_0.01", "stefan_T_0.002", "stefan_T_0.03",
+         "stefan_set", "custom", "custom_T_0.3"])
+def test_default_snapshots_end_at_the_final_time(text, snapshots):
+    # the preset's default snapshot times below time.T, then time.T; a set
+    # time.snapshots replaces them
+    assert make_preset(parse_config(text)).snapshots == snapshots
 
 
 @pytest.mark.parametrize("name", ["farfield", "obstacle", "stefan"])
@@ -940,8 +973,8 @@ def test_extreme_config_values_exit_with_a_typed_code(verb, entries, depth):
 def test_extreme_preset_config_values_exit_with_a_typed_code(
         preset, entries, depth, scale):
     # the same guard on each preset, run by the verb it needs; a drawn
-    # initial scale, which the entries may override, lets the presets whose
-    # default scale lies past depth 3 reach a run
+    # initial scale, which the entries may override, starts runs from
+    # scales other than the preset's default
     lines = ["preset = %s" % preset]
     if scale is not None:
         lines.append("grid.initial_scale = %d" % min(scale, depth))

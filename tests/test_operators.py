@@ -327,6 +327,28 @@ def test_first_order_region_rows():
     assert r[inside] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_first_order_rows_override_weights_c_and_d():
+    # punctured_neumann's upwind band takes its nodes from the PDE and data
+    # rows whether chi or the weights c, d set them: chi = 1 and c = 1
+    # (d = 0) give the same weights, first-order rows and residual
+    from adaptfd.harness import make_preset, parse_config
+    hop = make_preset(parse_config("preset = punctured_neumann\n")) \
+        .problem.first_order
+    g = uniform_grid(4)
+    ops = [instantiate_builtin("bc_composite", ProblemDefinition(
+        f=lambda x, y: 1.0, g=lambda x, y: 0.0, first_order=hop, **weight),
+        g) for weight in ({"chi": lambda x, y: 1.0},
+                          {"c": lambda x, y: 1.0})]
+    band = hop.build(g)[0] & ops[0].active
+    assert band.sum() > 0
+    for op in ops:
+        assert op.first is not None
+        assert np.array_equal(op.weights[2] == 1.0, band)
+    assert np.array_equal(ops[0].weights, ops[1].weights)
+    u = ops[0].apply_pins(np.random.default_rng(3).normal(size=g.n_nodes()))
+    assert np.array_equal(ops[0].residual(u), ops[1].residual(u))
+
+
 def test_generation_mismatch_detected():
     g = uniform_grid(2)
     prob = ProblemDefinition(f=lambda x, y: 0.0, g=lambda x, y: 0.0)
