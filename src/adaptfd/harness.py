@@ -24,8 +24,8 @@ from .adaptivity import (RefinementPolicy, free_boundary_criteria,
 from .contour import extract_contour
 from .grid import (MAX_DEPTH, DomainBox, GridError, GridFunction,
                    QuadtreeGrid, _spacings, build_quadtree)
-from .operators import (ProblemDefinition, UpwindDirectional,
-                        instantiate_builtin)
+from .operators import (BUILTIN_KINDS, ProblemDefinition,
+                        UpwindDirectional, instantiate_builtin)
 from .solvers import (StoppingPolicy, evolve, multiscale_solve, newton_solve)
 from . import svgplot
 
@@ -383,9 +383,14 @@ def _custom(cfg, depth):
         chi = expression(cfg.raw["problem.chi"], "problem.chi")
     kind = cfg.get("problem.kind",
                    "poisson_dirichlet" if chi is None else "bc_composite")
+    _check("problem.kind", kind, kind in BUILTIN_KINDS,
+           "one of %s" % ", ".join(BUILTIN_KINDS))
     if chi is not None and kind != "bc_composite":
         raise ConfigError("config fields 'problem.chi' and 'problem.kind' "
                           "conflict: chi selects bc_composite, not %r" % kind)
+    if chi is None and kind == "bc_composite":
+        raise ConfigError("config field 'problem.kind' bc_composite needs "
+                          "'problem.chi', the PDE region")
     if "problem.dirichlet" in cfg.raw:
         robin = dirichlet_walls(expression(cfg.raw["problem.dirichlet"],
                                            "problem.dirichlet"))

@@ -5,14 +5,14 @@ the generalized Jacobian of the active branch, and a per-node Lipschitz bound
 whose reciprocal is the stable explicit time step.  Built-in kinds:
 
   poisson_dirichlet   F = (-Lap_h u) - f with boundary pins / Robin rows
-  bc_composite        F = chi*(-Lap_h u - f) + (1-chi)*(u - g), or
-                      c*(-Lap_h u - f) + d*(u - g), plus an optional
-                      first-order region (e.g. upwind Neumann bands)
+  bc_composite        F = -Lap_h u - f where chi, u - g elsewhere, plus an
+                      optional first-order region (e.g. upwind Neumann
+                      bands)
   obstacle            F = min(-Lap_h u - f, u - g)
   stefan              F = -Lap_h u where u > 0, min(-Lap_h u, -|grad u|^2)
                       where u <= 0
 
-Each residual is one per-node weighted sum of branches (see OperatorSpec).
+Each node's residual is one branch, the one it takes (see OperatorSpec).
 All residuals are nondecreasing in u_i and in each difference u_i - u_j, so
 ordered data give ordered solutions and CFL-bounded explicit steps contract.
 """
@@ -42,19 +42,19 @@ class ProblemDefinition:
     """Data defining one PDE problem; callables take physical (x, y) as node
     arrays and return an array of the same length or a scalar.
 
-    chi marks the PDE region for bc_composite (sampled at node coordinates:
-    the grid, not the stencil, resolves the boundary).  robin supplies the
+    chi marks the PDE region for bc_composite, which needs it (sampled at
+    node coordinates: the grid, not the stencil, resolves the boundary);
+    the data row u - g holds where chi is 0.  robin supplies the
     wall data (A, B, C) of A u' + B u = C, callables (x, y, nx, ny) called
     once per wall with the arrays x, y of its nodes and its outward normal
     nx, ny as floats (see stencils.laplacian_system); when absent, walls are
-    Dirichlet-pinned at g.  first_order optionally replaces the data branch
-    on a node subset with a first-order degenerate-elliptic operator.
+    Dirichlet-pinned at g.  first_order optionally replaces the branch of an
+    affine kind on a node subset with a first-order degenerate-elliptic
+    operator.
     """
     chi: object = None
     f: object = None
     g: object = None
-    c: object = None
-    d: object = None
     robin: tuple | None = None
     first_order: object = None
 
@@ -111,12 +111,13 @@ class UpwindDirectional:
 class OperatorSpec:
     """A problem bound to one grid: residuals, Jacobians and CFL bounds.
 
-    Every residual is F_i = sum_b W[b, i] * branch_b[u]_i over the branches
-    0 = PDE row -Lap_h u - f, 1 = data row u - g, 2 = first-order row and
-    3 = -|grad u|^2.  The affine kinds fix W at assembly.  The min kinds
-    start from weight 1 on the PDE row and move it onto their second branch
-    wherever that branch is open and smaller; ties stay with the PDE.
-    Pinned nodes carry no weight.
+    Every residual is F_i = branch_b[u]_i for the one branch b node i
+    takes, of 0 = PDE row -Lap_h u - f, 1 = data row u - g, 2 = first-order
+    row and 3 = -|grad u|^2.  Assembly sets branch: 0 or 1 from chi, 2 on
+    first-order rows, 0 on every active node of a min kind, and -1 on
+    pinned nodes, whose residual is 0.  A min kind switches a node to its
+    second branch wherever that branch is open and smaller; ties stay with
+    the PDE.
     """
     kind: str
     problem: ProblemDefinition
@@ -143,15 +144,18 @@ class OperatorSpec:
         if self.kind == "obstacle" and problem.g is None:
             raise OperatorError("obstacle needs an obstacle datum g")
 
-        self.weights = np.zeros((4, grid.n_nodes()))
-        self.weights[0] = 1.0
+        self.branch = np.zeros(grid.n_nodes(), dtype=np.int8)
         self.first = None
         if self.second is None:
-            self._fix_weights()
-        self.weights[:, ~self.active] = 0.0
-        # branches evaluated: the PDE row, a min kind's second, any weighted
+            self._fix_branch()
+        self.branch[~self.active] = -1
+        # the nodes off the PDE row at assembly, by branch, built once: a
+        # selection then copies only the branches some node takes
+        self._off = {b: at for b in (1, 2, -1)
+                     if (at := self.branch == b).any()}
+        # branches evaluated: the PDE row, a min kind's second, any taken
         self.live = [b for b in range(4) if b in (0, self.second)
-                     or self.weights[b].any()]
+                     or b in self._off]
         self.T = None
         if self.kind == "stefan":
             self.T = one_sided_matrices(grid)
@@ -170,27 +174,19 @@ class OperatorSpec:
             blocks += [self.T[d] for d in "EWNS"]
         self.stack = _stacked(blocks)
 
-    def _fix_weights(self):
-        """Weights of the affine kinds: c and d where given; otherwise the
-        PDE row inside chi and the data row outside, with first-order rows
-        overriding both on their region."""
-        grid, problem, w = self.grid, self.problem, self.weights
+    def _fix_branch(self):
+        """Branches of the affine kinds: the PDE row inside chi and the data
+        row outside, with first-order rows overriding both on their
+        region."""
+        grid, problem = self.grid, self.problem
         if self.kind == "bc_composite":
-            if problem.c is not None or problem.d is not None:
-                w[0] = problem.sample(problem.c, grid, 1.0, name="c")
-                w[1] = problem.sample(problem.d, grid, 0.0, name="d")
-                if np.any(w[:2] < 0):
-                    raise OperatorError("weights c, d must be nonnegative")
-            elif problem.chi is None:
+            if problem.chi is None:
                 raise OperatorError("bc_composite needs a domain indicator "
-                                    "or weights")
-            else:
-                w[0] = problem.sample(problem.chi, grid, name="chi") != 0
-                w[1] = 1.0 - w[0]
+                                    "chi")
+            self.branch[problem.sample(problem.chi, grid, name="chi") == 0] = 1
         if problem.first_order is not None:
             mask, M, const, lip = problem.first_order.build(grid)
-            w[:, mask] = 0.0
-            w[2, mask] = 1.0
+            self.branch[mask] = 2
             self.first = (M, const, lip)
 
     # -- helpers ----------------------------------------------------------
@@ -257,27 +253,28 @@ class OperatorSpec:
             bound[3] = grad[0] * self.wx_max
             bound[3] += grad[1] * self.wy_max
             bound[3] *= 2.0
-        if self.second is not None:
+        if self.second is None:
+            bound[0] = bound[0].copy()
+        else:
+            # a min kind's PDE row bounds both of its branches
             top = np.maximum(bound[0], bound[self.second])
             np.copyto(top, bound[0], where=np.logical_not(opened))
             bound[0] = top
-        # a min kind weights only its PDE row at assembly
-        return _weighted_sum((self.weights[b], bound[b]) for b in self.live
-                             if b != self.second)
+        return self._combined(bound)
 
-    def _combined(self, vals, take):
-        """The residual from the branch values of _evaluate: their weighted
-        sum, or for a min kind the branch take picks at each node, built in
-        vals[0]'s array."""
-        if take is None:
-            return _weighted_sum((self.weights[b], v) for b, v in vals.items())
-        # a min kind weights one branch per node: its PDE row, or its
-        # second branch where that is taken; the rest carry weight 0
-        res = vals[0]
-        np.copyto(res, vals[self.second], where=take)
-        res *= self.weights[0]
-        res += 0.0      # as in _weighted_sum
-        return res
+    def _combined(self, terms, take=None):
+        """Each node's term of the branch it takes, 0 on pinned nodes, built
+        in terms[0]'s array: the branch of assembly, or a min kind's second
+        where take is set.  terms holds the PDE row's term and those of the
+        branches taken at assembly, as arrays or scalars.  The closing
+        += 0.0 turns -0.0 into 0.0, as a sum started from 0 does."""
+        out = terms[0]
+        for b, at in self._off.items():
+            np.copyto(out, terms.get(b, 0.0), where=at)
+        if take is not None:
+            np.copyto(out, terms[self.second], where=take)
+        out += 0.0
+        return out
 
     def _step_terms(self, u):
         """(Lipschitz bound, residual) at every node, from one gradient."""
@@ -296,49 +293,48 @@ class OperatorSpec:
         order) the square block on those rows and columns, in CSC, the
         layout Newton's LU takes.
 
-        Each stack row is weighted by its term's coefficient, and each entry
-        summed as the sparse products sum it, to the bit: ((W0 L + W1 I) +
-        W2 first) + W3 (-2 rx Sx - 2 ry Sy), Sx and Sy the one-sided
-        differences each row selects; entries that come to zero are not
-        stored."""
+        Each stack row is weighted by 1 where its node takes the row's
+        branch and 0 elsewhere, and each entry summed as the sparse products
+        sum it, to the bit: ((B0 L + B1 I) + B2 first) + B3 (-2 rx Sx - 2 ry
+        Sy), Bb the mask of branch b and Sx and Sy the one-sided differences
+        each row selects; entries that come to zero are not stored."""
         _, grad, _, take = self._evaluate(np.asarray(u, dtype=float))
         return self._jacobian(take, grad, rows)
 
     def _jacobian(self, take, grad, rows=None):
         """The Jacobian of jacobian() from a min kind's branch choice take
         (None for the affine kinds) and the one-sided gradient grad, as
-        _evaluate gives them: the weights move from the PDE row onto the
-        second branch where take is set."""
+        _evaluate gives them: where take is set, a node leaves its PDE row
+        for the second branch."""
         n = self.grid.n_nodes()
-        w = list(self.weights)
+        on = [self.branch == b for b in range(4)]
         if take is not None:
-            w[0] = w[0] - take
-            w[self.second] = w[self.second] + take
+            on[0] &= ~take
+            on[self.second] = take
         srow, spos, dpos, prow, colptr = self._jacobian_pattern
-        coef = [w[0]]
+        coef = [on[0]]
         if self.first is not None:
-            coef.append(w[2])
+            coef.append(on[2])
         if self.T is not None:
             # -2 rx on the x difference a row selects, -2 ry on its y
-            # difference; none where W3 is zero
+            # difference; none off the gradient branch
             rx, ry, (cE, cW, cN, cS) = grad
-            on = w[3] != 0
             m2x, m2y = -2.0 * rx, -2.0 * ry
-            coef += [np.where(sel & on, m2, 0.0) for sel, m2 in (
+            coef += [np.where(sel & on[3], m2, 0.0) for sel, m2 in (
                 ((cE >= cW) & (rx > 0), m2x), ((cW > cE) & (rx > 0), m2x),
                 ((cN >= cS) & (ry > 0), m2y), ((cS > cN) & (ry > 0), m2y))]
-        part = np.concatenate(coef)[srow]
+        part = np.concatenate(coef, dtype=float)[srow]
         part *= self.stack.data
         ends = self.stack.indptr[n::n]      # where each block's entries end
         npos = len(prow)
         vals = np.bincount(spos[:ends[0]], part[:ends[0]], npos)
-        vals[dpos] += w[1]
+        vals[dpos] += on[1]
         if self.first is not None:
             vals += np.bincount(spos[ends[0]:ends[1]],
                                 part[ends[0]:ends[1]], npos)
         if self.T is not None:
             lo = ends[-5]       # T[E, W, N, S] are the last four blocks
-            vals += w[3][prow] * np.bincount(spos[lo:], part[lo:], npos)
+            vals += np.bincount(spos[lo:], part[lo:], npos)
         if rows is None:
             at = np.ones(n, dtype=bool)
         else:
@@ -375,8 +371,9 @@ class OperatorSpec:
 
     def lipschitz(self, u: np.ndarray) -> np.ndarray:
         """Per-node bound on dF_i/du_i over every branch the node can take:
-        sum_b W[b] * L_b, where a min kind bounds its PDE row by the larger
-        of L_0 and the bound of its second branch wherever that is open."""
+        the bound of its branch of assembly (0 on pinned nodes), where a min
+        kind bounds its PDE row by the larger of the PDE row's bound and its
+        second branch's wherever that is open."""
         return self._step_terms(np.asarray(u, dtype=float))[0]
 
 
@@ -397,17 +394,6 @@ def _stacked(blocks):
         b.data, b.indices = stack.data[lo:hi], stack.indices[lo:hi]
         b.indptr = b.indptr.astype(stack.indptr.dtype, copy=False)
     return stack
-
-
-def _weighted_sum(terms):
-    """sum(w * v for w, v in terms) in one new array.  Like sum(), which
-    starts from 0, it turns a first term of -0.0 into 0.0."""
-    (w, v), *rest = terms
-    out = w * v
-    out += 0.0
-    for w, v in rest:
-        out += w * v
-    return out
 
 
 def instantiate_builtin(kind: str, problem: ProblemDefinition,

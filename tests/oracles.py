@@ -567,12 +567,23 @@ def euler_step_reference(op, values, schedule):
     return v
 
 
+def weights(op):
+    """The branch of assembly of each node as one-hot weights: W[b, i] = 1
+    where op.branch[i] = b, a (4, n) float array, 0 on pinned nodes.  The
+    oracles sum weighted branches, the arithmetic op's selection replaces."""
+    import numpy as np
+    w = np.zeros((4, len(op.branch)))
+    on = op.branch >= 0
+    w[op.branch[on], np.flatnonzero(on)] = 1.0
+    return w
+
+
 def branches(op, u):
     """Branch of largest weight per node: 0 = PDE row, 1 = data row,
     2 = first-order row, 3 = gradient-square row.  Ties go to the PDE."""
     import numpy as np
     take = op._evaluate(np.asarray(u, dtype=float))[3]
-    w = op.weights.copy()
+    w = weights(op)
     if take is not None:
         w[0] -= take
         w[op.second] += take
@@ -600,7 +611,8 @@ def row_terms(op, u, rows):
         vals[3] = -(rx * rx + ry * ry)
         bound[3] = 2.0 * (rx * op.wx_max[rows] + ry * op.wy_max[rows])
         grad = (rx, ry, slopes)
-    w = list(op.weights[:, rows])
+    w0 = weights(op)
+    w = list(w0[:, rows])
     if op.second is not None:
         b = op.second
         is_open = op.is_open(u[rows])
@@ -608,7 +620,7 @@ def row_terms(op, u, rows):
         w[0] = w[0] - take
         w[b] = w[b] + take
         bound[0] = np.where(is_open, np.maximum(bound[0], bound[b]), bound[0])
-    lip = sum(op.weights[k][rows] * lb for k, lb in bound.items())
+    lip = sum(w0[k][rows] * lb for k, lb in bound.items())
     return w, lip, sum(w[k] * val for k, val in vals.items()), grad
 
 

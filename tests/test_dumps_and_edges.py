@@ -4,7 +4,8 @@ import pytest
 from adaptfd.adaptivity import RefinementPolicy
 from adaptfd.grid import DomainBox, GridError, GridFunction, build_quadtree
 from adaptfd.harness import uniform_requests
-from adaptfd.operators import ProblemDefinition, instantiate_builtin
+from adaptfd.operators import (ProblemDefinition, UpwindDirectional,
+                               instantiate_builtin)
 from adaptfd.solvers import (LinearSolveError, StoppingPolicy,
                              build_schedule, newton_solve)
 from adaptfd.stencils import laplacian_system
@@ -66,15 +67,19 @@ def test_singular_linear_system_raises():
 
 
 def test_empty_jacobian_row_raises_linear_solve_error():
-    # c = d = 0 on the right half leaves those rows without weight: their
-    # Jacobian rows are empty, and the factorization finds the block
-    # exactly singular
+    # a first-order band of direction (0, 0) on the right half has rows
+    # without entries and a Lipschitz bound of 0: their Jacobian rows are
+    # empty, and Newton refuses the system before factoring it
     g = uniform_grid(3)
-    prob = ProblemDefinition(c=lambda x, y: 1.0 * (x < 0.5),
-                             d=lambda x, y: 0.0, f=lambda x, y: 1.0,
-                             g=lambda x, y: 0.0)
-    op = instantiate_builtin("bc_composite", prob, g)
-    with pytest.raises(LinearSolveError, match="singular"):
+    band = UpwindDirectional(region=lambda x, y: x > 0.5,
+                             direction=lambda x, y: (0.0, 0.0),
+                             rhs=lambda x, y: 1.0)
+    prob = ProblemDefinition(f=lambda x, y: 1.0, g=lambda x, y: 0.0,
+                             first_order=band)
+    op = instantiate_builtin("poisson_dirichlet", prob, g)
+    on = op.branch == 2
+    assert on.any() and not op.lipschitz(np.zeros(g.n_nodes()))[on].any()
+    with pytest.raises(LinearSolveError, match="empty row"):
         newton_solve(op, GridFunction(g, np.zeros(g.n_nodes())),
                      StoppingPolicy([1e-10]))
 

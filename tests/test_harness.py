@@ -464,6 +464,29 @@ def test_cli_rejects_chi_with_another_kind(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_rejects_an_unknown_kind(tmp_path):
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text("preset = custom\nproblem.kind = bogus\ngrid.depth = 2\n")
+    r = _run_cli(["solve", str(cfg), "--out", str(tmp_path / "o")],
+                 cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:"), r.stderr
+    assert "problem.kind" in r.stderr and "bogus" in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_bc_composite_without_chi(tmp_path):
+    cfg = tmp_path / "nochi.cfg"
+    cfg.write_text("preset = custom\nproblem.kind = bc_composite\n"
+                   "problem.f = 1\nproblem.g = 0\ngrid.depth = 2\n")
+    r = _run_cli(["solve", str(cfg), "--out", str(tmp_path / "o")],
+                 cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error:"), r.stderr
+    assert "problem.kind" in r.stderr and "problem.chi" in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_top_maxima_matches_pointwise_scan():
     box = DomainBox(-4.0, 4.0, -4.0, 4.0)
     got = _top_maxima(_obstacle_fn, box, 5)

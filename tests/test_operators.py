@@ -327,26 +327,29 @@ def test_first_order_region_rows():
     assert r[inside] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_first_order_rows_override_weights_c_and_d():
-    # punctured_neumann's upwind band takes its nodes from the PDE and data
-    # rows whether chi or the weights c, d set them: chi = 1 and c = 1
-    # (d = 0) give the same weights, first-order rows and residual
+def test_first_order_rows_override_chis_data_branch():
+    # punctured_neumann's upwind band takes its nodes from the data row as
+    # from the PDE row: with chi = 0 and chi = 1 alike its nodes take the
+    # first-order branch, with the same residual, and every other active
+    # node takes the branch chi gives it
     from adaptfd.harness import make_preset, parse_config
     hop = make_preset(parse_config("preset = punctured_neumann\n")) \
         .problem.first_order
     g = uniform_grid(4)
     ops = [instantiate_builtin("bc_composite", ProblemDefinition(
-        f=lambda x, y: 1.0, g=lambda x, y: 0.0, first_order=hop, **weight),
-        g) for weight in ({"chi": lambda x, y: 1.0},
-                          {"c": lambda x, y: 1.0})]
+        chi=lambda x, y: inside, f=lambda x, y: 1.0, g=lambda x, y: 0.0,
+        first_order=hop), g) for inside in (1.0, 0.0)]
     band = hop.build(g)[0] & ops[0].active
     assert band.sum() > 0
-    for op in ops:
+    for op, rest in zip(ops, (0, 1)):
         assert op.first is not None
-        assert np.array_equal(op.weights[2] == 1.0, band)
-    assert np.array_equal(ops[0].weights, ops[1].weights)
+        assert np.array_equal(op.branch == 2, band)
+        assert np.all(op.branch[op.active & ~band] == rest)
     u = ops[0].apply_pins(np.random.default_rng(3).normal(size=g.n_nodes()))
-    assert np.array_equal(ops[0].residual(u), ops[1].residual(u))
+    pde, data = (op.residual(u) for op in ops)
+    assert np.array_equal(pde[band], data[band])
+    rest = ops[1].active & ~band
+    assert np.array_equal(data[rest], u[rest])
 
 
 def test_generation_mismatch_detected():
@@ -357,38 +360,6 @@ def test_generation_mismatch_detected():
     u = GridFunction(other, np.zeros(other.n_nodes()))
     with pytest.raises(GenerationMismatchError):
         build_schedule(op, u)
-
-
-def test_weighted_composite_form():
-    g = uniform_grid(3)
-    cfun = lambda x, y: x + 0.5
-    dfun = lambda x, y: 2.0 * y
-    gfun_ = lambda x, y: 0.3 * x
-    prob = ProblemDefinition(c=cfun, d=dfun, f=lambda x, y: 1.0, g=gfun_)
-    op = instantiate_builtin("bc_composite", prob, g)
-    rng = np.random.default_rng(7)
-    u = op.apply_pins(rng.normal(size=g.n_nodes()))
-    r = op.residual(u)
-    lu = lap(g, u)
-    for idx, (x, y) in enumerate(zip(g.x.tolist(), g.y.tolist())):
-        if g.klass[idx] == CODE[BOUNDARY]:
-            continue
-        pde = lu[idx] - 1.0
-        want = cfun(x, y) * pde + dfun(x, y) * (u[idx] - gfun_(x, y))
-        assert r[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
-    # jacobian is the matching linear combination
-    J = op.jacobian(u)
-    v = rng.normal(size=g.n_nodes())
-    eps = 1e-7
-    fd = (op.residual(u + eps * v) - op.residual(u - eps * v)) / (2 * eps)
-    assert np.allclose((J @ v)[op.active], fd[op.active], rtol=1e-6, atol=1e-6)
-
-
-def test_weighted_composite_rejects_negative_weights():
-    g = uniform_grid(2)
-    prob = ProblemDefinition(c=lambda x, y: -1.0, g=lambda x, y: 0.0)
-    with pytest.raises(OperatorError):
-        instantiate_builtin("bc_composite", prob, g)
 
 
 def test_assemble_jacobian_row_count_is_active_count():

@@ -73,24 +73,28 @@ def grids(draw, deep=False, wide_pads=False):
 
 
 def _problem(variant, box):
-    """The problem of a variant: a built-in kind, or bc_composite with
-    weights c, d ("bc_composite_cd"; "bc_composite_dead_d" has d = 0, so
-    its data row carries no weight, and c = 0 on the right, where rows
-    carry none and have no Lipschitz bound) or with a first-order band
-    ("bc_composite_first_order")."""
+    """The problem of a variant: a built-in kind, or bc_composite with a
+    disc as chi ("bc_composite_disc"), with a first-order band
+    ("bc_composite_first_order") or with a band of direction (0, 0)
+    ("bc_composite_flat_band"), whose rows have no entries and a Lipschitz
+    bound of 0."""
     x0, lx, y0, ly = box.x_min, box.lx, box.y_min, box.ly
 
     def xn(x):
         return (x - x0) / lx
 
-    if variant == "bc_composite_cd":
+    def yn(y):
+        return (y - y0) / ly
+
+    if variant == "bc_composite_disc":
         return ProblemDefinition(
-            c=lambda x, y: 1.0 + xn(x), d=lambda x, y: 0.5 * (xn(x) > 0.4),
-            f=lambda x, y: 1.0, g=lambda x, y: 0.1 * xn(x))
-    if variant == "bc_composite_dead_d":
-        return ProblemDefinition(
-            c=lambda x, y: (1.0 + xn(x)) * (xn(x) < 0.8), d=lambda x, y: 0.0,
-            f=lambda x, y: 1.0, g=lambda x, y: 0.1 * xn(x))
+            chi=lambda x, y: (xn(x) - 0.4) ** 2 + (yn(y) - 0.5) ** 2 < 0.1,
+            f=lambda x, y: 1.0 + xn(x), g=lambda x, y: 0.1 * xn(x))
+    if variant == "bc_composite_flat_band":
+        band = UpwindDirectional(region=lambda x, y: xn(x) > 0.8,
+                                 direction=lambda x, y: (0.0, 0.0),
+                                 rhs=lambda x, y: 1.0)
+        return replace(_problem("bc_composite", box), first_order=band)
     if variant == "bc_composite_first_order":
         band = UpwindDirectional(region=lambda x, y: xn(x) > 0.7,
                                  direction=lambda x, y: (1.0, 0.5),
@@ -109,12 +113,12 @@ def _problem(variant, box):
 
 
 KINDS = tuple(BUILTIN_KINDS)
-STEP_VARIANTS = KINDS + ("bc_composite_cd", "bc_composite_dead_d",
+STEP_VARIANTS = KINDS + ("bc_composite_disc", "bc_composite_flat_band",
                          "bc_composite_first_order")
-# the variants whose every active row carries a weight on a row that
-# depends on its own unknown: the static problems Newton solves
+# the variants whose every active node takes a branch that depends on its
+# own unknown: the static problems Newton solves
 NEWTON_VARIANTS = ("poisson_dirichlet", "bc_composite", "obstacle",
-                   "bc_composite_cd", "bc_composite_first_order")
+                   "bc_composite_disc", "bc_composite_first_order")
 
 
 @st.composite
@@ -344,9 +348,10 @@ def test_schedule_matches_per_step_grouping(case):
 @PROPERTY
 @given(operators(STEP_VARIANTS))
 def test_step_kernel_matches_all_branch_evaluation(case):
-    # evaluating only the branches with weight somewhere changes no value:
-    # the step terms, residual, bound, branch choice and Jacobian equal the
-    # reference that evaluates every branch the operator has
+    # selecting each node's branch from the branches some node takes gives
+    # what the weighted sum of every branch the operator has gives: the
+    # step terms, residual, bound, branch choice and Jacobian equal the
+    # reference's, with one-hot weights from op.branch
     case = _step_case(case)
     if case is None:
         return
@@ -359,6 +364,22 @@ def test_step_kernel_matches_all_branch_evaluation(case):
     assert np.all(op.lipschitz(u) == lip)
     assert np.array_equal(oracles.branches(op, u), np.argmax(w, axis=0))
     assert (op.jacobian(u) != jacobian_reference(op, u)).nnz == 0
+
+
+@PROPERTY
+@given(operators(STEP_VARIANTS))
+def test_branch_is_minus_one_exactly_off_the_active_nodes(case):
+    # every active node takes one branch of assembly and no pinned node
+    # takes any; a min kind's nodes all start on the PDE row
+    case = assembled(case)
+    if case is None:
+        return
+    op, _, _ = case
+    assert op.branch.dtype == np.int8
+    assert np.array_equal(op.branch == -1, ~op.active)
+    assert np.all(np.isin(op.branch[op.active], (0, 1, 2)))
+    if op.second is not None:
+        assert np.all(op.branch[op.active] == 0)
 
 
 def _wall_data(variant, box):
