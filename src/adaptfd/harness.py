@@ -602,8 +602,10 @@ def _csv(header: str, fmt: str, rows) -> str:
 
 
 def solution_csv(grid: QuadtreeGrid, u: GridFunction) -> str:
-    return _csv("i,j,x,y,u", "%s,%s,%s,%s,%r", zip(
-        *grid.node_text, u.values.tolist()))
+    # the node text joined with each value's repr: what "%s,%s,%s,%s,%r"
+    # formats, without parsing a format per row
+    return "\n".join(["i,j,x,y,u", *map(",".join, zip(
+        *grid.node_text, map(repr, u.values.tolist())))]) + "\n"
 
 
 def contour_csv(polylines) -> str:

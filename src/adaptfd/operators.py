@@ -50,7 +50,7 @@ class ProblemDefinition:
     nx, ny as floats (see stencils.laplacian_system); when absent, walls are
     Dirichlet-pinned at g.  first_order optionally replaces the branch of an
     affine kind on a node subset with a first-order degenerate-elliptic
-    operator.
+    operator.  A kind that would not read chi or first_order refuses it.
     """
     chi: object = None
     f: object = None
@@ -129,6 +129,12 @@ class OperatorSpec:
         self.second, self.is_open = BUILTIN_KINDS[self.kind]
         grid = self.grid
         problem = self.problem
+        # data a kind would not read are refused, not silently dropped
+        if problem.chi is not None and self.kind != "bc_composite":
+            raise OperatorError("only bc_composite reads a domain indicator "
+                                "chi, not %s" % self.kind)
+        if problem.first_order is not None and self.second is not None:
+            raise OperatorError("%s takes no first-order rows" % self.kind)
         self.fvals = problem.sample(problem.f, grid, name="f")
         self.gvals = problem.sample(problem.g, grid, name="g")
 
@@ -141,6 +147,9 @@ class OperatorSpec:
                 raise OperatorError("Dirichlet walls need a boundary datum g")
             self.pins[wall] = self.gvals[wall]
         self.wbar = self.L.diagonal()
+        # whether Lconst and f hold a nonzero: a step skips an all-zero one
+        # (see _evaluate)
+        self._nonzero = (self.Lconst.any(), self.fvals.any())
         if self.kind == "obstacle" and problem.g is None:
             raise OperatorError("obstacle needs an obstacle datum g")
 
@@ -198,25 +207,40 @@ class OperatorSpec:
 
     @cached_property
     def time_groups(self):
-        """(spacings, node arrays) of the active nodes, coarsest first."""
+        """(spacings, node arrays, boolean node masks) of the active nodes'
+        spacing classes, coarsest first."""
         idx = np.flatnonzero(self.active)
         spacing = self.grid.min_spacing[idx]
         classes = np.unique(spacing)[::-1].tolist()
-        return classes, [idx[spacing == s] for s in classes]
+        masks = []
+        for s in classes:
+            mask = np.zeros(len(self.active), dtype=bool)
+            mask[idx] = spacing == s
+            masks.append(mask)
+        return classes, [np.flatnonzero(m) for m in masks], masks
 
-    def _evaluate(self, u, take=None):
+    def _evaluate(self, u, take=None, step=False):
         """The one read of the branches: values of the live ones, the
         one-sided gradient (rx, ry, slopes) or None, where the second branch
         is open and where a min kind takes it (None if absent), all from one
         product with the stack, finished in place in the order of arithmetic
         of (L u + Lconst) - f.  A given take, a boolean node mask that is
-        false off the active nodes, replaces a min kind's branch choice."""
+        false off the active nodes, replaces a min kind's branch choice.
+
+        step asks for the form only _step_terms reads: rx, ry, the gradient
+        row and the square of ry are written over the E, N, W and S slopes
+        in the product, and the PDE row skips Lconst and f where assembly
+        found them all zero.  Adding a zero changes at most the sign of a
+        zero, which no comparison sees and the closing += 0.0 of _combined
+        clears."""
         n = len(u)
         part = self.stack @ u
         part = [part[k:k + n] for k in range(0, len(part), n)]
         vals = {0: part[0]}
-        vals[0] += self.Lconst
-        vals[0] -= self.fvals
+        if not step or self._nonzero[0]:
+            vals[0] += self.Lconst
+        if not step or self._nonzero[1]:
+            vals[0] -= self.fvals
         if 1 in self.live:
             vals[1] = u - self.gvals
         if 2 in self.live:
@@ -228,13 +252,14 @@ class OperatorSpec:
             # its zero slope never beats the clamp at 0, so it is never
             # selected
             cE, cW, cN, cS = slopes = tuple(part[-4:])
-            rx = np.maximum(cE, cW)
+            out = slopes if step else (None,) * 4
+            rx = np.maximum(cE, cW, out=out[0])
             np.maximum(rx, 0.0, out=rx)
-            ry = np.maximum(cN, cS)
+            ry = np.maximum(cN, cS, out=out[2])
             np.maximum(ry, 0.0, out=ry)
             grad = (rx, ry, slopes)
-            vals[3] = rx * rx
-            vals[3] += ry * ry
+            vals[3] = np.multiply(rx, rx, out=out[1])
+            vals[3] += np.multiply(ry, ry, out=out[3])
             np.negative(vals[3], out=vals[3])
         opened = None
         if self.second is not None:
@@ -244,23 +269,6 @@ class OperatorSpec:
                 take &= opened
                 take &= self.active
         return vals, grad, opened, take
-
-    def _bound(self, grad, opened):
-        bound = {0: self.wbar, 1: 1.0}
-        if self.first is not None:
-            bound[2] = self.first[2]
-        if grad is not None:
-            bound[3] = grad[0] * self.wx_max
-            bound[3] += grad[1] * self.wy_max
-            bound[3] *= 2.0
-        if self.second is None:
-            bound[0] = bound[0].copy()
-        else:
-            # a min kind's PDE row bounds both of its branches
-            top = np.maximum(bound[0], bound[self.second])
-            np.copyto(top, bound[0], where=np.logical_not(opened))
-            bound[0] = top
-        return self._combined(bound)
 
     def _combined(self, terms, take=None):
         """Each node's term of the branch it takes, 0 on pinned nodes, built
@@ -277,9 +285,30 @@ class OperatorSpec:
         return out
 
     def _step_terms(self, u):
-        """(Lipschitz bound, residual) at every node, from one gradient."""
-        vals, grad, opened, take = self._evaluate(u)
-        return self._bound(grad, opened), self._combined(vals, take)
+        """(Lipschitz bound, residual) at every node, from one evaluation in
+        its step form: the residual is built in the PDE row's slice of the
+        product and, where the product holds slopes, the bound in slices
+        the evaluation no longer reads."""
+        vals, grad, opened, take = self._evaluate(u, step=True)
+        spare = None
+        bound = {0: self.wbar, 1: 1.0}
+        if self.first is not None:
+            bound[2] = self.first[2]
+        if grad is not None:
+            # the S slope holds the square of ry, and rx is read here last
+            rx, ry, slopes = grad
+            bound[3] = np.multiply(rx, self.wx_max, out=slopes[3])
+            bound[3] += np.multiply(ry, self.wy_max, out=ry)
+            bound[3] *= 2.0
+            spare = rx
+        if self.second is None:
+            bound[0] = self.wbar.copy()
+        else:
+            # a min kind's PDE row bounds both of its branches
+            top = np.maximum(self.wbar, bound[self.second], out=spare)
+            np.copyto(top, self.wbar, where=np.logical_not(opened))
+            bound[0] = top
+        return self._combined(bound), self._combined(vals, take)
 
     # -- operator surface ---------------------------------------------------
 

@@ -50,7 +50,9 @@ class ScheduleError(GridError):
     """One coarse step would take more than MAX_GROUP_VISITS group visits."""
 
 
-# every group visit evaluates the operator on the whole grid
+# every group visit evaluates the operator on the whole grid and takes its
+# CFL maximum and its update under the group's mask, in passes over the
+# whole grid
 MAX_GROUP_VISITS = 1 << 12
 # regrids at most: before evolve's first step, and per continuation stage
 INITIAL_REGRIDS = 20
@@ -85,18 +87,20 @@ class TimeGroups:
     characteristic step per group (powers of two apart) and the visitation
     schedule for one coarse step.  start holds (state, Lipschitz bound,
     residual) at the state the schedule was built from; a step from that
-    same state takes its first visit from them."""
+    same state takes its first visit from them.  masks holds each group as
+    a boolean node mask; without them, a step builds its own."""
     groups: list          # node-index arrays
     taus: list            # tau_g, descending from the coarsest group
     mults: list           # m_g = tau_coarse / tau_g
     schedule: np.ndarray  # group ids, each g appearing m_g times
     coarse_tau: float
     start: tuple | None = None
+    masks: list | None = None
 
     def scaled(self, factor: float) -> "TimeGroups":
         return TimeGroups(self.groups, [t * factor for t in self.taus],
                           self.mults, self.schedule,
-                          self.coarse_tau * factor, self.start)
+                          self.coarse_tau * factor, self.start, self.masks)
 
 
 def build_schedule(op: OperatorSpec, u: GridFunction, rng=None) -> TimeGroups:
@@ -107,15 +111,24 @@ def build_schedule(op: OperatorSpec, u: GridFunction, rng=None) -> TimeGroups:
         rng = np.random.default_rng(0)
     lip, res = op._step_terms(u.values)
     start = (u.values.copy(), lip, res)
-    groups, dts, spacings = [], [], []
-    for s, nodes in zip(*op.time_groups):
-        bound = lip[nodes]
-        live = bound > 0
-        if live.any():
-            groups.append(nodes[live])
-            # fmax skips the NaN that `live` drops, so this is the largest
-            # live bound; its reciprocal is the least 1 / lip
-            dts.append(1.0 / float(np.fmax.reduce(bound)))
+    spacing_classes, nodes_of, masks_of = op.time_groups
+    # a group keeps its operator's nodes and mask unless some active node
+    # has a bound that is not positive
+    live = lip > 0
+    live &= op.active
+    whole = np.count_nonzero(live) == sum(map(len, nodes_of))
+    groups, masks, dts, spacings = [], [], [], []
+    for s, nodes, mask in zip(spacing_classes, nodes_of, masks_of):
+        # fmax skips NaN, which `live` drops, so this is the largest live
+        # bound; its reciprocal is the least 1 / lip
+        top = float(np.fmax.reduce(lip, where=mask, initial=-np.inf))
+        if top > 0:
+            if not whole:
+                mask = mask & live
+                nodes = np.flatnonzero(mask)
+            groups.append(nodes)
+            masks.append(mask)
+            dts.append(1.0 / top)
             spacings.append(s)
     if not groups:
         return TimeGroups([], [], [], np.empty(0, dtype=int), 0.0, start)
@@ -135,15 +148,17 @@ def build_schedule(op: OperatorSpec, u: GridFunction, rng=None) -> TimeGroups:
                ["%.3g" % (1.0 / t) for t in dts]))
     order = np.concatenate([np.full(m, gi) for gi, m in enumerate(mults)])
     schedule = rng.permutation(order)
-    return TimeGroups(groups, taus, mults, schedule, coarse_tau, start)
+    return TimeGroups(groups, taus, mults, schedule, coarse_tau, start, masks)
 
 
 def euler_step(op: OperatorSpec, u: GridFunction,
                schedule: TimeGroups) -> GridFunction:
     """One coarse step: u_i <- u_i - tau_g F_i[u] simultaneously within each
     scheduled group, sequentially across groups.  Each group visit takes its
-    CFL check and its update from one whole-grid evaluation of F; the first
-    visit reuses the schedule's evaluation when u is its starting state."""
+    CFL check and its update from one whole-grid evaluation of F, both
+    under the group's boolean mask: the schedule's, or for a schedule
+    without masks one built per step.  The first visit reuses the
+    schedule's evaluation when u is its starting state."""
     u.check(op.grid)
     v = u.values.copy()
     start = schedule.start
@@ -151,23 +166,28 @@ def euler_step(op: OperatorSpec, u: GridFunction,
     # zero or in a NaN payload gets terms of its own
     terms = start[1:] if start is not None and np.array_equal(
         start[0].view(np.int64), v.view(np.int64)) else None
-    # each group as a boolean mask, built once per step: a visit then
-    # updates in one masked pass, with no gather at the group's rows and
-    # no scatter back
-    masks = [np.zeros(len(v), dtype=bool) for _ in schedule.groups]
-    for mask, rows in zip(masks, schedule.groups):
-        mask[rows] = True
+    masks = schedule.masks
+    if masks is None:
+        masks = [np.zeros(len(v), dtype=bool) for _ in schedule.groups]
+        for mask, rows in zip(masks, schedule.groups):
+            mask[rows] = True
     for gid in schedule.schedule:
-        rows = schedule.groups[gid]
+        mask = masks[gid]
         tau = schedule.taus[gid]
-        lip, res = terms if terms is not None else op._step_terms(v)
-        terms = None
+        if terms is None:
+            lip, res = op._step_terms(v)
+            res *= tau
+        else:
+            # the schedule's terms stay as it holds them
+            lip, res = terms[0], tau * terms[1]
+            terms = None
         # tau > 0, so tau * max(lip) is the largest tau * lip; fmax skips
         # NaN as the elementwise comparison did
-        if tau * np.fmax.reduce(lip[rows]) > 1.0 + 1e-9:
+        top = np.fmax.reduce(lip, where=mask, initial=-np.inf)
+        if tau * top > 1.0 + 1e-9:
             raise InstabilityError("group step %.3e exceeds 1/L = %.3e"
-                                   % (tau, 1.0 / lip[rows].max()))
-        np.subtract(v, tau * res, out=v, where=masks[gid])
+                                   % (tau, 1.0 / top))
+        np.subtract(v, res, out=v, where=mask)
     return GridFunction(op.grid, v)
 
 

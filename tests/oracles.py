@@ -624,6 +624,30 @@ def row_terms(op, u, rows):
     return w, lip, sum(w[k] * val for k, val in vals.items()), grad
 
 
+def step_terms_reference(op, u):
+    """(Lipschitz bound, residual) composed as the operator once composed
+    them: its evaluation with the slopes kept and the constant rows always
+    added, each branch's bound in new arrays, then the operator's two
+    selections.  OperatorSpec._step_terms must give the same bits."""
+    import numpy as np
+    vals, grad, opened, take = op._evaluate(np.asarray(u, dtype=float))
+    bound = {0: op.wbar, 1: 1.0}
+    if op.first is not None:
+        bound[2] = op.first[2]
+    if grad is not None:
+        bound[3] = grad[0] * op.wx_max
+        bound[3] += grad[1] * op.wy_max
+        bound[3] *= 2.0
+    if op.second is None:
+        bound[0] = bound[0].copy()
+    else:
+        # a min kind's PDE row bounds both of its branches
+        top = np.maximum(bound[0], bound[op.second])
+        np.copyto(top, bound[0], where=np.logical_not(opened))
+        bound[0] = top
+    return op._combined(bound), op._combined(vals, take)
+
+
 def jacobian_reference(op, u):
     """The generalized Jacobian from row_terms over every node: each branch
     row weighted by its weight, the gradient-square rows from the

@@ -261,6 +261,25 @@ def test_obstacle_contact_contour_from_sampled_obstacle(tmp_path):
     assert want and same_polylines(res["contours"], want)
 
 
+def test_solution_csv_joins_the_fields_of_the_formatted_rows():
+    # joined node text and repr of each value: byte for byte the rows the
+    # "%s,%s,%s,%s,%r" form makes, for zeros of both signs, subnormals, the
+    # largest magnitudes, infinities and NaN
+    from adaptfd.grid import GridFunction
+    box = DomainBox(-0.3, 0.7, -1.0, 0.0)
+    grid = build_quadtree(np.array([[0, 0, 0]]), 2, box, pads=(1, 1))
+    pool = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1e-300, -2.5e300, math.inf, -math.inf,
+            math.nan, 1.0 / 3.0, -7.0, 123456789.0]
+    u = np.resize(np.array(pool), grid.n_nodes())
+    rows = zip(*grid.node_text, u.tolist())
+    want = "\n".join(["i,j,x,y,u"] + ["%s,%s,%s,%s,%r" % row
+                                      for row in rows]) + "\n"
+    got = harness.solution_csv(grid, GridFunction(grid, u))
+    assert got == want
+    assert "-0.0" in got and "5e-324" in got and "nan" in got
+
+
 def test_svg_counts_match_grid_dump(tmp_path):
     cfg = parse_config("preset = custom\nproblem.f = 1\nproblem.g = 0\n"
                        "problem.dirichlet = 0\ngrid.depth = 4\n"

@@ -66,6 +66,30 @@ def test_missing_datum_rejected():
         instantiate_builtin("bc_composite", ProblemDefinition(g=lambda x, y: 0.0), g)
 
 
+def test_data_the_kind_does_not_read_are_rejected():
+    # a min kind has no first-order branch, and only bc_composite reads
+    # chi: assembly refuses either datum instead of dropping it
+    g = uniform_grid(3)
+    band = UpwindDirectional(region=lambda x, y: x > 0.5,
+                             direction=lambda x, y: (1.0, 0.0),
+                             rhs=lambda x, y: 0.0)
+    for kind in ("obstacle", "stefan"):
+        with pytest.raises(OperatorError, match="no first-order rows"):
+            instantiate_builtin(kind, ProblemDefinition(
+                g=lambda x, y: 0.0, first_order=band), g)
+    for kind in ("poisson_dirichlet", "obstacle", "stefan"):
+        with pytest.raises(OperatorError, match="only bc_composite"):
+            instantiate_builtin(kind, ProblemDefinition(
+                chi=lambda x, y: 0.0 * x, g=lambda x, y: 0.0), g)
+    # the kinds that read them still take them
+    op = instantiate_builtin("bc_composite", ProblemDefinition(
+        chi=lambda x, y: x < 0.3, g=lambda x, y: 0.0, first_order=band), g)
+    assert set(np.unique(op.branch).tolist()) == {-1, 0, 1, 2}
+    op = instantiate_builtin("poisson_dirichlet", ProblemDefinition(
+        g=lambda x, y: 0.0, first_order=band), g)
+    assert (op.branch == 2).any()
+
+
 def test_obstacle_flat_zero_state_solves():
     g = uniform_grid(3)
     prob = ProblemDefinition(g=lambda x, y: -1.0,

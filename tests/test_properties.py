@@ -366,6 +366,35 @@ def test_step_kernel_matches_all_branch_evaluation(case):
     assert (op.jacobian(u) != jacobian_reference(op, u)).nnz == 0
 
 
+# wall data of the step-terms test: pinned walls, and Robin rows whose
+# Lconst is zero (neumann) or not
+STEP_WALLS = ("none", "neumann", "far_field", "mixed")
+
+
+@PROPERTY
+@given(operators(STEP_VARIANTS), st.sampled_from(STEP_WALLS))
+def test_step_terms_match_their_reference_to_the_bit(case, walls):
+    # the step form writes its terms over the slopes in the product and
+    # skips the constant rows assembly found all zero; its bound and
+    # residual are the reference's bit for bit, the sign of every zero
+    # included (== cannot see it), with zeros of both signs planted in the
+    # state
+    kind, problem, grid, rng = case
+    robin = _wall_data(walls, grid.box)
+    case = _step_case((kind, replace(problem, robin=robin), grid, rng))
+    if case is None:
+        return
+    op, grid, u, rng = case
+    zero = rng.random(len(u)) < 0.2
+    u[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    want = [t.view(np.int64) for t in oracles.step_terms_reference(op, u)]
+    got = [t.view(np.int64) for t in op._step_terms(u)]
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(op.lipschitz(u).view(np.int64), want[0])
+    assert np.array_equal(op.residual(u).view(np.int64), want[1])
+
+
 @PROPERTY
 @given(operators(STEP_VARIANTS))
 def test_branch_is_minus_one_exactly_off_the_active_nodes(case):
@@ -664,6 +693,10 @@ test_classify_matches_node_search_reference_with_wide_pads = _on_deep_grids(
 test_laplacian_system_matches_per_node_loop_on_deep_grids = _on_deep_grids(
     test_laplacian_system_matches_per_node_loop, grids(deep=True),
     st.sampled_from(WALL_DATA))
+test_step_terms_match_their_reference_to_the_bit_on_deep_grids = \
+    _on_deep_grids(test_step_terms_match_their_reference_to_the_bit,
+                   operators(STEP_VARIANTS, deep=True),
+                   st.sampled_from(STEP_WALLS))
 test_residual_degenerate_elliptic_on_deep_grids = _on_deep_grids(
     test_residual_degenerate_elliptic, operators(deep=True))
 test_active_block_is_an_m_matrix_on_deep_grids = _on_deep_grids(
