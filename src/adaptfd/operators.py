@@ -147,8 +147,8 @@ class OperatorSpec:
                 raise OperatorError("Dirichlet walls need a boundary datum g")
             self.pins[wall] = self.gvals[wall]
         self.wbar = self.L.diagonal()
-        # whether Lconst and f hold a nonzero: a step skips an all-zero one
-        # (see _evaluate)
+        # whether Lconst and f hold a nonzero: an evaluation skips an
+        # all-zero one (see _evaluate)
         self._nonzero = (self.Lconst.any(), self.fvals.any())
         if self.kind == "obstacle" and problem.g is None:
             raise OperatorError("obstacle needs an obstacle datum g")
@@ -207,17 +207,13 @@ class OperatorSpec:
 
     @cached_property
     def time_groups(self):
-        """(spacings, node arrays, boolean node masks) of the active nodes'
-        spacing classes, coarsest first."""
+        """(spacings, boolean node masks) of the active nodes' spacing
+        classes, coarsest first."""
         idx = np.flatnonzero(self.active)
         spacing = self.grid.min_spacing[idx]
         classes = np.unique(spacing)[::-1].tolist()
-        masks = []
-        for s in classes:
-            mask = np.zeros(len(self.active), dtype=bool)
-            mask[idx] = spacing == s
-            masks.append(mask)
-        return classes, [np.flatnonzero(m) for m in masks], masks
+        return classes, _node_masks(len(self.active),
+                                    [idx[spacing == s] for s in classes])
 
     def _evaluate(self, u, take=None, step=False):
         """The one read of the branches: values of the live ones, the
@@ -227,19 +223,19 @@ class OperatorSpec:
         of (L u + Lconst) - f.  A given take, a boolean node mask that is
         false off the active nodes, replaces a min kind's branch choice.
 
-        step asks for the form only _step_terms reads: rx, ry, the gradient
-        row and the square of ry are written over the E, N, W and S slopes
-        in the product, and the PDE row skips Lconst and f where assembly
-        found them all zero.  Adding a zero changes at most the sign of a
-        zero, which no comparison sees and the closing += 0.0 of _combined
-        clears."""
+        The PDE row skips Lconst and f where assembly found them all zero.
+        Adding a zero changes at most the sign of a zero, which no
+        comparison or absolute value sees and the closing += 0.0 of
+        _combined clears.  step asks for the form only _step_terms reads:
+        rx, ry, the gradient row and the square of ry are written over the
+        E, N, W and S slopes in the product, which _jacobian reads."""
         n = len(u)
         part = self.stack @ u
         part = [part[k:k + n] for k in range(0, len(part), n)]
         vals = {0: part[0]}
-        if not step or self._nonzero[0]:
+        if self._nonzero[0]:
             vals[0] += self.Lconst
-        if not step or self._nonzero[1]:
+        if self._nonzero[1]:
             vals[0] -= self.fvals
         if 1 in self.live:
             vals[1] = u - self.gvals
@@ -423,6 +419,16 @@ def _stacked(blocks):
         b.data, b.indices = stack.data[lo:hi], stack.indices[lo:hi]
         b.indptr = b.indptr.astype(stack.indptr.dtype, copy=False)
     return stack
+
+
+def _node_masks(n, groups):
+    """Each node-index array of groups as a boolean mask over n nodes."""
+    masks = []
+    for rows in groups:
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = True
+        masks.append(mask)
+    return masks
 
 
 def instantiate_builtin(kind: str, problem: ProblemDefinition,

@@ -27,7 +27,7 @@ import numpy as np
 from .adaptivity import (cells_as_requests, compute_refinement,
                          evaluate_criteria, inherit_set, regrid, transfer)
 from .grid import GridError, GridFunction, QuadtreeGrid
-from .operators import OperatorSpec, instantiate_builtin
+from .operators import OperatorSpec, _node_masks, instantiate_builtin
 
 
 class InstabilityError(GridError):
@@ -111,22 +111,16 @@ def build_schedule(op: OperatorSpec, u: GridFunction, rng=None) -> TimeGroups:
         rng = np.random.default_rng(0)
     lip, res = op._step_terms(u.values)
     start = (u.values.copy(), lip, res)
-    spacing_classes, nodes_of, masks_of = op.time_groups
-    # a group keeps its operator's nodes and mask unless some active node
-    # has a bound that is not positive
+    # a group keeps the nodes of its class whose bound is positive
     live = lip > 0
-    live &= op.active
-    whole = np.count_nonzero(live) == sum(map(len, nodes_of))
     groups, masks, dts, spacings = [], [], [], []
-    for s, nodes, mask in zip(spacing_classes, nodes_of, masks_of):
+    for s, mask in zip(*op.time_groups):
         # fmax skips NaN, which `live` drops, so this is the largest live
         # bound; its reciprocal is the least 1 / lip
         top = float(np.fmax.reduce(lip, where=mask, initial=-np.inf))
         if top > 0:
-            if not whole:
-                mask = mask & live
-                nodes = np.flatnonzero(mask)
-            groups.append(nodes)
+            mask = mask & live
+            groups.append(np.flatnonzero(mask))
             masks.append(mask)
             dts.append(1.0 / top)
             spacings.append(s)
@@ -168,9 +162,7 @@ def euler_step(op: OperatorSpec, u: GridFunction,
         start[0].view(np.int64), v.view(np.int64)) else None
     masks = schedule.masks
     if masks is None:
-        masks = [np.zeros(len(v), dtype=bool) for _ in schedule.groups]
-        for mask, rows in zip(masks, schedule.groups):
-            mask[rows] = True
+        masks = _node_masks(len(v), schedule.groups)
     for gid in schedule.schedule:
         mask = masks[gid]
         tau = schedule.taus[gid]

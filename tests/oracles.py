@@ -626,11 +626,21 @@ def row_terms(op, u, rows):
 
 def step_terms_reference(op, u):
     """(Lipschitz bound, residual) composed as the operator once composed
-    them: its evaluation with the slopes kept and the constant rows always
-    added, each branch's bound in new arrays, then the operator's two
-    selections.  OperatorSpec._step_terms must give the same bits."""
+    them: its evaluation with the slopes kept, the PDE row and the branch
+    choice rebuilt with both constant rows added, each branch's bound in
+    new arrays, then the operator's two selections.  OperatorSpec._step_terms
+    must give the same bits."""
     import numpy as np
-    vals, grad, opened, take = op._evaluate(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    vals, grad, opened, _ = op._evaluate(u)
+    vals[0] = op.L @ u
+    vals[0] += op.Lconst
+    vals[0] -= op.fvals
+    take = None
+    if op.second is not None:
+        take = vals[op.second] < vals[0]
+        take &= opened
+        take &= op.active
     bound = {0: op.wbar, 1: 1.0}
     if op.first is not None:
         bound[2] = op.first[2]
