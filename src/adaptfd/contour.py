@@ -4,7 +4,10 @@ Each leaf is walked counterclockwise through all grid nodes on its perimeter
 (corners plus any hanging midpoints, which 2:1 balance limits to one per
 edge).  Crossings are linearly interpolated on these sub-edges, so the two
 cells sharing an edge compute bitwise-identical crossing points and the
-polylines stitch watertight across scale changes.
+polylines stitch watertight across scale changes.  The crossed leaves are
+found from the grid segments between line neighbors that the level
+crosses, and every crossing of them is computed at once, as arrays; only
+the chaining of segments into polylines walks them one by one.
 """
 
 from __future__ import annotations
@@ -25,46 +28,64 @@ def extract_contour(grid: QuadtreeGrid, values: np.ndarray,
     if not (values.min() <= level <= values.max()):
         return []
 
-    # each leaf's perimeter ring, counterclockwise: corner, edge midpoint,
-    # corner, ...; a midpoint slot holds -1 where no node bisects that edge
-    a, b, k = grid.cells_sorted().T
+    # a leaf is crossed where its ring holds nodes on both sides of the
+    # level, so where one of its sub-edges does: a sub-edge is a segment
+    # between line neighbors E or N, and both leaves it bounds are crossed
+    lt = values < level
+    side = grid.side
+    ci, cj = [], []
+    for d, (di, dj) in ((0, (0, -1)), (2, (-1, 0))):
+        nbr = grid.nbr[:, d]
+        at = np.flatnonzero(nbr >= 0)
+        at = at[lt[at] != lt[nbr[at]]]
+        # the unit cells above and below a segment E, right and left of
+        # one N
+        ci += [grid.i[at], grid.i[at] + di]
+        cj += [grid.j[at], grid.j[at] + dj]
+    ci, cj = np.concatenate(ci), np.concatenate(cj)
+    inside = (ci >= 0) & (ci < side) & (cj >= 0) & (cj < side)
+    a, b, k = grid.leaves[np.unique(
+        grid.leaf_of_cell(ci[inside], cj[inside]))].T
+    # in the dump order, by (b, a)
+    order = np.lexsort((a, b))
+    a, b, k = a[order], b[order], k[order]
+
+    # each crossed leaf's perimeter ring, counterclockwise: corner, edge
+    # midpoint, corner, ...; a midpoint slot holds -1 where no node bisects
+    # that edge
     s = 1 << k
     h = s >> 1
     ring_i = np.stack([a, a + h, a + s, a + s, a + s, a + h, a, a], axis=1)
     ring_j = np.stack([b, b, b, b + h, b + s, b + s, b + s, b + h], axis=1)
     ring = grid.find(ring_i, ring_j)
     ring[h == 0, 1::2] = -1
-    # only leaves with ring values on both sides of the level are crossed
-    lt = values[ring] < level
+    lt = lt[ring]
     present = ring >= 0
-    crossed = np.flatnonzero((lt & present).any(axis=1)
-                             & (~lt & present).any(axis=1))
 
-    segments = []
-    for c in crossed.tolist():
-        at = ring[c] >= 0
-        pts = list(zip(ring_i[c, at].tolist(), ring_j[c, at].tolist()))
-        ids = ring[c, at].tolist()
-        crossings = []
-        m = len(pts)
-        for e in range(m):
-            p, q = pts[e], pts[(e + 1) % m]
-            vp = values[ids[e]]
-            vq = values[ids[(e + 1) % m]]
-            if (vp < level) == (vq < level):
-                continue
-            # canonical endpoint order so both sides of a shared edge
-            # compute the identical crossing point
-            (p1, v1), (p2, v2) = sorted(((p, vp), (q, vq)),
-                                        key=lambda t: (t[0][1], t[0][0]))
-            t = (level - v1) / (v2 - v1)
-            x = grid.position(*p1)
-            y = grid.position(*p2)
-            crossings.append((x[0] + t * (y[0] - x[0]),
-                              x[1] + t * (y[1] - x[1])))
-        for c0, c1 in zip(crossings[0::2], crossings[1::2]):
-            if c0 != c1:
-                segments.append((c0, c1))
+    # each present slot's sub-edge ends at the next slot, or past a missing
+    # midpoint at the corner after it; every crossed sub-edge in leaf and
+    # ring order, an even number per leaf
+    after = np.arange(1, 9) % 8
+    succ = np.where(present[:, after], after, (after + 1) % 8)
+    leaf = np.arange(len(ring))[:, None]
+    c, e = np.nonzero(present & (lt != lt[leaf, succ]))
+    f = succ[c, e]
+    # canonical endpoint order, by (j, i), so both sides of a shared edge
+    # compute the identical crossing point
+    swap = (ring_j[c, f] < ring_j[c, e]) | (
+        (ring_j[c, f] == ring_j[c, e]) & (ring_i[c, f] < ring_i[c, e]))
+    e, f = np.where(swap, f, e), np.where(swap, e, f)
+    v1, v2 = values[ring[c, e]], values[ring[c, f]]
+    t = (level - v1) / (v2 - v1)
+    x1, y1 = grid.position(ring_i[c, e], ring_j[c, e])
+    x2, y2 = grid.position(ring_i[c, f], ring_j[c, f])
+    px = x1 + t * (x2 - x1)
+    py = y1 + t * (y2 - y1)
+    # a leaf's crossings pair up in ring order into its segments
+    keep = (px[0::2] != px[1::2]) | (py[0::2] != py[1::2])
+    pts = list(zip(px.tolist(), py.tolist()))
+    segments = [(pts[2 * m], pts[2 * m + 1])
+                for m in np.flatnonzero(keep).tolist()]
     return _chain(segments)
 
 

@@ -158,10 +158,11 @@ class OperatorSpec:
         if self.second is None:
             self._fix_branch()
         self.branch[~self.active] = -1
-        # the nodes off the PDE row at assembly, by branch, built once: a
-        # selection then copies only the branches some node takes
+        # the nodes off the PDE row at assembly, by branch, as index arrays
+        # built once: a selection then writes only the rows of the branches
+        # some node takes
         self._off = {b: at for b in (1, 2, -1)
-                     if (at := self.branch == b).any()}
+                     if len(at := np.flatnonzero(self.branch == b))}
         # branches evaluated: the PDE row, a min kind's second, any taken
         self.live = [b for b in range(4) if b in (0, self.second)
                      or b in self._off]
@@ -207,13 +208,18 @@ class OperatorSpec:
 
     @cached_property
     def time_groups(self):
-        """(spacings, boolean node masks) of the active nodes' spacing
-        classes, coarsest first."""
+        """(spacings, boolean node masks, node-index arrays) of the active
+        nodes' spacing classes, coarsest first.  A single class has the
+        mask True: it holds every active node, and every pinned node has a
+        bound and a residual of exactly +0.0, so its rows add nothing to a
+        maximum of positive bounds and leave a state unchanged."""
         idx = np.flatnonzero(self.active)
         spacing = self.grid.min_spacing[idx]
         classes = np.unique(spacing)[::-1].tolist()
-        return classes, _node_masks(len(self.active),
-                                    [idx[spacing == s] for s in classes])
+        nodes = [idx[spacing == s] for s in classes]
+        masks = [True] if len(nodes) == 1 else _node_masks(len(self.active),
+                                                           nodes)
+        return classes, masks, nodes
 
     def _evaluate(self, u, take=None, step=False):
         """The one read of the branches: values of the live ones, the
@@ -274,7 +280,8 @@ class OperatorSpec:
         += 0.0 turns -0.0 into 0.0, as a sum started from 0 does."""
         out = terms[0]
         for b, at in self._off.items():
-            np.copyto(out, terms.get(b, 0.0), where=at)
+            term = terms.get(b, 0.0)
+            out[at] = term[at] if np.ndim(term) else term
         if take is not None:
             np.copyto(out, terms[self.second], where=take)
         out += 0.0

@@ -51,8 +51,9 @@ class ScheduleError(GridError):
 
 
 # every group visit evaluates the operator on the whole grid and takes its
-# CFL maximum and its update under the group's mask, in passes over the
-# whole grid
+# CFL maximum and its update in passes over the whole grid: under the
+# group's boolean mask, or unmasked where the group is every active node
+# of a one-class grid
 MAX_GROUP_VISITS = 1 << 12
 # regrids at most: before evolve's first step, and per continuation stage
 INITIAL_REGRIDS = 20
@@ -88,7 +89,9 @@ class TimeGroups:
     schedule for one coarse step.  start holds (state, Lipschitz bound,
     residual) at the state the schedule was built from; a step from that
     same state takes its first visit from them.  masks holds each group as
-    a boolean node mask; without them, a step builds its own."""
+    a boolean node mask, or as True where the group is every active node of
+    an operator with one spacing class; without them, a step builds its
+    own."""
     groups: list          # node-index arrays
     taus: list            # tau_g, descending from the coarsest group
     mults: list           # m_g = tau_coarse / tau_g
@@ -111,16 +114,23 @@ def build_schedule(op: OperatorSpec, u: GridFunction, rng=None) -> TimeGroups:
         rng = np.random.default_rng(0)
     lip, res = op._step_terms(u.values)
     start = (u.values.copy(), lip, res)
-    # a group keeps the nodes of its class whose bound is positive
+    # a group keeps the nodes of its class whose bound is positive; where
+    # that is every active node, each group is its class as the operator
+    # holds it
     live = lip > 0
+    classes, class_masks, class_nodes = op.time_groups
+    whole = np.count_nonzero(live) == sum(map(len, class_nodes))
     groups, masks, dts, spacings = [], [], [], []
-    for s, mask in zip(*op.time_groups):
-        # fmax skips NaN, which `live` drops, so this is the largest live
+    for s, mask, nodes in zip(classes, class_masks, class_nodes):
+        # fmax skips NaN, which `live` drops, and a mask of True adds only
+        # the pinned rows' +0.0, so a positive top is the largest live
         # bound; its reciprocal is the least 1 / lip
         top = float(np.fmax.reduce(lip, where=mask, initial=-np.inf))
         if top > 0:
-            mask = mask & live
-            groups.append(np.flatnonzero(mask))
+            if not whole:
+                mask = mask & live
+                nodes = np.flatnonzero(mask)
+            groups.append(nodes)
             masks.append(mask)
             dts.append(1.0 / top)
             spacings.append(s)
@@ -150,9 +160,12 @@ def euler_step(op: OperatorSpec, u: GridFunction,
     """One coarse step: u_i <- u_i - tau_g F_i[u] simultaneously within each
     scheduled group, sequentially across groups.  Each group visit takes its
     CFL check and its update from one whole-grid evaluation of F, both
-    under the group's boolean mask: the schedule's, or for a schedule
-    without masks one built per step.  The first visit reuses the
-    schedule's evaluation when u is its starting state."""
+    under the group's mask: the schedule's, or for a schedule without masks
+    one built per step.  A mask of True covers the pinned rows too, whose
+    bound and residual are exactly +0.0: they change no maximum of positive
+    bounds, and the check raises before an unstable step can update them.
+    The first visit reuses the schedule's evaluation when u is its starting
+    state."""
     u.check(op.grid)
     v = u.values.copy()
     start = schedule.start

@@ -712,6 +712,54 @@ def schedule_reference(grid, op, u, rng):
                       coarse_tau, start)
 
 
+def extract_contour_reference(grid, values, level):
+    """extract_contour walking each crossed leaf's ring in Python: one
+    sub-edge at a time, each crossing point from its endpoints in canonical
+    (j, i) order, the crossings of a leaf paired in ring order.  The array
+    walk must give the same polylines, point for point."""
+    import numpy as np
+    from adaptfd.contour import _chain
+    from adaptfd.grid import GridFunction
+    values = GridFunction(grid, values).values
+    if not (values.min() <= level <= values.max()):
+        return []
+    a, b, k = grid.cells_sorted().T
+    s = 1 << k
+    h = s >> 1
+    ring_i = np.stack([a, a + h, a + s, a + s, a + s, a + h, a, a], axis=1)
+    ring_j = np.stack([b, b, b, b + h, b + s, b + s, b + s, b + h], axis=1)
+    ring = grid.find(ring_i, ring_j)
+    ring[h == 0, 1::2] = -1
+    lt = values[ring] < level
+    present = ring >= 0
+    crossed = np.flatnonzero((lt & present).any(axis=1)
+                             & (~lt & present).any(axis=1))
+    segments = []
+    for c in crossed.tolist():
+        at = ring[c] >= 0
+        pts = list(zip(ring_i[c, at].tolist(), ring_j[c, at].tolist()))
+        ids = ring[c, at].tolist()
+        crossings = []
+        m = len(pts)
+        for e in range(m):
+            p, q = pts[e], pts[(e + 1) % m]
+            vp = values[ids[e]]
+            vq = values[ids[(e + 1) % m]]
+            if (vp < level) == (vq < level):
+                continue
+            (p1, v1), (p2, v2) = sorted(((p, vp), (q, vq)),
+                                        key=lambda t: (t[0][1], t[0][0]))
+            t = (level - v1) / (v2 - v1)
+            x = grid.position(*p1)
+            y = grid.position(*p2)
+            crossings.append((x[0] + t * (y[0] - x[0]),
+                              x[1] + t * (y[1] - x[1])))
+        for c0, c1 in zip(crossings[0::2], crossings[1::2]):
+            if c0 != c1:
+                segments.append((c0, c1))
+    return _chain(segments)
+
+
 # ---------------------------------------------------------------------------
 # scalar problem data: the per-point forms the harness samples as arrays
 

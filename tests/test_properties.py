@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import adaptfd.grid
 from adaptfd.adaptivity import cells_as_requests, regrid, transfer
+from adaptfd.contour import extract_contour
 from adaptfd.grid import (CLASSES, CODE, DANGLING_X, DANGLING_Y, DIRS,
                           DomainBox, GridFunction, QuadtreeGrid,
                           build_quadtree, default_pads)
@@ -24,9 +25,10 @@ from adaptfd.harness import solution_csv
 from adaptfd.svgplot import grid_svg, solution_svg
 from adaptfd.operators import (BUILTIN_KINDS, ProblemDefinition,
                                UpwindDirectional, instantiate_builtin)
-from adaptfd.solvers import (MAX_GROUP_VISITS, ScheduleError,
-                             StoppingPolicy, TimeGroups, _trial_leaves,
-                             build_schedule, euler_step, newton_solve)
+from adaptfd.solvers import (MAX_GROUP_VISITS, InstabilityError,
+                             ScheduleError, StoppingPolicy, TimeGroups,
+                             _trial_leaves, build_schedule, euler_step,
+                             newton_solve)
 from adaptfd.stencils import (StencilUnavailableError, laplacian_system,
                               one_sided_matrices)
 import oracles
@@ -40,12 +42,12 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=100,
 
 
 @st.composite
-def grids(draw, deep=False, wide_pads=False):
+def grids(draw, deep=False, wide_pads=False, uniform=False):
     """(grid, requests): a random box and a quadtree on it with random pads,
     built from the requested squares (a, b, k).  A deep grid is refined
     toward 16 to 32 points, each at the base scale or finer, instead of 0
-    to 3 points at any scale.  With wide_pads, one axis, drawn at random,
-    has a pad above the lattice side."""
+    to 3 points at any scale; a uniform one toward none.  With wide_pads,
+    one axis, drawn at random, has a pad above the lattice side."""
     side = 10.0 ** draw(st.floats(-2.0, 3.0))
     long = side * draw(st.floats(1.0, 8.0))
     lx, ly = (side, long) if draw(st.booleans()) else (long, side)
@@ -60,7 +62,8 @@ def grids(draw, deep=False, wide_pads=False):
     s = 1 << scale
     reqs = [(a, b, scale) for a in range(0, n, s) for b in range(0, n, s)]
     # the square of each scale k containing a random lattice point (i, j)
-    for _ in range(draw(st.integers(16, 32) if deep else st.integers(0, 3))):
+    for _ in range(0 if uniform else draw(st.integers(16, 32) if deep
+                                          else st.integers(0, 3))):
         i, j, k = (draw(st.integers(0, n)), draw(st.integers(0, n)),
                    draw(st.integers(0, scale if deep else depth)))
         reqs.append((min(i >> k << k, n - (1 << k)),
@@ -122,11 +125,12 @@ NEWTON_VARIANTS = ("poisson_dirichlet", "bc_composite", "obstacle",
 
 
 @st.composite
-def operators(draw, variants=KINDS, deep=False):
+def operators(draw, variants=KINDS, deep=False, uniform=False):
     """(kind, problem, grid, rng): a problem of one of the variants on a
-    random grid (deep as in grids), and a generator for random states."""
+    random grid (deep or uniform as in grids), and a generator for random
+    states."""
     variant = draw(st.sampled_from(variants))
-    grid, _ = draw(grids(deep))
+    grid, _ = draw(grids(deep, uniform=uniform))
     kind = "bc_composite" if variant.startswith("bc_composite") else variant
     return kind, _problem(variant, grid.box), grid, np.random.default_rng(
         draw(st.integers(0, 2**32 - 1)))
@@ -364,6 +368,78 @@ def test_step_kernel_matches_all_branch_evaluation(case):
     assert np.all(op.lipschitz(u) == lip)
     assert np.array_equal(oracles.branches(op, u), np.argmax(w, axis=0))
     assert (op.jacobian(u) != jacobian_reference(op, u)).nnz == 0
+
+
+def _planted(rng, op, u, nan):
+    """u with zeros of both signs on a fifth of the nodes and huge values
+    (of either sign, |u| up to 1e100, so that no term overflows) on a few;
+    with nan, NaN on a few pinned nodes and, on every other draw, one
+    active node."""
+    u = u.copy()
+    n = len(u)
+    zero = rng.random(n) < 0.2
+    u[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    huge = rng.choice(n, size=min(3, n), replace=False)
+    u[huge] = rng.choice([-1.0, 1.0], size=len(huge)) * 10.0 ** rng.uniform(
+        50.0, 100.0, size=len(huge))
+    if nan:
+        pinned = np.flatnonzero(~op.active)
+        u[rng.choice(pinned, size=min(3, len(pinned)), replace=False)] = np.nan
+        if rng.random() < 0.5:
+            u[rng.choice(np.flatnonzero(op.active))] = np.nan
+    return u
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(operators(STEP_VARIANTS, uniform=True),
+                 operators(STEP_VARIANTS),
+                 operators(STEP_VARIANTS, deep=True)), st.booleans())
+def test_euler_step_matches_its_reference_to_the_bit(case, nan):
+    # a step equals the step under the groups' own boolean masks bit for
+    # bit, NaN payloads and the sign of every zero included: the mask True
+    # of a one-class operator whose every active bound is positive, which
+    # also updates the pinned rows, changes nothing, and a NaN or
+    # non-positive bound keeps boolean masks.  Without NaN, the step also
+    # equals the per-group row-slice reference bit for bit; the reference
+    # weighs every branch, and its 0 * NaN on a branch a node does not
+    # take is NaN
+    case = _step_case(case)
+    if case is None or not case[0].active.any():
+        return
+    op, grid, u, rng = case
+    u = GridFunction(grid, _planted(rng, op, u, nan))
+    try:
+        sched = build_schedule(op, u, rng)
+    except ScheduleError:
+        return
+    if not sched.groups:
+        return
+    lip = sched.start[1]
+    whole = bool(np.all(lip[op.active] > 0))
+    one_class = len(op.time_groups[0]) == 1
+    assert [m is True for m in sched.masks] == \
+        [one_class and whole] * len(sched.groups)
+    for mask, rows in zip(sched.masks, sched.groups):
+        if mask is True:
+            assert np.array_equal(rows, np.flatnonzero(op.active))
+        else:
+            assert mask.dtype == bool
+            assert np.array_equal(np.flatnonzero(mask), rows)
+    # a few visits keep the reference's per-row evaluations cheap; half
+    # steps, as the Stefan bound can grow inside one
+    sched = replace(sched.scaled(0.5), schedule=sched.schedule[:8])
+    try:
+        got = euler_step(op, u, sched).values.view(np.int64)
+    except InstabilityError:
+        with pytest.raises(InstabilityError):
+            oracles.euler_step_reference(op, u.values, sched)
+        return
+    boolean = replace(sched, masks=None)
+    assert np.array_equal(got, euler_step(op, u, boolean).values.view(
+        np.int64))
+    if not nan:
+        want = oracles.euler_step_reference(op, u.values, sched)
+        assert np.array_equal(got, want.view(np.int64))
 
 
 # wall data of the step-terms test: pinned walls, and Robin rows whose
@@ -616,6 +692,44 @@ def test_unchanged_regrid_classifies_nothing(case):
         fine = np.concatenate([grid.leaves, [[0, 0, 0]]])
         g3, _ = regrid(grid, u, fine)
     assert len(calls) == (0 if g3 is grid else 1)
+
+
+# the fields of the contour test: normal noise at a random level, a plane
+# (contours that end on the walls), values on a few levels cut at one of
+# them (level equal to node values), and a constant field at the level
+# (inside the value range, no leaf crossed)
+CONTOUR_FIELDS = ("noise", "plane", "levels", "constant")
+
+
+@PROPERTY
+@given(grids(deep=True), st.sampled_from(CONTOUR_FIELDS),
+       st.integers(0, 2**32 - 1))
+def test_contour_matches_its_reference(case, field, seed):
+    # the array walk gives the polylines of the per-leaf loop, in order and
+    # point for point, across hanging midpoints and scale changes
+    grid, _ = case
+    rng = np.random.default_rng(seed)
+    n = grid.n_nodes()
+    level = float(rng.normal())
+    if field == "noise":
+        values = rng.normal(size=n)
+    elif field == "plane":
+        ax, ay = rng.normal(size=2)
+        values = ax * (grid.x - grid.box.x_min) / grid.box.lx \
+            + ay * (grid.y - grid.box.y_min) / grid.box.ly
+        level = float(rng.uniform(values.min(), values.max()))
+    elif field == "levels":
+        values = rng.integers(-2, 3, size=n) * 0.5
+        level = float(rng.choice(values))
+    else:
+        values = np.full(n, level)
+    want = oracles.extract_contour_reference(grid, values, level)
+    got = extract_contour(grid, values, level)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if field == "constant":
+        assert got == []
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,50 @@ def test_euler_step_matches_row_slice_reference(kind, box):
         euler_step(op, u, bad)
     with pytest.raises(InstabilityError):
         euler_step_reference(op, u.values, bad)
+
+
+def test_one_class_schedule_visits_every_row_unmasked():
+    # on a uniform Stefan grid whose every active bound is positive, the
+    # one group is the operator's class, its mask True; the step updates
+    # the pinned rows too, by exactly +0.0, so it keeps a NaN or -0.0
+    # planted there and equals the step under the boolean mask and the
+    # row-slice reference bit for bit.  A NaN bound drops its node from the
+    # group and keeps a boolean mask
+    g = uniform_grid(4)
+    op, u0 = euler_case("stefan", g)
+    _, masks, nodes = op.time_groups
+    assert masks == [True]
+    assert np.array_equal(nodes[0], np.flatnonzero(op.active))
+    pinned = np.flatnonzero(~op.active)
+    u0[pinned[:2]] = np.nan, -0.0
+    u = GridFunction(g, u0)
+    sched = build_schedule(op, u)
+    assert sched.masks == [True] and sched.groups[0] is nodes[0]
+    got = euler_step(op, u, sched).values
+    want = euler_step_reference(op, u0, sched)
+    boolean = euler_step(op, u, replace(sched, masks=None)).values
+    for other in (want, boolean):
+        assert np.array_equal(got.view(np.int64), other.view(np.int64))
+    assert np.isnan(got[pinned[0]]) and np.signbit(got[pinned[1]])
+    u0[nodes[0][5]] = np.nan
+    sched = build_schedule(op, GridFunction(g, u0))
+    lip = sched.start[1]
+    assert np.isnan(lip).any()
+    assert sched.masks[0].dtype == bool
+    assert np.array_equal(sched.groups[0], np.flatnonzero(lip > 0))
+    assert np.array_equal(np.flatnonzero(sched.masks[0]), sched.groups[0])
+
+
+def test_multi_class_schedule_keeps_the_class_masks():
+    # every active bound positive on a grid of two spacing classes: each
+    # group is its class's cached boolean mask and index array
+    g = two_scale_grid()
+    op = heat_op(g)
+    _, masks, nodes = op.time_groups
+    sched = build_schedule(op, GridFunction(g, np.zeros(g.n_nodes())))
+    assert all(a is b for a, b in zip(sched.masks, masks))
+    assert all(a is b for a, b in zip(sched.groups, nodes))
+    assert len(masks) == 2 and all(m.dtype == bool for m in masks)
 
 
 @pytest.mark.parametrize("kind", ["poisson_dirichlet", "bc_composite",
